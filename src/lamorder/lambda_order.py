@@ -30,6 +30,7 @@ from .term import (Db, Lam, Preterm, Signature, Sym, TyVar, Type, Var,
 
 KBO = "kbo"
 LPO = "lpo"
+ALGOS = ("naive", "optimized")
 
 
 class OrderError(Exception):
@@ -77,6 +78,8 @@ class OrderParams:
                  default_weight: Ord = ONE):
         if kind not in (KBO, LPO):
             raise OrderError("unknown order kind %r" % kind)
+        if algo not in ALGOS:
+            raise OrderError("unknown algorithm %r" % algo)
         self.sig = sig
         self.kind = kind
         self.weights = dict(weights or {})
@@ -89,10 +92,10 @@ class OrderParams:
         self.strict_leaks = strict_leaks
         self.ordinal_weights = ordinal_weights
         self.default_weight = default_weight
-        prec = list(prec) if prec is not None else sorted(sig.symbols)
-        self.prec_ranks = {name: i for i, name in enumerate(prec)}
-        ty_prec = list(ty_prec) if ty_prec is not None else sorted(sig.type_constructors)
-        self.ty_prec_ranks = {name: i for i, name in enumerate(ty_prec)}
+        self.prec_ranks = _ranks("precedence", sig.symbols,
+                                 sorted(sig.symbols) if prec is None else prec)
+        self.ty_prec_ranks = _ranks("type precedence", sig.type_constructors,
+                                    sorted(sig.type_constructors) if ty_prec is None else ty_prec)
         self._ty_fo = FoParams(
             weight=lambda key: self.ty_weights.get(key, self.default_weight),
             coeff=lambda key, i: ONE,
@@ -192,6 +195,17 @@ class OrderParams:
         if self.kind == LPO and "bot" in self.sig.symbols and self.watershed is not None:
             if self.sym_rank("bot") > self.sym_rank(self.watershed):
                 raise OrderError("bot must not exceed the watershed")
+
+
+def _ranks(what: str, declared: Dict[str, object], names: Sequence[str]) -> Dict[str, int]:
+    ranks: Dict[str, int] = {}
+    for i, name in enumerate(names):
+        if name in ranks:
+            raise OrderError("%s ranks %s twice" % (what, name))
+        if name not in declared:
+            raise OrderError("%s ranks undeclared %s" % (what, name))
+        ranks[name] = i
+    return ranks
 
 
 def _type_to_fo(ty: Type) -> FoTerm:
@@ -669,8 +683,11 @@ class _LpoOpt(_Base):
     naive algorithm are fused into single scans (compare_rest), and the
     subterm checks the naive algorithm performs up front run only when a scan
     ends without a strict verdict (finish).  On ground terms, where every
-    recursive verdict is G, E or L, the fallbacks never trigger; that is
-    where the exponential/polynomial gap lives.
+    recursive verdict is G, E or L, the fallbacks never trigger.  Off ground
+    terms they revisit subterm pairs, so a memo for one top-level comparison,
+    keyed on two subterms and their binder depths, holds at most 2·|t|·|s|
+    verdicts, each found by one linear scan: the descent is polynomial on
+    every input (Löchner's memoized LPO).
 
     In every branch, a G or L produced by compare_rest's scan of the losing
     side is backed by the scan itself (the losing side's arguments are all
@@ -678,18 +695,25 @@ class _LpoOpt(_Base):
     type rule that fired; a verdict coming out of a subterm observation is
     never guarded."""
 
-    def compare(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
-        p = self.p
-        if isinstance(t, Var):
-            if isinstance(s, Var):
-                if self.same_var(t, s) and self.steady_args(t):
-                    return cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
-                return U
-            return self.finish(t, s, dt, ds, U)
+    def __init__(self, p: OrderParams):
+        super().__init__(p)
+        # Identity keys are sound: the descent never builds a term, so every
+        # key names a subterm of the inputs, alive for the whole comparison.
+        self.memo: Dict[Tuple[int, int, int, int], Cmp] = {}
 
-        if isinstance(t, Sym):
-            if isinstance(s, Var):
-                return self.finish(t, s, dt, ds, U)
+    def compare(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
+        key = (id(t), id(s), dt, ds)
+        out = self.memo.get(key)
+        if out is not None:
+            return out
+        p = self.p
+        if isinstance(t, Var) or isinstance(s, Var):
+            if (isinstance(t, Var) and isinstance(s, Var)
+                    and self.same_var(t, s) and self.steady_args(t)):
+                out = cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
+            else:
+                out = U
+        elif isinstance(t, Sym):
             if isinstance(s, Sym):
                 c = p.sym_cmp(t.name, s.name)
                 if c is not E:
@@ -702,30 +726,24 @@ class _LpoOpt(_Base):
                         out = self.prec_battle(t, s, dt, ds, c, t.name)
                     else:
                         out = self.compare_params_then_args(t, s, dt, ds)
-                return self.finish(t, s, dt, ds, out)
-            if isinstance(s, Db):
+            elif isinstance(s, Db):
                 if p.above_watershed(t.name):
                     out = self.win_by_rest(t, dt, s.args, ds, G, guard=None)
                 else:
                     out = self.win_by_rest(s, ds, t.args, dt, L, guard=(t, s))
-                return self.finish(t, s, dt, ds, out)
-            assert isinstance(s, Lam)
-            if p.above_watershed(t.name):
-                out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
             else:
-                out = self.win_by_rest(s, ds, t.args, dt, L, guard=(t, s))
-            return self.finish(t, s, dt, ds, out)
-
-        if isinstance(t, Db):
-            if isinstance(s, Var):
-                return self.finish(t, s, dt, ds, U)
+                assert isinstance(s, Lam)
+                if p.above_watershed(t.name):
+                    out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
+                else:
+                    out = self.win_by_rest(s, ds, t.args, dt, L, guard=(t, s))
+        elif isinstance(t, Db):
             if isinstance(s, Sym):
                 if p.above_watershed(s.name):
                     out = self.win_by_rest(s, ds, t.args, dt, L, guard=None)
                 else:
                     out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
-                return self.finish(t, s, dt, ds, out)
-            if isinstance(s, Db):
+            elif isinstance(s, Db):
                 if t.index > s.index:
                     out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
                 elif t.index < s.index:
@@ -734,34 +752,31 @@ class _LpoOpt(_Base):
                     out = U
                 else:
                     out = self.compare_regular_args(t, dt, t.args, s, ds, s.args)
-                return self.finish(t, s, dt, ds, out)
-            assert isinstance(s, Lam)
-            out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
-            return self.finish(t, s, dt, ds, out)
-
-        assert isinstance(t, Lam)
-        if isinstance(s, Var):
-            return self.finish(t, s, dt, ds, U)
-        if isinstance(s, Sym):
-            if p.above_watershed(s.name):
+            else:
+                assert isinstance(s, Lam)
+                out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
+        else:
+            assert isinstance(t, Lam)
+            if isinstance(s, Sym):
+                if p.above_watershed(s.name):
+                    out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
+                else:
+                    out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
+            elif isinstance(s, Db):
                 out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
             else:
-                out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
-            return self.finish(t, s, dt, ds, out)
-        if isinstance(s, Db):
-            out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
-            return self.finish(t, s, dt, ds, out)
-        assert isinstance(s, Lam)
-        c = p.compare_types(t.arg_ty, s.arg_ty)
-        if c is G:
-            out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
-        elif c is E:
-            out = self.compare(t.body, s.body, dt + 1, ds + 1)
-        elif c is L:
-            out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
-        else:
-            out = U
-        return self.finish(t, s, dt, ds, out)
+                assert isinstance(s, Lam)
+                c = p.compare_types(t.arg_ty, s.arg_ty)
+                if c is G:
+                    out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
+                elif c is E:
+                    out = self.compare(t.body, s.body, dt + 1, ds + 1)
+                elif c is L:
+                    out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
+                else:
+                    out = U
+        out = self.memo[key] = self.finish(t, s, dt, ds, out)
+        return out
 
     # -- helpers ------------------------------------------------------------
 
@@ -912,7 +927,9 @@ def compare_lpo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
 
 
 def compare(t: Preterm, s: Preterm, p: OrderParams, algo: Optional[str] = None) -> Cmp:
-    algo = algo or p.algo
+    algo = p.algo if algo is None else algo
+    if algo not in ALGOS:
+        raise OrderError("unknown algorithm %r" % algo)
     if p.kind == KBO:
         fn = compare_kbo_naive if algo == "naive" else compare_kbo_opt
     else:

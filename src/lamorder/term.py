@@ -163,6 +163,8 @@ class TypeDecl:
         if len(ty_args) != len(self.ty_vars):
             raise TermError("expected %d type arguments, got %d"
                             % (len(self.ty_vars), len(ty_args)))
+        if not self.ty_vars:
+            return self.param_types, self.body
         m = dict(zip(self.ty_vars, ty_args))
         return (tuple(subst_type(p, m) for p in self.param_types),
                 subst_type(self.body, m))

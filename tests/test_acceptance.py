@@ -550,3 +550,42 @@ def test_c14_performance():
     ok("c14-performance",
        "opt lpo(14) %.3fs; naive ratio %.1f/level, projected(20) %.0fs; "
        "weight builds %d vs %d" % (best, ratio, projected, naive_calls, opt_calls))
+
+
+def _nonground_nest(depth):
+    t, s = Var("x", K), Var("y", K)
+    for _ in range(depth):
+        t = Sym("g", (), (), (t, Sym("b")))
+        s = Sym("g", (), (), (s, Sym("a")))
+    return t, s
+
+
+def test_c14_nonground_lpo_gate():
+    """The optimized LPO is polynomial off ground terms too: one comparison
+    fills at most 2*|t|*|s| memo entries, and no memo state survives it."""
+    from lamorder.checks import adversarial_lpo_pair, bench_signature
+    from lamorder.lambda_order import _LpoOpt
+    from lamorder.term import size
+    _, _, lpo = bench_signature()
+
+    t14, s14 = _nonground_nest(14)
+    assert compare_lpo_opt(t14, s14, lpo) is U
+    best = min(_timed(lambda: compare_lpo_opt(t14, s14, lpo)) for _ in range(3))
+    assert best < 1.0, "optimized nonground depth 14 took %.2fs" % best
+
+    for d in range(4, 21):
+        t, s = _nonground_nest(d)
+        opt = _LpoOpt(lpo)
+        assert opt.compare(t, s) is U
+        bound = 2 * size(t) * size(s)
+        assert len(opt.memo) <= bound, "depth %d: %d memo entries" % (d, len(opt.memo))
+
+    # the same params across consecutive calls on freshly built terms, whose
+    # node identities the interpreter may reuse, against fresh params
+    for d in range(1, 9):
+        for make, verdict in ((_nonground_nest, U), (adversarial_lpo_pair, L)):
+            fresh = bench_signature()[2]
+            for p in (lpo, lpo, fresh):
+                assert compare_lpo_opt(*make(d), p) is verdict
+                assert compare_lpo_opt(*reversed(make(d)), p) is flip(verdict)
+    ok("c14-nonground-gate", "opt lpo nonground(14) %.4fs" % best)

@@ -2,6 +2,7 @@
 pointwise agreement of the naive and optimized algorithms."""
 
 import random
+import sys
 
 import pytest
 
@@ -394,6 +395,59 @@ def test_strict_leak_mode():
     with pytest.raises(LeakTypeMismatch):
         compare_kbo_naive(t, s, strict)
     assert compare_kbo_naive(t, s, lenient) is U
+
+
+# ---------------------------------------------------------------------------
+# Parameter validation
+# ---------------------------------------------------------------------------
+
+def test_order_params_reject_unknown_algorithm(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="algorithm"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], algo="fast")
+
+
+def test_compare_rejects_unknown_algorithm(small):
+    _, kbo, lpo = small
+    for p in (kbo, lpo):
+        with pytest.raises(OrderError, match="algorithm"):
+            compare(Sym("a"), Sym("b"), p, algo="nave")
+
+
+def test_precedence_rejects_duplicate_name(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="twice"):
+        OrderParams(sig, KBO, prec=["a", "b", "g", "a"])
+    with pytest.raises(OrderError, match="twice"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], ty_prec=["k", "->", "k"])
+
+
+def test_precedence_rejects_undeclared_name(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="undeclared"):
+        OrderParams(sig, KBO, prec=["a", "b", "g", "h"])
+    with pytest.raises(OrderError, match="undeclared"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], ty_prec=["k", "->", "iota"])
+
+
+# ---------------------------------------------------------------------------
+# Depth
+# ---------------------------------------------------------------------------
+
+def test_optimized_lpo_deep_ground_nest_fits_default_stack():
+    """The optimized descent spends a fixed number of frames per nesting
+    level; at depth 256 that fits the interpreter's default limit only
+    without any per-level wrapper frame."""
+    from lamorder.checks import adversarial_lpo_pair, bench_signature
+    _, _, lpo = bench_signature()
+    t, s = adversarial_lpo_pair(256)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert compare_lpo_opt(t, s, lpo) is L
+        assert compare_lpo_opt(s, t, lpo) is G
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from .term import (ARROW, App, Db, Lam, Preterm, Signature, Substitution, Sym,
 from .poly import HInd, Indet, KInd, Poly, WInd, analyze_weight_diff, const_poly
 from .lambda_order import (KBO, LPO, OrderError, OrderParams, compare,
                            compare_kbo_naive, compare_kbo_opt, compare_lpo_naive,
-                           compare_lpo_opt, norm_key, weight_poly)
+                           compare_lpo_opt, norm_key, weight_diff, weight_poly)
 from .oracle import (encode_ground, enum_ground_terms, oracle_compare,
                      assignment_from_grounding, poly_subst_from_monomorphizing)
 from .parse import parse_signature, parse_signature_file, parse_term, parse_term_file

@@ -16,7 +16,7 @@ from .gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_context,
                   gen_var_types)
 from .lambda_order import (KBO, LPO, OrderParams, compare, compare_kbo_naive,
                            compare_kbo_opt, compare_lpo_naive, compare_lpo_opt,
-                           weight_poly)
+                           weight_diff, weight_poly)
 from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
                      oracle_weight, poly_subst_from_monomorphizing)
 from .ordinal import from_int
@@ -170,7 +170,7 @@ def prop_surely_nonneg_sound(seed: int, iters: int) -> PropertyResult:
     def body(rng, i):
         t = env.open_term()
         s = env.open_term()
-        w = weight_poly(t, env.kbo) - weight_poly(s, env.kbo)
+        w = weight_diff(t, s, env.kbo)
         if not w.surely_nonneg():
             return None
         assignment = _random_assignment(rng, w)
@@ -187,7 +187,7 @@ def prop_analyze_consistent(seed: int, iters: int) -> PropertyResult:
     def body(rng, i):
         t = env.open_term()
         s = env.open_term()
-        w = weight_poly(t, env.kbo) - weight_poly(s, env.kbo)
+        w = weight_diff(t, s, env.kbo)
         verdict = analyze_weight_diff(w)
         assignment = _random_assignment(rng, w)
         v = eval_poly(w, assignment)

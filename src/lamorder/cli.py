@@ -60,10 +60,18 @@ def _cmd_check(args) -> int:
     return 2 if bad else 0
 
 
-def _time(fn, *a) -> float:
+def _time(fn, *a) -> Optional[float]:
+    """Seconds taken by fn(*a), or None when it exceeds the recursion limit."""
     start = time.perf_counter()
-    fn(*a)
+    try:
+        fn(*a)
+    except RecursionError:
+        return None
     return time.perf_counter() - start
+
+
+def _cell(secs: Optional[float]) -> str:
+    return "recursion limit" if secs is None else "%.4fs" % secs
 
 
 def _cmd_bench(args) -> int:
@@ -72,7 +80,8 @@ def _cmd_bench(args) -> int:
     from .gen import GenConfig, TermGen, gen_signature, gen_var_types
     from .term import TyCon, arrow
 
-    print("%-28s %12s %12s" % ("case", "naive", "optimized"))
+    row = "%-28s %15s %15s"
+    print(row % ("case", "naive", "optimized"))
     cfg = GenConfig(seed=args.seed)
     gsig, gkbo, glpo = gen_signature(cfg)
     rng = random.Random(args.seed)
@@ -85,31 +94,32 @@ def _cmd_bench(args) -> int:
     for kind, p in (("kbo", gkbo), ("lpo", glpo)):
         tn = _time(lambda: [compare(t, s, p, algo="naive") for t, s in corpus])
         to = _time(lambda: [compare(t, s, p, algo="optimized") for t, s in corpus])
-        print("%-28s %10.4fs %10.4fs" % ("%s random pairs (%d)" % (kind, args.pairs), tn, to))
+        print(row % ("%s random pairs (%d)" % (kind, args.pairs), _cell(tn), _cell(to)))
 
     sig, kbo, lpo = checks.bench_signature()
     for depth in range(2, args.lpo_depth + 1, 2):
         t, s = checks.adversarial_lpo_pair(depth)
         tn = _time(compare, t, s, lpo, "naive")
         to = _time(compare, t, s, lpo, "optimized")
-        print("%-28s %10.4fs %10.4fs" % ("lpo nest depth %d" % depth, tn, to))
-        if tn > args.budget:
-            print("  (naive exceeded %.1fs; stopping the naive column)" % args.budget)
+        print(row % ("lpo nest depth %d" % depth, _cell(tn), _cell(to)))
+        if tn is None or tn > args.budget:
+            print("  (naive exceeded %.1fs or the recursion limit; stopping the "
+                  "naive column)" % args.budget)
             for d2 in range(depth + 2, args.lpo_depth + 1, 2):
                 t2, s2 = checks.adversarial_lpo_pair(d2)
                 to2 = _time(compare, t2, s2, lpo, "optimized")
-                print("%-28s %12s %10.4fs" % ("lpo nest depth %d" % d2, "-", to2))
+                print(row % ("lpo nest depth %d" % d2, "-", _cell(to2)))
             break
     for depth in (args.kbo_depth // 2, args.kbo_depth):
         t, s = checks.deep_chain_pair(depth)
         reset_weight_calls()
         tn = _time(compare, t, s, kbo, "naive")
-        cn = weight_calls()
+        cn = "-" if tn is None else weight_calls()
         reset_weight_calls()
         to = _time(compare, t, s, kbo, "optimized")
-        co = weight_calls()
-        print("%-28s %10.4fs %10.4fs   weight builds: %d vs %d"
-              % ("kbo chain depth %d" % depth, tn, to, cn, co))
+        co = "-" if to is None else weight_calls()
+        print((row + "   weight builds: %s vs %s")
+              % ("kbo chain depth %d" % depth, _cell(tn), _cell(to), cn, co))
     return 0
 
 

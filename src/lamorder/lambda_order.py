@@ -16,14 +16,14 @@ dominate lambdas and De Bruijn indices, symbols below are dominated by them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cmp import (Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext,
                   merge_with_ge, merge_with_le, smooth)
 from .fo_order import FoApp, FoParams, FoTerm, FoVar, fo_kbo_compare, fo_lpo_compare
-from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare
-from .poly import (HInd, Indet, KInd, Poly, WInd, ZERO_POLY, analyze_weight_diff,
-                   const_poly, indet_poly)
+from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
+from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, ZERO_POLY,
+                   analyze_weight_diff, indet_poly, mono_mul)
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TyVar, Type, Var,
                    arrow_count, is_steady, steady_split, type_of)
@@ -42,8 +42,8 @@ class LeakTypeMismatch(Exception):
     compared in strict mode."""
 
 
-# Instrumentation: number of weight-polynomial constructions (one per spine
-# node visited).  Single-threaded use only; reset via reset_weight_calls().
+# Instrumentation: number of weight_poly calls (one per spine node weighed).
+# Single-threaded use only; reset via reset_weight_calls().
 _weight_calls = 0
 
 
@@ -80,6 +80,11 @@ class OrderParams:
             raise OrderError("unknown order kind %r" % kind)
         if algo not in ALGOS:
             raise OrderError("unknown algorithm %r" % algo)
+        _check_declared("weight of undeclared symbol", sig.symbols, weights or {})
+        _check_declared("coefficient of undeclared symbol", sig.symbols,
+                        [f for f, _ in coeffs or {}])
+        _check_declared("type weight of undeclared constructor", sig.type_constructors,
+                        ty_weights or {})
         self.sig = sig
         self.kind = kind
         self.weights = dict(weights or {})
@@ -208,6 +213,12 @@ def _ranks(what: str, declared: Dict[str, object], names: Sequence[str]) -> Dict
     return ranks
 
 
+def _check_declared(what: str, declared: Dict[str, object], names: Iterable[str]) -> None:
+    for name in names:
+        if name not in declared:
+            raise OrderError("%s %s" % (what, name))
+
+
 def _type_to_fo(ty: Type) -> FoTerm:
     if isinstance(ty, TyVar):
         return FoVar(ty.name)
@@ -252,53 +263,90 @@ def var_key(name: str, ty: Type, prefix: Tuple[Preterm, ...], p: OrderParams) ->
 # Weight polynomials
 # ---------------------------------------------------------------------------
 
-def eta_poly(ty: Type, p: OrderParams,
-             reps: Optional[Dict[Indet, Tuple]] = None) -> Poly:
+def _add_term(acc: Dict[Monomial, Ord], m: Monomial, coeff: Ord, c: Ord) -> None:
+    """acc[m] += coeff * c"""
+    if coeff is not ONE:
+        c = ord_mul(coeff, c)
+    old = acc.get(m)
+    acc[m] = c if old is None else ord_add(old, c)
+
+
+def _add_eta(ty: Type, p: OrderParams, reps: Optional[Dict[Indet, Tuple]],
+             acc: Dict[Monomial, Ord], coeff: Ord, mono: Monomial) -> None:
     """Weight slack for possible eta-expansion: each expansion inserts one
     lambda and one index."""
     if isinstance(ty, TyVar):
+        h = HInd(ty.name)
         if reps is not None:
-            reps.setdefault(HInd(ty.name), ("h", ty.name, ()))
-        return Poly({(HInd(ty.name),): ord_add(p.w_lam, p.w_db)})
-    return ZERO_POLY
+            reps.setdefault(h, ("h", ty.name, ()))
+        _add_term(acc, mono_mul(mono, (h,)), coeff, ord_add(p.w_lam, p.w_db))
 
 
 def weight_poly(t: Preterm, p: OrderParams,
-                reps: Optional[Dict[Indet, Tuple]] = None) -> Poly:
+                reps: Optional[Dict[Indet, Tuple]] = None, *,
+                acc: Optional[Dict[Monomial, Ord]] = None, coeff: Ord = ONE,
+                mono: Monomial = ()) -> Optional[Poly]:
     """Symbolic weight of a preterm.
 
     reps, when given, collects a representative concrete origin for every
     W/K indeterminate: key -> (var name, var type, prefix argument tuple).
     Distinct origins with the same key always evaluate alike, which is the
     point of the key normalization.
+
+    Without ``acc`` the weight is returned as a Poly.  With it, nothing is
+    returned: ``coeff * mono * weight(t)`` is added into ``acc`` (monomial ->
+    coefficient, zeros allowed), in the one pass that also visits the
+    arguments, so no polynomial is built per node.
     """
     global _weight_calls
     _weight_calls += 1
+    top = acc is None
+    if top:
+        acc = {}
     if isinstance(t, Lam):
-        return const_poly(p.w_lam) + weight_poly(t.body, p, reps)
-    if isinstance(t, Sym):
-        acc = const_poly(p.w(t.name))
+        _add_term(acc, mono, coeff, p.w_lam)
+        weight_poly(t.body, p, reps, acc=acc, coeff=coeff, mono=mono)
+    elif isinstance(t, Sym):
+        _add_term(acc, mono, coeff, p.w(t.name))
         for i, a in enumerate(t.args):
-            acc = acc + weight_poly(a, p, reps).scale(p.k(t.name, i + 1))
-        return acc + eta_poly(type_of(t, p.sig), p, reps)
-    if isinstance(t, Db):
-        acc = const_poly(p.w_db)
+            k = p.k(t.name, i + 1)
+            # a unit coefficient keeps coeff identical to ONE, which _add_term skips
+            weight_poly(a, p, reps, acc=acc, coeff=coeff if k is ONE else ord_mul(coeff, k),
+                        mono=mono)
+        _add_eta(type_of(t, p.sig), p, reps, acc, coeff, mono)
+    elif isinstance(t, Db):
+        _add_term(acc, mono, coeff, p.w_db)
         for a in t.args:
-            acc = acc + weight_poly(a, p, reps)
-        return acc + eta_poly(type_of(t, p.sig), p, reps)
-    assert isinstance(t, Var)
-    prefix, suffix = steady_split(t.args, p.sig)
-    key = var_key(t.name, t.ty, prefix, p)
-    if reps is not None:
-        reps.setdefault(WInd(key), (t.name, t.ty, prefix))
-    acc = const_poly(ONE) + indet_poly(WInd(key))
-    wdb = const_poly(p.w_db)
-    for i, a in enumerate(suffix):
-        kind = KInd(key, i + 1)
+            weight_poly(a, p, reps, acc=acc, coeff=coeff, mono=mono)
+        _add_eta(type_of(t, p.sig), p, reps, acc, coeff, mono)
+    else:
+        assert isinstance(t, Var)
+        prefix, suffix = steady_split(t.args, p.sig)
+        key = var_key(t.name, t.ty, prefix, p)
+        w = WInd(key)
         if reps is not None:
-            reps.setdefault(kind, (t.name, t.ty, prefix))
-        acc = acc + indet_poly(kind) * (weight_poly(a, p, reps) - wdb)
-    return acc + eta_poly(type_of(t, p.sig), p, reps)
+            reps.setdefault(w, (t.name, t.ty, prefix))
+        _add_term(acc, mono, coeff, ONE)
+        _add_term(acc, mono_mul(mono, (w,)), coeff, ONE)
+        # k_i * (weight(a_i) - w_db) for each argument of the steady suffix
+        minus_db = -p.w_db
+        for i, a in enumerate(suffix):
+            kind = KInd(key, i + 1)
+            if reps is not None:
+                reps.setdefault(kind, (t.name, t.ty, prefix))
+            m = mono_mul(mono, (kind,))
+            weight_poly(a, p, reps, acc=acc, coeff=coeff, mono=m)
+            _add_term(acc, m, coeff, minus_db)
+        _add_eta(type_of(t, p.sig), p, reps, acc, coeff, mono)
+    return Poly(acc) if top else None
+
+
+def weight_diff(t: Preterm, s: Preterm, p: OrderParams) -> Poly:
+    """weight(t) - weight(s), accumulated by one signed pass over each side."""
+    acc: Dict[Monomial, Ord] = {}
+    weight_poly(t, p, acc=acc)
+    weight_poly(s, p, acc=acc, coeff=-ONE)
+    return Poly(acc)
 
 
 def collect_indet_reps(t: Preterm, p: OrderParams) -> Dict[Indet, Tuple]:
@@ -419,7 +467,7 @@ class _KboOpt(_Base):
         return c
 
     def direct_diff(self, t: Preterm, s: Preterm) -> Poly:
-        return weight_poly(t, self.p) - weight_poly(s, self.p)
+        return weight_diff(t, s, self.p)
 
     def consider_weight(self, w: Poly, cmp: Cmp) -> Tuple[Poly, Cmp]:
         c = analyze_weight_diff(w)

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cmp import Cmp, E, G, L
 from .fo_order import FoApp, FoParams, FoTerm, fo_kbo_compare, fo_kbo_weight, fo_lpo_compare
-from .lambda_order import (KBO, LPO, OrderParams, var_key, weight_poly)
+from .lambda_order import KBO, OrderParams, var_key, weight_poly
 from .ordinal import Ord, ONE, ZERO, from_int, ord_add, ord_mul
 from .poly import HInd, Indet, KInd, Poly, PolyError, WInd, const_poly, indet_poly
 from . import term as tm
@@ -185,20 +185,6 @@ def make_fo_params(p: OrderParams) -> FoParams:
     compare_fn = fo_kbo_compare if kbo_mode else fo_lpo_compare
     fop = FoParams(weight=weight, coeff=coeff, prec=prec)
     return fop
-
-
-def prec_kb(a: FoSymKey, b: FoSymKey, p: OrderParams) -> int:
-    """Sign of the derived KBO-mode precedence between two encoding keys."""
-    if p.kind != KBO:
-        raise OracleError("prec_kb needs KBO-mode parameters")
-    return make_fo_params(p).prec(a, b)
-
-
-def prec_lp(a: FoSymKey, b: FoSymKey, p: OrderParams) -> int:
-    """Sign of the derived LPO-mode precedence between two encoding keys."""
-    if p.kind != LPO:
-        raise OracleError("prec_lp needs LPO-mode parameters")
-    return make_fo_params(p).prec(a, b)
 
 
 def oracle_compare(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:

@@ -29,9 +29,12 @@ class Ord:
         # terms must already be canonical: exponents strictly decreasing,
         # coefficients nonzero.  Use the module helpers to build values.
         self.terms = terms
-        self._hash = hash(terms)
+        self._hash = None
 
     def __hash__(self) -> int:
+        # computed on first use: most values never serve as a key
+        if self._hash is None:
+            self._hash = hash(self.terms)
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -124,7 +127,8 @@ def _canonical(pairs: Iterable[Tuple[Ord, int]]) -> Ord:
     for e, c in pairs:
         acc[e] = acc.get(e, 0) + c
     items = [(e, c) for e, c in acc.items() if c != 0]
-    items.sort(key=cmp_to_key(lambda a, b: ord_compare(a[0], b[0])), reverse=True)
+    if len(items) > 1:
+        items.sort(key=cmp_to_key(lambda a, b: ord_compare(a[0], b[0])), reverse=True)
     return Ord(tuple(items))
 
 
@@ -134,6 +138,9 @@ def ord_add(a: Ord, b: Ord) -> Ord:
         return b
     if not b.terms:
         return a
+    if len(a.terms) == 1 and len(b.terms) == 1 and a.terms[0][0] == b.terms[0][0]:
+        c = a.terms[0][1] + b.terms[0][1]
+        return Ord(((a.terms[0][0], c),)) if c else ZERO
     return _canonical(list(a.terms) + list(b.terms))
 
 
@@ -141,6 +148,10 @@ def ord_mul(a: Ord, b: Ord) -> Ord:
     """Hessenberg product: bilinear, with natural sums of exponents."""
     if not a.terms or not b.terms:
         return ZERO
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        (ea, ca), = a.terms
+        (eb, cb), = b.terms
+        return Ord(((ord_add(ea, eb), ca * cb),))
     pairs = []
     for ea, ca in a.terms:
         for eb, cb in b.terms:
@@ -156,10 +167,6 @@ def ord_compare(a: Ord, b: Ord) -> int:
     if not diff.terms:
         return 0
     return 1 if diff.terms[0][1] > 0 else -1
-
-
-def ord_max(a: Ord, b: Ord) -> Ord:
-    return a if ord_compare(a, b) >= 0 else b
 
 
 # -- textual ordinal literals ------------------------------------------------

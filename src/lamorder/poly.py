@@ -9,12 +9,13 @@ Indeterminates stand for unknown facts about variable instantiations:
 
 Keys are compared syntactically.  Polynomials are kept in standard form: a
 map from monomials (multisets of indeterminates, stored as sorted tuples) to
-nonzero signed ordinal coefficients.
+nonzero signed ordinal coefficients.  The map itself is unordered; only
+printing sorts it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, ItemsView, Mapping, Optional, Tuple, Union
 
 from .cmp import Cmp, E, G, GE, L, LE, U
 from .ordinal import Ord, ZERO, ONE, ord_add, ord_mul
@@ -122,7 +123,10 @@ def monomial(*indets: Indet) -> Monomial:
     return tuple(sorted(indets, key=indet_skey))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials, sorted like every stored monomial."""
+    if not a:
+        return b
     return tuple(sorted(a + b, key=indet_skey))
 
 
@@ -133,23 +137,20 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 class Poly:
     """Immutable standard-form polynomial: monomial tuple -> nonzero Ord."""
 
-    __slots__ = ("_coeffs", "_hash", "_items")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Optional[Mapping[Monomial, Ord]] = None):
-        cleaned = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
-        self._coeffs = cleaned
-        self._items = tuple(sorted(cleaned.items(),
-                                   key=lambda mc: tuple(indet_skey(x) for x in mc[0])))
-        self._hash = hash(self._items)
+        self._coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
 
     def __hash__(self):
-        return self._hash
+        return hash(frozenset(self._coeffs.items()))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and other._items == self._items
+        return isinstance(other, Poly) and other._coeffs == self._coeffs
 
-    def items(self) -> Tuple[Tuple[Monomial, Ord], ...]:
-        return self._items
+    def items(self) -> ItemsView[Monomial, Ord]:
+        """The nonzero entries, in no particular order."""
+        return self._coeffs.items()
 
     def coeff(self, m: Monomial) -> Ord:
         return self._coeffs.get(m, ZERO)
@@ -167,7 +168,7 @@ class Poly:
 
     def indets(self) -> set:
         out: set = set()
-        for m, _ in self._items:
+        for m in self._coeffs:
             out.update(m)
         return out
 
@@ -193,7 +194,7 @@ class Poly:
         acc: Dict[Monomial, Ord] = {}
         for ma, ca in self._coeffs.items():
             for mb, cb in other._coeffs.items():
-                m = _mono_mul(ma, mb)
+                m = mono_mul(ma, mb)
                 acc[m] = ord_add(acc.get(m, ZERO), ord_mul(ca, cb))
         return Poly(acc)
 
@@ -210,10 +211,11 @@ class Poly:
         return all(c.is_nonneg() for c in self._coeffs.values())
 
     def __repr__(self):
-        if not self._items:
+        if not self._coeffs:
             return "0"
         parts = []
-        for m, c in self._items:
+        for m, c in sorted(self._coeffs.items(),
+                           key=lambda mc: tuple(indet_skey(x) for x in mc[0])):
             if not m:
                 parts.append(str(c))
             elif c == ONE:
@@ -237,7 +239,6 @@ def indet_poly(x: Indet) -> Poly:
 
 
 ZERO_POLY = Poly()
-ONE_POLY = const_poly(1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +247,22 @@ ONE_POLY = const_poly(1)
 
 def analyze_weight_diff(w: Poly) -> Cmp:
     """Classify the sign of ``w`` across all assignments, refined by the sign
-    of the constant monomial when one direction is certain."""
-    nonneg = w.surely_nonneg()
-    nonpos = (-w).surely_nonneg()
-    if nonneg and nonpos:
-        return E
-    if nonneg:
-        return G if w.constant.is_positive() else GE
-    if nonpos:
-        return L if (-w.constant).is_positive() else LE
-    return U
+    of the constant monomial when one direction is certain.  One scan of the
+    coefficients, each of which is nonzero: all positive is G or GE (G when
+    the constant is among them), all negative is L or LE, none is E."""
+    pos = neg = False
+    for c in w._coeffs.values():
+        if c.is_positive():
+            pos = True
+        else:
+            neg = True
+        if pos and neg:
+            return U
+    if pos:
+        return G if () in w._coeffs else GE
+    if neg:
+        return L if () in w._coeffs else LE
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -291,66 +298,3 @@ def subst_poly(w: Poly, mapping: Mapping[Indet, Union[Indet, Ord, Poly]]) -> Pol
                 acc = acc * img
         out = out + acc
     return out
-
-
-# ---------------------------------------------------------------------------
-# Counter-assisted accumulator (optional optimization layer)
-# ---------------------------------------------------------------------------
-
-class PolyBuilder:
-    """Single-owner accumulator that maintains counts of negative and of
-    positive monomial coefficients, so both nonnegativity checks used by
-    analyze_weight_diff are O(1) instead of a scan.  Validated in tests
-    against recomputation from scratch."""
-
-    __slots__ = ("_coeffs", "_neg", "_pos")
-
-    def __init__(self, start: Optional[Poly] = None):
-        self._coeffs: Dict[Monomial, Ord] = {}
-        self._neg = 0
-        self._pos = 0
-        if start is not None:
-            for m, c in start.items():
-                self.add_monomial(m, c)
-
-    def add_monomial(self, m: Monomial, c: Ord) -> None:
-        old = self._coeffs.get(m, ZERO)
-        if not old.is_zero():
-            self._count(old, -1)
-        new = ord_add(old, c)
-        if new.is_zero():
-            self._coeffs.pop(m, None)
-        else:
-            self._coeffs[m] = new
-            self._count(new, 1)
-
-    def add(self, w: Poly, scale: Ord = ONE) -> None:
-        for m, c in w.items():
-            self.add_monomial(m, ord_mul(scale, c))
-
-    def _count(self, c: Ord, delta: int) -> None:
-        if c.is_positive():
-            self._pos += delta
-        else:
-            self._neg += delta
-
-    def surely_nonneg(self) -> bool:
-        return self._neg == 0
-
-    def surely_nonpos(self) -> bool:
-        return self._pos == 0
-
-    def analyze(self) -> Cmp:
-        nonneg = self._neg == 0
-        nonpos = self._pos == 0
-        if nonneg and nonpos:
-            return E
-        const = self._coeffs.get((), ZERO)
-        if nonneg:
-            return G if const.is_positive() else GE
-        if nonpos:
-            return L if (-const).is_positive() else LE
-        return U
-
-    def snapshot(self) -> Poly:
-        return Poly(dict(self._coeffs))

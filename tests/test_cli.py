@@ -109,3 +109,16 @@ def test_bench_produces_table(capsys):
     assert "naive" in out and "optimized" in out
     assert "random pairs" in out
     assert "weight builds" in out
+
+
+def test_bench_reports_recursion_limit_per_cell(capsys):
+    # at depth 400 both KBO algorithms exceed Python's default stack; the
+    # table marks those cells and still completes
+    code, out, _ = run(capsys, "bench", "--pairs", "5", "--lpo-depth", "2",
+                       "--kbo-depth", "400", "--budget", "0.5")
+    assert code == 0
+    deep = [line for line in out.splitlines() if line.startswith("kbo chain depth 400")]
+    assert len(deep) == 1
+    assert "recursion limit" in deep[0]
+    assert "weight builds: - vs -" in deep[0]
+    assert "kbo chain depth 200" in out

@@ -9,16 +9,17 @@ import pytest
 from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import (KBO, LPO, LeakTypeMismatch, OrderError,
-                                   OrderParams, compare, compare_kbo_naive,
-                                   compare_kbo_opt, compare_lpo_naive,
-                                   compare_lpo_opt, norm_key, type_relaxed_ge,
-                                   weight_poly)
-from lamorder.ordinal import ONE, from_int
-from lamorder.poly import HInd, WInd, const_poly, indet_poly
+                                   OrderParams, collect_indet_reps, compare,
+                                   compare_kbo_naive, compare_kbo_opt,
+                                   compare_lpo_naive, compare_lpo_opt, norm_key,
+                                   reset_weight_calls, type_relaxed_ge, var_key,
+                                   weight_calls, weight_diff, weight_poly)
+from lamorder.ordinal import ONE, from_int, ord_add
+from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly
 from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TyCon, TyVar,
                            TypeDecl, Var, accessible_positions, app, apply_subst,
                            arrow, arrows, normalize, replace_at, shift,
-                           subterm_at, type_of)
+                           steady_split, subterm_at, type_of)
 
 K = TyCon("k")
 O = TyCon("o")
@@ -430,6 +431,26 @@ def test_precedence_rejects_undeclared_name(small):
         OrderParams(sig, KBO, prec=["a", "b", "g"], ty_prec=["k", "->", "iota"])
 
 
+def test_weights_reject_undeclared_symbol(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="undeclared symbol zz"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], weights={"zz": from_int(2)})
+
+
+def test_coefficients_reject_undeclared_symbol(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="undeclared symbol qq"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], coeffs={("qq", 1): from_int(3)})
+
+
+def test_type_weights_reject_undeclared_constructor(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="undeclared constructor nope"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"nope": from_int(2)})
+    # the arrow is a declared constructor and may carry a weight
+    OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"->": from_int(2)})
+
+
 # ---------------------------------------------------------------------------
 # Depth
 # ---------------------------------------------------------------------------
@@ -489,3 +510,71 @@ def test_randomized_naive_opt_agreement():
             if c in (GE, LE):
                 nonstrict_seen += 1
     assert nonstrict_seen > 10
+
+
+# ---------------------------------------------------------------------------
+# The signed weight accumulator
+# ---------------------------------------------------------------------------
+
+def _reference_weight(t, p, reps, visited):
+    """The weight polynomial built node by node with Poly arithmetic, the
+    definition the one-pass accumulator must reproduce.  ``visited`` counts
+    the nodes it weighs: a variable's arguments before its steady suffix are
+    part of its key and are not weighed."""
+    visited[0] += 1
+
+    def eta(ty):
+        if isinstance(ty, TyVar):
+            reps.setdefault(HInd(ty.name), ("h", ty.name, ()))
+            return const_poly(ord_add(p.w_lam, p.w_db)) * indet_poly(HInd(ty.name))
+        return const_poly(0)
+
+    if isinstance(t, Lam):
+        return const_poly(p.w_lam) + _reference_weight(t.body, p, reps, visited)
+    if isinstance(t, Sym):
+        acc = const_poly(p.w(t.name))
+        for i, a in enumerate(t.args):
+            acc = acc + _reference_weight(a, p, reps, visited).scale(p.k(t.name, i + 1))
+        return acc + eta(type_of(t, p.sig))
+    if isinstance(t, Db):
+        acc = const_poly(p.w_db)
+        for a in t.args:
+            acc = acc + _reference_weight(a, p, reps, visited)
+        return acc + eta(type_of(t, p.sig))
+    prefix, suffix = steady_split(t.args, p.sig)
+    key = var_key(t.name, t.ty, prefix, p)
+    reps.setdefault(WInd(key), (t.name, t.ty, prefix))
+    acc = const_poly(1) + indet_poly(WInd(key))
+    for i, a in enumerate(suffix):
+        reps.setdefault(KInd(key, i + 1), (t.name, t.ty, prefix))
+        acc = acc + indet_poly(KInd(key, i + 1)) * (
+            _reference_weight(a, p, reps, visited) - const_poly(p.w_db))
+    return acc + eta(type_of(t, p.sig))
+
+
+@pytest.mark.parametrize("ordinal_weights", [False, True])
+def test_weight_accumulator_matches_per_node_definition(ordinal_weights):
+    cfg = GenConfig(seed=33, polymorphic=True, ordinal_weights=ordinal_weights)
+    sig, kbo, _ = gen_signature(cfg)
+    rng = random.Random(33)
+    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=True))
+    bases = [TyCon("iota"), TyCon("kappa")]
+    tys = bases + [arrow(bases[0], bases[1]), TyVar("a0")]
+    transfinite = False
+    for _ in range(300):
+        ty = rng.choice(tys)
+        t, s = g.gen(ty, 10, ground=False), g.gen(ty, 10, ground=False)
+        ref_reps, visited = {}, [0]
+        ref = _reference_weight(t, kbo, ref_reps, visited)
+        reset_weight_calls()
+        w = weight_poly(t, kbo)
+        assert w == ref
+        # one counted call per weighed node: the bench's traced-call check
+        # relies on this
+        assert weight_calls() == visited[0]
+        assert collect_indet_reps(t, kbo) == ref_reps
+        assert weight_diff(t, s, kbo) == w - weight_poly(s, kbo)
+        assert weight_diff(t, t, kbo).is_zero()
+        transfinite |= any(not c.is_natural() and not (-c).is_natural()
+                           for _, c in w.items())
+    assert transfinite == ordinal_weights

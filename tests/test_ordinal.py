@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamorder.ordinal import (ONE, OMEGA, ZERO, Ord, format_ord, from_int,
+from lamorder.ordinal import (ONE, OMEGA, ZERO, Ord, _canonical, format_ord, from_int,
                               omega_pow, ord_add, ord_compare, ord_mul, parse_ord)
 
 
@@ -211,3 +211,21 @@ def test_order_laws_hypothesis(a, b):
 @given(cnf_values())
 def test_format_parse_round_trip_hypothesis(a):
     assert parse_ord(format_ord(a)) == a
+
+
+def test_single_term_fast_paths_agree_with_canonical():
+    exps = [ZERO, ONE, from_int(2), OMEGA, OMEGA + ONE]
+    singles = [omega_pow(e, c) for e in exps for c in (-3, -1, 1, 2)]
+    for a, b in itertools.product(singles, repeat=2):
+        assert ord_add(a, b) == _canonical(a.terms + b.terms)
+        (ea, ca), = a.terms
+        (eb, cb), = b.terms
+        assert ord_mul(a, b) == _canonical([(_canonical(ea.terms + eb.terms), ca * cb)])
+    # like exponents that cancel give the canonical zero, finite or not
+    for e in exps:
+        total = ord_add(omega_pow(e, 2), omega_pow(e, -2))
+        assert total.terms == () and total == ZERO
+    assert ord_add(w(3), w(4)) == w(7)
+    assert ord_add(omega_pow(OMEGA, 2), omega_pow(OMEGA, -5)) == omega_pow(OMEGA, -3)
+    assert ord_mul(from_int(-3), from_int(4)) == from_int(-12)
+    assert ord_mul(w(2), w(-3)) == w2(-6)

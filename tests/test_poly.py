@@ -1,12 +1,13 @@
-"""Weight polynomials: ring behaviour, sign analysis, evaluation, counters."""
+"""Weight polynomials: ring behaviour, sign analysis, evaluation, order-free
+storage."""
 
 import random
 
 import pytest
 
 from lamorder.cmp import Cmp
-from lamorder.ordinal import ONE, OMEGA, ZERO, from_int, ord_mul
-from lamorder.poly import (HInd, KInd, Poly, PolyBuilder, PolyError, WInd,
+from lamorder.ordinal import ONE, OMEGA, ZERO, from_int, omega_pow, ord_mul
+from lamorder.poly import (HInd, KInd, Poly, PolyError, WInd,
                            analyze_weight_diff, const_poly, eval_poly,
                            indet_poly, monomial, subst_poly)
 from lamorder.term import TyCon, Var
@@ -124,23 +125,59 @@ def test_ordinal_coefficients():
     assert eval_poly(w, {wv("y"): from_int(3)}) == ord_mul(OMEGA, from_int(3)) + ONE
 
 
-def test_builder_counters_match_naive():
+def _two_scan_analysis(w):
+    """The sign classification as defined before the one-scan version: both
+    nonnegativity checks, then the sign of the constant."""
+    nonneg = w.surely_nonneg()
+    nonpos = (-w).surely_nonneg()
+    if nonneg and nonpos:
+        return Cmp.E
+    if nonneg:
+        return Cmp.G if w.constant.is_positive() else Cmp.GE
+    if nonpos:
+        return Cmp.L if (-w.constant).is_positive() else Cmp.LE
+    return Cmp.U
+
+
+def test_analyze_matches_two_scan_definition():
     rng = random.Random(17)
     inds = [wv("y"), wv("x"), kv("y", 1), kv("x", 2), HInd("b")]
-    for _ in range(200):
-        builder = PolyBuilder()
-        for _ in range(rng.randint(1, 25)):
+    values = [from_int(n) for n in range(-3, 4)] + [
+        OMEGA, -OMEGA, OMEGA - from_int(2), from_int(1) - OMEGA,
+        omega_pow(from_int(2), -1) + OMEGA]
+    seen = set()
+    for _ in range(600):
+        acc = {}
+        for _ in range(rng.randint(0, 6)):
+            # repeated monomials add up, so some coefficients cancel to zero
             m = monomial(*rng.sample(inds, rng.randint(0, 2)))
-            builder.add_monomial(m, from_int(rng.randint(-3, 3)))
-            snap = builder.snapshot()
-            assert builder.surely_nonneg() == snap.surely_nonneg()
-            assert builder.surely_nonpos() == (-snap).surely_nonneg()
-            assert builder.analyze() == analyze_weight_diff(snap)
+            acc[m] = acc.get(m, ZERO) + rng.choice(values)
+        w = Poly(acc)
+        got = analyze_weight_diff(w)
+        assert got == _two_scan_analysis(w), w
+        seen.add(got)
+    assert seen == set(Cmp)
 
 
 def test_deterministic_rendering():
     w = W_Y + W_X + K_Y1 * W_X + const_poly(2)
     assert repr(w) == repr(Poly(dict(w.items())))
+
+
+def test_poly_is_order_free():
+    m1, m2, m3 = monomial(wv("y")), monomial(kv("y", 1), wv("x")), ()
+    a, b, c = from_int(2), -OMEGA, from_int(-1)
+    one = Poly({m1: a, m2: b, m3: c})
+    other = Poly({m3: c, m2: b, m1: a})
+    assert list(one.items()) != list(other.items())
+    assert one == other
+    assert hash(one) == hash(other)
+    assert repr(one) == repr(other)
+    # a zero coefficient is dropped, so it changes neither equality nor hash
+    padded = Poly({m2: b, monomial(HInd("a")): ZERO, m1: a, m3: c})
+    assert len(padded.items()) == 3
+    assert padded == one and hash(padded) == hash(one)
+    assert Poly({m1: ZERO}) == Poly() and Poly({m1: ZERO}).is_zero()
 
 
 def test_surely_nonneg_sound_bulk():

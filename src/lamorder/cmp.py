@@ -48,6 +48,24 @@ def merge_with_le(cmp: Cmp) -> Cmp:
     return cmp
 
 
+def lex_merge(first: Cmp, rest: Cmp) -> Cmp:
+    """Lexicographic combination of a verdict with the one that follows it:
+    E, GE and LE defer to ``rest``, a strict verdict or U decides."""
+    if first is GE:
+        return merge_with_ge(rest)
+    if first is LE:
+        return merge_with_le(rest)
+    return rest if first is E else first
+
+
+def lex_fold(pending: Sequence[Cmp], verdict: Cmp) -> Cmp:
+    """Fold the nonstrict verdicts a scan passed, in scan order, into the
+    verdict it ended on."""
+    for c in reversed(pending):
+        verdict = lex_merge(c, verdict)
+    return verdict
+
+
 def smooth(cmp: Cmp) -> Cmp:
     """Weaken strict verdicts; componentwise extensions never prove strictness."""
     if cmp is G:

@@ -9,7 +9,8 @@ import pytest
 from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import (KBO, LPO, LeakTypeMismatch, OrderError,
-                                   OrderParams, collect_indet_reps, compare,
+                                   OrderParams, _KboNaive, _KboOpt, _LpoNaive,
+                                   _LpoOpt, collect_indet_reps, compare,
                                    compare_kbo_naive, compare_kbo_opt,
                                    compare_lpo_naive, compare_lpo_opt, norm_key,
                                    reset_weight_calls, type_relaxed_ge, var_key,
@@ -471,6 +472,46 @@ def test_optimized_lpo_deep_ground_nest_fits_default_stack():
         sys.setrecursionlimit(limit)
 
 
+def test_kbo_deep_chains_fit_default_stack():
+    """The optimized KBO spends two frames per nesting level (dispatch and
+    descend), the naive one three (compare, dispatch, descend).  Under the
+    interpreter's default limit these depths fit only if no frame is added
+    per level: a third optimized frame overflows the chain of depth 400, a
+    fourth naive one the chain of depth 240."""
+    from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair
+    _, kbo, _ = bench_signature()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for t, s in (adversarial_lpo_pair(256), deep_chain_pair(256), deep_chain_pair(400)):
+            assert compare_kbo_opt(t, s, kbo) is L
+            assert compare_kbo_opt(s, t, kbo) is G
+        t, s = deep_chain_pair(240)
+        assert compare_kbo_naive(t, s, kbo) is L
+        assert compare_kbo_naive(s, t, kbo) is G
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_recursive_steps_live_in_their_own_classes():
+    # the benchmark's call budget and tracer find each algorithm's recursive
+    # step in its class's own namespace; an inherited one is not counted
+    assert "compare" in vars(_KboNaive)
+    assert "compare" in vars(_LpoNaive)
+    assert "process" in vars(_KboOpt)
+    assert "compare" in vars(_LpoOpt)
+
+
+@pytest.mark.parametrize("algo", [_KboNaive, _KboOpt])
+def test_kbo_descent_rejects_unequal_argument_lists(small, algo):
+    _, kbo, _ = small
+    a, b = Sym("a"), Sym("b")
+    for ts, ss in (((a,), (a, b)), ((a,), (b, a)), ((b, a), (a,))):
+        scales = [(ONE, ())] * len(ts)
+        with pytest.raises(ValueError):
+            algo(kbo).descend(ts, ss, scales, 0, False)
+
+
 # ---------------------------------------------------------------------------
 # Randomized pointwise agreement, with related pairs for nonstrict coverage
 # ---------------------------------------------------------------------------
@@ -578,3 +619,40 @@ def test_weight_accumulator_matches_per_node_definition(ordinal_weights):
         transfinite |= any(not c.is_natural() and not (-c).is_natural()
                            for _, c in w.items())
     assert transfinite == ordinal_weights
+
+
+# ---------------------------------------------------------------------------
+# The optimized KBO's rebuilt weight differences
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ordinal_weights", [False, True])
+def test_kbo_descent_rebuilds_the_weight_difference(ordinal_weights):
+    """Every pair the optimized KBO processes returns weight(t) - weight(s),
+    whether the heads decide it or a descent rebuilds it from the children's
+    differences, scaled per position."""
+    scales_seen = set()
+
+    class Spy(_KboOpt):
+        def descend(self, ts, ss, scales, depth, smoothed):
+            for k, m in scales:
+                if k.is_zero():
+                    scales_seen.add("parameter")
+                elif m:
+                    assert smoothed and len(m) == 1 and isinstance(m[0], KInd)
+                    scales_seen.add("variable")
+                elif k != ONE:
+                    scales_seen.add("coefficient")
+            return super().descend(ts, ss, scales, depth, smoothed)
+
+    cfg = GenConfig(seed=48, polymorphic=True, ordinal_weights=ordinal_weights)
+    sig, kbo, _ = gen_signature(cfg)
+    rng = random.Random(48)
+    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=True))
+    bases = [TyCon("iota"), TyCon("kappa")]
+    tys = bases + [arrow(bases[0], bases[1]), TyVar("a0")]
+    for _ in range(400):
+        t, s = related_pair(rng, g, sig, rng.choice(tys))
+        w, c = Spy(kbo).process(t, s, 0)
+        assert w == weight_diff(t, s, kbo)
+        assert c == compare_kbo_opt(t, s, kbo) or t == s
+    assert scales_seen == {"parameter", "variable", "coefficient"}

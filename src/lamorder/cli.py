@@ -31,6 +31,9 @@ def _cmd_compare(args) -> int:
     except (ParseError, TermError, OrderError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: term nested too deeply to parse", file=sys.stderr)
+        return 1
     try:
         if args.algo == "both":
             a = compare(t, s, params, algo="naive")
@@ -43,6 +46,9 @@ def _cmd_compare(args) -> int:
             print(compare(t, s, params, algo=args.algo))
     except (LeakTypeMismatch, TermError, OrderError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: terms nested too deeply to compare", file=sys.stderr)
         return 1
     return 0
 

@@ -105,6 +105,8 @@ class OrderParams:
             weight=lambda key: self.ty_weights.get(key, self.default_weight),
             coeff=lambda key, i: ONE,
             prec=lambda a, b: self.ty_prec_ranks[a] - self.ty_prec_ranks[b])
+        # verdicts of compare_types; nothing changes the parameters after this
+        self._ty_cmps: Dict[Tuple[Type, Type], Cmp] = {}
         self.validate()
 
     # -- providers ----------------------------------------------------------
@@ -134,10 +136,12 @@ class OrderParams:
         return self.sym_rank(name) > self.sym_rank(self.watershed)
 
     def compare_types(self, ty1: Type, ty2: Type) -> Cmp:
-        a, b = _type_to_fo(ty1), _type_to_fo(ty2)
-        if self.kind == KBO:
-            return fo_kbo_compare(a, b, self._ty_fo)
-        return fo_lpo_compare(a, b, self._ty_fo)
+        c = self._ty_cmps.get((ty1, ty2))
+        if c is None:
+            fo_compare = fo_kbo_compare if self.kind == KBO else fo_lpo_compare
+            c = self._ty_cmps[ty1, ty2] = fo_compare(_type_to_fo(ty1), _type_to_fo(ty2),
+                                                     self._ty_fo)
+        return c
 
     def compare_type_lists(self, tys1: Sequence[Type], tys2: Sequence[Type]) -> Cmp:
         return lex_ext(self.compare_types, tys1, tys2)
@@ -528,175 +532,145 @@ class _KboOpt(_Kbo):
 
 
 # ---------------------------------------------------------------------------
-# LPO, naive
+# LPO: one head dispatch, two algorithms
 # ---------------------------------------------------------------------------
 
-class _LpoNaive(_Base):
+def _subterms(t: Preterm, dt: int) -> Tuple[Sequence[Preterm], int]:
+    """The immediate subterms the subterm rule consults, and their binder
+    depth: a lambda's body, a symbol's or an index's arguments, and none of a
+    variable's (they are not subterms of its instances)."""
+    if isinstance(t, Lam):
+        return (t.body,), dt + 1
+    if isinstance(t, Var):
+        return (), dt
+    return t.args, dt
 
-    def consider_below_ws(self, winner: str, t: Preterm, s: Preterm, cmp: Cmp) -> Cmp:
-        if self.p.above_watershed(winner):
-            return cmp
-        return self.consider_poly(t, s, cmp)
+
+def _head_rank(t: Preterm, p: OrderParams) -> Tuple[int, int]:
+    """Heads of different kinds rank symbols above the watershed first, then
+    De Bruijn indices, the higher index first, then lambdas, then symbols
+    below the watershed."""
+    if isinstance(t, Sym):
+        return (3, 0) if p.above_watershed(t.name) else (0, 0)
+    if isinstance(t, Db):
+        return 2, t.index
+    assert isinstance(t, Lam)
+    return 1, 0
+
+
+class _Lpo(_Base):
+    """The rule table both LPO algorithms share.  ``dispatch`` lets ``enter``
+    settle a pair first, then ends it by its heads: ``U``, the componentwise
+    extension over one steady variable, a descent into lambda bodies of equal
+    types, ``win(winner, dw, loser_args, dl, verdict, guard)`` when a
+    precedence, type or head rank picks a winner that must still beat the
+    loser's arguments, or ``scan(t, dt, ts, s, ds, ss, np)``, a lexicographic
+    scan of equal heads' parameters (the first ``np`` positions) and
+    arguments.  ``leave`` may revise the verdict.  ``guard``, when
+    ``(t, s)``, applies the type guard to the winner's verdict: it applies
+    unless the winner is a symbol above the watershed or the loser is a
+    lambda."""
+
+    def dispatch(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
+        out = self.enter(t, s, dt, ds)
+        if out is not None:
+            return out
+        p = self.p
+        c = U
+        if isinstance(t, Var) or isinstance(s, Var):
+            if (isinstance(t, Var) and isinstance(s, Var)
+                    and self.same_var(t, s) and self.steady_args(t)):
+                out = cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
+        elif isinstance(t, Sym) and isinstance(s, Sym):
+            c = p.sym_cmp(t.name, s.name)
+            if c is E:
+                c = p.compare_type_lists(t.ty_args, s.ty_args)
+                if c is E:
+                    out = self.scan(t, dt, t.params + t.args, s, ds, s.params + s.args,
+                                    len(t.params))
+        elif isinstance(t, Lam) and isinstance(s, Lam):
+            c = p.compare_types(t.arg_ty, s.arg_ty)
+            if c is E:
+                out = self.compare(t.body, s.body, dt + 1, ds + 1)
+        elif isinstance(t, Db) and isinstance(s, Db) and t.index == s.index:
+            if not self.leak_mismatch(t, s, dt, ds):
+                out = self.scan(t, dt, t.args, s, ds, s.args, 0)
+        else:
+            c = G if _head_rank(t, p) > _head_rank(s, p) else L
+        if out is None:
+            if c is G or c is L:
+                hi, dhi, lo, dlo = (t, dt, s, ds) if c is G else (s, ds, t, dt)
+                guard = (None if isinstance(lo, Lam)
+                         or isinstance(hi, Sym) and p.above_watershed(hi.name) else (t, s))
+                out = self.win(hi, dhi, *_subterms(lo, dlo), c, guard)
+            else:
+                out = U
+        return self.leave(t, s, dt, ds, out)
 
     def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
-        return any(self.compare(a, s, dts, ds) in (G, GE, E) for a in ts)
+        """Whether one of ``ts`` is at least ``s``: the subterm rule."""
+        for a in ts:
+            c = self.compare(a, s, dts, ds)
+            if c is G or c is GE or c is E:
+                return True
+        return False
+
+
+class _LpoNaive(_Lpo):
+    """The rule table as written: the subterm rules first, then the head
+    rules, each winner checked against all of the loser's arguments."""
+
+    compare = _Lpo.dispatch
+
+    def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
+        if self.check_subs(*_subterms(t, dt), s, ds):
+            return G
+        if self.check_subs(*_subterms(s, ds), t, dt):
+            return L
+        return None
+
+    def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
+        return out
 
     def check_args(self, t: Preterm, dt: int, ss: Sequence[Preterm], dss: int) -> bool:
-        return all(self.compare(t, b, dt, dss) is G for b in ss)
+        for b in ss:
+            if self.compare(t, b, dt, dss) is not G:
+                return False
+        return True
 
-    def compare_args(self, t: Preterm, tp: Sequence[Preterm], ta: Sequence[Preterm], dt: int,
-                     s: Preterm, sp: Sequence[Preterm], sa: Sequence[Preterm], ds: int) -> Cmp:
-        c = lex_ext(lambda a, b: self.compare(a, b, dt, ds),
-                    tuple(tp) + tuple(ta), tuple(sp) + tuple(sa))
+    def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
+            verdict: Cmp, guard) -> Cmp:
+        if not self.check_args(winner, dw, loser_args, dl):
+            return U
+        return verdict if guard is None else self.consider_poly(*guard, verdict)
+
+    def scan(self, t: Preterm, dt: int, ts: Sequence[Preterm],
+             s: Preterm, ds: int, ss: Sequence[Preterm], np: int) -> Cmp:
+        c = lex_ext(lambda a, b: self.compare(a, b, dt, ds), ts, ss)
         if c is G or c is GE:
-            return c if self.check_args(t, dt, sa, ds) else U
+            return c if self.check_args(t, dt, ss[np:], ds) else U
         if c is L or c is LE:
-            return c if self.check_args(s, ds, ta, dt) else U
+            return c if self.check_args(s, ds, ts[np:], dt) else U
         return c
 
-    def compare(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
-        p = self.p
-        if isinstance(t, Var):
-            if isinstance(s, Var):
-                if self.same_var(t, s) and self.steady_args(t):
-                    return cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
-                return U
-            if isinstance(s, Lam):
-                return L if self.check_subs([s.body], ds + 1, t, dt) else U
-            return L if self.check_subs(s.args, ds, t, dt) else U
 
-        if isinstance(t, Sym):
-            if self.check_subs(t.args, dt, s, ds):
-                return G
-            if isinstance(s, Var):
-                return U
-            if isinstance(s, Sym):
-                if self.check_subs(s.args, ds, t, dt):
-                    return L
-                c = p.sym_cmp(t.name, s.name)
-                if c is G:
-                    if self.check_args(t, dt, s.args, ds):
-                        return self.consider_below_ws(t.name, t, s, G)
-                    return U
-                if c is L:
-                    if self.check_args(s, ds, t.args, dt):
-                        return self.consider_below_ws(s.name, t, s, L)
-                    return U
-                c = p.compare_type_lists(t.ty_args, s.ty_args)
-                if c is G:
-                    if self.check_args(t, dt, s.args, ds):
-                        return self.consider_below_ws(t.name, t, s, G)
-                    return U
-                if c is L:
-                    if self.check_args(s, ds, t.args, dt):
-                        return self.consider_below_ws(s.name, t, s, L)
-                    return U
-                if c is U:
-                    return U
-                return self.compare_args(t, t.params, t.args, dt, s, s.params, s.args, ds)
-            if isinstance(s, Db):
-                if self.check_subs(s.args, ds, t, dt):
-                    return L
-                if p.above_watershed(t.name):
-                    return G if self.check_args(t, dt, s.args, ds) else U
-                if self.check_args(s, ds, t.args, dt):
-                    return self.consider_poly(t, s, L)
-                return U
-            assert isinstance(s, Lam)
-            if self.check_subs([s.body], ds + 1, t, dt):
-                return L
-            if p.above_watershed(t.name):
-                return G if self.check_args(t, dt, [s.body], ds + 1) else U
-            if self.check_args(s, ds, t.args, dt):
-                return self.consider_poly(t, s, L)
-            return U
+class _LpoOpt(_Lpo):
+    """The same rule table with the subterm rules postponed (Löchner's
+    split): ``leave`` tries them only when the heads end without a strict
+    verdict, and a winner's scan of the loser's arguments (``win``, through
+    ``compare_rest``) runs once, an argument dominating the winner deciding
+    for the loser.  On ground terms, where every recursive verdict is G, E
+    or L, the postponed checks never run.  Off ground terms they revisit
+    subterm pairs, so a memo for one top-level comparison, keyed on two
+    subterms and their binder depths, holds at most 2·|t|·|s| verdicts, each
+    found by one linear scan: the descent is polynomial on every input
+    (Löchner's memoized LPO).
 
-        if isinstance(t, Db):
-            if self.check_subs(t.args, dt, s, ds):
-                return G
-            if isinstance(s, Var):
-                return U
-            if isinstance(s, Sym):
-                if self.check_subs(s.args, ds, t, dt):
-                    return L
-                if p.above_watershed(s.name):
-                    return L if self.check_args(s, ds, t.args, dt) else U
-                if self.check_args(t, dt, s.args, ds):
-                    return self.consider_poly(t, s, G)
-                return U
-            if isinstance(s, Db):
-                if self.check_subs(s.args, ds, t, dt):
-                    return L
-                if t.index > s.index:
-                    if self.check_args(t, dt, s.args, ds):
-                        return self.consider_poly(t, s, G)
-                    return U
-                if t.index == s.index:
-                    if self.leak_mismatch(t, s, dt, ds):
-                        return U
-                    return self.compare_args(t, (), t.args, dt, s, (), s.args, ds)
-                if self.check_args(s, ds, t.args, dt):
-                    return self.consider_poly(t, s, L)
-                return U
-            assert isinstance(s, Lam)
-            if self.check_subs([s.body], ds + 1, t, dt):
-                return L
-            if self.check_args(t, dt, [s.body], ds + 1):
-                return G
-            return U
-
-        assert isinstance(t, Lam)
-        if self.check_subs([t.body], dt + 1, s, ds):
-            return G
-        if isinstance(s, Var):
-            return U
-        if isinstance(s, Sym):
-            if self.check_subs(s.args, ds, t, dt):
-                return L
-            if p.above_watershed(s.name):
-                return L if self.check_args(s, ds, [t.body], dt + 1) else U
-            if self.check_args(t, dt, s.args, ds):
-                return self.consider_poly(t, s, G)
-            return U
-        if isinstance(s, Db):
-            if self.check_subs(s.args, ds, t, dt):
-                return L
-            if self.check_args(s, ds, [t.body], dt + 1):
-                return L
-            return U
-        assert isinstance(s, Lam)
-        if self.check_subs([s.body], ds + 1, t, dt):
-            return L
-        c = p.compare_types(t.arg_ty, s.arg_ty)
-        if c is G:
-            return G if self.check_args(t, dt, [s.body], ds + 1) else U
-        if c is E:
-            return self.compare(t.body, s.body, dt + 1, ds + 1)
-        if c is L:
-            return L if self.check_args(s, ds, [t.body], dt + 1) else U
-        return U
-
-
-# ---------------------------------------------------------------------------
-# LPO, optimized (postponed checks, no repeated argument scans)
-# ---------------------------------------------------------------------------
-
-class _LpoOpt(_Base):
-    """Restructured descent: the expensive two-sided argument checks of the
-    naive algorithm are fused into single scans (compare_rest), and the
-    subterm checks the naive algorithm performs up front run only when a scan
-    ends without a strict verdict (finish).  On ground terms, where every
-    recursive verdict is G, E or L, the fallbacks never trigger.  Off ground
-    terms they revisit subterm pairs, so a memo for one top-level comparison,
-    keyed on two subterms and their binder depths, holds at most 2·|t|·|s|
-    verdicts, each found by one linear scan: the descent is polynomial on
-    every input (Löchner's memoized LPO).
-
-    In every branch, a G or L produced by compare_rest's scan of the losing
-    side is backed by the scan itself (the losing side's arguments are all
-    dominated), so it takes the watershed/type guard of the precedence or
-    type rule that fired; a verdict coming out of a subterm observation is
+    A G or L that a winner's scan backs takes the guard of the rule that
+    picked the winner; a verdict coming out of a subterm observation is
     never guarded."""
+
+    compare = _Lpo.dispatch
 
     def __init__(self, p: OrderParams):
         super().__init__(p)
@@ -704,123 +678,30 @@ class _LpoOpt(_Base):
         # key names a subterm of the inputs, alive for the whole comparison.
         self.memo: Dict[Tuple[int, int, int, int], Cmp] = {}
 
-    def compare(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
-        key = (id(t), id(s), dt, ds)
-        out = self.memo.get(key)
-        if out is not None:
-            return out
-        p = self.p
-        if isinstance(t, Var) or isinstance(s, Var):
-            if (isinstance(t, Var) and isinstance(s, Var)
-                    and self.same_var(t, s) and self.steady_args(t)):
-                out = cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
-            else:
-                out = U
-        elif isinstance(t, Sym):
-            if isinstance(s, Sym):
-                c = p.sym_cmp(t.name, s.name)
-                if c is not E:
-                    out = self.prec_battle(t, s, dt, ds, c, t.name if c is G else s.name)
-                else:
-                    c = p.compare_type_lists(t.ty_args, s.ty_args)
-                    if c is U:
-                        out = U
-                    elif c is not E:
-                        out = self.prec_battle(t, s, dt, ds, c, t.name)
-                    else:
-                        out = self.scan_args(t, dt, t.params + t.args, s, ds,
-                                             s.params + s.args, len(t.params))
-            elif isinstance(s, Db):
-                if p.above_watershed(t.name):
-                    out = self.win_by_rest(t, dt, s.args, ds, G, guard=None)
-                else:
-                    out = self.win_by_rest(s, ds, t.args, dt, L, guard=(t, s))
-            else:
-                assert isinstance(s, Lam)
-                if p.above_watershed(t.name):
-                    out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
-                else:
-                    out = self.win_by_rest(s, ds, t.args, dt, L, guard=(t, s))
-        elif isinstance(t, Db):
-            if isinstance(s, Sym):
-                if p.above_watershed(s.name):
-                    out = self.win_by_rest(s, ds, t.args, dt, L, guard=None)
-                else:
-                    out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
-            elif isinstance(s, Db):
-                if t.index > s.index:
-                    out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
-                elif t.index < s.index:
-                    out = self.win_by_rest(s, ds, t.args, dt, L, guard=(t, s))
-                elif self.leak_mismatch(t, s, dt, ds):
-                    out = U
-                else:
-                    out = self.scan_args(t, dt, t.args, s, ds, s.args)
-            else:
-                assert isinstance(s, Lam)
-                out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
-        else:
-            assert isinstance(t, Lam)
-            if isinstance(s, Sym):
-                if p.above_watershed(s.name):
-                    out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
-                else:
-                    out = self.win_by_rest(t, dt, s.args, ds, G, guard=(t, s))
-            elif isinstance(s, Db):
-                out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
-            else:
-                assert isinstance(s, Lam)
-                c = p.compare_types(t.arg_ty, s.arg_ty)
-                if c is G:
-                    out = self.win_by_rest(t, dt, [s.body], ds + 1, G, guard=None)
-                elif c is E:
-                    out = self.compare(t.body, s.body, dt + 1, ds + 1)
-                elif c is L:
-                    out = self.win_by_rest(s, ds, [t.body], dt + 1, L, guard=None)
-                else:
-                    out = U
-        out = self.memo[key] = self.finish(t, s, dt, ds, out)
+    def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
+        return self.memo.get((id(t), id(s), dt, ds))
+
+    def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
+        """Run the subterm rules the naive algorithm front-loads, then store
+        the verdict.  Inconclusive and nonstrict verdicts can still be beaten
+        by a subterm win; strict verdicts cannot, since the relations they
+        claim are orders."""
+        if out is not G and out is not E and out is not L:
+            if out is not LE and self.check_subs(*_subterms(t, dt), s, ds):
+                out = G
+            elif out is not GE and self.check_subs(*_subterms(s, ds), t, dt):
+                out = L
+        self.memo[id(t), id(s), dt, ds] = out
         return out
 
-    # -- helpers ------------------------------------------------------------
-
-    def subterms(self, t: Preterm) -> Tuple[Sequence[Preterm], int]:
-        if isinstance(t, Lam):
-            return [t.body], 1
-        if isinstance(t, Var):
-            return (), 0
-        return t.args, 0
-
-    def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
-        return any(self.compare(a, s, dts, ds) in (G, GE, E) for a in ts)
-
-    def finish(self, t: Preterm, s: Preterm, dt: int, ds: int, cmp: Cmp) -> Cmp:
-        """Run the subterm rules the naive algorithm front-loads.  Inconclusive
-        and nonstrict verdicts can still be beaten by a subterm win; strict
-        verdicts cannot, since the relations they claim are orders."""
-        if cmp is G or cmp is E or cmp is L:
-            return cmp
-        tsubs, dplus = self.subterms(t)
-        if cmp is not LE and self.check_subs(tsubs, dt + dplus, s, ds):
-            return G
-        if cmp is GE:
-            return cmp
-        ssubs, dplus = self.subterms(s)
-        if self.check_subs(ssubs, ds + dplus, t, dt):
-            return L
-        return cmp
-
-    def win_by_rest(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm],
-                    dl: int, verdict: Cmp, guard) -> Cmp:
+    def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
+            verdict: Cmp, guard) -> Cmp:
         """``winner`` claims ``verdict`` provided it strictly beats every one
         of the loser's arguments; when the scan instead finds an argument
-        dominating the winner, the loser wins outright by its subterm rule.
-        ``guard``, when (t, s), applies the type guard to the claimed verdict."""
+        dominating the winner, the loser wins outright by its subterm rule."""
         r = self.compare_rest(winner, dw, loser_args, dl)
         if r is G:
-            if guard is not None:
-                return self.consider_poly(guard[0], guard[1], verdict)
-            return verdict
+            return verdict if guard is None else self.consider_poly(*guard, verdict)
         if r is L:
             return flip(verdict)
         return U
@@ -838,30 +719,10 @@ class _LpoOpt(_Base):
             return L if self.check_subs(ss[i + 1:], ds, t, dt) else U
         return G
 
-    def prec_battle(self, t: Sym, s: Sym, dt: int, ds: int, c: Cmp, winner: str) -> Cmp:
-        """Precedence- or type-argument-decided symbol/symbol comparison."""
-        if c is G:
-            r = self.compare_rest(t, dt, s.args, ds)
-            if r is G:
-                if self.p.above_watershed(winner):
-                    return G
-                return self.consider_poly(t, s, G)
-            return r
-        r = self.compare_rest(s, ds, t.args, dt)
-        if r is G:
-            if self.p.above_watershed(winner):
-                return L
-            return self.consider_poly(t, s, L)
-        if r is L:
-            return G
-        return U
-
-    def scan_args(self, t: Preterm, dt: int, ts: Sequence[Preterm],
-                  s: Preterm, ds: int, ss: Sequence[Preterm], np: int = 0) -> Cmp:
-        """Lexicographic scan of equal heads' parameters (the first ``np``
-        positions) and arguments.  A strict win at position i still has to
-        beat the loser's arguments after i, or all of them when i is a
-        parameter."""
+    def scan(self, t: Preterm, dt: int, ts: Sequence[Preterm],
+             s: Preterm, ds: int, ss: Sequence[Preterm], np: int) -> Cmp:
+        """A strict win at position i still has to beat the loser's arguments
+        after i, or all of them when i is a parameter."""
         pending: List[Cmp] = []
         verdict = E
         for i in range(len(ts)):

@@ -65,6 +65,16 @@ def test_compare_rejects_bad_inputs(capsys, tmp_path):
     assert code == 1
 
 
+def test_compare_rejects_too_deep_term(capsys, tmp_path):
+    deep = tmp_path / "deep.term"
+    deep.write_text("(sym f () () " * 2000 + "(db 0 k)" + ")" * 2000)
+    code, out, err = run(capsys, "compare", "--sig", fx("ex1.sig"), "--order", "lpo",
+                         str(deep), str(deep))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_compare_rejects_constraint_violation(capsys, tmp_path):
     sig = tmp_path / "bad.sig"
     sig.write_text("""

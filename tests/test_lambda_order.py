@@ -457,12 +457,12 @@ def test_type_weights_reject_undeclared_constructor(small):
 # ---------------------------------------------------------------------------
 
 def test_optimized_lpo_deep_ground_nest_fits_default_stack():
-    """The optimized descent spends a fixed number of frames per nesting
-    level; at depth 256 that fits the interpreter's default limit only
+    """The optimized descent spends two frames per nesting level (compare
+    and scan); at depth 400 that fits the interpreter's default limit only
     without any per-level wrapper frame."""
     from lamorder.checks import adversarial_lpo_pair, bench_signature
     _, _, lpo = bench_signature()
-    t, s = adversarial_lpo_pair(256)
+    t, s = adversarial_lpo_pair(400)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -500,6 +500,48 @@ def test_recursive_steps_live_in_their_own_classes():
     assert "compare" in vars(_LpoNaive)
     assert "process" in vars(_KboOpt)
     assert "compare" in vars(_LpoOpt)
+
+
+def _counting_lpo_naive():
+    calls = [0]
+
+    class Spy(_LpoNaive):
+        def compare(self, t, s, dt=0, ds=0):
+            calls[0] += 1
+            return _LpoNaive.compare(self, t, s, dt, ds)
+
+    return Spy, calls
+
+
+def test_naive_lpo_call_counts_are_pinned():
+    """The naive LPO is the reference whose call count decides which bench
+    pairs are timed: pin its calls on the adversarial nests (both directions
+    summed) and on `lamorder bench`'s random corpus."""
+    from lamorder.checks import adversarial_lpo_pair, bench_signature
+    Spy, calls = _counting_lpo_naive()
+    _, _, lpo = bench_signature()
+    counts = []
+    for d in range(1, 6):
+        t, s = adversarial_lpo_pair(d)
+        calls[0] = 0
+        assert Spy(lpo).compare(t, s) is L
+        assert Spy(lpo).compare(s, t) is G
+        counts.append(calls[0])
+    assert counts == [30, 196, 1128, 6320, 35248]
+
+    cfg = GenConfig(seed=0)
+    sig, _, glpo = gen_signature(cfg)
+    rng = random.Random(0)
+    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig))
+    bases = [TyCon("iota"), TyCon("kappa")]
+    calls[0] = compares = 0
+    for _ in range(300):
+        ty = rng.choice(bases + [arrow(bases[0], bases[1])])
+        t, s = g.gen(ty, 9, ground=False), g.gen(ty, 9, ground=False)
+        if t != s:
+            compares += 1
+            Spy(glpo).compare(t, s)
+    assert (calls[0], compares) == (5507, 286)
 
 
 @pytest.mark.parametrize("algo", [_KboNaive, _KboOpt])

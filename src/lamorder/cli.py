@@ -2,7 +2,7 @@
 
     lamorder compare --sig SIG --order {kbo,lpo} [--algo A] [--strict] T1 T2
     lamorder check   [--seed N] [--iters N] [--families NAME ...]
-    lamorder bench   [--seed N] [--lpo-depth N] [--kbo-depth N]
+    lamorder bench   [--lpo-depth N] [--kbo-depth N] [--budget S]
 
 compare prints exactly one of G GE E LE L U.  Exit codes: 0 success,
 1 invalid input or comparison error, 2 property failure.
@@ -81,28 +81,9 @@ def _cell(secs: Optional[float]) -> str:
 
 
 def _cmd_bench(args) -> int:
-    import random
-
-    from .gen import GenConfig, TermGen, gen_signature, gen_var_types
-    from .term import TyCon, arrow
-
     row = "%-28s %15s %15s"
     print(row % ("case", "naive", "optimized"))
-    cfg = GenConfig(seed=args.seed)
-    gsig, gkbo, glpo = gen_signature(cfg)
-    rng = random.Random(args.seed)
-    gen = TermGen(rng, gsig, var_types=gen_var_types(rng, cfg, gsig))
-    bases = [TyCon("iota"), TyCon("kappa")]
-    corpus = []
-    for _ in range(args.pairs):
-        ty = rng.choice(bases + [arrow(bases[0], bases[1])])
-        corpus.append((gen.gen(ty, 9, ground=False), gen.gen(ty, 9, ground=False)))
-    for kind, p in (("kbo", gkbo), ("lpo", glpo)):
-        tn = _time(lambda: [compare(t, s, p, algo="naive") for t, s in corpus])
-        to = _time(lambda: [compare(t, s, p, algo="optimized") for t, s in corpus])
-        print(row % ("%s random pairs (%d)" % (kind, args.pairs), _cell(tn), _cell(to)))
-
-    sig, kbo, lpo = checks.bench_signature()
+    _, kbo, lpo = checks.bench_signature()
     for depth in range(2, args.lpo_depth + 1, 2):
         t, s = checks.adversarial_lpo_pair(depth)
         tn = _time(compare, t, s, lpo, "naive")
@@ -151,9 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_chk.set_defaults(fn=_cmd_check)
 
     p_b = sub.add_parser("bench", help="time naive vs optimized comparisons")
-    p_b.add_argument("--seed", type=int, default=0)
-    p_b.add_argument("--pairs", type=int, default=400,
-                     help="size of the random comparison corpus")
     p_b.add_argument("--lpo-depth", type=int, default=14)
     p_b.add_argument("--kbo-depth", type=int, default=400)
     p_b.add_argument("--budget", type=float, default=5.0,

@@ -23,12 +23,11 @@ class GenError(Exception):
 
 
 class GenConfig:
-    def __init__(self, seed: int = 0, max_size: int = 14, max_arity: int = 3,
+    def __init__(self, seed: int = 0, max_arity: int = 3,
                  ty_var_count: int = 2, term_var_count: int = 4,
                  ordinal_weights: bool = False, polymorphic: bool = False,
                  n_symbols: int = 6):
         self.seed = seed
-        self.max_size = max_size
         self.max_arity = max_arity
         self.ty_var_count = ty_var_count
         self.term_var_count = term_var_count
@@ -260,14 +259,6 @@ def gen_var_types(rng: random.Random, cfg: GenConfig, sig: Signature,
         else:
             out["x%d" % i] = _random_base(rng, bases)
     return out
-
-
-def gen_term(cfg: GenConfig, sig: Signature, ty: Type, ground: bool,
-             rng: Optional[random.Random] = None,
-             var_types: Optional[Dict[str, Type]] = None) -> Preterm:
-    rng = rng or random.Random(cfg.seed)
-    g = TermGen(rng, sig, var_types=var_types)
-    return g.gen(ty, cfg.max_size, ground)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
 from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
                    mono_mul)
 from . import term as tm
-from .term import (Db, Lam, Preterm, Signature, Sym, TyVar, Type, Var,
-                   arrow_count, is_steady, steady_split, type_of)
+from .term import (App, Db, Lam, Preterm, Signature, Sym, TermError, TyVar, Type, Var,
+                   arrow_count, is_arrow, is_steady, steady_split, type_of)
 
 KBO = "kbo"
 LPO = "lpo"
@@ -674,12 +674,11 @@ class _LpoOpt(_Lpo):
 
     def __init__(self, p: OrderParams):
         super().__init__(p)
-        # Identity keys are sound: the descent never builds a term, so every
-        # key names a subterm of the inputs, alive for the whole comparison.
+        # keyed on node serials, which hash in C where a node's hash is a call
         self.memo: Dict[Tuple[int, int, int, int], Cmp] = {}
 
     def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
-        return self.memo.get((id(t), id(s), dt, ds))
+        return self.memo.get((t.serial, s.serial, dt, ds))
 
     def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
         """Run the subterm rules the naive algorithm front-loads, then store
@@ -691,7 +690,7 @@ class _LpoOpt(_Lpo):
                 out = G
             elif out is not GE and self.check_subs(*_subterms(s, ds), t, dt):
                 out = L
-        self.memo[id(t), id(s), dt, ds] = out
+        self.memo[t.serial, s.serial, dt, ds] = out
         return out
 
     def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
@@ -746,28 +745,30 @@ class _LpoOpt(_Lpo):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def compare_kbo_naive(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    if t == s:
+def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
+    """Check that both inputs are normalized at the top, then compare them."""
+    for u in (t, s):
+        if isinstance(u, App) or not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
+            raise TermError("not a normalized term (normalize it first): %r" % (u,))
+    if t is s:
         return E
-    return _KboNaive(p).compare(t, s)
+    return cls(p).compare(t, s)
+
+
+def compare_kbo_naive(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
+    return _run(_KboNaive, t, s, p)
 
 
 def compare_kbo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    if t == s:
-        return E
-    return _KboOpt(p).compare(t, s)
+    return _run(_KboOpt, t, s, p)
 
 
 def compare_lpo_naive(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    if t == s:
-        return E
-    return _LpoNaive(p).compare(t, s)
+    return _run(_LpoNaive, t, s, p)
 
 
 def compare_lpo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    if t == s:
-        return E
-    return _LpoOpt(p).compare(t, s)
+    return _run(_LpoOpt, t, s, p)
 
 
 def compare(t: Preterm, s: Preterm, p: OrderParams, algo: Optional[str] = None) -> Cmp:

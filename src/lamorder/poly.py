@@ -7,10 +7,10 @@ Indeterminates stand for unknown facts about variable instantiations:
 * ``KInd(key, i)`` -- copy multiplicity of the i-th pending argument,
 * ``HInd(name)``   -- eta expansions a type variable's instantiation causes.
 
-Keys are compared syntactically.  Polynomials are kept in standard form: a
-map from monomials (multisets of indeterminates, stored as sorted tuples) to
-nonzero signed ordinal coefficients.  The map itself is unordered; only
-printing sorts it.
+Keys are hash-consed terms, compared by identity.  Polynomials are kept in
+standard form: a map from monomials (multisets of indeterminates, stored as
+sorted tuples) to nonzero signed ordinal coefficients.  The map itself is
+unordered; only printing sorts it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class WInd(Indet):
     __hash__ = Indet.__hash__
 
     def __eq__(self, other):
-        return isinstance(other, WInd) and other.key == self.key
+        return isinstance(other, WInd) and other.key is self.key
 
     def __repr__(self):
         return "w[%r]" % (self.key,)
@@ -64,7 +64,7 @@ class KInd(Indet):
     __hash__ = Indet.__hash__
 
     def __eq__(self, other):
-        return isinstance(other, KInd) and other.i == self.i and other.key == self.key
+        return isinstance(other, KInd) and other.i == self.i and other.key is self.key
 
     def __repr__(self):
         return "k[%r,%d]" % (self.key, self.i)
@@ -86,32 +86,14 @@ class HInd(Indet):
         return "h[%s]" % self.name
 
 
-# Structural sort keys give a deterministic, total monomial order.
-
-def _ty_skey(ty: tm.Type):
-    if isinstance(ty, tm.TyVar):
-        return (0, ty.name)
-    return (1, ty.name, tuple(_ty_skey(a) for a in ty.args))
-
-
-def _tm_skey(t: tm.Preterm):
-    if isinstance(t, tm.Var):
-        return (0, t.name, _ty_skey(t.ty), tuple(_tm_skey(a) for a in t.args))
-    if isinstance(t, tm.Db):
-        return (1, t.index, _ty_skey(t.ty), tuple(_tm_skey(a) for a in t.args))
-    if isinstance(t, tm.Sym):
-        return (2, t.name, tuple(_ty_skey(a) for a in t.ty_args),
-                tuple(_tm_skey(p) for p in t.params),
-                tuple(_tm_skey(a) for a in t.args))
-    assert isinstance(t, tm.Lam)
-    return (3, _ty_skey(t.arg_ty), _tm_skey(t.body))
-
+# Creation serials of the (hash-consed) keys give a deterministic, total
+# monomial order.
 
 def indet_skey(x: Indet):
     if isinstance(x, WInd):
-        return (0, _tm_skey(x.key))
+        return (0, x.key.serial)
     if isinstance(x, KInd):
-        return (1, _tm_skey(x.key), x.i)
+        return (1, x.key.serial, x.i)
     assert isinstance(x, HInd)
     return (2, x.name)
 

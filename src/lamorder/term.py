@@ -14,6 +14,12 @@ function type are always lambdas.  ``App`` exists only as raw input syntax;
 ``normalize`` is the sole entry point that establishes the invariant.
 De Bruijn indices may "leak" (point beyond all binders); substitution ignores
 them.
+
+Preterms are hash-consed: every constructor returns the one node that exists
+for its arguments, so structurally equal preterms are the same object and
+equality is identity.  Each node caches its type under the signature it was
+last typed in.  The node table keeps every distinct node for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -155,10 +161,6 @@ class TypeDecl:
     def ty_arity(self) -> int:
         return len(self.ty_vars)
 
-    @property
-    def n_params(self) -> int:
-        return len(self.param_types)
-
     def instantiate(self, ty_args: Sequence[Type]) -> Tuple[Tuple[Type, ...], Type]:
         if len(ty_args) != len(self.ty_vars):
             raise TermError("expected %d type arguments, got %d"
@@ -183,6 +185,9 @@ class Signature:
     def add_symbol(self, name: str, decl: TypeDecl) -> None:
         if name in self.type_constructors:
             raise TermError("symbol name %s clashes with a type constructor" % name)
+        if name in self.symbols:
+            # a node caches its type per signature, so a declaration is final
+            raise TermError("symbol %s redeclared" % name)
         self.symbols[name] = decl
 
     def decl(self, name: str) -> TypeDecl:
@@ -196,28 +201,47 @@ class Signature:
 # Preterms
 # ---------------------------------------------------------------------------
 
+# Every node is interned in one table, keyed on the tuple its hash is taken
+# of, so equal constructions return the same object and equality is identity.
+# Entries are kept for the life of the process: a workload that parses the
+# same text again finds its nodes, and their cached types, still there.
+# Single-threaded use only: two threads could build one key twice.
+_NODES: Dict[tuple, "Preterm"] = {}
+
+
+def _intern(cls, key: tuple, *fields) -> "Preterm":
+    """Build and register the node for a key the table does not hold."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        setattr(node, name, value)
+    node._hash = hash(key)
+    node.serial = len(_NODES)
+    node._typed = None
+    _NODES[key] = node
+    return node
+
+
 class Preterm:
-    __slots__ = ("_hash",)
+    """A hash-consed node.  ``serial`` is its creation number, unique since
+    the table never drops a node; ``_typed`` caches ``(signature, type)``
+    for ``type_of``."""
+
+    __slots__ = ("_hash", "serial", "_typed")
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the constructor, so they intern
+        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
 
 
 class Var(Preterm):
     __slots__ = ("name", "ty", "args")
 
-    def __init__(self, name: str, ty: Type, args: Tuple[Preterm, ...] = ()):
-        self.name = name
-        self.ty = ty
-        self.args = args
-        self._hash = hash(("var", name, ty, args))
-
-    __hash__ = Preterm.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, Var) and other._hash == self._hash
-                and other.name == self.name and other.ty == self.ty
-                and other.args == self.args)
+    def __new__(cls, name: str, ty: Type, args: Tuple[Preterm, ...] = ()):
+        key = ("var", name, ty, args)
+        return _NODES.get(key) or _intern(cls, key, name, ty, args)
 
     def __repr__(self):
         return _spine_repr(self.name, self.args)
@@ -226,20 +250,10 @@ class Var(Preterm):
 class Sym(Preterm):
     __slots__ = ("name", "ty_args", "params", "args")
 
-    def __init__(self, name: str, ty_args: Tuple[Type, ...] = (),
-                 params: Tuple[Preterm, ...] = (), args: Tuple[Preterm, ...] = ()):
-        self.name = name
-        self.ty_args = ty_args
-        self.params = params
-        self.args = args
-        self._hash = hash(("sym", name, ty_args, params, args))
-
-    __hash__ = Preterm.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, Sym) and other._hash == self._hash
-                and other.name == self.name and other.ty_args == self.ty_args
-                and other.params == self.params and other.args == self.args)
+    def __new__(cls, name: str, ty_args: Tuple[Type, ...] = (),
+                params: Tuple[Preterm, ...] = (), args: Tuple[Preterm, ...] = ()):
+        key = ("sym", name, ty_args, params, args)
+        return _NODES.get(key) or _intern(cls, key, name, ty_args, params, args)
 
     def __repr__(self):
         head = self.name
@@ -253,18 +267,9 @@ class Sym(Preterm):
 class Db(Preterm):
     __slots__ = ("index", "ty", "args")
 
-    def __init__(self, index: int, ty: Type, args: Tuple[Preterm, ...] = ()):
-        self.index = index
-        self.ty = ty
-        self.args = args
-        self._hash = hash(("db", index, ty, args))
-
-    __hash__ = Preterm.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, Db) and other._hash == self._hash
-                and other.index == self.index and other.ty == self.ty
-                and other.args == self.args)
+    def __new__(cls, index: int, ty: Type, args: Tuple[Preterm, ...] = ()):
+        key = ("db", index, ty, args)
+        return _NODES.get(key) or _intern(cls, key, index, ty, args)
 
     def __repr__(self):
         return _spine_repr("#%d" % self.index, self.args)
@@ -273,16 +278,9 @@ class Db(Preterm):
 class Lam(Preterm):
     __slots__ = ("arg_ty", "body")
 
-    def __init__(self, arg_ty: Type, body: Preterm):
-        self.arg_ty = arg_ty
-        self.body = body
-        self._hash = hash(("lam", arg_ty, body))
-
-    __hash__ = Preterm.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, Lam) and other._hash == self._hash
-                and other.arg_ty == self.arg_ty and other.body == self.body)
+    def __new__(cls, arg_ty: Type, body: Preterm):
+        key = ("lam", arg_ty, body)
+        return _NODES.get(key) or _intern(cls, key, arg_ty, body)
 
     def __repr__(self):
         return "(\\%r. %r)" % (self.arg_ty, self.body)
@@ -293,16 +291,9 @@ class App(Preterm):
 
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Preterm, arg: Preterm):
-        self.fn = fn
-        self.arg = arg
-        self._hash = hash(("app", fn, arg))
-
-    __hash__ = Preterm.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, App) and other.fn == self.fn
-                and other.arg == self.arg)
+    def __new__(cls, fn: Preterm, arg: Preterm):
+        key = ("app", fn, arg)
+        return _NODES.get(key) or _intern(cls, key, fn, arg)
 
     def __repr__(self):
         return "(%r %r)" % (self.fn, self.arg)
@@ -339,19 +330,25 @@ def head_type(t: Preterm, sig: Signature) -> Type:
 
 
 def type_of(t: Preterm, sig: Signature) -> Type:
-    """The unique type of a preterm.  Raises TermError on ill-typed spines."""
+    """The unique type of a preterm.  Raises TermError on ill-typed spines.
+    The node caches the type it last had, and under which signature."""
+    typed = t._typed
+    if typed is not None and typed[0] is sig:
+        return typed[1]
     if isinstance(t, Lam):
-        return arrow(t.arg_ty, type_of(t.body, sig))
-    if isinstance(t, App):
-        fn_ty = type_of(t.fn, sig)
-        if not is_arrow(fn_ty):
-            raise TermError("application of non-function of type %r" % fn_ty)
-        return fn_ty.args[1]
-    ty = head_type(t, sig)
-    for i, _ in enumerate(t.args):
+        ty = arrow(t.arg_ty, type_of(t.body, sig))
+    elif isinstance(t, App):
+        ty = type_of(t.fn, sig)
         if not is_arrow(ty):
-            raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
+            raise TermError("application of non-function of type %r" % ty)
         ty = ty.args[1]
+    else:
+        ty = head_type(t, sig)
+        for i, _ in enumerate(t.args):
+            if not is_arrow(ty):
+                raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
+            ty = ty.args[1]
+    t._typed = (sig, ty)
     return ty
 
 

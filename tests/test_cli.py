@@ -114,18 +114,17 @@ def test_check_subset_of_families(capsys):
 
 
 def test_bench_produces_table(capsys):
-    code, out, _ = run(capsys, "bench", "--pairs", "40", "--lpo-depth", "4",
+    code, out, _ = run(capsys, "bench", "--lpo-depth", "4",
                        "--kbo-depth", "40", "--budget", "0.5")
     assert code == 0
     assert "naive" in out and "optimized" in out
-    assert "random pairs" in out
     assert "weight builds" in out
 
 
 def test_bench_reports_recursion_limit_per_cell(capsys):
     # at depth 400 the naive KBO exceeds Python's default stack and the
     # optimized one does not; the table marks the naive cell and completes
-    code, out, _ = run(capsys, "bench", "--pairs", "5", "--lpo-depth", "2",
+    code, out, _ = run(capsys, "bench", "--lpo-depth", "2",
                        "--kbo-depth", "400", "--budget", "0.5")
     assert code == 0
     deep = [line for line in out.splitlines() if line.startswith("kbo chain depth 400")]

@@ -17,10 +17,10 @@ from lamorder.lambda_order import (KBO, LPO, LeakTypeMismatch, OrderError,
                                    weight_calls, weight_diff, weight_poly)
 from lamorder.ordinal import ONE, from_int, ord_add
 from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly
-from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TyCon, TyVar,
-                           TypeDecl, Var, accessible_positions, app, apply_subst,
-                           arrow, arrows, normalize, replace_at, shift,
-                           steady_split, subterm_at, type_of)
+from lamorder.term import (App, Db, Lam, Signature, Substitution, Sym, TermError,
+                           TyCon, TyVar, TypeDecl, Var, accessible_positions,
+                           app, apply_subst, arrow, arrows, normalize, replace_at,
+                           shift, steady_split, subterm_at, type_of)
 
 K = TyCon("k")
 O = TyCon("o")
@@ -452,6 +452,32 @@ def test_type_weights_reject_undeclared_constructor(small):
     OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"->": from_int(2)})
 
 
+ALL_ALGOS = (compare_kbo_naive, compare_kbo_opt, compare_lpo_naive, compare_lpo_opt)
+
+
+def _params_for(algo, kbo, lpo):
+    return kbo if algo in KBO_ALGOS else lpo
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_compare_rejects_raw_application(small, algo):
+    p = _params_for(algo, *small[1:])
+    raw = App(Sym("g"), Sym("a"))
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(raw, Sym("a"), p)
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(Sym("a"), raw, p)
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_compare_rejects_arrow_typed_spine(small, algo):
+    p = _params_for(algo, *small[1:])
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(Sym("g"), Sym("a"), p)
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(Sym("a"), Sym("g", (), (), (Sym("b"),)), p)
+
+
 # ---------------------------------------------------------------------------
 # Depth
 # ---------------------------------------------------------------------------
@@ -491,6 +517,17 @@ def test_kbo_deep_chains_fit_default_stack():
         assert compare_kbo_naive(s, t, kbo) is G
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_deep_equal_copies_compare_equal(algo):
+    """Two constructions of one deep term are one node, so the comparison
+    ends at once, far below where a structural equality would overflow."""
+    from lamorder.checks import bench_signature, deep_chain_pair
+    _, kbo, lpo = bench_signature()
+    t, u = deep_chain_pair(10_000)[0], deep_chain_pair(10_000)[0]
+    assert t is u
+    assert algo(t, u, _params_for(algo, kbo, lpo)) is E
 
 
 def test_recursive_steps_live_in_their_own_classes():

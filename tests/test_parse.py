@@ -108,6 +108,14 @@ def test_signature_constraint_violations_are_named():
     assert "top must precede bot" in str(err.value)
 
 
+def test_signature_rejects_redeclared_symbol():
+    text = "(signature (types (k 0))\n (symbols (f () () k)\n (f () () (-> k k))) (precedence f))"
+    with pytest.raises(ParseError) as err:
+        parse_signature(text, KBO)
+    assert "f redeclared" in str(err.value)
+    assert str(err.value).startswith("3:")
+
+
 def test_ordinal_literals_in_files():
     text = SIG_TEXT.replace("(weights (a 2) (f 1))",
                             '(weights (a w) (f "w^2*3 + w + 1"))')

@@ -1,5 +1,7 @@
 """Term representation: normalization, substitution, structural helpers."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -38,6 +40,55 @@ def test_type_of_basics(sig):
     assert type_of(Var("z", TyVar("alpha")), sig) == TyVar("alpha")
     t = normalize(app(Sym("f"), Sym("a")), sig)
     assert type_of(t, sig) == K
+
+
+def test_add_symbol_rejects_redeclared_name(sig):
+    with pytest.raises(TermError, match="redeclared"):
+        sig.add_symbol("a", TypeDecl((), (), arrow(K, K)))
+    assert type_of(Sym("a"), sig) == K
+
+
+def test_equal_constructions_are_one_node():
+    a = Sym("a")
+    for build in (lambda: Var("x", K, (Sym("a"),)),
+                  lambda: Sym("sk", (), (Sym("a"),), (Sym("b"),)),
+                  lambda: Db(0, arrow(K, K), (Sym("a"),)),
+                  lambda: Lam(TyCon("k"), Db(0, K)),
+                  lambda: App(Sym("f"), Sym("a"))):
+        assert build() is build()
+    assert Sym("a", (), (), ()) is a
+    assert Sym("a", (K,)) is not a
+    assert Var("x", K) is not Var("x", O)
+
+
+def test_copies_and_unpickled_nodes_are_the_node_itself():
+    t = Lam(K, Sym("g", (), (), (Db(0, K), Var("x", K))))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_hash_is_the_structural_tuple_hash():
+    assert hash(Sym("a")) == hash(("sym", "a", (), (), ()))
+    x = Var("x", K)
+    assert hash(Lam(K, x)) == hash(("lam", K, x))
+
+
+def test_normalize_returns_a_normal_term_itself(sig):
+    t = normalize(app(Sym("g"), Sym("a")), sig)
+    assert normalize(t, sig) is t
+
+
+def test_type_cache_follows_the_signature():
+    first, second = Signature(), Signature()
+    for s in (first, second):
+        s.add_type("k", 0)
+    first.add_symbol("c0", TypeDecl((), (), K))
+    second.add_symbol("c0", TypeDecl((), (), arrow(K, K)))
+    c = Sym("c0")
+    for _ in range(2):
+        assert type_of(c, first) == K
+        assert type_of(c, second) == arrow(K, K)
 
 
 def test_type_mismatch_detected(sig):

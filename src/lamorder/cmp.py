@@ -31,31 +31,18 @@ def flip(cmp: Cmp) -> Cmp:
     return _FLIP[cmp]
 
 
-def merge_with_ge(cmp: Cmp) -> Cmp:
-    """Combine a pending GE with the verdict for the remaining positions."""
-    if cmp in (L, LE):
-        return U
-    if cmp is E:
-        return GE
-    return cmp
-
-
-def merge_with_le(cmp: Cmp) -> Cmp:
-    if cmp in (G, GE):
-        return U
-    if cmp is E:
-        return LE
-    return cmp
-
-
 def lex_merge(first: Cmp, rest: Cmp) -> Cmp:
     """Lexicographic combination of a verdict with the one that follows it:
-    E, GE and LE defer to ``rest``, a strict verdict or U decides."""
+    E defers to ``rest``, a strict verdict or U decides.  GE and LE defer to
+    ``rest`` too, but stand when it is E and give U when it points the other
+    way."""
+    if first is E:
+        return rest
     if first is GE:
-        return merge_with_ge(rest)
+        return U if rest is L or rest is LE else (GE if rest is E else rest)
     if first is LE:
-        return merge_with_le(rest)
-    return rest if first is E else first
+        return U if rest is G or rest is GE else (LE if rest is E else rest)
+    return first
 
 
 def lex_fold(pending: Sequence[Cmp], verdict: Cmp) -> Cmp:
@@ -78,21 +65,20 @@ def smooth(cmp: Cmp) -> Cmp:
 def lex_ext(op: Callable, ts: Sequence, ss: Sequence) -> Cmp:
     """Left-to-right lexicographic extension of a six-valued comparison.
 
-    Both lists must have the same length; empty lists compare E.
+    Both lists must have the same length; empty lists compare E.  The
+    nonstrict verdicts passed on the way are folded into the deciding one.
     """
     if len(ts) != len(ss):
         raise ValueError("lexicographic extension over unequal lengths: %d vs %d"
                          % (len(ts), len(ss)))
-    for i in range(len(ts)):
-        c = op(ts[i], ss[i])
+    pending = []
+    for a, b in zip(ts, ss):
+        c = op(a, b)
         if c is G or c is L or c is U:
-            return c
-        if c is GE:
-            return merge_with_ge(lex_ext(op, ts[i + 1:], ss[i + 1:]))
-        if c is LE:
-            return merge_with_le(lex_ext(op, ts[i + 1:], ss[i + 1:]))
-        # E: keep scanning
-    return E
+            return lex_fold(pending, c) if pending else c
+        if c is not E:
+            pending.append(c)
+    return lex_fold(pending, E) if pending else E
 
 
 def cw_ext(op: Callable, ts: Sequence, ss: Sequence) -> Cmp:

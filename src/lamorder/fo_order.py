@@ -2,7 +2,8 @@
 
 Both comparators are parameterized by provider callables, because some use
 sites (the ground encoding) have an infinite, recursively ordered symbol
-universe that cannot be enumerated up front.
+universe that cannot be enumerated up front.  Terms are interned
+(``term.Interned``), so equality is identity.
 """
 
 from __future__ import annotations
@@ -11,26 +12,20 @@ from typing import Callable, Dict, Hashable, Tuple
 
 from .cmp import Cmp, E, G, L, U
 from .ordinal import Ord, ZERO, ord_add, ord_compare, ord_mul
+from .term import TABLE, Interned
 
 
-class FoTerm:
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
+class FoTerm(Interned):
+    __slots__ = ()
 
 
 class FoVar(FoTerm):
     __slots__ = ("name",)
+    tag = "fovar"
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("fovar", name))
-
-    __hash__ = FoTerm.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, FoVar) and other.name == self.name
+    def __new__(cls, name: str):
+        key = (cls.tag, name)
+        return TABLE.get(key) or cls.intern(key, name)
 
     def __repr__(self):
         return "?" + self.name
@@ -38,17 +33,11 @@ class FoVar(FoTerm):
 
 class FoApp(FoTerm):
     __slots__ = ("key", "args")
+    tag = "foapp"
 
-    def __init__(self, key: Hashable, args: Tuple[FoTerm, ...] = ()):
-        self.key = key
-        self.args = args
-        self._hash = hash(("foapp", key, args))
-
-    __hash__ = FoTerm.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, FoApp) and other._hash == self._hash
-                and other.key == self.key and other.args == self.args)
+    def __new__(cls, key: Hashable, args: Tuple[FoTerm, ...] = ()):
+        k = (cls.tag, key, args)
+        return TABLE.get(k) or cls.intern(k, key, args)
 
     def __repr__(self):
         if not self.args:

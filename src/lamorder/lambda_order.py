@@ -25,7 +25,7 @@ from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
 from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
                    mono_mul)
 from . import term as tm
-from .term import (App, Db, Lam, Preterm, Signature, Sym, TermError, TyVar, Type, Var,
+from .term import (Db, Lam, Preterm, Signature, Sym, TermError, TyVar, Type, Var,
                    arrow_count, is_arrow, is_steady, steady_split, type_of)
 
 KBO = "kbo"
@@ -72,14 +72,10 @@ class OrderParams:
                  ty_weights: Optional[Dict[str, Ord]] = None,
                  ty_prec: Optional[Sequence[str]] = None,
                  watershed: Optional[str] = None,
-                 algo: str = "optimized",
                  strict_leaks: bool = False,
-                 ordinal_weights: bool = False,
-                 default_weight: Ord = ONE):
+                 ordinal_weights: bool = False):
         if kind not in (KBO, LPO):
             raise OrderError("unknown order kind %r" % kind)
-        if algo not in ALGOS:
-            raise OrderError("unknown algorithm %r" % algo)
         _check_declared("weight of undeclared symbol", sig.symbols, weights or {})
         _check_declared("coefficient of undeclared symbol", sig.symbols,
                         [f for f, _ in coeffs or {}])
@@ -93,16 +89,14 @@ class OrderParams:
         self.coeffs = dict(coeffs or {})
         self.ty_weights = dict(ty_weights or {})
         self.watershed = watershed
-        self.algo = algo
         self.strict_leaks = strict_leaks
         self.ordinal_weights = ordinal_weights
-        self.default_weight = default_weight
         self.prec_ranks = _ranks("precedence", sig.symbols,
                                  sorted(sig.symbols) if prec is None else prec)
         self.ty_prec_ranks = _ranks("type precedence", sig.type_constructors,
                                     sorted(sig.type_constructors) if ty_prec is None else ty_prec)
         self._ty_fo = FoParams(
-            weight=lambda key: self.ty_weights.get(key, self.default_weight),
+            weight=lambda key: self.ty_weights.get(key, ONE),
             coeff=lambda key, i: ONE,
             prec=lambda a, b: self.ty_prec_ranks[a] - self.ty_prec_ranks[b])
         # verdicts of compare_types; nothing changes the parameters after this
@@ -112,7 +106,7 @@ class OrderParams:
     # -- providers ----------------------------------------------------------
 
     def w(self, name: str) -> Ord:
-        return self.weights.get(name, self.default_weight)
+        return self.weights.get(name, ONE)
 
     def k(self, name: str, i: int) -> Ord:
         return self.coeffs.get((name, i), ONE)
@@ -746,9 +740,10 @@ class _LpoOpt(_Lpo):
 # ---------------------------------------------------------------------------
 
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    """Check that both inputs are normalized at the top, then compare them."""
+    """Check that both inputs hold no raw application and are not
+    arrow-typed spines, then compare them."""
     for u in (t, s):
-        if isinstance(u, App) or not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
+        if u.raw or not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
             raise TermError("not a normalized term (normalize it first): %r" % (u,))
     if t is s:
         return E
@@ -771,8 +766,7 @@ def compare_lpo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
     return _run(_LpoOpt, t, s, p)
 
 
-def compare(t: Preterm, s: Preterm, p: OrderParams, algo: Optional[str] = None) -> Cmp:
-    algo = p.algo if algo is None else algo
+def compare(t: Preterm, s: Preterm, p: OrderParams, algo: str = "optimized") -> Cmp:
     if algo not in ALGOS:
         raise OrderError("unknown algorithm %r" % algo)
     if p.kind == KBO:

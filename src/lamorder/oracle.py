@@ -1,11 +1,11 @@
 """Ground-level differential oracle.
 
 Ground preterms are encoded into untyped first-order terms over a virtual
-signature whose symbols are keys: one per (symbol, type arguments,
-parameters) combination, one per (index, argument count) pair, and one per
-lambda binder type.  Comparing encodings with the plain first-order KBO/LPO
-under a derived precedence reproduces the lambda-term orders exactly, which
-makes an independent test oracle.
+signature whose symbols are interned keys (``term.Interned``): one per
+(symbol, type arguments, parameters) combination, one per (index, argument
+count) pair, and one per lambda binder type.  Comparing encodings with the
+plain first-order KBO/LPO under a derived precedence reproduces the
+lambda-term orders exactly, which makes an independent test oracle.
 
 This module also builds the indeterminate assignments and substitutions the
 weight lemmas are stated with, and a small-term exhaustive enumerator.
@@ -22,8 +22,8 @@ from .lambda_order import KBO, OrderParams, var_key, weight_poly
 from .ordinal import Ord, ONE, ZERO, from_int, ord_add, ord_mul
 from .poly import HInd, Indet, KInd, Poly, PolyError, WInd, const_poly, indet_poly
 from . import term as tm
-from .term import (Db, Lam, Preterm, Signature, Substitution, Sym, TyVar, Type,
-                   Var, eta_expansion_count, is_ground, is_steady,
+from .term import (TABLE, Db, Interned, Lam, Preterm, Signature, Substitution, Sym,
+                   TyVar, Type, Var, eta_expansion_count, is_ground, is_steady,
                    split_arrows, strip_lams, subst_type)
 
 
@@ -35,27 +35,17 @@ class OracleError(Exception):
 # Encoding
 # ---------------------------------------------------------------------------
 
-class FoSymKey:
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
+class FoSymKey(Interned):
+    __slots__ = ()
 
 
 class FKey(FoSymKey):
     __slots__ = ("name", "ty_args", "params")
+    tag = "fkey"
 
-    def __init__(self, name: str, ty_args: Tuple[Type, ...], params: Tuple[Preterm, ...]):
-        self.name = name
-        self.ty_args = ty_args
-        self.params = params
-        self._hash = hash(("fkey", name, ty_args, params))
-
-    __hash__ = FoSymKey.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, FKey) and other.name == self.name
-                and other.ty_args == self.ty_args and other.params == self.params)
+    def __new__(cls, name: str, ty_args: Tuple[Type, ...], params: Tuple[Preterm, ...]):
+        key = (cls.tag, name, ty_args, params)
+        return TABLE.get(key) or cls.intern(key, name, ty_args, params)
 
     def __repr__(self):
         return "F:%s" % self.name
@@ -63,17 +53,11 @@ class FKey(FoSymKey):
 
 class DbKey(FoSymKey):
     __slots__ = ("index", "argc")
+    tag = "dbkey"
 
-    def __init__(self, index: int, argc: int):
-        self.index = index
-        self.argc = argc
-        self._hash = hash(("dbkey", index, argc))
-
-    __hash__ = FoSymKey.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, DbKey) and other.index == self.index
-                and other.argc == self.argc)
+    def __new__(cls, index: int, argc: int):
+        key = (cls.tag, index, argc)
+        return TABLE.get(key) or cls.intern(key, index, argc)
 
     def __repr__(self):
         return "DB:%d/%d" % (self.index, self.argc)
@@ -81,15 +65,11 @@ class DbKey(FoSymKey):
 
 class LamKey(FoSymKey):
     __slots__ = ("ty",)
+    tag = "lamkey"
 
-    def __init__(self, ty: Type):
-        self.ty = ty
-        self._hash = hash(("lamkey", ty))
-
-    __hash__ = FoSymKey.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, LamKey) and other.ty == self.ty
+    def __new__(cls, ty: Type):
+        key = (cls.tag, ty)
+        return TABLE.get(key) or cls.intern(key, ty)
 
     def __repr__(self):
         return "LAM:%r" % (self.ty,)

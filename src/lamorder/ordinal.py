@@ -40,9 +40,6 @@ class Ord:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ord) and self.terms == other.terms
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -255,7 +255,7 @@ def _parse_ord_atom(e: SExpr) -> Ord:
         raise ParseError(str(exc), a.line, a.col) from exc
 
 
-def parse_signature(text: str, kind: str, algo: str = "optimized",
+def parse_signature(text: str, kind: str,
                     strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
     """Parse the signature plus order-parameter file and validate every
     constraint the orders rely on.  Violations are reported by name."""
@@ -331,8 +331,7 @@ def parse_signature(text: str, kind: str, algo: str = "optimized",
     from .lambda_order import OrderError
     kwargs = dict(weights=weights, coeffs=coeffs, prec=prec,
                   ty_weights=ty_weights, ty_prec=ty_prec, watershed=watershed,
-                  algo=algo, strict_leaks=strict_leaks,
-                  ordinal_weights=ordinal_weights)
+                  strict_leaks=strict_leaks, ordinal_weights=ordinal_weights)
     if w_lam is not None:
         kwargs["w_lam"] = w_lam
     if w_db is not None:
@@ -344,10 +343,10 @@ def parse_signature(text: str, kind: str, algo: str = "optimized",
     return sig, params
 
 
-def parse_signature_file(path: str, kind: str, algo: str = "optimized",
+def parse_signature_file(path: str, kind: str,
                          strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_signature(fh.read(), kind, algo, strict_leaks)
+        return parse_signature(fh.read(), kind, strict_leaks)
 
 
 # ---------------------------------------------------------------------------

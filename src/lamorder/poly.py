@@ -7,19 +7,22 @@ Indeterminates stand for unknown facts about variable instantiations:
 * ``KInd(key, i)`` -- copy multiplicity of the i-th pending argument,
 * ``HInd(name)``   -- eta expansions a type variable's instantiation causes.
 
-Keys are hash-consed terms, compared by identity.  Polynomials are kept in
-standard form: a map from monomials (multisets of indeterminates, stored as
-sorted tuples) to nonzero signed ordinal coefficients.  The map itself is
-unordered; only printing sorts it.
+Indeterminates are interned like their keys (``term.Interned``), so equality
+is identity, and a monomial sorts its indeterminates by creation serial.
+Polynomials are kept in standard form: a map from monomials (multisets of
+indeterminates, stored as sorted tuples) to nonzero signed ordinal
+coefficients.  The map itself is unordered; only printing sorts it.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, ItemsView, Mapping, Optional, Tuple, Union
 
 from .cmp import Cmp, E, G, GE, L, LE, U
 from .ordinal import Ord, ZERO, ONE, ord_add, ord_mul
 from . import term as tm
+from .term import TABLE, Interned
 
 
 class PolyError(Exception):
@@ -30,24 +33,17 @@ class PolyError(Exception):
 # Indeterminates
 # ---------------------------------------------------------------------------
 
-class Indet:
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
+class Indet(Interned):
+    __slots__ = ()
 
 
 class WInd(Indet):
     __slots__ = ("key",)
+    tag = "w"
 
-    def __init__(self, key: tm.Preterm):
-        self.key = key
-        self._hash = hash(("w", key))
-
-    __hash__ = Indet.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, WInd) and other.key is self.key
+    def __new__(cls, key: tm.Preterm):
+        k = (cls.tag, key)
+        return TABLE.get(k) or cls.intern(k, key)
 
     def __repr__(self):
         return "w[%r]" % (self.key,)
@@ -55,16 +51,11 @@ class WInd(Indet):
 
 class KInd(Indet):
     __slots__ = ("key", "i")
+    tag = "k"
 
-    def __init__(self, key: tm.Preterm, i: int):
-        self.key = key
-        self.i = i
-        self._hash = hash(("k", key, i))
-
-    __hash__ = Indet.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, KInd) and other.i == self.i and other.key is self.key
+    def __new__(cls, key: tm.Preterm, i: int):
+        k = (cls.tag, key, i)
+        return TABLE.get(k) or cls.intern(k, key, i)
 
     def __repr__(self):
         return "k[%r,%d]" % (self.key, self.i)
@@ -72,44 +63,31 @@ class KInd(Indet):
 
 class HInd(Indet):
     __slots__ = ("name",)
+    tag = "h"
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("h", name))
-
-    __hash__ = Indet.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, HInd) and other.name == self.name
+    def __new__(cls, name: str):
+        k = (cls.tag, name)
+        return TABLE.get(k) or cls.intern(k, name)
 
     def __repr__(self):
         return "h[%s]" % self.name
 
 
-# Creation serials of the (hash-consed) keys give a deterministic, total
-# monomial order.
-
-def indet_skey(x: Indet):
-    if isinstance(x, WInd):
-        return (0, x.key.serial)
-    if isinstance(x, KInd):
-        return (1, x.key.serial, x.i)
-    assert isinstance(x, HInd)
-    return (2, x.name)
-
+# Creation serials give a deterministic, total monomial order.
+_serial = attrgetter("serial")
 
 Monomial = Tuple[Indet, ...]
 
 
 def monomial(*indets: Indet) -> Monomial:
-    return tuple(sorted(indets, key=indet_skey))
+    return tuple(sorted(indets, key=_serial))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """Product of two monomials, sorted like every stored monomial."""
     if not a:
         return b
-    return tuple(sorted(a + b, key=indet_skey))
+    return tuple(sorted(a + b, key=_serial))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +175,7 @@ class Poly:
             return "0"
         parts = []
         for m, c in sorted(self._coeffs.items(),
-                           key=lambda mc: tuple(indet_skey(x) for x in mc[0])):
+                           key=lambda mc: tuple(map(_serial, mc[0]))):
             if not m:
                 parts.append(str(c))
             elif c == ONE:

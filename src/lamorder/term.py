@@ -15,10 +15,13 @@ function type are always lambdas.  ``App`` exists only as raw input syntax;
 De Bruijn indices may "leak" (point beyond all binders); substitution ignores
 them.
 
-Preterms are hash-consed: every constructor returns the one node that exists
-for its arguments, so structurally equal preterms are the same object and
-equality is identity.  Each node caches its type under the signature it was
-last typed in.  The node table keeps every distinct node for the life of the
+Preterms and types are hash-consed through ``Interned``, the base this module
+also gives the weight indeterminates (``poly``), the first-order terms
+(``fo_order``) and the oracle's symbol keys (``oracle``): every constructor
+returns the one value that exists for its arguments, so structurally equal
+values are the same object and equality is identity.  Each preterm caches its
+type under the signature it was last typed in, and whether a raw ``App``
+occurs in it.  The one table keeps every distinct value for the life of the
 process.
 """
 
@@ -34,27 +37,59 @@ class TermError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Types
+# Interning
 # ---------------------------------------------------------------------------
 
-class Type:
-    __slots__ = ("_hash",)
+# The one table of interned values, keyed on each value's tagged key.
+# Entries are kept for the life of the process: a workload that parses the
+# same text again finds its nodes, and their cached types, still there.
+# Single-threaded use only: two threads could build one key twice.
+TABLE: Dict[tuple, "Interned"] = {}
+
+
+class Interned:
+    """A hash-consed value.  Each subclass names its ``tag`` once; its
+    ``__new__`` returns ``TABLE.get(key) or cls.intern(key, *fields)`` for
+    the key ``(cls.tag, *fields)``, the fields in ``__slots__`` order.
+    ``serial`` is the creation number, unique since the table never drops a
+    value."""
+
+    __slots__ = ("_hash", "serial")
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # copies and unpickled values go through the constructor, so they intern
+        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+
+    @classmethod
+    def intern(cls, key: tuple, *fields):
+        """Build and register the value for a key the table does not hold."""
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
+        node._hash = hash(key)
+        node.serial = len(TABLE)
+        TABLE[key] = node
+        return node
+
+
+# ---------------------------------------------------------------------------
+# Types
+# ---------------------------------------------------------------------------
+
+class Type(Interned):
+    __slots__ = ()
+
 
 class TyVar(Type):
     __slots__ = ("name",)
+    tag = "tyvar"
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("tyvar", name))
-
-    __hash__ = Type.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, TyVar) and other.name == self.name
+    def __new__(cls, name: str):
+        key = (cls.tag, name)
+        return TABLE.get(key) or cls.intern(key, name)
 
     def __repr__(self):
         return "'" + self.name
@@ -62,17 +97,11 @@ class TyVar(Type):
 
 class TyCon(Type):
     __slots__ = ("name", "args")
+    tag = "tycon"
 
-    def __init__(self, name: str, args: Tuple[Type, ...] = ()):
-        self.name = name
-        self.args = args
-        self._hash = hash(("tycon", name, args))
-
-    __hash__ = Type.__hash__
-
-    def __eq__(self, other):
-        return (isinstance(other, TyCon) and other._hash == self._hash
-                and other.name == self.name and other.args == self.args)
+    def __new__(cls, name: str, args: Tuple[Type, ...] = ()):
+        key = (cls.tag, name, args)
+        return TABLE.get(key) or cls.intern(key, name, args)
 
     def __repr__(self):
         if not self.args:
@@ -201,47 +230,30 @@ class Signature:
 # Preterms
 # ---------------------------------------------------------------------------
 
-# Every node is interned in one table, keyed on the tuple its hash is taken
-# of, so equal constructions return the same object and equality is identity.
-# Entries are kept for the life of the process: a workload that parses the
-# same text again finds its nodes, and their cached types, still there.
-# Single-threaded use only: two threads could build one key twice.
-_NODES: Dict[tuple, "Preterm"] = {}
+class Preterm(Interned):
+    """``_typed`` caches ``(signature, type)`` for ``type_of``; ``raw`` tells
+    whether a raw ``App`` occurs anywhere in the node, parameters included,
+    and is set once, when the node is interned."""
 
+    __slots__ = ("_typed", "raw")
 
-def _intern(cls, key: tuple, *fields) -> "Preterm":
-    """Build and register the node for a key the table does not hold."""
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        setattr(node, name, value)
-    node._hash = hash(key)
-    node.serial = len(_NODES)
-    node._typed = None
-    _NODES[key] = node
-    return node
-
-
-class Preterm:
-    """A hash-consed node.  ``serial`` is its creation number, unique since
-    the table never drops a node; ``_typed`` caches ``(signature, type)``
-    for ``type_of``."""
-
-    __slots__ = ("_hash", "serial", "_typed")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # copies and unpickled nodes go through the constructor, so they intern
-        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+    @classmethod
+    def intern(cls, key: tuple, *fields):
+        node = super().intern(key, *fields)
+        node._typed = None
+        node.raw = cls is App or any(
+            x.raw for f in fields for x in (f if isinstance(f, tuple) else (f,))
+            if isinstance(x, Preterm))
+        return node
 
 
 class Var(Preterm):
     __slots__ = ("name", "ty", "args")
+    tag = "var"
 
     def __new__(cls, name: str, ty: Type, args: Tuple[Preterm, ...] = ()):
-        key = ("var", name, ty, args)
-        return _NODES.get(key) or _intern(cls, key, name, ty, args)
+        key = (cls.tag, name, ty, args)
+        return TABLE.get(key) or cls.intern(key, name, ty, args)
 
     def __repr__(self):
         return _spine_repr(self.name, self.args)
@@ -249,11 +261,12 @@ class Var(Preterm):
 
 class Sym(Preterm):
     __slots__ = ("name", "ty_args", "params", "args")
+    tag = "sym"
 
     def __new__(cls, name: str, ty_args: Tuple[Type, ...] = (),
                 params: Tuple[Preterm, ...] = (), args: Tuple[Preterm, ...] = ()):
-        key = ("sym", name, ty_args, params, args)
-        return _NODES.get(key) or _intern(cls, key, name, ty_args, params, args)
+        key = (cls.tag, name, ty_args, params, args)
+        return TABLE.get(key) or cls.intern(key, name, ty_args, params, args)
 
     def __repr__(self):
         head = self.name
@@ -266,10 +279,11 @@ class Sym(Preterm):
 
 class Db(Preterm):
     __slots__ = ("index", "ty", "args")
+    tag = "db"
 
     def __new__(cls, index: int, ty: Type, args: Tuple[Preterm, ...] = ()):
-        key = ("db", index, ty, args)
-        return _NODES.get(key) or _intern(cls, key, index, ty, args)
+        key = (cls.tag, index, ty, args)
+        return TABLE.get(key) or cls.intern(key, index, ty, args)
 
     def __repr__(self):
         return _spine_repr("#%d" % self.index, self.args)
@@ -277,10 +291,11 @@ class Db(Preterm):
 
 class Lam(Preterm):
     __slots__ = ("arg_ty", "body")
+    tag = "lam"
 
     def __new__(cls, arg_ty: Type, body: Preterm):
-        key = ("lam", arg_ty, body)
-        return _NODES.get(key) or _intern(cls, key, arg_ty, body)
+        key = (cls.tag, arg_ty, body)
+        return TABLE.get(key) or cls.intern(key, arg_ty, body)
 
     def __repr__(self):
         return "(\\%r. %r)" % (self.arg_ty, self.body)
@@ -290,10 +305,11 @@ class App(Preterm):
     """Raw application node; only legal as input to normalize()."""
 
     __slots__ = ("fn", "arg")
+    tag = "app"
 
     def __new__(cls, fn: Preterm, arg: Preterm):
-        key = ("app", fn, arg)
-        return _NODES.get(key) or _intern(cls, key, fn, arg)
+        key = (cls.tag, fn, arg)
+        return TABLE.get(key) or cls.intern(key, fn, arg)
 
     def __repr__(self):
         return "(%r %r)" % (self.fn, self.arg)

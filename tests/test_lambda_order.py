@@ -294,6 +294,11 @@ def test_lex_ext_traces():
     assert lex_ext(lambda a, b: next(seq), [1, 2], [1, 2]) is L
     with pytest.raises(ValueError):
         lex_ext(lambda a, b: E, [1], [])
+    # a long run of nonstrict positions folds in a loop, not a recursion
+    n = 5000
+    assert lex_ext(lambda a, b: GE, [0] * n, [0] * n) is GE
+    seq = iter([GE] * (n - 1) + [G])
+    assert lex_ext(lambda a, b: next(seq), [0] * n, [0] * n) is G
 
 
 def test_cw_ext_smooths_then_merges():
@@ -403,12 +408,6 @@ def test_strict_leak_mode():
 # Parameter validation
 # ---------------------------------------------------------------------------
 
-def test_order_params_reject_unknown_algorithm(small):
-    sig, _, _ = small
-    with pytest.raises(OrderError, match="algorithm"):
-        OrderParams(sig, KBO, prec=["a", "b", "g"], algo="fast")
-
-
 def test_compare_rejects_unknown_algorithm(small):
     _, kbo, lpo = small
     for p in (kbo, lpo):
@@ -467,6 +466,15 @@ def test_compare_rejects_raw_application(small, algo):
         algo(raw, Sym("a"), p)
     with pytest.raises(TermError, match="not a normalized term"):
         algo(Sym("a"), raw, p)
+    # a raw application below the top: g (f a) a, against a
+    from lamorder.checks import bench_signature
+    _, kbo, lpo = bench_signature()
+    nested = Sym("g", (), (), (App(Sym("f"), Sym("a")), Sym("a")))
+    p = _params_for(algo, kbo, lpo)
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(nested, Sym("a"), p)
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(Sym("a"), nested, p)
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
@@ -552,8 +560,8 @@ def _counting_lpo_naive():
 
 def test_naive_lpo_call_counts_are_pinned():
     """The naive LPO is the reference whose call count decides which bench
-    pairs are timed: pin its calls on the adversarial nests (both directions
-    summed) and on `lamorder bench`'s random corpus."""
+    pairs are timed: pin its calls on the adversarial nests, both directions
+    summed."""
     from lamorder.checks import adversarial_lpo_pair, bench_signature
     Spy, calls = _counting_lpo_naive()
     _, _, lpo = bench_signature()

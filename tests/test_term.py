@@ -1,13 +1,19 @@
 """Term representation: normalization, substitution, structural helpers."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 
 import pytest
 
+import lamorder
+from lamorder.fo_order import FoApp, FoVar
 from lamorder.gen import GenConfig, TermGen, free_var_types, gen_grounding_subst, gen_signature
-from lamorder.term import (ARROW, App, Db, Lam, Preterm, Signature, Substitution,
+from lamorder.oracle import DbKey, FKey, LamKey
+from lamorder.poly import HInd, KInd, WInd
+from lamorder.term import (ARROW, App, Db, Interned, Lam, Preterm, Signature, Substitution,
                            Sym, TermError, TyCon, TyVar, TypeDecl, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
                            check_types, eta_expansion_count, is_ground,
@@ -54,24 +60,71 @@ def test_equal_constructions_are_one_node():
                   lambda: Sym("sk", (), (Sym("a"),), (Sym("b"),)),
                   lambda: Db(0, arrow(K, K), (Sym("a"),)),
                   lambda: Lam(TyCon("k"), Db(0, K)),
-                  lambda: App(Sym("f"), Sym("a"))):
+                  lambda: App(Sym("f"), Sym("a")),
+                  lambda: TyVar("A"),
+                  lambda: TyCon("k"),
+                  lambda: WInd(Var("x", K)),
+                  lambda: KInd(Var("x", K), 2),
+                  lambda: HInd("A"),
+                  lambda: FoVar("A"),
+                  lambda: FoApp("->", (FoApp("k"), FoVar("A"))),
+                  lambda: FKey("sk", (K,), (Sym("a"),)),
+                  lambda: DbKey(0, 2),
+                  lambda: LamKey(arrow(K, O))):
         assert build() is build()
     assert Sym("a", (), (), ()) is a
     assert Sym("a", (K,)) is not a
     assert Var("x", K) is not Var("x", O)
+    assert TyCon("k", ()) is K
+    assert KInd(Var("x", K), 1) is not KInd(Var("x", K), 2)
 
 
 def test_copies_and_unpickled_nodes_are_the_node_itself():
     t = Lam(K, Sym("g", (), (), (Db(0, K), Var("x", K))))
-    assert copy.copy(t) is t
-    assert copy.deepcopy(t) is t
-    assert pickle.loads(pickle.dumps(t)) is t
+    for v in (t, App(Sym("f"), Sym("a")), TyVar("A"), arrow(K, O), WInd(Var("x", K)),
+              KInd(Var("x", K), 1), HInd("A"), FoVar("A"), FoApp("k", (FoVar("A"),)),
+              FKey("sk", (K,), (Sym("a"),)), DbKey(1, 0), LamKey(K)):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert pickle.loads(pickle.dumps(v)) is v
 
 
 def test_hash_is_the_structural_tuple_hash():
     assert hash(Sym("a")) == hash(("sym", "a", (), (), ()))
     x = Var("x", K)
     assert hash(Lam(K, x)) == hash(("lam", K, x))
+    assert hash(TyVar("A")) == hash(("tyvar", "A"))
+    assert hash(K) == hash(("tycon", "k", ()))
+    assert hash(WInd(x)) == hash(("w", x))
+    assert hash(KInd(x, 1)) == hash(("k", x, 1))
+    assert hash(HInd("A")) == hash(("h", "A"))
+    assert hash(FoVar("A")) == hash(("fovar", "A"))
+    assert hash(FoApp("k")) == hash(("foapp", "k", ()))
+    assert hash(FKey("a", (), ())) == hash(("fkey", "a", (), ()))
+    assert hash(DbKey(0, 1)) == hash(("dbkey", 0, 1))
+    assert hash(LamKey(K)) == hash(("lamkey", K))
+
+
+def test_interned_classes_have_distinct_tags_and_identity_equality():
+    """All interned classes share one table, keyed on each class's tag: two
+    classes with one tag would return each other's values, and a class of
+    its own equality or hash would break the identity the table gives."""
+    for mod in pkgutil.iter_modules(lamorder.__path__):
+        importlib.import_module("lamorder." + mod.name)
+    assert "__hash__" in vars(Interned)
+    owners = {}
+    todo = list(Interned.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+        if cls.__subclasses__():
+            continue
+        tag = vars(cls).get("tag")
+        assert isinstance(tag, str), cls
+        assert tag not in owners, (cls, owners.get(tag))
+        owners[tag] = cls
+    assert len(owners) >= 15
 
 
 def test_normalize_returns_a_normal_term_itself(sig):

@@ -1,12 +1,16 @@
 """Randomized property families.
 
-Each family is a function (seed, iters) -> PropertyResult.  The CLI's check
+Each family is one trial body (env, rng, i) -> counterexample or None,
+registered under its name with @family.  FAMILIES maps each name to a
+runner (seed, iters) -> PropertyResult that builds the family's environment
+and trial generator from the seed and runs the trials.  The CLI's check
 command runs all of them and reports one line per family; the test suite
 calls them directly with its own trial counts.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -49,11 +53,8 @@ class PropertyResult:
 class _Env:
     """One generated signature with both parameter sets and helper pools."""
 
-    def __init__(self, seed: int, polymorphic: bool = False,
-                 ordinal_weights: bool = False):
-        cfg = GenConfig(seed=seed, polymorphic=polymorphic,
-                        ordinal_weights=ordinal_weights)
-        self.cfg = cfg
+    def __init__(self, seed: int, polymorphic: bool = False):
+        cfg = GenConfig(seed=seed, polymorphic=polymorphic)
         self.polymorphic = polymorphic
         self.rng = random.Random(seed ^ 0x5EED)
         self.sig, self.kbo, self.lpo = gen_signature(cfg)
@@ -63,9 +64,12 @@ class _Env:
                            poly_ty_vars=self.ty_vars)
         self.bases = [TyCon(n) for n, a in self.sig.type_constructors.items()
                       if a == 0 and n != tm.ARROW]
+        # what a family carries from one trial to the next within a run
+        self.memo: Dict = {}
 
-    def params(self, kind: str) -> OrderParams:
-        return self.kbo if kind == KBO else self.lpo
+    def order(self, i: int) -> Tuple[str, OrderParams]:
+        """Trial i's order and parameters: KBO on even trials, LPO on odd."""
+        return (KBO, self.kbo) if i % 2 == 0 else (LPO, self.lpo)
 
     def random_type(self, fun_ok: bool = True):
         r = self.rng.random()
@@ -82,78 +86,86 @@ class _Env:
         return self.gen.gen(self.random_type(), size, ground=False)
 
 
-def _run(name: str, iters: int, body: Callable[[random.Random, int], Optional[str]],
-         seed: int) -> PropertyResult:
+Trial = Callable[[_Env, random.Random, int], Optional[str]]
+
+FAMILIES: Dict[str, Callable[[int, int], PropertyResult]] = {}
+
+
+def _trials(name: str, body: Trial, polymorphic: bool, seed: int,
+            iters: int) -> PropertyResult:
+    """Run body on trials 0 .. iters-1 of a fresh environment and report the
+    number of counterexamples and the first one."""
+    env = _Env(seed, polymorphic)
     rng = random.Random(seed)
-    failures = 0
-    first = None
-    for i in range(iters):
-        ce = body(rng, i)
-        if ce is not None:
-            failures += 1
-            if first is None:
-                first = ce
-    return PropertyResult(name, iters, failures, first)
+    ces = [ce for ce in (body(env, rng, i) for i in range(iters)) if ce is not None]
+    return PropertyResult(name, iters, len(ces), ces[0] if ces else None)
+
+
+def family(name: str, polymorphic: bool = False) -> Callable[[Trial], Trial]:
+    """Register a trial body as the family `name` in FAMILIES."""
+    def register(body: Trial) -> Trial:
+        FAMILIES[name] = functools.partial(_trials, name, body, polymorphic)
+        return body
+    return register
+
+
+def run_families(seed: int, iters: int,
+                 names: Optional[List[str]] = None) -> List[PropertyResult]:
+    """Run the named families (all when names is empty) in registration
+    order; an unknown name raises ValueError before any family runs."""
+    unknown = [n for n in names or () if n not in FAMILIES]
+    if unknown:
+        raise ValueError("unknown property family: %s" % ", ".join(unknown))
+    return [fn(seed, iters) for name, fn in FAMILIES.items()
+            if not names or name in names]
 
 
 # ---------------------------------------------------------------------------
 # Term-structure families
 # ---------------------------------------------------------------------------
 
-def prop_normalize_idempotent(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        t = env.open_term()
-        again = normalize(t, env.sig)
-        if again != t:
-            return "normalize not idempotent on %r" % (t,)
-        tm.check_types(t, env.sig)
-        return None
-
-    return _run("normalize-idempotent", iters, body, seed)
+@family("normalize-idempotent")
+def _normalize_idempotent(env, rng, i):
+    t = env.open_term()
+    again = normalize(t, env.sig)
+    if again != t:
+        return "normalize not idempotent on %r" % (t,)
+    tm.check_types(t, env.sig)
+    return None
 
 
-def prop_subst_compose(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        t = env.open_term()
-        fv = free_var_types(t)
-        theta = gen_grounding_subst(rng, env.sig, fv)
-        u1 = apply_subst(t, theta, env.sig)
-        # split theta into two layers: identity on half, then the rest
-        names = sorted(fv)
-        half = {k: v for k, v in fv.items() if k in names[: len(names) // 2]}
-        rest = {k: v for k, v in fv.items() if k not in half}
-        th1 = tm.Substitution(term_map={(n, ty): theta.term_map[(n, ty)]
-                                        for n, ty in half.items()})
-        th2 = tm.Substitution(term_map={(n, ty): theta.term_map[(n, ty)]
-                                        for n, ty in rest.items()})
-        u2 = apply_subst(apply_subst(t, th1, env.sig), th2, env.sig)
-        if u1 != u2:
-            return "substitution composition differs on %r" % (t,)
-        return None
-
-    return _run("subst-compose", iters, body, seed)
+@family("subst-compose")
+def _subst_compose(env, rng, i):
+    t = env.open_term()
+    fv = free_var_types(t)
+    theta = gen_grounding_subst(rng, env.sig, fv)
+    u1 = apply_subst(t, theta, env.sig)
+    # split theta into two layers: identity on half, then the rest
+    names = sorted(fv)
+    half = {k: v for k, v in fv.items() if k in names[: len(names) // 2]}
+    rest = {k: v for k, v in fv.items() if k not in half}
+    th1 = tm.Substitution(term_map={(n, ty): theta.term_map[(n, ty)]
+                                    for n, ty in half.items()})
+    th2 = tm.Substitution(term_map={(n, ty): theta.term_map[(n, ty)]
+                                    for n, ty in rest.items()})
+    u2 = apply_subst(apply_subst(t, th1, env.sig), th2, env.sig)
+    if u1 != u2:
+        return "substitution composition differs on %r" % (t,)
+    return None
 
 
-def prop_context_round_trip(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        t = env.ground_term()
-        path, depth = gen_context(rng, t)
-        sub = subterm_at(t, path)
-        if tm.refers_to_outer_binders(sub, depth):
-            return None  # not the image of a shift; no term plugs in here
-        lowered = shift(sub, -depth, 0) if depth else sub
-        back = replace_at(t, path, lowered)
-        if back != t:
-            return "context round trip failed at %r in %r" % (path, t)
-        return None
-
-    return _run("context-round-trip", iters, body, seed)
+@family("context-round-trip")
+def _context_round_trip(env, rng, i):
+    t = env.ground_term()
+    path, depth = gen_context(rng, t)
+    sub = subterm_at(t, path)
+    if tm.refers_to_outer_binders(sub, depth):
+        return None  # not the image of a shift; no term plugs in here
+    lowered = shift(sub, -depth, 0) if depth else sub
+    back = replace_at(t, path, lowered)
+    if back != t:
+        return "context round trip failed at %r in %r" % (path, t)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -164,40 +176,32 @@ def _random_assignment(rng: random.Random, poly: Poly):
     return {x: from_int(rng.choice([0, 1, 2, 5])) for x in poly.indets()}
 
 
-def prop_surely_nonneg_sound(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        t = env.open_term()
-        s = env.open_term()
-        w = weight_diff(t, s, env.kbo)
-        if not w.surely_nonneg():
-            return None
-        assignment = _random_assignment(rng, w)
-        if not eval_poly(w, assignment).is_nonneg():
-            return "nonneg-certified polynomial evaluated negative: %r" % (w,)
+@family("surely-nonneg-sound")
+def _surely_nonneg_sound(env, rng, i):
+    t = env.open_term()
+    s = env.open_term()
+    w = weight_diff(t, s, env.kbo)
+    if not w.surely_nonneg():
         return None
+    assignment = _random_assignment(rng, w)
+    if not eval_poly(w, assignment).is_nonneg():
+        return "nonneg-certified polynomial evaluated negative: %r" % (w,)
+    return None
 
-    return _run("surely-nonneg-sound", iters, body, seed)
 
-
-def prop_analyze_consistent(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        t = env.open_term()
-        s = env.open_term()
-        w = weight_diff(t, s, env.kbo)
-        verdict = analyze_weight_diff(w)
-        assignment = _random_assignment(rng, w)
-        v = eval_poly(w, assignment)
-        ok = {G: v.is_positive(), GE: v.is_nonneg(), E: v.is_zero(),
-              LE: (-v).is_nonneg(), L: (-v).is_positive(), U: True}[verdict]
-        if not ok:
-            return "analyze=%s but value=%s for %r" % (verdict, v, w)
-        return None
-
-    return _run("analyze-consistent", iters, body, seed)
+@family("analyze-consistent")
+def _analyze_consistent(env, rng, i):
+    t = env.open_term()
+    s = env.open_term()
+    w = weight_diff(t, s, env.kbo)
+    verdict = analyze_weight_diff(w)
+    assignment = _random_assignment(rng, w)
+    v = eval_poly(w, assignment)
+    ok = {G: v.is_positive(), GE: v.is_nonneg(), E: v.is_zero(),
+          LE: (-v).is_nonneg(), L: (-v).is_positive(), U: True}[verdict]
+    if not ok:
+        return "analyze=%s but value=%s for %r" % (verdict, v, w)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -225,371 +229,271 @@ def _mutated_params(p: OrderParams) -> OrderParams:
                        w_db=p.w_db, coeffs=p.coeffs, prec=prec,
                        ty_weights=p.ty_weights,
                        ty_prec=sorted(p.ty_prec_ranks, key=p.ty_prec_ranks.get),
-                       watershed=p.watershed)
+                       watershed=p.watershed, strict_leaks=p.strict_leaks,
+                       ordinal_weights=p.ordinal_weights)
 
 
-def prop_oracle_equivalence(seed: int, iters: int, mutate: bool = False) -> PropertyResult:
-    env = _Env(seed)
-    name = "oracle-equivalence" + ("-mutated" if mutate else "")
+@family("oracle-equivalence")
+def _oracle_equivalence(env, rng, i, mutate=False):
+    kind, p = env.order(i)
+    oracle_p = _mutated_params(p) if mutate else p
+    t = env.ground_term(8)
+    s = env.ground_term(8)
+    want = oracle_compare(t, s, oracle_p)
+    for fn in _ALGOS[kind]:
+        got = fn(t, s, p)
+        if got != want:
+            return "%s %s vs oracle %s on %r / %r" % (fn.__name__, got, want, t, s)
+    return None
 
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        oracle_p = _mutated_params(p) if mutate else p
-        t = env.ground_term(8)
-        s = env.ground_term(8)
-        want = oracle_compare(t, s, oracle_p)
-        for fn in _ALGOS[kind]:
-            got = fn(t, s, p)
-            if got != want:
-                return "%s %s vs oracle %s on %r / %r" % (fn.__name__, got, want, t, s)
+
+def oracle_equivalence_mutated(seed: int, iters: int) -> PropertyResult:
+    """oracle-equivalence against an oracle with two precedence ranks
+    swapped: a self-test that the harness reports a seeded fault.  It is not
+    a family, since it is meant to fail."""
+    return _trials("oracle-equivalence-mutated",
+                   functools.partial(_oracle_equivalence, mutate=True),
+                   False, seed, iters)
+
+
+@family("ground-total")
+def _ground_total(env, rng, i):
+    kind, p = env.order(i)
+    t = env.ground_term(8)
+    s = env.ground_term(8)
+    c = compare(t, s, p)
+    if c in (U, GE, LE):
+        return "ground comparison returned %s on %r / %r" % (c, t, s)
+    return None
+
+
+@family("naive-opt-equal", polymorphic=True)
+def _naive_opt_equal(env, rng, i):
+    kind, p = env.order(i)
+    naive, opt = _ALGOS[kind]
+    t = env.open_term(8)
+    s = env.open_term(8)
+    a = naive(t, s, p)
+    b = opt(t, s, p)
+    if a != b:
+        return "%s naive=%s opt=%s on %r / %r" % (kind, a, b, t, s)
+    return None
+
+
+@family("flip-symmetric", polymorphic=True)
+def _flip_symmetric(env, rng, i):
+    kind, p = env.order(i)
+    t = env.open_term(8)
+    s = env.open_term(8)
+    if compare(t, s, p) != flip(compare(s, t, p)):
+        return "asymmetric verdicts on %r / %r" % (t, s)
+    return None
+
+
+@family("grounding-stable")
+def _grounding_stable(env, rng, i):
+    kind, p = env.order(i)
+    ty = env.random_type()
+    t = env.gen.gen(ty, 8, ground=False)
+    s = env.gen.gen(ty, 8, ground=False)
+    c = compare(t, s, p)
+    if c not in (G, GE, LE, L):
         return None
+    fv = dict(free_var_types(t))
+    fv.update(free_var_types(s))
+    theta = gen_grounding_subst(rng, env.sig, fv)
+    tg, sg = apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig)
+    cg = compare(tg, sg, p)
+    want = {G: (G,), GE: (G, E), LE: (L, E), L: (L,)}[c]
+    if cg not in want:
+        return "%s: %s became %s under grounding on %r / %r" % (kind, c, cg, t, s)
+    return None
 
-    return _run(name, iters, body, seed)
 
-
-def prop_ground_total(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        t = env.ground_term(8)
-        s = env.ground_term(8)
-        c = compare(t, s, env.params(kind))
-        if c in (U, GE, LE):
-            return "ground comparison returned %s on %r / %r" % (c, t, s)
+@family("monomorphizing-stable", polymorphic=True)
+def _monomorphizing_stable(env, rng, i):
+    kind, p = env.order(i)
+    t = env.open_term(8)
+    s = env.open_term(8)
+    c = compare(t, s, p)
+    if c not in (G, GE, LE, L):
         return None
-
-    return _run("ground-total", iters, body, seed)
-
-
-def prop_naive_opt_equal(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed, polymorphic=True)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        naive, opt = _ALGOS[kind]
-        t = env.open_term(8)
-        s = env.open_term(8)
-        a = naive(t, s, env.params(kind))
-        b = opt(t, s, env.params(kind))
-        if a != b:
-            return "%s naive=%s opt=%s on %r / %r" % (kind, a, b, t, s)
+    tyvars = set(free_ty_vars(t)) | set(free_ty_vars(s))
+    if not tyvars:
         return None
+    theta = gen_monomorphizing_subst(rng, env.sig, sorted(tyvars))
+    tg, sg = apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig)
+    cg = compare(tg, sg, p)
+    want = {G: (G,), GE: (G, GE, E), LE: (L, LE, E), L: (L,)}[c]
+    if cg not in want:
+        return "%s: %s became %s after type instantiation on %r / %r" \
+            % (kind, c, cg, t, s)
+    return None
 
-    return _run("naive-opt-equal", iters, body, seed)
 
-
-def prop_flip_symmetric(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed, polymorphic=True)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        t = env.open_term(8)
-        s = env.open_term(8)
-        p = env.params(kind)
-        if compare(t, s, p) != flip(compare(s, t, p)):
-            return "asymmetric verdicts on %r / %r" % (t, s)
+@family("transitive")
+def _transitive(env, rng, i):
+    kind, p = env.order(i)
+    ty = env.random_type()
+    u = env.gen.gen(ty, 7, ground=False)
+    t = env.gen.gen(ty, 7, ground=False)
+    s = env.gen.gen(ty, 7, ground=False)
+    cut = compare(u, t, p)
+    cts = compare(t, s, p)
+    if cut not in (G, GE, E) or cts not in (G, GE, E):
         return None
+    cus = compare(u, s, p)
+    if cus not in (G, GE, E):
+        return "%s: u>=t>=s but u vs s = %s" % (kind, cus)
+    if (cut is G or cts is G) and cus is not G:
+        # one strict premise forces a strict conclusion
+        return "%s: strict chain lost strictness (%s, %s -> %s)" % (kind, cut, cts, cus)
+    return None
 
-    return _run("flip-symmetric", iters, body, seed)
+
+@family("context-compatible")
+def _context_compatible(env, rng, i):
+    kind, p = env.order(i)
+    ty = env.random_type()
+    t = env.gen.gen(ty, 7, ground=True)
+    s = env.gen.gen(ty, 7, ground=True)
+    if compare(t, s, p) is not G:
+        return None
+    host = env.ground_term(8)
+    spots = [(path, d) for path, d in accessible_positions(host)
+             if type_of(subterm_at(host, path), env.sig) == ty]
+    if not spots:
+        return None
+    path, depth = rng.choice(spots)
+    big = replace_at(host, path, t)
+    small = replace_at(host, path, s)
+    if compare(big, small, p) is not G:
+        return "%s: context broke strictness at %r" % (kind, path)
+    return None
 
 
-def prop_grounding_stable(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
+@family("subterm-property")
+def _subterm_property(env, rng, i):
+    kind, p = env.order(i)
+    u = env.ground_term(9)
+    path, depth = gen_context(rng, u)
+    sub = subterm_at(u, path)
+    if tm.refers_to_outer_binders(sub, depth):
+        return None
+    s = shift(sub, -depth, 0) if depth else sub
+    c = compare(u, s, p)
+    if c not in (G, E):
+        return "%s: term vs its accessible subterm gave %s" % (kind, c)
+    return None
 
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        ty = env.random_type()
-        t = env.gen.gen(ty, 8, ground=False)
-        s = env.gen.gen(ty, 8, ground=False)
-        c = compare(t, s, p)
-        if c not in (G, GE, LE, L):
+
+@family("diff-dominated")
+def _diff_dominated(env, rng, i):
+    kind, p = env.order(i)
+    fun_ty = arrow(rng.choice(env.bases), rng.choice(env.bases))
+    u = env.gen.gen(fun_ty, 7, ground=True)
+    s = env.gen.gen(fun_ty, 5, ground=True)
+    t = env.gen.gen(fun_ty, 5, ground=True)
+    skolem = Sym("diff", tuple(fun_ty.args), (s, t))
+    applied = normalize(app(u, skolem), env.sig)
+    if compare(u, applied, p) is not G:
+        return "%s: u is not above u applied to its difference witness" % kind
+    return None
+
+
+@family("top-bot-minimal")
+def _top_bot_minimal(env, rng, i):
+    kind, p = env.order(i)
+    top, bot = (normalize(Sym(n), env.sig) for n in ("top", "bot"))
+    if compare(bot, top, p) is not G:
+        return "%s: bot does not dominate top" % kind
+    t = env.ground_term(7)
+    if t in (top, bot):
+        return None
+    if compare(t, top, p) is not G or compare(t, bot, p) is not G:
+        return "%s: %r does not dominate the truth constants" % (kind, t)
+    return None
+
+
+def _outside_params(t: Preterm, name: str) -> bool:
+    """Whether variable `name` occurs in t other than inside a symbol's
+    parameters."""
+    if isinstance(t, Lam):
+        return _outside_params(t.body, name)
+    if isinstance(t, Var) and t.name == name:
+        return True
+    return any(_outside_params(a, name) for a in t.args)
+
+
+@family("variable-guarantee")
+def _variable_guarantee(env, rng, i):
+    kind, p = env.order(i)
+    ty = env.random_type()
+    t = env.gen.gen(ty, 8, ground=False)
+    s = env.gen.gen(ty, 8, ground=False)
+    if compare(t, s, p) is not G:
+        return None
+    # the identity substitution qualifies once every variable in both
+    # terms is already nonfunctional
+    for vty in list(free_var_types(s).values()) + list(free_var_types(t).values()):
+        if tm.is_arrow(vty) or isinstance(vty, tm.TyVar):
             return None
-        fv = dict(free_var_types(t))
-        fv.update(free_var_types(s))
-        theta = gen_grounding_subst(rng, env.sig, fv)
-        tg, sg = apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig)
-        cg = compare(tg, sg, p)
-        want = {G: (G,), GE: (G, E), LE: (L, E), L: (L,)}[c]
-        if cg not in want:
-            return "%s: %s became %s under grounding on %r / %r" % (kind, c, cg, t, s)
-        return None
-
-    return _run("grounding-stable", iters, body, seed)
-
-
-def prop_monomorphizing_stable(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed, polymorphic=True)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        t = env.open_term(8)
-        s = env.open_term(8)
-        c = compare(t, s, p)
-        if c not in (G, GE, LE, L):
-            return None
-        tyvars = set(free_ty_vars(t)) | set(free_ty_vars(s))
-        if not tyvars:
-            return None
-        theta = gen_monomorphizing_subst(rng, env.sig, sorted(tyvars))
-        tg, sg = apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig)
-        cg = compare(tg, sg, p)
-        want = {G: (G,), GE: (G, GE, E), LE: (L, LE, E), L: (L,)}[c]
-        if cg not in want:
-            return "%s: %s became %s after type instantiation on %r / %r" \
-                % (kind, c, cg, t, s)
-        return None
-
-    return _run("monomorphizing-stable", iters, body, seed)
-
-
-def prop_transitive(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        ty = env.random_type()
-        u = env.gen.gen(ty, 7, ground=False)
-        t = env.gen.gen(ty, 7, ground=False)
-        s = env.gen.gen(ty, 7, ground=False)
-        cut = compare(u, t, p)
-        cts = compare(t, s, p)
-        if cut not in (G, GE, E) or cts not in (G, GE, E):
-            return None
-        cus = compare(u, s, p)
-        if cus not in (G, GE, E):
-            return "%s: u>=t>=s but u vs s = %s" % (kind, cus)
-        if (cut is G or cts is G) and cus is not G:
-            # one strict premise forces a strict conclusion
-            return "%s: strict chain lost strictness (%s, %s -> %s)" % (kind, cut, cts, cus)
-        return None
-
-    return _run("transitive", iters, body, seed)
-
-
-def prop_context_compatible(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        ty = env.random_type()
-        t = env.gen.gen(ty, 7, ground=True)
-        s = env.gen.gen(ty, 7, ground=True)
-        if compare(t, s, p) is not G:
-            return None
-        host = env.ground_term(8)
-        spots = [(path, d) for path, d in accessible_positions(host)
-                 if type_of(subterm_at(host, path), env.sig) == ty]
-        if not spots:
-            return None
-        path, depth = rng.choice(spots)
-        big = replace_at(host, path, t)
-        small = replace_at(host, path, s)
-        if compare(big, small, p) is not G:
-            return "%s: context broke strictness at %r" % (kind, path)
-        return None
-
-    return _run("context-compatible", iters, body, seed)
-
-
-def prop_subterm_property(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        u = env.ground_term(9)
-        path, depth = gen_context(rng, u)
-        sub = subterm_at(u, path)
-        if tm.refers_to_outer_binders(sub, depth):
-            return None
-        s = shift(sub, -depth, 0) if depth else sub
-        c = compare(u, s, p)
-        if c not in (G, E):
-            return "%s: term vs its accessible subterm gave %s" % (kind, c)
-        return None
-
-    return _run("subterm-property", iters, body, seed)
-
-
-def prop_diff_dominated(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        fun_ty = arrow(rng.choice(env.bases), rng.choice(env.bases))
-        u = env.gen.gen(fun_ty, 7, ground=True)
-        s = env.gen.gen(fun_ty, 5, ground=True)
-        t = env.gen.gen(fun_ty, 5, ground=True)
-        skolem = Sym("diff", tuple(fun_ty.args), (s, t))
-        applied = normalize(app(u, skolem), env.sig)
-        if compare(u, applied, p) is not G:
-            return "%s: u is not above u applied to its difference witness" % kind
-        return None
-
-    return _run("diff-dominated", iters, body, seed)
-
-
-def prop_top_bot_minimal(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-    top = normalize(Sym("top"), env.sig)
-    bot = normalize(Sym("bot"), env.sig)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        if compare(bot, top, p) is not G:
-            return "%s: bot does not dominate top" % kind
-        t = env.ground_term(7)
-        if t in (top, bot):
-            return None
-        if compare(t, top, p) is not G or compare(t, bot, p) is not G:
-            return "%s: %r does not dominate the truth constants" % (kind, t)
-        return None
-
-    return _run("top-bot-minimal", iters, body, seed)
-
-
-def prop_variable_guarantee(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def outside_params(t: Preterm, name: str) -> bool:
-        if isinstance(t, Var):
-            return t.name == name or any(outside_params(a, name) for a in t.args)
-        if isinstance(t, Lam):
-            return outside_params(t.body, name)
-        if isinstance(t, Sym):
-            return any(outside_params(a, name) for a in t.args)
-        return any(outside_params(a, name) for a in t.args)
-
-    def body(rng, i):
-        kind = KBO if i % 2 == 0 else LPO
-        p = env.params(kind)
-        ty = env.random_type()
-        t = env.gen.gen(ty, 8, ground=False)
-        s = env.gen.gen(ty, 8, ground=False)
-        if compare(t, s, p) is not G:
-            return None
-        # the identity substitution qualifies once every variable in both
-        # terms is already nonfunctional
-        for vty in list(free_var_types(s).values()) + list(free_var_types(t).values()):
-            if tm.is_arrow(vty) or isinstance(vty, tm.TyVar):
-                return None
-        for name in free_var_types(s):
-            if outside_params(s, name) and not outside_params(t, name):
-                return "%s: variable %s of the smaller side is unguarded" % (kind, name)
-        return None
-
-    return _run("variable-guarantee", iters, body, seed)
+    for name in free_var_types(s):
+        if _outside_params(s, name) and not _outside_params(t, name):
+            return "%s: variable %s of the smaller side is unguarded" % (kind, name)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Weight-lemma families
 # ---------------------------------------------------------------------------
 
-def prop_weight_grounding_lemma(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-
-    def body(rng, i):
-        t = env.gen.gen(env.random_type(), 9, ground=False)
-        if not tm.is_monomorphic(t):
-            return None
-        reps: Dict = {}
-        w = weight_poly(t, env.kbo, reps)
-        theta = gen_grounding_subst(rng, env.sig, free_var_types(t))
-        mapping = assignment_from_grounding(theta, reps, env.kbo)
-        lhs = subst_poly(w, mapping)
-        rhs = weight_poly(apply_subst(t, theta, env.sig), env.kbo)
-        if lhs != rhs:
-            return "weight transport failed: %r vs %r on %r" % (lhs, rhs, t)
+@family("weight-grounding-lemma")
+def _weight_grounding_lemma(env, rng, i):
+    t = env.gen.gen(env.random_type(), 9, ground=False)
+    if not tm.is_monomorphic(t):
         return None
+    reps: Dict = {}
+    w = weight_poly(t, env.kbo, reps)
+    theta = gen_grounding_subst(rng, env.sig, free_var_types(t))
+    mapping = assignment_from_grounding(theta, reps, env.kbo)
+    lhs = subst_poly(w, mapping)
+    rhs = weight_poly(apply_subst(t, theta, env.sig), env.kbo)
+    if lhs != rhs:
+        return "weight transport failed: %r vs %r on %r" % (lhs, rhs, t)
+    return None
 
-    return _run("weight-grounding-lemma", iters, body, seed)
 
-
-def prop_weight_monomorphizing_lemma(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed, polymorphic=True)
-
-    def body(rng, i):
-        t = env.open_term(9)
-        tyvars = free_ty_vars(t)
-        if not tyvars:
-            return None
-        theta = gen_monomorphizing_subst(rng, env.sig, tyvars, flat=True)
-        reps: Dict = {}
-        w = weight_poly(t, env.kbo, reps)
-        mapping = poly_subst_from_monomorphizing(theta, reps, env.kbo)
-        lhs = subst_poly(w, mapping)
-        rhs = weight_poly(apply_subst(t, theta, env.sig), env.kbo)
-        if lhs != rhs:
-            return "monomorphizing weight transport failed on %r" % (t,)
+@family("weight-monomorphizing-lemma", polymorphic=True)
+def _weight_monomorphizing_lemma(env, rng, i):
+    t = env.open_term(9)
+    tyvars = free_ty_vars(t)
+    if not tyvars:
         return None
-
-    return _run("weight-monomorphizing-lemma", iters, body, seed)
-
-
-def prop_encode_faithful(seed: int, iters: int) -> PropertyResult:
-    env = _Env(seed)
-    seen: Dict = {}
-
-    def body(rng, i):
-        u = env.ground_term(8)
-        enc = encode_ground(u)
-        old = seen.get(enc)
-        if old is not None and old != u:
-            return "distinct ground terms share an encoding: %r / %r" % (old, u)
-        seen[enc] = u
-        got = oracle_weight(u, env.kbo)
-        want = weight_poly(u, env.kbo)
-        if not want.is_constant() or want.constant != got:
-            return "weights disagree through the encoding on %r" % (u,)
-        return None
-
-    return _run("encode-faithful", iters, body, seed)
+    theta = gen_monomorphizing_subst(rng, env.sig, tyvars, flat=True)
+    reps: Dict = {}
+    w = weight_poly(t, env.kbo, reps)
+    mapping = poly_subst_from_monomorphizing(theta, reps, env.kbo)
+    lhs = subst_poly(w, mapping)
+    rhs = weight_poly(apply_subst(t, theta, env.sig), env.kbo)
+    if lhs != rhs:
+        return "monomorphizing weight transport failed on %r" % (t,)
+    return None
 
 
-# ---------------------------------------------------------------------------
-# Registry and runner
-# ---------------------------------------------------------------------------
-
-FAMILIES: Dict[str, Callable[[int, int], PropertyResult]] = {
-    "normalize-idempotent": prop_normalize_idempotent,
-    "subst-compose": prop_subst_compose,
-    "context-round-trip": prop_context_round_trip,
-    "surely-nonneg-sound": prop_surely_nonneg_sound,
-    "analyze-consistent": prop_analyze_consistent,
-    "oracle-equivalence": prop_oracle_equivalence,
-    "ground-total": prop_ground_total,
-    "naive-opt-equal": prop_naive_opt_equal,
-    "flip-symmetric": prop_flip_symmetric,
-    "grounding-stable": prop_grounding_stable,
-    "monomorphizing-stable": prop_monomorphizing_stable,
-    "transitive": prop_transitive,
-    "context-compatible": prop_context_compatible,
-    "subterm-property": prop_subterm_property,
-    "diff-dominated": prop_diff_dominated,
-    "top-bot-minimal": prop_top_bot_minimal,
-    "variable-guarantee": prop_variable_guarantee,
-    "weight-grounding-lemma": prop_weight_grounding_lemma,
-    "weight-monomorphizing-lemma": prop_weight_monomorphizing_lemma,
-    "encode-faithful": prop_encode_faithful,
-}
-
-
-def run_families(seed: int, iters: int,
-                 names: Optional[List[str]] = None) -> List[PropertyResult]:
-    out = []
-    for name, fn in FAMILIES.items():
-        if names and name not in names:
-            continue
-        out.append(fn(seed, iters))
-    return out
+@family("encode-faithful")
+def _encode_faithful(env, rng, i):
+    u = env.ground_term(8)
+    enc = encode_ground(u)
+    old = env.memo.get(enc)
+    if old is not None and old != u:
+        return "distinct ground terms share an encoding: %r / %r" % (old, u)
+    env.memo[enc] = u
+    got = oracle_weight(u, env.kbo)
+    want = weight_poly(u, env.kbo)
+    if not want.is_constant() or want.constant != got:
+        return "weights disagree through the encoding on %r" % (u,)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    try:
+        results = checks.run_families(args.seed, args.iters, args.families)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     if args.iters <= 0:
         return 0
-    results = checks.run_families(args.seed, args.iters, args.families or None)
     bad = 0
     for r in results:
         print(r.line())

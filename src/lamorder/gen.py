@@ -23,17 +23,17 @@ class GenError(Exception):
 
 
 class GenConfig:
-    def __init__(self, seed: int = 0, max_arity: int = 3,
-                 ty_var_count: int = 2, term_var_count: int = 4,
-                 ordinal_weights: bool = False, polymorphic: bool = False,
-                 n_symbols: int = 6):
+    # the fixed shape of every generated signature and variable pool
+    max_arity = 3
+    ty_var_count = 2
+    term_var_count = 4
+    n_symbols = 6
+
+    def __init__(self, seed: int = 0, ordinal_weights: bool = False,
+                 polymorphic: bool = False):
         self.seed = seed
-        self.max_arity = max_arity
-        self.ty_var_count = ty_var_count
-        self.term_var_count = term_var_count
         self.ordinal_weights = ordinal_weights
         self.polymorphic = polymorphic
-        self.n_symbols = n_symbols
 
 
 # ---------------------------------------------------------------------------

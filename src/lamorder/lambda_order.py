@@ -744,7 +744,10 @@ def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
     arrow-typed spines, then compare them."""
     for u in (t, s):
         if u.raw or not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
-            raise TermError("not a normalized term (normalize it first): %r" % (u,))
+            # name the fault, not the term: printing a deep term overflows
+            raise TermError("not a normalized term (normalize it first): %s"
+                            % ("a raw application occurs in it" if u.raw else
+                               "it has arrow type %r" % (type_of(u, p.sig),)))
     if t is s:
         return E
     return cls(p).compare(t, s)

@@ -156,6 +156,19 @@ def _expect_list(e: SExpr, what: str) -> SList:
     return e
 
 
+def _expect_pair(e: SExpr, what: str) -> SList:
+    lst = _expect_list(e, what)
+    if len(lst) != 2:
+        raise ParseError("expected %s" % what, lst.line, lst.col)
+    return lst
+
+
+def _parse_nat(e: SExpr, what: str) -> int:
+    if not isinstance(e, Atom) or not e.text.isdecimal():
+        raise ParseError("%s must be a natural number" % what, e.line, e.col)
+    return int(e.text)
+
+
 # ---------------------------------------------------------------------------
 # Types and terms
 # ---------------------------------------------------------------------------
@@ -199,11 +212,9 @@ def parse_raw_term(e: SExpr, sig: Signature) -> Preterm:
     if kw == "db":
         if len(lst) < 3:
             raise ParseError("(db N TY T*) needs an index and a type", lst.line, lst.col)
-        idx_atom = _expect_atom(lst[1], "an index")
-        if not idx_atom.text.isdigit():
-            raise ParseError("index must be a natural number", idx_atom.line, idx_atom.col)
+        idx = _parse_nat(lst[1], "index")
         args = tuple(parse_raw_term(x, sig) for x in lst.items[3:])
-        return Db(int(idx_atom.text), parse_type(lst[2], sig), args)
+        return Db(idx, parse_type(lst[2], sig), args)
     if kw == "var":
         if len(lst) < 3:
             raise ParseError("(var NAME TY T*) needs a name and a type", lst.line, lst.col)
@@ -255,6 +266,10 @@ def _parse_ord_atom(e: SExpr) -> Ord:
         raise ParseError(str(exc), a.line, a.col) from exc
 
 
+_SECTIONS = ("types", "symbols", "weights", "tyweights", "coeffs", "wlam", "wdb",
+             "precedence", "typrecedence", "watershed", "ordinal-weights")
+
+
 def parse_signature(text: str, kind: str,
                     strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
     """Parse the signature plus order-parameter file and validate every
@@ -268,14 +283,21 @@ def parse_signature(text: str, kind: str,
         lst = _expect_list(entry, "a signature section")
         if not lst.items:
             raise ParseError("empty section", lst.line, lst.col)
-        key = _expect_atom(lst[0], "a section name").text
-        sections[key] = lst
+        key = _expect_atom(lst[0], "a section name")
+        if key.text not in _SECTIONS:
+            raise ParseError("unknown section %s" % key.text, key.line, key.col)
+        if key.text in sections:
+            raise ParseError("repeated section %s" % key.text, key.line, key.col)
+        sections[key.text] = lst
 
     for item in sections.get("types", SList([None], 0, 0)).items[1:]:
-        lst = _expect_list(item, "(NAME ARITY)")
+        lst = _expect_pair(item, "(NAME ARITY)")
         name = _expect_atom(lst[0], "a type name").text
-        arity = int(_expect_atom(lst[1], "an arity").text)
-        sig.add_type(name, arity)
+        arity = _parse_nat(lst[1], "arity")
+        try:
+            sig.add_type(name, arity)
+        except tm.TermError as exc:
+            raise ParseError(str(exc), lst.line, lst.col) from exc
 
     if "symbols" not in sections:
         raise ParseError("missing (symbols ...) section", root.line, root.col)
@@ -298,22 +320,19 @@ def parse_signature(text: str, kind: str,
 
     weights = {}
     for item in sections.get("weights", SList([None], 0, 0)).items[1:]:
-        lst = _expect_list(item, "(NAME ORD)")
+        lst = _expect_pair(item, "(NAME ORD)")
         weights[_expect_atom(lst[0], "a symbol").text] = _parse_ord_atom(lst[1])
     ty_weights = {}
     for item in sections.get("tyweights", SList([None], 0, 0)).items[1:]:
-        lst = _expect_list(item, "(NAME ORD)")
+        lst = _expect_pair(item, "(NAME ORD)")
         ty_weights[_expect_atom(lst[0], "a type constructor").text] = _parse_ord_atom(lst[1])
     coeffs = {}
     for item in sections.get("coeffs", SList([None], 0, 0)).items[1:]:
-        lst = _expect_list(item, "((NAME INDEX) ORD)")
-        key = _expect_list(lst[0], "(NAME INDEX)")
+        lst = _expect_pair(item, "((NAME INDEX) ORD)")
+        key = _expect_pair(lst[0], "(NAME INDEX)")
         name = _expect_atom(key[0], "a symbol").text
-        idx = int(_expect_atom(key[1], "an index").text)
+        idx = _parse_nat(key[1], "index")
         coeffs[(name, idx)] = _parse_ord_atom(lst[1])
-
-    w_lam = _parse_ord_atom(sections["wlam"][1]) if "wlam" in sections else None
-    w_db = _parse_ord_atom(sections["wdb"][1]) if "wdb" in sections else None
 
     prec = None
     if "precedence" in sections:
@@ -325,17 +344,17 @@ def parse_signature(text: str, kind: str,
                    for x in sections["typrecedence"].items[1:]]
     watershed = None
     if "watershed" in sections:
-        watershed = _expect_atom(sections["watershed"][1], "a symbol").text
+        entry = _expect_pair(sections["watershed"], "(watershed SYMBOL)")
+        watershed = _expect_atom(entry[1], "a symbol").text
     ordinal_weights = "ordinal-weights" in sections
 
     from .lambda_order import OrderError
     kwargs = dict(weights=weights, coeffs=coeffs, prec=prec,
                   ty_weights=ty_weights, ty_prec=ty_prec, watershed=watershed,
                   strict_leaks=strict_leaks, ordinal_weights=ordinal_weights)
-    if w_lam is not None:
-        kwargs["w_lam"] = w_lam
-    if w_db is not None:
-        kwargs["w_db"] = w_db
+    for key, arg in (("wlam", "w_lam"), ("wdb", "w_db")):
+        if key in sections:
+            kwargs[arg] = _parse_ord_atom(_expect_pair(sections[key], "(%s ORD)" % key)[1])
     try:
         params = OrderParams(sig, kind, **kwargs)
     except OrderError as exc:

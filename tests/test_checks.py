@@ -3,7 +3,25 @@ smoke test showing the differential harness actually detects mutations."""
 
 import pytest
 
-from lamorder.checks import FAMILIES, prop_oracle_equivalence, run_families
+from lamorder.checks import (FAMILIES, _mutated_params, oracle_equivalence_mutated,
+                             run_families)
+from lamorder.gen import GenConfig, gen_signature
+
+NAMES = [
+    "normalize-idempotent", "subst-compose", "context-round-trip",
+    "surely-nonneg-sound", "analyze-consistent", "oracle-equivalence",
+    "ground-total", "naive-opt-equal", "flip-symmetric", "grounding-stable",
+    "monomorphizing-stable", "transitive", "context-compatible",
+    "subterm-property", "diff-dominated", "top-bot-minimal",
+    "variable-guarantee", "weight-grounding-lemma",
+    "weight-monomorphizing-lemma", "encode-faithful",
+]
+
+
+def test_registry_holds_every_family_once_in_order():
+    assert list(FAMILIES) == NAMES
+    for name in NAMES:
+        assert FAMILIES[name](0, 1).name == name
 
 
 def test_every_family_passes_briefly():
@@ -16,14 +34,27 @@ def test_every_family_passes_briefly():
 def test_run_families_filter():
     out = run_families(2, 5, names=["ground-total"])
     assert [r.name for r in out] == ["ground-total"]
+    with pytest.raises(ValueError, match="ground-totl"):
+        run_families(2, 5, names=["ground-total", "ground-totl"])
 
 
 def test_mutated_oracle_is_detected():
     # flipping one precedence pair inside the oracle only must surface as
     # oracle/algorithm mismatches
-    res = prop_oracle_equivalence(4, 150, mutate=True)
+    res = oracle_equivalence_mutated(4, 150)
     assert res.failures > 0
     assert res.counterexample
+    assert res.name not in FAMILIES
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mutated_params_keep_every_setting(seed):
+    _, kbo, lpo = gen_signature(GenConfig(seed=seed, ordinal_weights=True))
+    for p in (kbo, lpo):
+        p.strict_leaks = True
+        m = _mutated_params(p)
+        assert m.ordinal_weights and m.strict_leaks
+        assert m.weights == p.weights and m.prec_ranks != p.prec_ranks
 
 
 def test_distinct_seeds_generate_distinct_environments():

@@ -113,6 +113,15 @@ def test_check_subset_of_families(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("iters", ["10", "0"])
+def test_check_rejects_unknown_family(capsys, iters):
+    code, out, err = run(capsys, "check", "--iters", iters,
+                         "--families", "ground-total", "ground-totl")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "ground-totl" in err
+
+
 def test_bench_produces_table(capsys):
     code, out, _ = run(capsys, "bench", "--lpo-depth", "4",
                        "--kbo-depth", "40", "--budget", "0.5")

@@ -475,6 +475,13 @@ def test_compare_rejects_raw_application(small, algo):
         algo(nested, Sym("a"), p)
     with pytest.raises(TermError, match="not a normalized term"):
         algo(Sym("a"), nested, p)
+    # the same fault under 10,000 applications of f: reporting it must not
+    # print the term
+    deep = App(Sym("f"), Sym("a"))
+    for _ in range(10000):
+        deep = Sym("f", (), (), (deep,))
+    with pytest.raises(TermError, match="not a normalized term"):
+        algo(deep, Sym("a"), p)
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)

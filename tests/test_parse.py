@@ -108,6 +108,30 @@ def test_signature_constraint_violations_are_named():
     assert "top must precede bot" in str(err.value)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("(types (k 0)", "(types (k @x)"),
+    ("(coeffs ((g 2) 2))", "(coeffs ((g @x) 2))"),
+    ("(types (k 0)", "(types @(k)"),
+    ("(weights (a 2) (f 1))", "(weights @(a) (f 1))"),
+    ("(wlam 1)", "@(wlam)"),
+    ("(watershed a)", "@(watershed)"),
+    ("(weights (a 2) (f 1))", "(@weight (a 5))"),
+    ("(weights (a 2) (f 1))", "(weights (a 2)) (@weights (f 1))"),
+    ("(types (k 0)", "(types (k 0) @(k 1)"),
+], ids=["arity", "coeff-index", "type-entry", "weight-entry", "wlam",
+        "watershed", "misspelt", "repeated", "redeclared-type"])
+def test_malformed_signature_entries_are_positioned(old, new):
+    """Each text is SIG_TEXT with one entry broken; @ marks where the error
+    must point."""
+    marked = SIG_TEXT.replace(old, new)
+    at = marked.index("@")
+    with pytest.raises(ParseError) as err:
+        parse_signature(marked.replace("@", ""), KBO)
+    line = marked.count("\n", 0, at) + 1
+    col = at - marked.rfind("\n", 0, at)
+    assert (err.value.line, err.value.col) == (line, col), str(err.value)
+
+
 def test_signature_rejects_redeclared_symbol():
     text = "(signature (types (k 0))\n (symbols (f () () k)\n (f () () (-> k k))) (precedence f))"
     with pytest.raises(ParseError) as err:

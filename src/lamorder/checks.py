@@ -112,7 +112,10 @@ def family(name: str, polymorphic: bool = False) -> Callable[[Trial], Trial]:
 def run_families(seed: int, iters: int,
                  names: Optional[List[str]] = None) -> List[PropertyResult]:
     """Run the named families (all when names is empty) in registration
-    order; an unknown name raises ValueError before any family runs."""
+    order; an unknown name or a negative count raises ValueError before any
+    family runs."""
+    if iters < 0:
+        raise ValueError("iters must be at least 0, got %d" % iters)
     unknown = [n for n in names or () if n not in FAMILIES]
     if unknown:
         raise ValueError("unknown property family: %s" % ", ".join(unknown))

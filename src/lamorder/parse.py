@@ -3,7 +3,10 @@
 Type syntax:      TY ::= NAME | 'NAME | (NAME TY*) | (-> TY TY)
 Term syntax:      T  ::= (lam TY T) | (db N TY) | (sym NAME (TY*) (T*) T*)
                        | (var NAME TY T*)
-Terms are normalized (beta, then eta-long) on parse.
+A term is read in one pass, each node built at its closing parenthesis on an
+explicit stack, then type-checked; only a term that fails the check (an
+under-applied spine) is normalized.  Positions are character offsets until a
+ParseError gives the line and column.
 
 A signature file is one s-expression:
 
@@ -25,6 +28,10 @@ with spaces can be double-quoted.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
+from collections import namedtuple
 from typing import List, Optional, Tuple, Union
 
 from .lambda_order import OrderParams
@@ -41,131 +48,78 @@ class ParseError(Exception):
         self.col = col
 
 
-class Atom:
-    __slots__ = ("text", "line", "col", "quoted")
+class _Fault(Exception):
+    """A fault at a character offset of the text being read."""
 
-    def __init__(self, text: str, line: int, col: int, quoted: bool = False):
-        self.text = text
-        self.line = line
-        self.col = col
-        self.quoted = quoted
-
-    def __repr__(self):
-        return self.text
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.at = at
 
 
-class SList:
-    __slots__ = ("items", "line", "col")
+def _positioned(read):
+    """Let ``read(text, ...)`` report a fault as a ParseError at the line
+    and column of its offset in ``text``."""
 
-    def __init__(self, items: List, line: int, col: int):
-        self.items = items
-        self.line = line
-        self.col = col
+    @functools.wraps(read)
+    def reader(text: str, *args, **kwargs):
+        try:
+            return read(text, *args, **kwargs)
+        except _Fault as fault:
+            at = fault.at
+            raise ParseError(fault.args[0], text.count("\n", 0, at) + 1,
+                             at - text.rfind("\n", 0, at)) from fault.__cause__
 
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
+    return reader
 
 
+# One token, after any blanks and comments: an opening parenthesis, an empty
+# list, a closing parenthesis, an atom, a string (its content), or a quote
+# that opens a string not closed on its line.  A comment must run to the end
+# of its line, so that no backtracking can split it into an atom.
+_TOKEN = re.compile(r'(?:\s|;[^\n]*(?![^\n]))*'
+                    r'(?:(\()(?!\s*\))|(\(\s*\))|(\))|([^\s();"]+)|"([^"\n]*)"|("))')
+_OPEN, _EMPTY, _CLOSE, _WORD, _STRING = 1, 2, 3, 4, 5
+
+
+def _tokens(text: str, at: int = 0):
+    """The tokens of ``text`` from offset ``at``.  Every character but blanks
+    and comments starts a token, so they end where only those are left."""
+    return iter(_TOKEN.scanner(text, at).match, None)
+
+Atom = namedtuple("Atom", "text at")
+SList = namedtuple("SList", "items at")
 SExpr = Union[Atom, SList]
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col, False)
-            col += 1
-            i += 1
-        elif c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            yield ("".join(buf), start_line, start_col, True)
-        else:
-            start_line, start_col = line, col
-            buf = []
-            while i < n and not text[i].isspace() and text[i] not in '();"':
-                buf.append(text[i])
-                i += 1
-                col += 1
-            yield ("".join(buf), start_line, start_col, False)
-
-
+@_positioned
 def read_sexprs(text: str) -> List[SExpr]:
-    stack: List[SList] = []
-    top: List[SExpr] = []
-    for tok, line, col, quoted in _tokenize(text):
-        if tok == "(" and not quoted:
-            stack.append(SList([], line, col))
-        elif tok == ")" and not quoted:
-            if not stack:
-                raise ParseError("unbalanced )", line, col)
-            done = stack.pop()
-            (stack[-1].items if stack else top).append(done)
-        else:
-            node = Atom(tok, line, col, quoted)
-            (stack[-1].items if stack else top).append(node)
-    if stack:
-        raise ParseError("unbalanced (", stack[-1].line, stack[-1].col)
-    return top
+    """Every s-expression of ``text``, each read from its first token on."""
+    tokens = _tokens(text)
+    return [_read(itertools.chain((m,), tokens), None, _SEXPR)[0] for m in tokens]
 
 
-def read_one(text: str) -> SExpr:
-    exprs = read_sexprs(text)
-    if len(exprs) != 1:
-        raise ParseError("expected exactly one expression, found %d" % len(exprs), 1, 1)
-    return exprs[0]
-
-
-def _expect_atom(e: SExpr, what: str) -> Atom:
+def _expect_atom(e: SExpr, what: str) -> str:
     if not isinstance(e, Atom):
-        raise ParseError("expected %s" % what, e.line, e.col)
-    return e
+        raise _Fault("expected %s" % what, e.at)
+    return e.text
 
 
-def _expect_list(e: SExpr, what: str) -> SList:
+def _expect_list(e: SExpr, what: str) -> List[SExpr]:
     if not isinstance(e, SList):
-        raise ParseError("expected %s" % what, e.line, e.col)
-    return e
+        raise _Fault("expected %s" % what, e.at)
+    return e.items
 
 
-def _expect_pair(e: SExpr, what: str) -> SList:
-    lst = _expect_list(e, what)
-    if len(lst) != 2:
-        raise ParseError("expected %s" % what, lst.line, lst.col)
-    return lst
+def _expect_pair(e: SExpr, what: str) -> List[SExpr]:
+    items = _expect_list(e, what)
+    if len(items) != 2:
+        raise _Fault("expected %s" % what, e.at)
+    return items
 
 
 def _parse_nat(e: SExpr, what: str) -> int:
     if not isinstance(e, Atom) or not e.text.isdecimal():
-        raise ParseError("%s must be a natural number" % what, e.line, e.col)
+        raise _Fault("%s must be a natural number" % what, e.at)
     return int(e.text)
 
 
@@ -173,79 +127,142 @@ def _parse_nat(e: SExpr, what: str) -> int:
 # Types and terms
 # ---------------------------------------------------------------------------
 
-def parse_type(e: SExpr, sig: Optional[Signature] = None) -> Type:
-    if isinstance(e, Atom):
-        if e.text.startswith("'"):
-            return TyVar(e.text[1:])
-        _check_tycon(e, e.text, 0, sig)
-        return TyCon(e.text)
-    lst = _expect_list(e, "a type")
-    if not lst.items:
-        raise ParseError("empty type", lst.line, lst.col)
-    head = _expect_atom(lst[0], "a type constructor name")
-    args = tuple(parse_type(x, sig) for x in lst.items[1:])
-    _check_tycon(head, head.text, len(args), sig)
-    return TyCon(head.text, args)
+# The role of each child of a list, by position; the last role is that of
+# every later child.  Lists fill the first five roles, atoms the others.
+(_SEXPR, _TERM, _TYPE, _TYPES, _TERMS, _KEYWORD, _TYCON, _INDEX, _VARNAME,
+ _SYMBOL, _EXTRA) = range(11)
+_SLOTS = 5
+_LIST_SLOTS = {_SEXPR: (_SEXPR,) * 5, _TERM: (_KEYWORD,) + (_TERM,) * 4,
+               _TYPE: (_TYCON,) + (_TYPE,) * 4, _TYPES: (_TYPE,) * 5,
+               _TERMS: (_TERM,) * 5}
+_LAM_ARITY = "(lam TY T) takes two arguments"
+# Each term keyword: the roles of its list's children, the fewest children
+# the list takes, the fault when it has fewer, and the preterm it builds.
+_FORMS = {
+    "lam": ((_KEYWORD, _TYPE, _TERM, _EXTRA, _EXTRA), 3, _LAM_ARITY,
+            lambda x: Lam(x[1], x[2])),
+    "db": ((_KEYWORD, _INDEX, _TYPE, _TERM, _TERM), 3,
+           "(db N TY T*) needs an index and a type",
+           lambda x: Db(x[1], x[2], tuple(x[3:]))),
+    "var": ((_KEYWORD, _VARNAME, _TYPE, _TERM, _TERM), 3,
+            "(var NAME TY T*) needs a name and a type",
+            lambda x: Var(x[1], x[2], tuple(x[3:]))),
+    "sym": ((_KEYWORD, _SYMBOL, _TYPES, _TERMS, _TERM), 4,
+            "(sym NAME (TY*) (T*) T*) needs name, type and parameter lists",
+            lambda x: Sym(x[1], x[2], x[3], tuple(x[4:]))),
+}
+# the fault of an atom in a role lists fill, or of a list in one atoms fill
+_MISPLACED = {_TERM: "expected a term", _TYPES: "expected type arguments",
+              _TERMS: "expected parameters", _KEYWORD: "expected a term keyword",
+              _TYCON: "expected a type constructor name",
+              _INDEX: "index must be a natural number",
+              _VARNAME: "expected a variable name", _SYMBOL: "expected a symbol name"}
 
 
-def _check_tycon(e: SExpr, name: str, arity: int, sig: Optional[Signature]) -> None:
-    if sig is None:
-        return
-    declared = sig.type_constructors.get(name)
-    if declared is None:
-        raise ParseError("unknown type constructor %s" % name, e.line, e.col)
-    if declared != arity:
-        raise ParseError("type constructor %s expects %d arguments, got %d"
-                         % (name, declared, arity), e.line, e.col)
+def _close(kind: int, at: int, items: list, sig: Signature):
+    """The value of a list, built at its closing parenthesis.  A type list's
+    offset is that of its head, where its faults point; a constructor atom
+    reads as the list of itself."""
+    if kind == _SEXPR:
+        return SList(items, at)
+    if kind == _TERM:
+        if not items:
+            raise _Fault("empty term", at)
+        _, need, fault, build = _FORMS[items[0]]
+        if len(items) < need:
+            raise _Fault(fault, at)
+        return build(items)
+    if kind == _TYPE:
+        if not items:
+            raise _Fault("empty type", at)
+        name, args = items[0], tuple(items[1:])
+        declared = sig.type_constructors.get(name)
+        if declared is None:
+            raise _Fault("unknown type constructor %s" % name, at)
+        if declared != len(args):
+            raise _Fault("type constructor %s expects %d arguments, got %d"
+                         % (name, declared, len(args)), at)
+        return TyCon(name, args)
+    return tuple(items)
 
 
-def parse_raw_term(e: SExpr, sig: Signature) -> Preterm:
-    lst = _expect_list(e, "a term")
-    if not lst.items:
-        raise ParseError("empty term", lst.line, lst.col)
-    head = _expect_atom(lst[0], "a term keyword")
-    kw = head.text
-    if kw == "lam":
-        if len(lst) != 3:
-            raise ParseError("(lam TY T) takes two arguments", lst.line, lst.col)
-        return Lam(parse_type(lst[1], sig), parse_raw_term(lst[2], sig))
-    if kw == "db":
-        if len(lst) < 3:
-            raise ParseError("(db N TY T*) needs an index and a type", lst.line, lst.col)
-        idx = _parse_nat(lst[1], "index")
-        args = tuple(parse_raw_term(x, sig) for x in lst.items[3:])
-        return Db(idx, parse_type(lst[2], sig), args)
-    if kw == "var":
-        if len(lst) < 3:
-            raise ParseError("(var NAME TY T*) needs a name and a type", lst.line, lst.col)
-        name = _expect_atom(lst[1], "a variable name").text
-        ty = parse_type(lst[2], sig)
-        args = tuple(parse_raw_term(x, sig) for x in lst.items[3:])
-        return Var(name, ty, args)
-    if kw == "sym":
-        if len(lst) < 4:
-            raise ParseError("(sym NAME (TY*) (T*) T*) needs name, type and "
-                             "parameter lists", lst.line, lst.col)
-        name_atom = _expect_atom(lst[1], "a symbol name")
-        if name_atom.text not in sig.symbols:
-            raise ParseError("unknown symbol %s" % name_atom.text,
-                             name_atom.line, name_atom.col)
-        ty_args = tuple(parse_type(x, sig) for x in _expect_list(lst[2], "type arguments").items)
-        params = tuple(parse_raw_term(x, sig) for x in _expect_list(lst[3], "parameters").items)
-        args = tuple(parse_raw_term(x, sig) for x in lst.items[4:])
-        return Sym(name_atom.text, ty_args, params, args)
-    raise ParseError("unknown term keyword %s" % kw, head.line, head.col)
+def _read(tokens, sig: Optional[Signature], role: int):
+    """Read the one s-expression, type or term (``role``) whose first token
+    ``tokens`` yields next, leaving ``tokens`` after its last; return it and
+    its offset.  Each open list is a frame ``[kind, offset, children,
+    roles]``."""
+    stack: list = []
+    for m in tokens:
+        kind = m.lastindex
+        if kind == _CLOSE:
+            if not stack:
+                raise _Fault("unbalanced )", m.start(kind))
+            role, at, items, _ = stack.pop()
+            value = _close(role, at, items, sig)
+        else:
+            if stack:
+                frame = stack[-1]
+                n = len(frame[2])
+                role = frame[3][n if n < _SLOTS else -1]
+                if role == _EXTRA:
+                    raise _Fault(_LAM_ARITY, frame[1])
+            if kind <= _EMPTY:
+                at = m.start(kind)
+                if role > _TERMS:
+                    raise _Fault(_MISPLACED[role], at)
+                if kind == _OPEN:
+                    stack.append([role, at, [], _LIST_SLOTS[role]])
+                    continue
+                value = _close(role, at, [], sig)
+            else:
+                if kind > _STRING:
+                    raise _Fault("unterminated string", m.start(kind))
+                value, at = m.group(kind), m.start(kind) - (kind == _STRING)
+                if role == _KEYWORD:
+                    if value not in _FORMS:
+                        raise _Fault("unknown term keyword %s" % value, at)
+                    frame[3] = _FORMS[value][0]
+                elif role == _SYMBOL:
+                    if value not in sig.symbols:
+                        raise _Fault("unknown symbol %s" % value, at)
+                elif role == _TYPE:
+                    value = (TyVar(value[1:]) if value.startswith("'")
+                             else _close(_TYPE, at, [value], sig))
+                elif role == _TYCON:
+                    frame[1] = at
+                elif role == _INDEX:
+                    if not value.isdecimal():
+                        raise _Fault("index must be a natural number", at)
+                    value = int(value)
+                elif role == _SEXPR:
+                    value = Atom(value, at)
+                elif role != _VARNAME:
+                    raise _Fault(_MISPLACED[role], at)
+        if not stack:
+            return value, at
+        stack[-1][2].append(value)
+    if stack:
+        raise _Fault("unbalanced (", stack[-1][1])
+    raise _Fault("expected exactly one expression, found 0", 0)
 
 
+@_positioned
 def parse_term(text: str, sig: Signature) -> Preterm:
-    """Parse, type-check and normalize one term."""
-    e = read_one(text)
-    raw = parse_raw_term(e, sig)
+    """Read and type-check one term; normalize it only if the check fails."""
+    tokens = _tokens(text)
+    t, at = _read(tokens, sig, _TERM)
+    if next(tokens, None) is not None:
+        raise _Fault("expected exactly one expression, found %d"
+                     % len(read_sexprs(text)), 0)
     try:
-        t = normalize(raw, sig)
         tm.check_types(t, sig)
-    except tm.TermError as exc:
-        raise ParseError(str(exc), e.line, e.col) from exc
+    except tm.TermError:
+        # under-applied spines are eta-expanded; any other fault recurs
+        try:
+            t = normalize(t, sig)
+            tm.check_types(t, sig)
+        except tm.TermError as exc:
+            raise _Fault(str(exc), at) from exc
     return t
 
 
@@ -259,93 +276,100 @@ def parse_term_file(path: str, sig: Signature) -> Preterm:
 # ---------------------------------------------------------------------------
 
 def _parse_ord_atom(e: SExpr) -> Ord:
-    a = _expect_atom(e, "an ordinal literal")
     try:
-        return parse_ord(a.text)
+        return parse_ord(_expect_atom(e, "an ordinal literal"))
     except ValueError as exc:
-        raise ParseError(str(exc), a.line, a.col) from exc
+        raise _Fault(str(exc), e.at) from exc
 
 
 _SECTIONS = ("types", "symbols", "weights", "tyweights", "coeffs", "wlam", "wdb",
              "precedence", "typrecedence", "watershed", "ordinal-weights")
 
 
+@_positioned
 def parse_signature(text: str, kind: str,
                     strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
     """Parse the signature plus order-parameter file and validate every
     constraint the orders rely on.  Violations are reported by name."""
-    root = _expect_list(read_one(text), "(signature ...)")
-    if not root.items or not isinstance(root[0], Atom) or root[0].text != "signature":
-        raise ParseError("expected (signature ...)", root.line, root.col)
+    exprs = read_sexprs(text)
+    if len(exprs) != 1:
+        raise _Fault("expected exactly one expression, found %d" % len(exprs), 0)
+    root = exprs[0]
+    entries = _expect_list(root, "(signature ...)")
+    if not entries or not isinstance(entries[0], Atom) or entries[0].text != "signature":
+        raise _Fault("expected (signature ...)", root.at)
     sig = Signature()
     sections = {}
-    for entry in root.items[1:]:
-        lst = _expect_list(entry, "a signature section")
-        if not lst.items:
-            raise ParseError("empty section", lst.line, lst.col)
-        key = _expect_atom(lst[0], "a section name")
-        if key.text not in _SECTIONS:
-            raise ParseError("unknown section %s" % key.text, key.line, key.col)
-        if key.text in sections:
-            raise ParseError("repeated section %s" % key.text, key.line, key.col)
-        sections[key.text] = lst
+    for entry in entries[1:]:
+        items = _expect_list(entry, "a signature section")
+        if not items:
+            raise _Fault("empty section", entry.at)
+        key = _expect_atom(items[0], "a section name")
+        if key not in _SECTIONS:
+            raise _Fault("unknown section %s" % key, items[0].at)
+        if key in sections:
+            raise _Fault("repeated section %s" % key, items[0].at)
+        sections[key] = entry
 
-    for item in sections.get("types", SList([None], 0, 0)).items[1:]:
-        lst = _expect_pair(item, "(NAME ARITY)")
-        name = _expect_atom(lst[0], "a type name").text
-        arity = _parse_nat(lst[1], "arity")
+    def section(name: str) -> List[SExpr]:
+        return sections[name].items[1:] if name in sections else []
+
+    def parse_type(e: SExpr) -> Type:
+        return _read(_tokens(text, e.at), sig, _TYPE)[0]
+
+    for item in section("types"):
+        name, arity = _expect_pair(item, "(NAME ARITY)")
+        name = _expect_atom(name, "a type name")
+        arity = _parse_nat(arity, "arity")
         try:
             sig.add_type(name, arity)
         except tm.TermError as exc:
-            raise ParseError(str(exc), lst.line, lst.col) from exc
+            raise _Fault(str(exc), item.at) from exc
 
     if "symbols" not in sections:
-        raise ParseError("missing (symbols ...) section", root.line, root.col)
-    for item in sections["symbols"].items[1:]:
-        lst = _expect_list(item, "(NAME (TYVAR*) (TY*) TY)")
-        if len(lst) != 4:
-            raise ParseError("symbol declaration takes name, type variables, "
-                             "parameter types and a body type", lst.line, lst.col)
-        name = _expect_atom(lst[0], "a symbol name").text
-        ty_vars = tuple(_expect_atom(x, "a type variable").text
-                        for x in _expect_list(lst[1], "type variables").items)
+        raise _Fault("missing (symbols ...) section", root.at)
+    for item in section("symbols"):
+        decl = _expect_list(item, "(NAME (TYVAR*) (TY*) TY)")
+        if len(decl) != 4:
+            raise _Fault("symbol declaration takes name, type variables, "
+                         "parameter types and a body type", item.at)
+        name = _expect_atom(decl[0], "a symbol name")
+        ty_vars = tuple(_expect_atom(x, "a type variable")
+                        for x in _expect_list(decl[1], "type variables"))
         # tyvars may be written with or without the quote
         ty_vars = tuple(v[1:] if v.startswith("'") else v for v in ty_vars)
-        param_tys = tuple(parse_type(x, None) for x in _expect_list(lst[2], "parameter types").items)
-        body = parse_type(lst[3], None)
+        param_tys = tuple(map(parse_type, _expect_list(decl[2], "parameter types")))
+        body = parse_type(decl[3])
         try:
             sig.add_symbol(name, TypeDecl(ty_vars, param_tys, body))
         except tm.TermError as exc:
-            raise ParseError(str(exc), lst.line, lst.col) from exc
+            raise _Fault(str(exc), item.at) from exc
 
     weights = {}
-    for item in sections.get("weights", SList([None], 0, 0)).items[1:]:
-        lst = _expect_pair(item, "(NAME ORD)")
-        weights[_expect_atom(lst[0], "a symbol").text] = _parse_ord_atom(lst[1])
+    for item in section("weights"):
+        name, value = _expect_pair(item, "(NAME ORD)")
+        weights[_expect_atom(name, "a symbol")] = _parse_ord_atom(value)
     ty_weights = {}
-    for item in sections.get("tyweights", SList([None], 0, 0)).items[1:]:
-        lst = _expect_pair(item, "(NAME ORD)")
-        ty_weights[_expect_atom(lst[0], "a type constructor").text] = _parse_ord_atom(lst[1])
+    for item in section("tyweights"):
+        name, value = _expect_pair(item, "(NAME ORD)")
+        ty_weights[_expect_atom(name, "a type constructor")] = _parse_ord_atom(value)
     coeffs = {}
-    for item in sections.get("coeffs", SList([None], 0, 0)).items[1:]:
-        lst = _expect_pair(item, "((NAME INDEX) ORD)")
-        key = _expect_pair(lst[0], "(NAME INDEX)")
-        name = _expect_atom(key[0], "a symbol").text
-        idx = _parse_nat(key[1], "index")
-        coeffs[(name, idx)] = _parse_ord_atom(lst[1])
+    for item in section("coeffs"):
+        key, value = _expect_pair(item, "((NAME INDEX) ORD)")
+        name, idx = _expect_pair(key, "(NAME INDEX)")
+        coeffs[(_expect_atom(name, "a symbol"), _parse_nat(idx, "index"))] = \
+            _parse_ord_atom(value)
 
     prec = None
     if "precedence" in sections:
-        prec = [_expect_atom(x, "a symbol").text
-                for x in sections["precedence"].items[1:]]
+        prec = [_expect_atom(x, "a symbol") for x in section("precedence")]
     ty_prec = None
     if "typrecedence" in sections:
-        ty_prec = [_expect_atom(x, "a type constructor").text
-                   for x in sections["typrecedence"].items[1:]]
+        ty_prec = [_expect_atom(x, "a type constructor") for x in section("typrecedence")]
     watershed = None
     if "watershed" in sections:
-        entry = _expect_pair(sections["watershed"], "(watershed SYMBOL)")
-        watershed = _expect_atom(entry[1], "a symbol").text
+        watershed = _expect_atom(
+            _expect_pair(sections["watershed"], "(watershed SYMBOL)")[1], "a symbol")
     ordinal_weights = "ordinal-weights" in sections
 
     from .lambda_order import OrderError
@@ -358,7 +382,7 @@ def parse_signature(text: str, kind: str,
     try:
         params = OrderParams(sig, kind, **kwargs)
     except OrderError as exc:
-        raise ParseError("invalid order parameters: %s" % exc, root.line, root.col) from exc
+        raise _Fault("invalid order parameters: %s" % exc, root.at) from exc
     return sig, params
 
 
@@ -372,26 +396,38 @@ def parse_signature_file(path: str, kind: str,
 # Rendering (round-trip support and debugging)
 # ---------------------------------------------------------------------------
 
-def render_type(ty: Type) -> str:
-    if isinstance(ty, TyVar):
-        return "'" + ty.name
-    if not ty.args:
-        return ty.name
-    return "(%s %s)" % (ty.name, " ".join(render_type(a) for a in ty.args))
+# The parts of each list a type or preterm is written as; a tuple of types
+# or preterms is written as the list of its members.
+_PARTS = {
+    TyCon: lambda x: (x.name, *x.args),
+    Lam: lambda x: ("lam", x.arg_ty, x.body),
+    Db: lambda x: ("db", str(x.index), x.ty, *x.args),
+    Var: lambda x: ("var", x.name, x.ty, *x.args),
+    Sym: lambda x: ("sym", x.name, x.ty_args, x.params, *x.args),
+}
 
 
-def render_term(t: Preterm) -> str:
-    if isinstance(t, Lam):
-        return "(lam %s %s)" % (render_type(t.arg_ty), render_term(t.body))
-    if isinstance(t, Db):
-        parts = ["db", str(t.index), render_type(t.ty)] + [render_term(a) for a in t.args]
-        return "(%s)" % " ".join(parts)
-    if isinstance(t, Var):
-        parts = ["var", t.name, render_type(t.ty)] + [render_term(a) for a in t.args]
-        return "(%s)" % " ".join(parts)
-    assert isinstance(t, Sym)
-    parts = ["sym", t.name,
-             "(%s)" % " ".join(render_type(a) for a in t.ty_args),
-             "(%s)" % " ".join(render_term(p) for p in t.params)]
-    parts += [render_term(a) for a in t.args]
-    return "(%s)" % " ".join(parts)
+def render_term(x) -> str:
+    """The text of a preterm or a type, written with an explicit stack."""
+    out: List[str] = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, TyVar):
+            out.append("'" + x.name)
+        elif isinstance(x, TyCon) and not x.args:
+            out.append(x.name)
+        else:
+            parts = x if isinstance(x, tuple) else _PARTS[type(x)](x)
+            stack.append(")")
+            for part in reversed(parts):
+                stack += (part, " ")
+            if parts:
+                stack.pop()
+            stack.append("(")
+    return "".join(out)
+
+
+render_type = render_term

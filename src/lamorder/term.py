@@ -368,37 +368,57 @@ def type_of(t: Preterm, sig: Signature) -> Type:
     return ty
 
 
-def check_types(t: Preterm, sig: Signature, binders: Tuple[Type, ...] = ()) -> Type:
+def check_types(t: Preterm, sig: Signature) -> Type:
     """Full well-formedness check: spine arg types match, bound index types
-    agree with their binders, parameters match the declaration."""
-    if isinstance(t, Lam):
-        return arrow(t.arg_ty, check_types(t.body, sig, (t.arg_ty,) + binders))
-    if isinstance(t, App):
-        raise TermError("raw application in a normalized term: %r" % t)
-    if isinstance(t, Db) and t.index < len(binders):
-        if binders[t.index] != t.ty:
-            raise TermError("bound index #%d annotated %r but binder has %r"
-                            % (t.index, t.ty, binders[t.index]))
-    ty = head_type(t, sig)
-    if isinstance(t, Sym):
-        decl = sig.decl(t.name)
-        param_tys, _ = decl.instantiate(t.ty_args)
-        for p, want in zip(t.params, param_tys):
-            got = check_types(p, sig, binders)
-            if got != want:
-                raise TermError("parameter of %s has type %r, expected %r"
-                                % (t.name, got, want))
-    for i, a in enumerate(t.args):
-        if not is_arrow(ty):
-            raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
-        got = check_types(a, sig, binders)
-        if got != ty.args[0]:
-            raise TermError("argument %d of %r has type %r, expected %r"
-                            % (i + 1, t, got, ty.args[0]))
-        ty = ty.args[1]
-    if is_arrow(ty):
-        raise TermError("under-applied spine (type %r): %r" % (ty, t))
-    return ty
+    agree with their binders, parameters match the declaration.  Walks depth
+    first, left to right, on an explicit stack, so the depth of ``t`` is not
+    bounded by the recursion limit."""
+    binders: List[Type] = []   # innermost last
+    # open spines: [spine, lambdas above it, its type so far, parameter
+    # types, next child (the parameters, then the arguments)]
+    stack: list = []
+    got = None                 # the type of the child just checked, if any
+    while True:
+        if got is None:
+            lams = 0
+            while isinstance(t, Lam):
+                binders.append(t.arg_ty)
+                t, lams = t.body, lams + 1
+            if isinstance(t, App):
+                raise TermError("raw application in a normalized term: %r" % t)
+            if isinstance(t, Db) and t.index < len(binders) and binders[-1 - t.index] != t.ty:
+                raise TermError("bound index #%d annotated %r but binder has %r"
+                                % (t.index, t.ty, binders[-1 - t.index]))
+            ty = head_type(t, sig)
+            wants = sig.decl(t.name).instantiate(t.ty_args)[0] if isinstance(t, Sym) else ()
+            stack.append([t, lams, ty, wants, 0])
+        frame = stack[-1]
+        spine, lams, ty, wants, i = frame
+        np = len(wants)
+        if got is not None:    # child i - 1 is checked
+            if i <= np:
+                if got != wants[i - 1]:
+                    raise TermError("parameter of %s has type %r, expected %r"
+                                    % (spine.name, got, wants[i - 1]))
+            elif got != ty.args[0]:
+                raise TermError("argument %d of %r has type %r, expected %r"
+                                % (i - np, spine, got, ty.args[0]))
+            else:
+                frame[2] = ty = ty.args[1]
+        if i < np + len(spine.args):
+            if i >= np and not is_arrow(ty):
+                raise TermError("type mismatch at argument %d of %r" % (i - np + 1, spine))
+            t = spine.params[i] if i < np else spine.args[i - np]
+            frame[4], got = i + 1, None
+            continue
+        if is_arrow(ty):
+            raise TermError("under-applied spine (type %r): %r" % (ty, spine))
+        for _ in range(lams):
+            ty = arrow(binders.pop(), ty)
+        stack.pop()
+        if not stack:
+            return ty
+        got = ty
 
 
 # ---------------------------------------------------------------------------

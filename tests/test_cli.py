@@ -65,14 +65,27 @@ def test_compare_rejects_bad_inputs(capsys, tmp_path):
     assert code == 1
 
 
+def _chain_file(path, leaf, depth=10000):
+    path.write_text("(sym f () () " * depth + leaf + ")" * depth)
+    return str(path)
+
+
 def test_compare_rejects_too_deep_term(capsys, tmp_path):
-    deep = tmp_path / "deep.term"
-    deep.write_text("(sym f () () " * 2000 + "(db 0 k)" + ")" * 2000)
+    # both chains parse; the comparison descends past the stack
+    left = _chain_file(tmp_path / "left.term", "(db 0 k)")
+    right = _chain_file(tmp_path / "right.term", "(db 1 k)")
     code, out, err = run(capsys, "compare", "--sig", fx("ex1.sig"), "--order", "lpo",
-                         str(deep), str(deep))
-    assert code == 1
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+                         left, right)
+    assert (code, out) == (1, "")
+    assert err == "error: terms nested too deeply to compare"
+
+
+def test_compare_deep_identical_files(capsys, tmp_path):
+    deep = _chain_file(tmp_path / "deep.term", "(db 0 k)")
+    for order in ("kbo", "lpo"):
+        code, out, err = run(capsys, "compare", "--sig", fx("ex1.sig"), "--order", order,
+                             "--algo", "both", deep, deep)
+        assert (code, out) == (0, "E"), err
 
 
 def test_compare_rejects_constraint_violation(capsys, tmp_path):
@@ -95,6 +108,12 @@ def test_check_zero_iters_is_empty_success(capsys):
     code, out, _ = run(capsys, "check", "--iters", "0")
     assert code == 0
     assert out == ""
+
+
+def test_check_rejects_negative_iters(capsys):
+    code, out, err = run(capsys, "check", "--iters", "-5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "iters" in err and len(err.splitlines()) == 1
 
 
 def test_check_small_run_passes(capsys):

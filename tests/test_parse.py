@@ -1,7 +1,10 @@
 """Textual formats: terms, types, signature files and their error reporting."""
 
+import random
+
 import pytest
 
+from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import KBO, LPO
 from lamorder.parse import (ParseError, parse_signature, parse_term, render_term,
                             render_type)
@@ -118,8 +121,12 @@ def test_signature_constraint_violations_are_named():
     ("(weights (a 2) (f 1))", "(@weight (a 5))"),
     ("(weights (a 2) (f 1))", "(weights (a 2)) (@weights (f 1))"),
     ("(types (k 0)", "(types (k 0) @(k 1)"),
+    ("(a () () k)", "(a () () (@q k))"),
+    ("(f () () (-> k k))", "(f () () (-> k @kk))"),
+    ("((-> 'A 'B) (-> 'A 'B))", "((@-> 'A) (-> 'A 'B))"),
 ], ids=["arity", "coeff-index", "type-entry", "weight-entry", "wlam",
-        "watershed", "misspelt", "repeated", "redeclared-type"])
+        "watershed", "misspelt", "repeated", "redeclared-type",
+        "symbol-type-constructor", "symbol-type-atom", "symbol-param-arity"])
 def test_malformed_signature_entries_are_positioned(old, new):
     """Each text is SIG_TEXT with one entry broken; @ marks where the error
     must point."""
@@ -130,6 +137,13 @@ def test_malformed_signature_entries_are_positioned(old, new):
     line = marked.count("\n", 0, at) + 1
     col = at - marked.rfind("\n", 0, at)
     assert (err.value.line, err.value.col) == (line, col), str(err.value)
+
+
+def _positioned(marked):
+    """The text without its @ marker, and the line and column of the marker."""
+    at = marked.index("@")
+    return (marked.replace("@", "", 1), marked.count("\n", 0, at) + 1,
+            at - marked.rfind("\n", 0, at))
 
 
 def test_signature_rejects_redeclared_symbol():
@@ -171,6 +185,7 @@ def test_comments_and_strings():
         "(signature ; header comment\n (types (k 0))\n"
         " (symbols (a () () k)) (precedence a))", KBO)
     assert "a" in sig.symbols
+    assert parse_term('; a\n(sym "a" () ()) ; last (sym a () ())', sig) is Sym("a")
 
 
 def test_ordinal_weights_are_opt_in():
@@ -182,3 +197,100 @@ def test_ordinal_weights_are_opt_in():
     sig, params = parse_signature(enabled, KBO)
     from lamorder.ordinal import OMEGA
     assert params.w("a") == OMEGA
+
+
+@pytest.mark.parametrize("marked,message", [
+    ("(sym f () () @(sym a () ()", "unbalanced ("),
+    ("@(lam k ;(db 0 k))", "unbalanced ("),
+    ("(sym a () ())@)", "unbalanced )"),
+    ('(sym @"a () ())', "unterminated string"),
+    ("@", "expected exactly one expression, found 0"),
+    ("@(sym a () ()) (sym a () ())", "expected exactly one expression, found 2"),
+    ("(sym f () () @())", "empty term"),
+    ("@x", "expected a term"),
+    ("(sym f () () @x)", "expected a term"),
+    ("(@(lam) k (db 0 k))", "expected a term keyword"),
+    ("(@lamb k (db 0 k))", "unknown term keyword lamb"),
+    ("@(lam k)", "(lam TY T) takes two arguments"),
+    (" @(lam k (db 0 k) (sym a () ()))", "(lam TY T) takes two arguments"),
+    ("@(db 0)", "(db N TY T*) needs an index and a type"),
+    ("@(var y)", "(var NAME TY T*) needs a name and a type"),
+    ("@(sym a ())", "(sym NAME (TY*) (T*) T*) needs name, type and parameter lists"),
+    ("(var @(y) k)", "expected a variable name"),
+    ("(sym @(a) () ())", "expected a symbol name"),
+    ("(sym f () () (sym @nosuch () ()))", "unknown symbol nosuch"),
+    ("(sym a @x ())", "expected type arguments"),
+    ("(sym a () @x)", "expected parameters"),
+    ("(lam k (db @x k))", "index must be a natural number"),
+    ("(lam k (db @(x) k))", "index must be a natural number"),
+    ("(lam @() (db 0 k))", "empty type"),
+    ("(lam (@(k) k) (db 0 k))", "expected a type constructor name"),
+    ("(lam @zzz (db 0 zzz))", "unknown type constructor zzz"),
+    ("(lam (@k k) (db 0 k))", "type constructor k expects 0 arguments, got 1"),
+    ("(lam (@-> k) (db 0 k))", "type constructor -> expects 2 arguments, got 1"),
+    ("\n  @(sym f () () (sym top () ()))",
+     "argument 1 of (f top) has type o, expected k"),
+    ("; comment\n@(sym f () () (var y 'A))",
+     "argument 1 of (f y) has type 'A, expected k"),
+    ("@(sym f () () (sym a () ()) (sym a () ()))",
+     "type mismatch at argument 2 of (f a a)"),
+    ("@(sym diff () () (sym a () ()))", "expected 2 type arguments, got 0"),
+    ("@(sym a () ((sym a () ())))", "symbol a expects 0 parameters, got 1"),
+    ("@(sym diff (k k) ((sym a () ()) (lam k (sym f () () (db 0 k)))))",
+     "parameter of diff has type k, expected (-> k k)"),
+    ("\n @(lam k (lam o (db 1 o)))", "bound index #1 annotated o but binder has k"),
+])
+def test_malformed_terms_are_positioned(sig_params, marked, message):
+    """Each text has one fault; @ marks where the error must point."""
+    sig, _ = sig_params
+    text, line, col = _positioned(marked)
+    with pytest.raises(ParseError) as err:
+        parse_term(text, sig)
+    assert str(err.value) == "%d:%d: %s" % (line, col, message)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_under_applied_spines_are_eta_expanded(sig_params):
+    sig, _ = sig_params
+    fk = Lam(K, Sym("f", (), (), (Db(0, K),)))
+    cases = {
+        "(sym g () () (sym a () ()))":
+            Lam(K, Sym("g", (), (), (Sym("a"), Db(0, K)))),
+        "(var h (-> k (-> k k)))":
+            Lam(K, Lam(K, Var("h", arrow(K, arrow(K, K)), (Db(1, K), Db(0, K))))),
+        "(sym diff (k k) ((sym f () ()) (sym f () ())))":
+            Sym("diff", (K, K), (fk, fk)),
+        "(lam k (sym g () () (db 0 k)))":
+            Lam(K, Lam(K, Sym("g", (), (), (Db(1, K), Db(0, K))))),
+    }
+    for text, want in cases.items():
+        assert parse_term(text, sig) is want, text
+
+
+@pytest.mark.parametrize("polymorphic", [False, True])
+def test_rendered_generated_terms_parse_back(polymorphic):
+    cfg = GenConfig(seed=21, polymorphic=polymorphic)
+    sig, _, _ = gen_signature(cfg)
+    rng = random.Random(21)
+    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=polymorphic),
+                poly_ty_vars=("a0",) if polymorphic else ())
+    iota, kappa = TyCon("iota"), TyCon("kappa")
+    tys = [iota, kappa, arrow(iota, kappa), arrow(arrow(kappa, iota), kappa)]
+    for _ in range(300):
+        t = g.gen(rng.choice(tys), 12, ground=False)
+        assert parse_term(render_term(t), sig) is normalize(t, sig), render_term(t)
+
+
+def test_deep_terms_parse_and_render(sig_params):
+    sig, _ = sig_params
+    depth = 10000
+    text = "(sym f () () " * depth + "(sym a () ())" + ")" * depth
+    t = parse_term(text, sig)
+    assert render_term(t) == text
+    assert parse_term(render_term(t), sig) is t
+    tower = "(lam k " * depth + "(db %d k)" % (depth - 1) + ")" * depth
+    assert render_term(parse_term(tower, sig)) == tower
+    inner = 13 * depth + 6
+    with pytest.raises(ParseError) as err:
+        parse_term(text.replace("(sym a", "(sym nosuch"), sig)
+    assert str(err.value) == "1:%d: unknown symbol nosuch" % inner

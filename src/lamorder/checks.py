@@ -26,7 +26,7 @@ from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
 from .ordinal import from_int
 from .poly import Poly, analyze_weight_diff, eval_poly, subst_poly
 from . import term as tm
-from .term import (Lam, Preterm, Sym, TyCon, Var, accessible_positions, app,
+from .term import (Preterm, Sym, TyCon, Var, accessible_positions, app,
                    apply_subst, arrow, normalize, replace_at, shift,
                    subterm_at, type_of)
 
@@ -62,8 +62,7 @@ class _Env:
         self.ty_vars = ["a%d" % i for i in range(cfg.ty_var_count)] if polymorphic else []
         self.gen = TermGen(self.rng, self.sig, var_types=self.var_types,
                            poly_ty_vars=self.ty_vars)
-        self.bases = [TyCon(n) for n, a in self.sig.type_constructors.items()
-                      if a == 0 and n != tm.ARROW]
+        self.bases = self.sig.base_types()
         # what a family carries from one trial to the next within a run
         self.memo: Dict = {}
 
@@ -419,13 +418,9 @@ def _top_bot_minimal(env, rng, i):
 
 
 def _outside_params(t: Preterm, name: str) -> bool:
-    """Whether variable `name` occurs in t other than inside a symbol's
-    parameters."""
-    if isinstance(t, Lam):
-        return _outside_params(t.body, name)
-    if isinstance(t, Var) and t.name == name:
-        return True
-    return any(_outside_params(a, name) for a in t.args)
+    """Whether variable `name` occurs in t outside every symbol's parameters."""
+    return any(isinstance(u, Var) and u.name == name
+               for u, _ in tm.nodes(t, params=False))
 
 
 @family("variable-guarantee")

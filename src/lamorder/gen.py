@@ -40,13 +40,9 @@ class GenConfig:
 # Signatures with constraint-satisfying parameters
 # ---------------------------------------------------------------------------
 
-def _random_base(rng: random.Random, bases: Sequence[Type]) -> Type:
-    return rng.choice(list(bases))
-
-
 def _random_type(rng: random.Random, bases: Sequence[Type], depth: int = 2) -> Type:
     if depth <= 0 or rng.random() < 0.55:
-        return _random_base(rng, bases)
+        return rng.choice(bases)
     return arrow(_random_type(rng, bases, depth - 1), _random_type(rng, bases, depth - 1))
 
 
@@ -78,7 +74,7 @@ def gen_signature(cfg: GenConfig) -> Tuple[Signature, OrderParams, OrderParams]:
         name = "f%d" % i
         n_args = rng.randint(0, cfg.max_arity)
         arg_tys = [_random_type(rng, bases, 1) for _ in range(n_args)]
-        body = arrows(arg_tys, _random_base(rng, bases))
+        body = arrows(arg_tys, rng.choice(bases))
         sig.add_symbol(name, TypeDecl((), (), body))
         names.append(name)
     if cfg.polymorphic:
@@ -129,11 +125,7 @@ def gen_signature(cfg: GenConfig) -> Tuple[Signature, OrderParams, OrderParams]:
 def min_size(ty: Type) -> int:
     """Smallest possible eta-long term of this type, assuming every base type
     has a nullary inhabitant (gen_signature guarantees it)."""
-    n = 1
-    while is_arrow(ty):
-        n += 1
-        ty = ty.args[1]
-    return n
+    return 1 + tm.arrow_count(ty)
 
 
 class TermGen:
@@ -147,10 +139,8 @@ class TermGen:
         self.rng = rng
         self.sig = sig
         self.var_types = dict(var_types or {})
-        if ty_pool is None:
-            ty_pool = [TyCon(n) for n, a in sig.type_constructors.items()
-                       if a == 0 and n != tm.ARROW]
-        self.ty_pool = list(ty_pool) + [TyVar(v) for v in poly_ty_vars]
+        pool = sig.base_types() if ty_pool is None else list(ty_pool)
+        self.ty_pool = pool + [TyVar(v) for v in poly_ty_vars]
 
     def gen(self, ty: Type, budget: int, ground: bool,
             binders: Tuple[Type, ...] = ()) -> Preterm:
@@ -248,16 +238,15 @@ class TermGen:
 
 def gen_var_types(rng: random.Random, cfg: GenConfig, sig: Signature,
                   polymorphic: bool = False) -> Dict[str, Type]:
-    bases = [TyCon(n) for n, a in sig.type_constructors.items()
-             if a == 0 and n != tm.ARROW]
+    bases = sig.base_types()
     out: Dict[str, Type] = {}
     for i in range(cfg.term_var_count):
         if polymorphic and i % 3 == 2:
             out["x%d" % i] = TyVar("a%d" % (i % cfg.ty_var_count))
         elif i % 2 == 1:
-            out["x%d" % i] = arrow(_random_base(rng, bases), _random_base(rng, bases))
+            out["x%d" % i] = arrow(rng.choice(bases), rng.choice(bases))
         else:
-            out["x%d" % i] = _random_base(rng, bases)
+            out["x%d" % i] = rng.choice(bases)
     return out
 
 
@@ -267,8 +256,7 @@ def gen_var_types(rng: random.Random, cfg: GenConfig, sig: Signature,
 
 def gen_ground_type(rng: random.Random, sig: Signature, depth: int = 1,
                     flat: bool = False) -> Type:
-    bases = [TyCon(n) for n, a in sig.type_constructors.items()
-             if a == 0 and n != tm.ARROW]
+    bases = sig.base_types()
     if depth <= 0 or rng.random() < 0.5:
         return rng.choice(bases)
     if flat:
@@ -298,48 +286,12 @@ def gen_grounding_subst(rng: random.Random, sig: Signature,
 
 
 def free_var_types(t: Preterm) -> Dict[str, Type]:
-    out: Dict[str, Type] = {}
-
-    def walk(u: Preterm) -> None:
-        if isinstance(u, Var):
-            out[u.name] = u.ty
-            for a in u.args:
-                walk(a)
-        elif isinstance(u, Lam):
-            walk(u.body)
-        elif isinstance(u, Sym):
-            for x in u.params + u.args:
-                walk(x)
-        else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return out
+    return {u.name: u.ty for u, _ in tm.nodes(t) if isinstance(u, Var)}
 
 
 def free_ty_vars(t: Preterm) -> List[str]:
-    acc: set = set()
-
-    def add_ty(ty: Type) -> None:
-        tm.type_vars(ty, acc)
-
-    def walk(u: Preterm) -> None:
-        if isinstance(u, Lam):
-            add_ty(u.arg_ty)
-            walk(u.body)
-        elif isinstance(u, Sym):
-            for a in u.ty_args:
-                add_ty(a)
-            for x in u.params + u.args:
-                walk(x)
-        else:
-            add_ty(u.ty)
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return sorted(acc)
+    return sorted({v for u, _ in tm.nodes(t) for ty in tm.node_types(u)
+                   for v in tm.type_vars(ty)})
 
 
 # ---------------------------------------------------------------------------

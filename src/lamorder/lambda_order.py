@@ -668,11 +668,10 @@ class _LpoOpt(_Lpo):
 
     def __init__(self, p: OrderParams):
         super().__init__(p)
-        # keyed on node serials, which hash in C where a node's hash is a call
-        self.memo: Dict[Tuple[int, int, int, int], Cmp] = {}
+        self.memo: Dict[Tuple[Preterm, Preterm, int, int], Cmp] = {}
 
     def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
-        return self.memo.get((t.serial, s.serial, dt, ds))
+        return self.memo.get((t, s, dt, ds))
 
     def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
         """Run the subterm rules the naive algorithm front-loads, then store
@@ -684,7 +683,7 @@ class _LpoOpt(_Lpo):
                 out = G
             elif out is not GE and self.check_subs(*_subterms(s, ds), t, dt):
                 out = L
-        self.memo[t.serial, s.serial, dt, ds] = out
+        self.memo[t, s, dt, ds] = out
         return out
 
     def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,

@@ -24,7 +24,7 @@ from .poly import HInd, Indet, KInd, Poly, PolyError, WInd, const_poly, indet_po
 from . import term as tm
 from .term import (TABLE, Db, Interned, Lam, Preterm, Signature, Substitution, Sym,
                    TyVar, Type, Var, eta_expansion_count, is_ground, is_steady,
-                   split_arrows, strip_lams, subst_type)
+                   split_arrows, steady_split, strip_lams, subst_type)
 
 
 class OracleError(Exception):
@@ -187,21 +187,9 @@ def oracle_weight(t: Preterm, p: OrderParams) -> Ord:
 # ---------------------------------------------------------------------------
 
 def _check_nonfunctional_range(theta: Substitution, sig: Signature) -> None:
-    def bad(t: Preterm) -> bool:
-        if isinstance(t, Var):
-            if tm.is_arrow(t.ty) or isinstance(t.ty, TyVar) or t.args:
-                return True
-            return False
-        if isinstance(t, Lam):
-            return bad(t.body)
-        if isinstance(t, tm.App):
-            return bad(t.fn) or bad(t.arg)
-        if isinstance(t, Sym):
-            return any(bad(x) for x in t.params + t.args)
-        return any(bad(x) for x in t.args)
-
     for image in theta.term_map.values():
-        if bad(image):
+        if any(isinstance(u, Var) and (tm.is_arrow(u.ty) or isinstance(u.ty, TyVar) or u.args)
+               for u, _ in tm.nodes(image)):
             raise OracleError("substitution maps to a term with functional variables: %r"
                               % (image,))
 
@@ -300,7 +288,7 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
         exp_tys, _ = split_arrows(tail2)
         c = len(exp_tys)
         # the arguments eta-expansion appends behind the pending slots
-        e_args = [tm.eta_long_index(c - 1 - j, exp_tys[j], p.sig) for j in range(c)]
+        e_args = tuple(tm.eta_long_index(c - 1 - j, exp_tys[j], p.sig) for j in range(c))
         prefix2 = tuple(tm.apply_subst(a, theta, p.sig) for a in prefix)
         wdb = const_poly(p.w_db)
         wlam = const_poly(p.w_lam)
@@ -313,35 +301,23 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
                 "head instantiation %r introduces functional arguments ahead of "
                 "pending ones; the weight image is not expressible as a "
                 "substitution" % (tail2,))
+        if isinstance(ind, KInd) and not pending:
+            raise OracleError("argument indeterminate on a spine without "
+                              "pending arguments: %r" % (ind,))
 
+        # the appended arguments join the steady split only when no slot is
+        # pending; behind pending slots they keep their own argument places
+        new_prefix, moved = steady_split(prefix2 if pending else prefix2 + e_args, p.sig)
+        key2 = var_key(name, ty2, new_prefix, p)
+        if isinstance(ind, KInd):
+            out[ind] = indet_poly(KInd(key2, len(moved) + ind.i))
+            continue
+        placed = list(enumerate(moved, 1))
         if pending:
-            cut = len(prefix2)
-            while cut > 0 and is_steady(prefix2[cut - 1], p.sig):
-                cut -= 1
-            new_prefix, moved = prefix2[:cut], prefix2[cut:]
-            key2 = var_key(name, ty2, new_prefix, p)
-            if isinstance(ind, KInd):
-                out[ind] = indet_poly(KInd(key2, len(moved) + ind.i))
-                continue
-            acc = indet_poly(WInd(key2))
-            for j, a in enumerate(moved):
-                acc = acc + indet_poly(KInd(key2, j + 1)) * (weight_poly(a, p) - wdb)
-            base = len(moved) + pending
-            for j, e in enumerate(e_args):
-                acc = acc + indet_poly(KInd(key2, base + j + 1)) * (weight_poly(e, p) - wdb)
-        else:
-            if isinstance(ind, KInd):
-                raise OracleError("argument indeterminate on a spine without "
-                                  "pending arguments: %r" % (ind,))
-            everything = prefix2 + tuple(e_args)
-            cut = len(everything)
-            while cut > 0 and is_steady(everything[cut - 1], p.sig):
-                cut -= 1
-            new_prefix, moved = everything[:cut], everything[cut:]
-            key2 = var_key(name, ty2, new_prefix, p)
-            acc = indet_poly(WInd(key2))
-            for j, a in enumerate(moved):
-                acc = acc + indet_poly(KInd(key2, j + 1)) * (weight_poly(a, p) - wdb)
+            placed += enumerate(e_args, len(moved) + pending + 1)
+        acc = indet_poly(WInd(key2))
+        for j, a in placed:
+            acc = acc + indet_poly(KInd(key2, j)) * (weight_poly(a, p) - wdb)
         if c:
             acc = acc + wlam.scale(from_int(c))
         if eta_count:
@@ -355,8 +331,7 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
 # ---------------------------------------------------------------------------
 
 def default_type_pool(sig: Signature) -> List[Type]:
-    pool = [tm.TyCon(name) for name, ar in sig.type_constructors.items()
-            if ar == 0 and name != tm.ARROW]
+    pool = sig.base_types()
     seen = set(pool)
     for decl in sig.symbols.values():
         if decl.ty_vars:

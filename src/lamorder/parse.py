@@ -4,9 +4,9 @@ Type syntax:      TY ::= NAME | 'NAME | (NAME TY*) | (-> TY TY)
 Term syntax:      T  ::= (lam TY T) | (db N TY) | (sym NAME (TY*) (T*) T*)
                        | (var NAME TY T*)
 A term is read in one pass, each node built at its closing parenthesis on an
-explicit stack, then type-checked; only a term that fails the check (an
-under-applied spine) is normalized.  Positions are character offsets until a
-ParseError gives the line and column.
+explicit stack, then type-checked; it is normalized only when the check finds
+an under-applied spine.  Positions are character offsets until a ParseError
+gives the line and column.
 
 A signature file is one s-expression:
 
@@ -248,21 +248,21 @@ def _read(tokens, sig: Optional[Signature], role: int):
 
 @_positioned
 def parse_term(text: str, sig: Signature) -> Preterm:
-    """Read and type-check one term; normalize it only if the check fails."""
+    """Read and type-check one term; normalize it only if a spine is under-applied."""
     tokens = _tokens(text)
     t, at = _read(tokens, sig, _TERM)
     if next(tokens, None) is not None:
         raise _Fault("expected exactly one expression, found %d"
                      % len(read_sexprs(text)), 0)
     try:
-        tm.check_types(t, sig)
-    except tm.TermError:
-        # under-applied spines are eta-expanded; any other fault recurs
         try:
+            tm.check_types(t, sig)
+        except tm.UnderApplied:
+            # eta-expand the under-applied spines; any other fault is the first
             t = normalize(t, sig)
             tm.check_types(t, sig)
-        except tm.TermError as exc:
-            raise _Fault(str(exc), at) from exc
+    except tm.TermError as exc:
+        raise _Fault(str(exc), at) from exc
     return t
 
 
@@ -396,38 +396,26 @@ def parse_signature_file(path: str, kind: str,
 # Rendering (round-trip support and debugging)
 # ---------------------------------------------------------------------------
 
-# The parts of each list a type or preterm is written as; a tuple of types
-# or preterms is written as the list of its members.
-_PARTS = {
-    TyCon: lambda x: (x.name, *x.args),
-    Lam: lambda x: ("lam", x.arg_ty, x.body),
-    Db: lambda x: ("db", str(x.index), x.ty, *x.args),
-    Var: lambda x: ("var", x.name, x.ty, *x.args),
-    Sym: lambda x: ("sym", x.name, x.ty_args, x.params, *x.args),
+def _list(*parts) -> list:
+    return ["(", *tm.interleave(" ", parts), ")"]
+
+
+# the table of the term syntax: a type is written as ``repr`` writes it, a
+# tuple of types or preterms as the list of its members
+_SYNTAX = {
+    TyVar: tm.REPR[TyVar],
+    TyCon: tm.REPR[TyCon],
+    Lam: lambda x: _list("lam", x.arg_ty, x.body),
+    Db: lambda x: _list("db", str(x.index), x.ty, *x.args),
+    Var: lambda x: _list("var", x.name, x.ty, *x.args),
+    Sym: lambda x: _list("sym", x.name, x.ty_args, x.params, *x.args),
+    tuple: lambda x: _list(*x),
 }
 
 
 def render_term(x) -> str:
-    """The text of a preterm or a type, written with an explicit stack."""
-    out: List[str] = []
-    stack = [x]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-        elif isinstance(x, TyVar):
-            out.append("'" + x.name)
-        elif isinstance(x, TyCon) and not x.args:
-            out.append(x.name)
-        else:
-            parts = x if isinstance(x, tuple) else _PARTS[type(x)](x)
-            stack.append(")")
-            for part in reversed(parts):
-                stack += (part, " ")
-            if parts:
-                stack.pop()
-            stack.append("(")
-    return "".join(out)
+    """The text of a preterm or a type."""
+    return tm.write(x, _SYNTAX)
 
 
 render_type = render_term

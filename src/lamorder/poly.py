@@ -17,7 +17,7 @@ coefficients.  The map itself is unordered; only printing sorts it.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, ItemsView, Mapping, Optional, Tuple, Union
+from typing import Dict, ItemsView, List, Mapping, Optional, Tuple, Union
 
 from .cmp import Cmp, E, G, GE, L, LE, U
 from .ordinal import Ord, ZERO, ONE, ord_add, ord_mul
@@ -126,11 +126,9 @@ class Poly:
     def is_constant(self) -> bool:
         return not self._coeffs or (len(self._coeffs) == 1 and () in self._coeffs)
 
-    def indets(self) -> set:
-        out: set = set()
-        for m in self._coeffs:
-            out.update(m)
-        return out
+    def indets(self) -> List[Indet]:
+        """The indeterminates that occur, in creation order."""
+        return sorted({x for m in self._coeffs for x in m}, key=_serial)
 
     # -- ring operations ----------------------------------------------------
 

@@ -19,21 +19,25 @@ Preterms and types are hash-consed through ``Interned``, the base this module
 also gives the weight indeterminates (``poly``), the first-order terms
 (``fo_order``) and the oracle's symbol keys (``oracle``): every constructor
 returns the one value that exists for its arguments, so structurally equal
-values are the same object and equality is identity.  Each preterm caches its
-type under the signature it was last typed in, and whether a raw ``App``
-occurs in it.  The one table keeps every distinct value for the life of the
-process.
+values are the same object, and equality and hash are identity.  Each
+preterm caches its type under the signature it was last typed in, and
+whether a raw ``App`` occurs in it.  The one table keeps every distinct value
+for the life of the process.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ARROW = "->"
 
 
 class TermError(Exception):
     """Ill-formed or ill-typed term input."""
+
+
+class UnderApplied(TermError):
+    """A spine of arrow type: the one fault that normalizing repairs."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +56,9 @@ class Interned:
     ``__new__`` returns ``TABLE.get(key) or cls.intern(key, *fields)`` for
     the key ``(cls.tag, *fields)``, the fields in ``__slots__`` order.
     ``serial`` is the creation number, unique since the table never drops a
-    value."""
+    value.  Equality and hash are the object's identity."""
 
-    __slots__ = ("_hash", "serial")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("serial",)
 
     def __reduce__(self):
         # copies and unpickled values go through the constructor, so they intern
@@ -69,7 +70,6 @@ class Interned:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
-        node._hash = hash(key)
         node.serial = len(TABLE)
         TABLE[key] = node
         return node
@@ -82,6 +82,9 @@ class Interned:
 class Type(Interned):
     __slots__ = ()
 
+    def __repr__(self):
+        return write(self, REPR)
+
 
 class TyVar(Type):
     __slots__ = ("name",)
@@ -91,9 +94,6 @@ class TyVar(Type):
         key = (cls.tag, name)
         return TABLE.get(key) or cls.intern(key, name)
 
-    def __repr__(self):
-        return "'" + self.name
-
 
 class TyCon(Type):
     __slots__ = ("name", "args")
@@ -102,11 +102,6 @@ class TyCon(Type):
     def __new__(cls, name: str, args: Tuple[Type, ...] = ()):
         key = (cls.tag, name, args)
         return TABLE.get(key) or cls.intern(key, name, args)
-
-    def __repr__(self):
-        if not self.args:
-            return self.name
-        return "(%s %s)" % (self.name, " ".join(map(repr, self.args)))
 
 
 def arrow(a: Type, b: Type) -> Type:
@@ -219,6 +214,10 @@ class Signature:
             raise TermError("symbol %s redeclared" % name)
         self.symbols[name] = decl
 
+    def base_types(self) -> List[Type]:
+        """The nullary type constructors, in declaration order."""
+        return [TyCon(n) for n, a in self.type_constructors.items() if a == 0]
+
     def decl(self, name: str) -> TypeDecl:
         try:
             return self.symbols[name]
@@ -236,6 +235,8 @@ class Preterm(Interned):
     and is set once, when the node is interned."""
 
     __slots__ = ("_typed", "raw")
+
+    __repr__ = Type.__repr__
 
     @classmethod
     def intern(cls, key: tuple, *fields):
@@ -255,9 +256,6 @@ class Var(Preterm):
         key = (cls.tag, name, ty, args)
         return TABLE.get(key) or cls.intern(key, name, ty, args)
 
-    def __repr__(self):
-        return _spine_repr(self.name, self.args)
-
 
 class Sym(Preterm):
     __slots__ = ("name", "ty_args", "params", "args")
@@ -268,14 +266,6 @@ class Sym(Preterm):
         key = (cls.tag, name, ty_args, params, args)
         return TABLE.get(key) or cls.intern(key, name, ty_args, params, args)
 
-    def __repr__(self):
-        head = self.name
-        if self.ty_args:
-            head += "<%s>" % ",".join(map(repr, self.ty_args))
-        if self.params:
-            head += "(%s)" % ",".join(map(repr, self.params))
-        return _spine_repr(head, self.args)
-
 
 class Db(Preterm):
     __slots__ = ("index", "ty", "args")
@@ -285,9 +275,6 @@ class Db(Preterm):
         key = (cls.tag, index, ty, args)
         return TABLE.get(key) or cls.intern(key, index, ty, args)
 
-    def __repr__(self):
-        return _spine_repr("#%d" % self.index, self.args)
-
 
 class Lam(Preterm):
     __slots__ = ("arg_ty", "body")
@@ -296,9 +283,6 @@ class Lam(Preterm):
     def __new__(cls, arg_ty: Type, body: Preterm):
         key = (cls.tag, arg_ty, body)
         return TABLE.get(key) or cls.intern(key, arg_ty, body)
-
-    def __repr__(self):
-        return "(\\%r. %r)" % (self.arg_ty, self.body)
 
 
 class App(Preterm):
@@ -311,20 +295,93 @@ class App(Preterm):
         key = (cls.tag, fn, arg)
         return TABLE.get(key) or cls.intern(key, fn, arg)
 
-    def __repr__(self):
-        return "(%r %r)" % (self.fn, self.arg)
-
-
-def _spine_repr(head: str, args: Tuple[Preterm, ...]) -> str:
-    if not args:
-        return head
-    return "(%s %s)" % (head, " ".join(map(repr, args)))
-
 
 def app(fn: Preterm, *args: Preterm) -> Preterm:
     for a in args:
         fn = App(fn, a)
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Walking and writing, on explicit stacks: no limit on a term's depth
+# ---------------------------------------------------------------------------
+
+def nodes(t: Preterm, params: bool = True) -> Iterator[Tuple[Preterm, int]]:
+    """Every node of ``t`` in pre-order, with the number of lambdas above it:
+    a node, then its parameters (skipped when ``params`` is false) and its
+    arguments, left to right; a lambda's body; a raw ``App``'s ``fn`` and
+    ``arg``."""
+    stack, d = [t], 0
+    while stack:
+        u = stack.pop()
+        if u is None:           # the end of a lambda's body
+            d -= 1
+            continue
+        yield u, d
+        if isinstance(u, Lam):
+            stack += (None, u.body)
+            d += 1
+        elif isinstance(u, App):
+            stack += (u.arg, u.fn)
+        elif params and isinstance(u, Sym):
+            stack += reversed(u.params + u.args)
+        else:
+            stack += reversed(u.args)
+
+
+def node_types(u: Preterm) -> Tuple[Type, ...]:
+    """The types written in the node ``u`` itself: a lambda's binder type, a
+    symbol's type arguments, a variable's or an index's type."""
+    if isinstance(u, Lam):
+        return (u.arg_ty,)
+    if isinstance(u, Sym):
+        return u.ty_args
+    if isinstance(u, App):
+        return ()
+    return (u.ty,)
+
+
+def write(x, pieces: Dict[type, Callable[..., list]]) -> str:
+    """The text of ``x``.  ``pieces[type(v)](v)`` lists the text of a value
+    ``v``: strings, written as they are, and values, each written in its turn
+    through the same table."""
+    out: List[str] = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        else:
+            stack += reversed(pieces[type(x)](x))
+    return "".join(out)
+
+
+def interleave(sep: str, xs: Sequence) -> list:
+    """The members of ``xs`` with ``sep`` between each two."""
+    out = [sep] * (2 * len(xs) - 1)
+    out[::2] = xs
+    return out
+
+
+def _spine(head: list, args: Tuple[Preterm, ...]) -> list:
+    return head if not args else ["(", *head, " ", *interleave(" ", args), ")"]
+
+
+def _group(opening: str, xs: tuple, closing: str) -> list:
+    return [opening, *interleave(",", xs), closing] if xs else []
+
+
+# the table of ``repr``: ``(-> k k)``, ``(\k. #0)``, ``(f<k,'A>(p,q) a)``
+REPR: Dict[type, Callable[..., list]] = {
+    TyVar: lambda x: ["'" + x.name],
+    TyCon: lambda x: _spine([x.name], x.args),
+    Var: lambda x: _spine([x.name], x.args),
+    Db: lambda x: _spine(["#%d" % x.index], x.args),
+    Sym: lambda x: _spine([x.name, *_group("<", x.ty_args, ">"),
+                           *_group("(", x.params, ")")], x.args),
+    Lam: lambda x: ["(\\", x.arg_ty, ". ", x.body, ")"],
+    App: lambda x: ["(", x.fn, " ", x.arg, ")"],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +469,7 @@ def check_types(t: Preterm, sig: Signature) -> Type:
             frame[4], got = i + 1, None
             continue
         if is_arrow(ty):
-            raise TermError("under-applied spine (type %r): %r" % (ty, spine))
+            raise UnderApplied("under-applied spine (type %r): %r" % (ty, spine))
         for _ in range(lams):
             ty = arrow(binders.pop(), ty)
         stack.pop()
@@ -623,52 +680,26 @@ def steady_split(args: Sequence[Preterm], sig: Signature) -> Tuple[Tuple[Preterm
 
 
 def is_closed(t: Preterm) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Lam):
-        return is_closed(t.body)
-    if isinstance(t, Sym):
-        return all(is_closed(p) for p in t.params) and all(is_closed(a) for a in t.args)
-    return all(is_closed(a) for a in t.args)
+    return not any(isinstance(u, Var) for u, _ in nodes(t))
 
 
 def is_monomorphic(t: Preterm) -> bool:
-    if isinstance(t, Lam):
-        return type_is_ground(t.arg_ty) and is_monomorphic(t.body)
-    if isinstance(t, Sym):
-        return (all(type_is_ground(a) for a in t.ty_args)
-                and all(is_monomorphic(p) for p in t.params)
-                and all(is_monomorphic(a) for a in t.args))
-    return type_is_ground(t.ty) and all(is_monomorphic(a) for a in t.args)
+    return all(type_is_ground(ty) for u, _ in nodes(t) for ty in node_types(u))
 
 
 def is_ground(t: Preterm) -> bool:
     return is_closed(t) and is_monomorphic(t)
 
 
-def refers_to_outer_binders(t: Preterm, k: int, depth: int = 0) -> bool:
+def refers_to_outer_binders(t: Preterm, k: int) -> bool:
     """True iff some index of t points into the first k binders enclosing it.
     Subterms for which this is false are exactly the images of shift(., k)."""
-    if isinstance(t, Db):
-        if depth <= t.index < depth + k:
-            return True
-        return any(refers_to_outer_binders(a, k, depth) for a in t.args)
-    if isinstance(t, Lam):
-        return refers_to_outer_binders(t.body, k, depth + 1)
-    if isinstance(t, Sym):
-        return any(refers_to_outer_binders(x, k, depth) for x in t.params + t.args)
-    return any(refers_to_outer_binders(a, k, depth) for a in t.args)
+    return any(isinstance(u, Db) and d <= u.index < d + k for u, d in nodes(t))
 
 
 def size(t: Preterm) -> int:
     """Head and each parameter or argument occurrence count 1; lambdas count 1."""
-    if isinstance(t, Lam):
-        return 1 + size(t.body)
-    if isinstance(t, Sym):
-        return 1 + sum(size(p) for p in t.params) + sum(size(a) for a in t.args)
-    if isinstance(t, App):
-        return size(t.fn) + size(t.arg)
-    return 1 + sum(size(a) for a in t.args)
+    return sum(not isinstance(u, App) for u, _ in nodes(t))
 
 
 # ---------------------------------------------------------------------------

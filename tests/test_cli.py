@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +82,20 @@ def test_compare_rejects_too_deep_term(capsys, tmp_path):
     assert err == "error: terms nested too deeply to compare"
 
 
+def test_compare_rejects_deep_term_over_applied_at_its_root(capsys, tmp_path):
+    sig = tmp_path / "chain.sig"
+    sig.write_text("(signature (types (k 0)) (symbols (a () () k) (f () () (-> k k)))"
+                   " (precedence a f))")
+    chain = "(sym f () () " * 2000 + "(sym a () ())" + ")" * 2000
+    bad = tmp_path / "bad.term"
+    bad.write_text("(sym f () () %s (sym a () ()))" % chain)
+    code, out, err = run(capsys, "compare", "--sig", str(sig), "--order", "kbo",
+                         str(bad), str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 1:1: type mismatch at argument 2 of (f (f (f "), err[:80]
+    assert err.endswith(" a)") and err.count("(f ") == 2001
+
+
 def test_compare_deep_identical_files(capsys, tmp_path):
     deep = _chain_file(tmp_path / "deep.term", "(db 0 k)")
     for order in ("kbo", "lpo"):
@@ -139,6 +155,19 @@ def test_check_rejects_unknown_family(capsys, iters):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "ground-totl" in err
+
+
+def test_check_output_is_the_same_under_any_string_hash_seed():
+    """Interned values hash by identity and strings by PYTHONHASHSEED, so no
+    output may depend on the order of a set or a hash."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = [subprocess.run([sys.executable, "-m", "lamorder.cli", "check", "--seed", "0",
+                            "--iters", "20"], capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0].endswith(b"CHECK 20 families, 0 failing\n")
 
 
 def test_bench_produces_table(capsys):

@@ -267,6 +267,35 @@ def test_under_applied_spines_are_eta_expanded(sig_params):
         assert parse_term(text, sig) is want, text
 
 
+def test_first_fault_is_named_unless_a_spine_is_under_applied(sig_params):
+    """Only an under-applied spine is eta-expanded before the check runs
+    again; any other fault is reported as the first check finds it, even
+    when the term also has an under-applied spine."""
+    sig, _ = sig_params
+    cases = {
+        "(sym g () () (sym top () ()))": "argument 1 of (g top) has type o, expected k",
+        "(lam k (sym g () () (db 0 o)))": "bound index #0 annotated o but binder has k",
+        "(sym f () () (sym a () ()) (sym g () () (sym a () ())))":
+            "type mismatch at argument 2 of (f a (g a))",
+        "(sym f () () (sym g () () (sym a () ())))":
+            "argument 1 of (f (\\k. (g a #0))) has type (-> k k), expected k",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_term(text, sig)
+        assert str(err.value) == "1:1: " + message, text
+
+
+def test_deep_term_over_applied_at_its_root_is_positioned(sig_params):
+    sig, _ = sig_params
+    depth = 2000
+    chain = "(sym f () () " * depth + "(sym a () ())" + ")" * depth
+    with pytest.raises(ParseError) as err:
+        parse_term("(sym f () () %s (sym a () ()))" % chain, sig)
+    assert str(err.value) == "1:1: type mismatch at argument 2 of (f %s a)" \
+        % ("(f " * depth + "a" + ")" * depth)
+
+
 @pytest.mark.parametrize("polymorphic", [False, True])
 def test_rendered_generated_terms_parse_back(polymorphic):
     cfg = GenConfig(seed=21, polymorphic=polymorphic)

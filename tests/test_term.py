@@ -5,19 +5,23 @@ import importlib
 import pickle
 import pkgutil
 import random
+import sys
 
 import pytest
 
 import lamorder
+from lamorder.checks import _outside_params
 from lamorder.fo_order import FoApp, FoVar
-from lamorder.gen import GenConfig, TermGen, free_var_types, gen_grounding_subst, gen_signature
-from lamorder.oracle import DbKey, FKey, LamKey
+from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_grounding_subst,
+                          gen_signature)
+from lamorder.oracle import DbKey, FKey, LamKey, _check_nonfunctional_range
+from lamorder.parse import render_term
 from lamorder.poly import HInd, KInd, WInd
 from lamorder.term import (ARROW, App, Db, Interned, Lam, Preterm, Signature, Substitution,
                            Sym, TermError, TyCon, TyVar, TypeDecl, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
-                           check_types, eta_expansion_count, is_ground,
-                           is_monomorphic, is_steady, normalize,
+                           check_types, eta_expansion_count, is_closed, is_ground,
+                           is_monomorphic, is_steady, node_types, nodes, normalize,
                            preprocess_quantifiers, refers_to_outer_binders,
                            replace_at, shift, size, strip_lams, subterm_at,
                            truncating_apply, type_of)
@@ -89,20 +93,12 @@ def test_copies_and_unpickled_nodes_are_the_node_itself():
         assert pickle.loads(pickle.dumps(v)) is v
 
 
-def test_hash_is_the_structural_tuple_hash():
-    assert hash(Sym("a")) == hash(("sym", "a", (), (), ()))
+def test_hash_is_identity():
     x = Var("x", K)
-    assert hash(Lam(K, x)) == hash(("lam", K, x))
-    assert hash(TyVar("A")) == hash(("tyvar", "A"))
-    assert hash(K) == hash(("tycon", "k", ()))
-    assert hash(WInd(x)) == hash(("w", x))
-    assert hash(KInd(x, 1)) == hash(("k", x, 1))
-    assert hash(HInd("A")) == hash(("h", "A"))
-    assert hash(FoVar("A")) == hash(("fovar", "A"))
-    assert hash(FoApp("k")) == hash(("foapp", "k", ()))
-    assert hash(FKey("a", (), ())) == hash(("fkey", "a", (), ()))
-    assert hash(DbKey(0, 1)) == hash(("dbkey", 0, 1))
-    assert hash(LamKey(K)) == hash(("lamkey", K))
+    for v in (Sym("a"), x, Db(0, K), Lam(K, x), App(Sym("f"), Sym("a")), TyVar("A"), K,
+              WInd(x), KInd(x, 1), HInd("A"), FoVar("A"), FoApp("k"), FKey("a", (), ()),
+              DbKey(0, 1), LamKey(K)):
+        assert hash(v) == object.__hash__(v), type(v)
 
 
 def test_interned_classes_have_distinct_tags_and_identity_equality():
@@ -111,7 +107,7 @@ def test_interned_classes_have_distinct_tags_and_identity_equality():
     its own equality or hash would break the identity the table gives."""
     for mod in pkgutil.iter_modules(lamorder.__path__):
         importlib.import_module("lamorder." + mod.name)
-    assert "__hash__" in vars(Interned)
+    assert "__hash__" not in vars(Interned)
     owners = {}
     todo = list(Interned.__subclasses__())
     while todo:
@@ -295,6 +291,77 @@ def test_groundness_predicates(sig):
     assert not is_ground(Var("x", K))
     assert not is_ground(Sym("c", (TyVar("alpha"),)))
     assert is_monomorphic(Sym("c", (K,)))
+
+
+def test_nodes_are_pre_order_with_lambda_depths():
+    p, q, fa, inner = Var("p", K), Var("q", K), App(Sym("f"), Db(0, K)), Lam(O, Db(1, K))
+    spine = Sym("sk", (), (p, q), (fa, inner))
+    t = Lam(K, spine)
+    args = [(fa, 1), (Sym("f"), 1), (Db(0, K), 1), (inner, 1), (Db(1, K), 2)]
+    assert list(nodes(t)) == [(t, 0), (spine, 1), (p, 1), (q, 1)] + args
+    assert list(nodes(t, params=False)) == [(t, 0), (spine, 1)] + args
+    assert list(nodes(p)) == [(p, 0)]
+
+
+def test_node_types_are_the_types_written_in_the_node():
+    A = TyVar("A")
+    assert node_types(Lam(A, Db(0, K))) == (A,)
+    assert node_types(Sym("c", (K,), (), (Var("x", A),))) == (K,)
+    assert node_types(Var("x", A, (Sym("a"),))) == (A,)
+    assert node_types(Db(0, O)) == (O,)
+    assert node_types(App(Sym("f"), Sym("a"))) == ()
+
+
+def test_repr_of_every_class():
+    A = TyVar("A")
+    cases = {
+        A: "'A",
+        K: "k",
+        arrow(K, K): "(-> k k)",
+        TyCon("pair", (K, A)): "(pair k 'A)",
+        Var("x", K): "x",
+        Var("h", arrow(K, K), (Sym("a"),)): "(h a)",
+        Db(0, K): "#0",
+        Db(1, arrows([K, K], K), (Sym("a"), Db(0, K))): "(#1 a #0)",
+        Sym("f", (K, A), (Sym("p"), Sym("q"))): "f<k,'A>(p,q)",
+        Sym("f", (K, A), (Sym("p"), Sym("q")), (Sym("a"), Db(0, K))): "(f<k,'A>(p,q) a #0)",
+        Sym("sk", (), (Sym("a"),), (Sym("b"),)): "(sk(a) b)",
+        Lam(K, Db(0, K)): "(\\k. #0)",
+        Lam(arrow(K, K), Lam(K, Db(1, arrow(K, K), (Db(0, K),)))): "(\\(-> k k). (\\k. (#1 #0)))",
+        App(Sym("f"), Sym("a")): "(f a)",
+        App(App(Sym("g"), Sym("a")), Lam(K, Db(0, K))): "((g a) (\\k. #0))",
+    }
+    for v, want in cases.items():
+        assert repr(v) == want
+
+
+def test_folds_and_writers_take_deep_terms(sig):
+    """The folds walk with ``nodes`` and the writers with ``write``, both on
+    explicit stacks, so a depth-10,000 chain and lambda tower fit the default
+    recursion limit."""
+    depth = 10000
+    A = TyVar("A")
+    chain, tower = Var("x", K), Db(depth - 1, A)
+    for _ in range(depth):
+        chain, tower = Sym("f", (), (), (chain,)), Lam(A, tower)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert not is_closed(chain) and is_closed(tower)
+        assert is_monomorphic(chain) and not is_monomorphic(tower)
+        assert not refers_to_outer_binders(tower, 1)
+        assert refers_to_outer_binders(tower.body, 1)
+        assert size(chain) == size(tower) == depth + 1
+        assert free_var_types(chain) == {"x": K} and free_var_types(tower) == {}
+        assert free_ty_vars(chain) == [] and free_ty_vars(tower) == ["A"]
+        assert _outside_params(chain, "x") and not _outside_params(tower, "x")
+        _check_nonfunctional_range(Substitution(term_map={("y", K): chain}), sig)
+        assert repr(chain) == "(f " * depth + "x" + ")" * depth
+        assert repr(tower) == "(\\'A. " * depth + "#%d" % (depth - 1) + ")" * depth
+        assert render_term(chain) == "(sym f () () " * depth + "(var x k)" + ")" * depth
+        assert render_term(tower) == "(lam 'A " * depth + "(db %d 'A)" % (depth - 1) + ")" * depth
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_normalize_idempotent_randomized(sig):

@@ -237,20 +237,17 @@ def _weight_literal(weight: Ord, ty: Type, args: Tuple[Preterm, ...]) -> Preterm
 def norm_key(t: Preterm, p: OrderParams) -> Preterm:
     """Collapse heads that always weigh the same: a symbol spine with all-unit
     coefficients becomes a weight literal tagged with the head's type, and a
-    De Bruijn head becomes the index-weight literal.  The result is only ever
-    used as a syntactic key."""
-    if isinstance(t, Var):
-        return Var(t.name, t.ty, tuple(norm_key(a, p) for a in t.args))
-    if isinstance(t, Db):
-        return _weight_literal(p.w_db, t.ty, tuple(norm_key(a, p) for a in t.args))
-    if isinstance(t, Sym):
-        args = tuple(norm_key(a, p) for a in t.args)
-        if p.unit_coeffs(t.name):
-            head_ty = tm.head_type(t, p.sig)
-            return _weight_literal(p.w(t.name), head_ty, args)
-        return Sym(t.name, t.ty_args, t.params, args)
-    assert isinstance(t, Lam)
-    return Lam(t.arg_ty, norm_key(t.body, p))
+    De Bruijn head becomes the index-weight literal.  A symbol's parameters
+    are kept as they are.  The result is only ever used as a syntactic key."""
+    def rule(u, d, kids):
+        if isinstance(u, Db):
+            return _weight_literal(p.w_db, u.ty, kids)
+        if isinstance(u, Sym) and p.unit_coeffs(u.name):
+            return _weight_literal(p.w(u.name), tm.head_type(u, p.sig), kids)
+        if isinstance(u, Sym):
+            return Sym(u.name, u.ty_args, u.params, kids)
+        return tm.remake(u, kids)
+    return tm.rebuild(t, rule, params=False)
 
 
 def var_key(name: str, ty: Type, prefix: Tuple[Preterm, ...], p: OrderParams) -> Preterm:

@@ -76,15 +76,15 @@ class LamKey(FoSymKey):
 
 
 def encode_ground(t: Preterm) -> FoTerm:
-    if isinstance(t, Sym):
-        return FoApp(FKey(t.name, t.ty_args, t.params),
-                     tuple(encode_ground(a) for a in t.args))
-    if isinstance(t, Db):
-        return FoApp(DbKey(t.index, len(t.args)),
-                     tuple(encode_ground(a) for a in t.args))
-    if isinstance(t, Lam):
-        return FoApp(LamKey(t.arg_ty), (encode_ground(t.body),))
-    raise OracleError("cannot encode nonground preterm %r" % (t,))
+    def rule(u, d, kids):
+        if isinstance(u, Sym):
+            return FoApp(FKey(u.name, u.ty_args, u.params), kids)
+        if isinstance(u, Db):
+            return FoApp(DbKey(u.index, len(u.args)), kids)
+        if isinstance(u, Lam):
+            return FoApp(LamKey(u.arg_ty), kids)
+        raise OracleError("cannot encode nonground preterm %r" % (u,))
+    return tm.rebuild(t, rule, params=False)
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +194,27 @@ def _check_nonfunctional_range(theta: Substitution, sig: Signature) -> None:
                               % (image,))
 
 
-def _count_leading_lams(t: Preterm) -> int:
-    n = 0
-    while isinstance(t, Lam):
-        n += 1
-        t = t.body
-    return n
-
-
 def _copy_count(v: Preterm, i: int, p: OrderParams) -> Ord:
     """Number of De Bruijn indices in ``v`` referring to its i-th expected
     argument, each weighted by the product of the argument coefficients above
     it.  Occurrences inside parameters do not count, matching the weight
     function."""
-    m = _count_leading_lams(v)
+    body, m = v, 0
+    while isinstance(body, Lam):
+        body, m = body.body, m + 1
     if i > m:
         return ZERO
-    total = [ZERO]
 
-    def walk(u: Preterm, depth: int, coeff: Ord) -> None:
-        if isinstance(u, Lam):
-            walk(u.body, depth + 1, coeff)
-            return
-        if isinstance(u, Db):
-            if u.index == m - i + depth:
-                total[0] = ord_add(total[0], coeff)
-            for a in u.args:
-                walk(a, depth, coeff)
-            return
+    # bottom up: the Hessenberg product is bilinear and commutative, so each
+    # argument's count times its coefficient is the count weighted top down
+    def rule(u, d, kids):
         if isinstance(u, Sym):
-            for j, a in enumerate(u.args):
-                walk(a, depth, ord_mul(coeff, p.k(u.name, j + 1)))
-            return
-        for a in u.args:
-            walk(a, depth, coeff)
-
-    walk(strip_lams(v), 0, ONE)
-    return total[0]
+            kids = [ord_mul(c, p.k(u.name, j + 1)) for j, c in enumerate(kids)]
+        total = ONE if isinstance(u, Db) and u.index == m - i + d else ZERO
+        for c in kids:
+            total = ord_add(total, c)
+        return total
+    return tm.rebuild(body, rule, params=False)
 
 
 def assignment_from_grounding(theta: Substitution, reps: Dict[Indet, Tuple],

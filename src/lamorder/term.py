@@ -303,14 +303,25 @@ def app(fn: Preterm, *args: Preterm) -> Preterm:
 
 
 # ---------------------------------------------------------------------------
-# Walking and writing, on explicit stacks: no limit on a term's depth
+# Walking, rebuilding and writing, on explicit stacks: no limit on a term's depth
 # ---------------------------------------------------------------------------
+
+def children(u: Preterm, params: bool = True) -> Tuple[Preterm, ...]:
+    """The children of ``u``, left to right: its parameters (skipped when
+    ``params`` is false) and its arguments; a lambda's body; a raw ``App``'s
+    ``fn`` and ``arg``."""
+    if isinstance(u, Lam):
+        return (u.body,)
+    if isinstance(u, App):
+        return (u.fn, u.arg)
+    if params and isinstance(u, Sym):
+        return u.params + u.args
+    return u.args
+
 
 def nodes(t: Preterm, params: bool = True) -> Iterator[Tuple[Preterm, int]]:
     """Every node of ``t`` in pre-order, with the number of lambdas above it:
-    a node, then its parameters (skipped when ``params`` is false) and its
-    arguments, left to right; a lambda's body; a raw ``App``'s ``fn`` and
-    ``arg``."""
+    a node, then the nodes of each of its ``children``."""
     stack, d = [t], 0
     while stack:
         u = stack.pop()
@@ -319,14 +330,36 @@ def nodes(t: Preterm, params: bool = True) -> Iterator[Tuple[Preterm, int]]:
             continue
         yield u, d
         if isinstance(u, Lam):
-            stack += (None, u.body)
+            stack.append(None)
             d += 1
-        elif isinstance(u, App):
-            stack += (u.arg, u.fn)
-        elif params and isinstance(u, Sym):
-            stack += reversed(u.params + u.args)
-        else:
-            stack += reversed(u.args)
+        stack += reversed(children(u, params))
+
+
+def rebuild(t: Preterm, rule: Callable[[Preterm, int, tuple], object],
+            params: bool = True):
+    """The post-order map of ``t``: the image of a node ``u`` with ``d``
+    lambdas above it is ``rule(u, d, kids)``, where ``kids`` are the images
+    of ``children(u, params)``.  An image may be any value."""
+    images: list = []       # reversed pre-order leaves a first child's image on top
+    for u, d in reversed(list(nodes(t, params))):
+        kids = tuple(images.pop() for _ in children(u, params))
+        images.append(rule(u, d, kids))
+    return images[0]
+
+
+def remake(u: Preterm, kids: Tuple[Preterm, ...]) -> Preterm:
+    """``u`` with its children replaced by ``kids``, listed as
+    ``children(u)`` lists them; a spine's arguments are the members of
+    ``kids`` after its parameters, so extra members are extra arguments."""
+    if isinstance(u, Lam):
+        return Lam(u.arg_ty, *kids)
+    if isinstance(u, App):
+        return App(*kids)
+    if isinstance(u, Sym):
+        return Sym(u.name, u.ty_args, kids[:len(u.params)], kids[len(u.params):])
+    if isinstance(u, Var):
+        return Var(u.name, u.ty, kids)
+    return Db(u.index, u.ty, kids)
 
 
 def node_types(u: Preterm) -> Tuple[Type, ...]:
@@ -403,24 +436,28 @@ def head_type(t: Preterm, sig: Signature) -> Type:
 
 
 def type_of(t: Preterm, sig: Signature) -> Type:
-    """The unique type of a preterm.  Raises TermError on ill-typed spines.
-    The node caches the type it last had, and under which signature."""
+    """The unique type of a preterm.  Raises TermError on ill-typed spines
+    and on a raw ``App``, which only ``normalize`` takes.  Each node caches
+    the type it last had, and under which signature."""
     typed = t._typed
     if typed is not None and typed[0] is sig:
         return typed[1]
     if isinstance(t, Lam):
-        ty = arrow(t.arg_ty, type_of(t.body, sig))
-    elif isinstance(t, App):
-        ty = type_of(t.fn, sig)
+        # peel the lambdas in a loop, down to a typed node or a spine
+        lams = []
+        while isinstance(t, Lam) and (t._typed is None or t._typed[0] is not sig):
+            lams.append(t)
+            t = t.body
+        ty = type_of(t, sig)
+        for lam in reversed(lams):
+            ty = arrow(lam.arg_ty, ty)
+            lam._typed = (sig, ty)
+        return ty
+    ty = head_type(t, sig)
+    for i, _ in enumerate(t.args):
         if not is_arrow(ty):
-            raise TermError("application of non-function of type %r" % ty)
+            raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
         ty = ty.args[1]
-    else:
-        ty = head_type(t, sig)
-        for i, _ in enumerate(t.args):
-            if not is_arrow(ty):
-                raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
-            ty = ty.args[1]
     t._typed = (sig, ty)
     return ty
 
@@ -486,96 +523,63 @@ def shift(t: Preterm, n: int, cutoff: int = 0) -> Preterm:
     """Add ``n`` to every De Bruijn index >= cutoff (counting binders)."""
     if n == 0:
         return t
-    if isinstance(t, Var):
-        return Var(t.name, t.ty, tuple(shift(a, n, cutoff) for a in t.args))
-    if isinstance(t, Sym):
-        # Parameters contain no leaking indices by construction, but shifting
-        # them is harmless and keeps raw inputs usable.
-        return Sym(t.name, t.ty_args,
-                   tuple(shift(p, n, cutoff) for p in t.params),
-                   tuple(shift(a, n, cutoff) for a in t.args))
-    if isinstance(t, Db):
-        idx = t.index + n if t.index >= cutoff else t.index
-        if idx < 0:
-            raise TermError("shift would make index #%d negative" % t.index)
-        return Db(idx, t.ty, tuple(shift(a, n, cutoff) for a in t.args))
-    if isinstance(t, Lam):
-        return Lam(t.arg_ty, shift(t.body, n, cutoff + 1))
-    if isinstance(t, App):
-        return App(shift(t.fn, n, cutoff), shift(t.arg, n, cutoff))
-    raise TermError("bad preterm: %r" % t)
+
+    def rule(u, d, kids):
+        if isinstance(u, Db) and u.index >= cutoff + d:
+            if u.index + n < 0:
+                raise TermError("shift would make index #%d negative" % u.index)
+            return Db(u.index + n, u.ty, kids)
+        return remake(u, kids)
+    return rebuild(t, rule)
 
 
 def db_subst(t: Preterm, j: int, s: Preterm) -> Preterm:
     """Replace index ``j`` by ``s`` (shifted past crossed binders) and
-    decrement every index above ``j``."""
-    if isinstance(t, Db):
-        args = tuple(db_subst(a, j, s) for a in t.args)
-        if t.index == j:
-            res = shift(s, j, 0)
-            for a in args:
-                res = App(res, a)
-            return res
-        if t.index > j:
-            return Db(t.index - 1, t.ty, args)
-        return Db(t.index, t.ty, args)
-    if isinstance(t, Var):
-        return Var(t.name, t.ty, tuple(db_subst(a, j, s) for a in t.args))
-    if isinstance(t, Sym):
-        return Sym(t.name, t.ty_args,
-                   tuple(db_subst(p, j, s) for p in t.params),
-                   tuple(db_subst(a, j, s) for a in t.args))
-    if isinstance(t, Lam):
-        return Lam(t.arg_ty, db_subst(t.body, j + 1, s))
-    if isinstance(t, App):
-        return App(db_subst(t.fn, j, s), db_subst(t.arg, j, s))
-    raise TermError("bad preterm: %r" % t)
+    decrement every index above ``j``.  ``t`` and ``s`` are beta-normal, and
+    so is the result: a replaced index's arguments go through ``_apply``."""
+    def rule(u, d, kids):
+        if isinstance(u, Db) and u.index == j + d:
+            return _apply(shift(s, j + d), kids)
+        if isinstance(u, Db) and u.index > j + d:
+            return Db(u.index - 1, u.ty, kids)
+        return remake(u, kids)
+    return rebuild(t, rule)
+
+
+def _apply(fn: Preterm, args: Tuple[Preterm, ...]) -> Preterm:
+    """The beta-normal form of ``fn`` applied to ``args``, all beta-normal:
+    a lambda takes an argument by substitution, a spine takes the rest as
+    extra arguments."""
+    for i, a in enumerate(args):
+        if not isinstance(fn, Lam):
+            return remake(fn, children(fn) + args[i:])
+        fn = db_subst(fn.body, 0, a)
+    return fn
 
 
 # ---------------------------------------------------------------------------
 # Normalization: beta-reduce, then eta-expand to the long form
 # ---------------------------------------------------------------------------
 
-def _flatten(t: Preterm) -> Tuple[Preterm, List[Preterm]]:
-    args: List[Preterm] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def normalize(t: Preterm, sig: Signature) -> Preterm:
     """Eta-long beta-normal form.  Idempotent; the only constructor of valid
     order inputs from raw (possibly redex-containing, under-applied) terms."""
-    head, extra = _flatten(t)
+    if t.raw:
+        t = rebuild(t, lambda u, d, kids: _apply(kids[0], kids[1:])
+                    if isinstance(u, App) else remake(u, kids))
 
-    if isinstance(head, Lam):
-        if extra:
-            reduced = db_subst(head.body, 0, extra[0])
-            return normalize(app(reduced, *extra[1:]), sig)
-        return Lam(head.arg_ty, normalize(head.body, sig))
-
-    if isinstance(head, Var):
-        node: Preterm = Var(head.name, head.ty,
-                            tuple(normalize(a, sig) for a in list(head.args) + extra))
-    elif isinstance(head, Db):
-        node = Db(head.index, head.ty,
-                  tuple(normalize(a, sig) for a in list(head.args) + extra))
-    elif isinstance(head, Sym):
-        node = Sym(head.name, head.ty_args,
-                   tuple(normalize(p, sig) for p in head.params),
-                   tuple(normalize(a, sig) for a in list(head.args) + extra))
-    else:
-        raise TermError("bad preterm head: %r" % head)
-
-    ty = type_of(node, sig)
-    if is_arrow(ty):
-        # Under-applied spine: wrap one lambda and recurse; the fresh index is
-        # itself eta-expanded by the recursive call.
-        lifted = shift(node, 1, 0)
-        return Lam(ty.args[0], normalize(App(lifted, Db(0, ty.args[0])), sig))
-    return node
+    def eta(u, d, kids):
+        u = remake(u, kids)
+        if isinstance(u, Lam) or not is_arrow(type_of(u, sig)):
+            return u
+        # an under-applied spine takes one eta-long index per missing argument
+        tys, _ = split_arrows(type_of(u, sig))
+        u = _apply(shift(u, len(tys)), tuple(eta_long_index(len(tys) - 1 - i, a, sig)
+                                             for i, a in enumerate(tys)))
+        for a in reversed(tys):
+            u = Lam(a, u)
+        return u
+    return rebuild(t, eta)
 
 
 def eta_long_index(index: int, ty: Type, sig: Signature) -> Preterm:
@@ -610,23 +614,22 @@ class Substitution:
 
 
 def _subst_raw(t: Preterm, sub: Substitution) -> Preterm:
-    if isinstance(t, Var):
-        ty = subst_type(t.ty, sub.ty_map)
-        image = sub.lookup_var(t.name, ty)
-        head: Preterm = image if image is not None else Var(t.name, ty)
-        return app(head, *(_subst_raw(a, sub) for a in t.args))
-    if isinstance(t, Sym):
-        return Sym(t.name, tuple(subst_type(a, sub.ty_map) for a in t.ty_args),
-                   tuple(_subst_raw(p, sub) for p in t.params),
-                   tuple(_subst_raw(a, sub) for a in t.args))
-    if isinstance(t, Db):
-        return Db(t.index, subst_type(t.ty, sub.ty_map),
-                  tuple(_subst_raw(a, sub) for a in t.args))
-    if isinstance(t, Lam):
-        return Lam(subst_type(t.arg_ty, sub.ty_map), _subst_raw(t.body, sub))
-    if isinstance(t, App):
-        return App(_subst_raw(t.fn, sub), _subst_raw(t.arg, sub))
-    raise TermError("bad preterm: %r" % t)
+    m = sub.ty_map
+
+    def rule(u, d, kids):
+        if isinstance(u, Var):
+            ty = subst_type(u.ty, m)
+            image = sub.lookup_var(u.name, ty)
+            return app(Var(u.name, ty) if image is None else image, *kids)
+        if isinstance(u, Sym):
+            n = len(u.params)
+            return Sym(u.name, tuple(subst_type(a, m) for a in u.ty_args), kids[:n], kids[n:])
+        if isinstance(u, Db):
+            return Db(u.index, subst_type(u.ty, m), kids)
+        if isinstance(u, Lam):
+            return Lam(subst_type(u.arg_ty, m), *kids)
+        return remake(u, kids)
+    return rebuild(t, rule)
 
 
 def apply_subst(t: Preterm, sub: Substitution, sig: Signature) -> Preterm:
@@ -716,17 +719,16 @@ Position = Tuple[Tuple[str, int], ...]
 
 def accessible_positions(t: Preterm) -> List[Tuple[Position, int]]:
     out: List[Tuple[Position, int]] = []
-
-    def walk(u: Preterm, path: Position, depth: int) -> None:
+    stack: List[Tuple[Preterm, Position, int]] = [(t, (), 0)]
+    while stack:
+        u, path, depth = stack.pop()
         out.append((path, depth))
         if isinstance(u, Lam):
-            walk(u.body, path + (("body", 0),), depth + 1)
+            stack.append((u.body, path + (("body", 0),), depth + 1))
         elif isinstance(u, (Sym, Db)):
-            for i, a in enumerate(u.args):
-                walk(a, path + (("arg", i),), depth)
+            stack += reversed([(a, path + (("arg", i),), depth)
+                               for i, a in enumerate(u.args)])
         # Var spines do not occur in ground terms; parameters are skipped.
-
-    walk(t, (), 0)
     return out
 
 
@@ -742,25 +744,17 @@ def subterm_at(t: Preterm, path: Position) -> Preterm:
 def replace_at(t: Preterm, path: Position, s: Preterm) -> Preterm:
     """Plug ``s`` into the hole at ``path``, shifting its leaking indices by
     the hole depth first."""
-    depth = sum(1 for step, _ in path if step == "body")
-    return _replace(t, path, shift(s, depth, 0))
-
-
-def _replace(t: Preterm, path: Position, s: Preterm) -> Preterm:
-    if not path:
-        return s
-    (step, i), rest = path[0], path[1:]
-    if step == "body":
-        assert isinstance(t, Lam)
-        return Lam(t.arg_ty, _replace(t.body, rest, s))
-    if isinstance(t, Sym):
-        args = list(t.args)
-        args[i] = _replace(args[i], rest, s)
-        return Sym(t.name, t.ty_args, t.params, tuple(args))
-    assert isinstance(t, Db)
-    args = list(t.args)
-    args[i] = _replace(args[i], rest, s)
-    return Db(t.index, t.ty, tuple(args))
+    above = []
+    for step, i in path:
+        above.append(t)
+        t = t.body if step == "body" else t.args[i]
+    s = shift(s, sum(isinstance(u, Lam) for u in above))
+    for u, (step, i) in zip(reversed(above), reversed(path)):
+        kids = list(children(u))
+        # the arguments are the last children; a body is the only one
+        kids[i - len(u.args) if step == "arg" else 0] = s
+        s = remake(u, tuple(kids))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -793,22 +787,14 @@ def preprocess_quantifiers(t: Preterm, sig: Signature,
     def truth_lam(arg_ty: Type, const: str) -> Preterm:
         return Lam(arg_ty, normalize(Sym(const), sig))
 
-    def walk(u: Preterm) -> Preterm:
-        if isinstance(u, Lam):
-            return Lam(u.arg_ty, walk(u.body))
-        if isinstance(u, Var):
-            return Var(u.name, u.ty, tuple(walk(a) for a in u.args))
-        if isinstance(u, Db):
-            return Db(u.index, u.ty, tuple(walk(a) for a in u.args))
-        assert isinstance(u, Sym)
-        params = tuple(walk(p) for p in u.params)
-        args = tuple(walk(a) for a in u.args)
-        if u.name in (forall, exists) and len(args) == 1 and isinstance(args[0], Lam):
-            lam = args[0]
+    def rule(u, d, kids):
+        if (isinstance(u, Sym) and u.name in (forall, exists) and len(u.args) == 1
+                and isinstance(kids[-1], Lam)):
+            lam = kids[-1]
             pred_ty = arrow(lam.arg_ty, type_of(lam.body, sig))
             if u.name == forall:
                 return Sym(eq, (pred_ty,), (), (lam, truth_lam(lam.arg_ty, top)))
             return Sym(neq, (pred_ty,), (), (lam, truth_lam(lam.arg_ty, bot)))
-        return Sym(u.name, u.ty_args, params, args)
+        return remake(u, kids)
 
-    return walk(t)
+    return rebuild(t, rule)

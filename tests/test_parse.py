@@ -8,8 +8,8 @@ from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import KBO, LPO
 from lamorder.parse import (ParseError, parse_signature, parse_term, render_term,
                             render_type)
-from lamorder.term import (Db, Lam, Sym, TyCon, TyVar, Var, arrow, normalize,
-                           type_of)
+from lamorder.term import (App, Db, Lam, Sym, TermError, TyCon, TyVar, Var, arrow,
+                           normalize, type_of)
 
 SIG_TEXT = """
 (signature
@@ -308,6 +308,14 @@ def test_rendered_generated_terms_parse_back(polymorphic):
     for _ in range(300):
         t = g.gen(rng.choice(tys), 12, ground=False)
         assert parse_term(render_term(t), sig) is normalize(t, sig), render_term(t)
+
+
+def test_render_names_a_raw_application():
+    """The term syntax has no application form, so a raw ``App`` anywhere in
+    a term is a named fault."""
+    for t in (App(Sym("f"), Sym("a")), Lam(K, Sym("g", (), (), (App(Sym("f"), Db(0, K)),)))):
+        with pytest.raises(TermError, match=r"raw application has no term syntax: \(f "):
+            render_term(t)
 
 
 def test_deep_terms_parse_and_render(sig_params):

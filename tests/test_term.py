@@ -14,16 +14,18 @@ from lamorder.checks import _outside_params
 from lamorder.fo_order import FoApp, FoVar
 from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_grounding_subst,
                           gen_signature)
-from lamorder.oracle import DbKey, FKey, LamKey, _check_nonfunctional_range
-from lamorder.parse import render_term
+from lamorder.lambda_order import KBO, OrderParams, norm_key
+from lamorder.oracle import DbKey, FKey, LamKey, _check_nonfunctional_range, encode_ground
+from lamorder.ordinal import from_int
+from lamorder.parse import parse_term, render_term
 from lamorder.poly import HInd, KInd, WInd
 from lamorder.term import (ARROW, App, Db, Interned, Lam, Preterm, Signature, Substitution,
                            Sym, TermError, TyCon, TyVar, TypeDecl, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
-                           check_types, eta_expansion_count, is_closed, is_ground,
+                           check_types, db_subst, eta_expansion_count, is_closed, is_ground,
                            is_monomorphic, is_steady, node_types, nodes, normalize,
-                           preprocess_quantifiers, refers_to_outer_binders,
-                           replace_at, shift, size, strip_lams, subterm_at,
+                           preprocess_quantifiers, rebuild, refers_to_outer_binders,
+                           remake, replace_at, shift, size, strip_lams, subterm_at,
                            truncating_apply, type_of)
 
 K = TyCon("k")
@@ -362,6 +364,81 @@ def test_folds_and_writers_take_deep_terms(sig):
         assert render_term(tower) == "(lam 'A " * depth + "(db %d 'A)" % (depth - 1) + ")" * depth
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_rebuilding_maps_take_deep_terms(sig):
+    """Shifting, substitution, normalization, norm keys, quantifier
+    preprocessing and the ground encoding map terms through ``rebuild``, and
+    ``type_of`` peels lambdas in a loop, so a depth-10,000 chain and lambda
+    tower fit the default recursion limit."""
+    depth = 10000
+
+    def f(u):
+        return Sym("f", (), (), (u,))
+
+    chain, on_db, on_var, raw, tower = Sym("a"), Db(0, K), Var("x", K), Sym("a"), Db(depth, K)
+    for _ in range(depth):
+        chain, on_db, on_var, tower = f(chain), f(on_db), f(on_var), Lam(K, tower)
+        raw = App(Sym("f"), raw)
+    p = OrderParams(sig, KBO, prec=["sk", "g", "f", "c", "b", "a"], coeffs={("f", 1): from_int(2)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert type_of(tower, sig) == arrows([K] * depth, K)
+        assert strip_lams(shift(tower, 1)) == Db(depth + 1, K)
+        assert db_subst(on_db, 0, Sym("a")) is chain
+        assert apply_subst(on_var, Substitution(term_map={("x", K): Sym("a")}), sig) is chain
+        assert normalize(raw, sig) is chain and normalize(tower, sig) is tower
+        under = Sym("g", (), (), (chain,))
+        assert normalize(under, sig) is Lam(K, Sym("g", (), (), (chain, Db(0, K))))
+        assert parse_term(render_term(under), sig) is normalize(under, sig)
+        assert norm_key(on_var, p) is on_var
+        assert strip_lams(norm_key(tower, p)) is norm_key(Db(depth, K), p)
+        assert preprocess_quantifiers(chain, sig) is chain
+        assert preprocess_quantifiers(tower, sig) is tower
+        encoded = FoApp(FKey("a", (), ()), ())
+        for _ in range(depth):
+            encoded = FoApp(FKey("f", (), ()), (encoded,))
+        assert encode_ground(chain) is encoded
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_paths_take_deep_terms():
+    """``accessible_positions`` and ``replace_at`` use no recursion; their
+    output is quadratic in the depth, so they are tested at depth 3,000."""
+    depth = 3000
+    chain, tower = Sym("a"), Db(depth - 1, K)
+    for _ in range(depth):
+        chain, tower = Sym("f", (), (), (chain,)), Lam(K, tower)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        positions = accessible_positions(chain)
+        assert positions[-1] == ((("arg", 0),) * depth, 0) and len(positions) == depth + 1
+        got = replace_at(chain, positions[-1][0], Sym("b"))
+        assert subterm_at(got, positions[-1][0]) is Sym("b")
+        assert subterm_at(got, positions[-2][0]) is Sym("f", (), (), (Sym("b"),))
+        del positions
+        path, d = accessible_positions(tower)[-1]
+        assert path == (("body", 0),) * depth and d == depth
+        assert strip_lams(replace_at(tower, path, Db(0, K))) is Db(depth, K)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_hereditary_substitution_reduces_at_once():
+    """An index applied to arguments and replaced by a lambda is reduced
+    there, so ``db_subst`` leaves no raw redex."""
+    fun = Lam(K, Sym("f", (), (), (Db(0, K),)))
+    got = db_subst(Db(0, arrow(K, K), (Sym("a"),)), 0, fun)
+    assert got is Sym("f", (), (), (Sym("a"),)) and not got.raw
+
+
+def test_rebuild_with_remake_is_the_identity():
+    t = Lam(K, Sym("sk", (), (Db(0, K),), (App(Sym("f"), Sym("b")),)))
+    assert rebuild(t, lambda u, d, kids: remake(u, kids)) is t
+    assert rebuild(t, lambda u, d, kids: 1 + sum(kids)) == len(list(nodes(t)))
 
 
 def test_normalize_idempotent_randomized(sig):

@@ -3,7 +3,7 @@ with symbolic ordinal-weight polynomials and a first-order encoding oracle."""
 
 from .cmp import Cmp, G, GE, E, LE, L, U, flip
 from .ordinal import Ord, ZERO, ONE, OMEGA, from_int, omega_pow, parse_ord, format_ord
-from .term import (ARROW, App, Db, Lam, Preterm, Signature, Substitution, Sym,
+from .term import (ARROW, Db, Lam, Preterm, Signature, Substitution, Sym,
                    TyCon, TyVar, Type, TypeDecl, Var, app, apply_subst, arrow,
                    arrows, normalize, shift, size, strip_lams, truncating_apply,
                    type_of)

@@ -516,7 +516,6 @@ def bench_signature():
 def adversarial_lpo_pair(depth: int) -> Tuple[Preterm, Preterm]:
     """Same-head nestings whose naive comparison repeats argument checks at
     every level."""
-    k = TyCon("kappa")
     t: Preterm = Sym("a")
     s: Preterm = Sym("b")
     for _ in range(depth):

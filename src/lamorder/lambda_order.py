@@ -101,6 +101,8 @@ class OrderParams:
             prec=lambda a, b: self.ty_prec_ranks[a] - self.ty_prec_ranks[b])
         # verdicts of compare_types; nothing changes the parameters after this
         self._ty_cmps: Dict[Tuple[Type, Type], Cmp] = {}
+        # the symbols with a coefficient other than 1, for unit_coeffs
+        self._nonunit = {f for (f, _), c in self.coeffs.items() if c != ONE}
         self.validate()
 
     # -- providers ----------------------------------------------------------
@@ -112,7 +114,7 @@ class OrderParams:
         return self.coeffs.get((name, i), ONE)
 
     def unit_coeffs(self, name: str) -> bool:
-        return all(c == ONE for (f, _), c in self.coeffs.items() if f == name)
+        return name not in self._nonunit
 
     def sym_rank(self, name: str) -> int:
         try:
@@ -449,7 +451,7 @@ class _KboNaive(_Kbo):
     """Weighs both sides in full at every pair it compares."""
 
     def compare(self, t: Preterm, s: Preterm, depth: int = 0) -> Cmp:
-        c = analyze_weight_diff(weight_poly(t, self.p) - weight_poly(s, self.p))
+        c = analyze_weight_diff(weight_diff(t, s, self.p))
         if c is G or c is L or c is U:
             return c
         return lex_merge(c, self.dispatch(t, s, depth))
@@ -736,14 +738,12 @@ class _LpoOpt(_Lpo):
 # ---------------------------------------------------------------------------
 
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    """Check that both inputs hold no raw application and are not
-    arrow-typed spines, then compare them."""
+    """Check that neither input is an arrow-typed spine, then compare them."""
     for u in (t, s):
-        if u.raw or not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
+        if not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
             # name the fault, not the term: printing a deep term overflows
-            raise TermError("not a normalized term (normalize it first): %s"
-                            % ("a raw application occurs in it" if u.raw else
-                               "it has arrow type %r" % (type_of(u, p.sig),)))
+            raise TermError("not a normalized term (normalize it first): "
+                            "it has arrow type %r" % (type_of(u, p.sig),))
     if t is s:
         return E
     return cls(p).compare(t, s)

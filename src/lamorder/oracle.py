@@ -14,7 +14,7 @@ weight lemmas are stated with, and a small-term exhaustive enumerator.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cmp import Cmp, E, G, L
 from .fo_order import FoApp, FoParams, FoTerm, fo_kbo_compare, fo_kbo_weight, fo_lpo_compare
@@ -321,18 +321,11 @@ def default_type_pool(sig: Signature) -> List[Type]:
         if decl.ty_vars:
             continue
         for ty in (decl.body,) + decl.param_types:
-            for sub in _subtypes(ty):
+            for sub, _ in tm.nodes(ty):
                 if sub not in seen:
                     seen.add(sub)
                     pool.append(sub)
     return pool
-
-
-def _subtypes(ty: Type) -> Iterable[Type]:
-    yield ty
-    if isinstance(ty, tm.TyCon):
-        for a in ty.args:
-            yield from _subtypes(a)
 
 
 def enum_ground_terms(sig: Signature, ty: Type, max_size: int,

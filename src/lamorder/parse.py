@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple, Union
 from .lambda_order import OrderParams
 from .ordinal import Ord, parse_ord
 from . import term as tm
-from .term import (App, Db, Lam, Preterm, Signature, Sym, TyCon, TyVar, Type,
+from .term import (Db, Lam, Preterm, Signature, Sym, TyCon, TyVar, Type,
                    TypeDecl, Var, normalize)
 
 
@@ -400,10 +400,6 @@ def _list(*parts) -> list:
     return ["(", *tm.interleave(" ", parts), ")"]
 
 
-def _no_syntax(x: App) -> list:
-    raise tm.TermError("a raw application has no term syntax: %r" % (x,))
-
-
 # the table of the term syntax: a type is written as ``repr`` writes it, a
 # tuple of types or preterms as the list of its members
 _SYNTAX = {
@@ -413,7 +409,6 @@ _SYNTAX = {
     Db: lambda x: _list("db", str(x.index), x.ty, *x.args),
     Var: lambda x: _list("var", x.name, x.ty, *x.args),
     Sym: lambda x: _list("sym", x.name, x.ty_args, x.params, *x.args),
-    App: _no_syntax,
     tuple: lambda x: _list(*x),
 }
 

@@ -112,9 +112,6 @@ class Poly:
         """The nonzero entries, in no particular order."""
         return self._coeffs.items()
 
-    def coeff(self, m: Monomial) -> Ord:
-        return self._coeffs.get(m, ZERO)
-
     @property
     def constant(self) -> Ord:
         """The constant monomial's coefficient; 0 when absent."""

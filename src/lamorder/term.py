@@ -9,20 +9,20 @@ A preterm is one of four mutually exclusive shapes:
   type of the index itself, i.e. of the variable the binder introduced),
 * ``Lam(arg_ty, body)``     -- a lambda abstraction.
 
-"Fully applied" means the spine as a whole has non-arrow type, so terms of
-function type are always lambdas.  ``App`` exists only as raw input syntax;
-``normalize`` is the sole entry point that establishes the invariant.
-De Bruijn indices may "leak" (point beyond all binders); substitution ignores
-them.
+No preterm holds a beta-redex: ``app`` applies by hereditary substitution,
+so every preterm is beta-normal by construction.  "Fully applied" means the
+spine as a whole has non-arrow type, so terms of function type are always
+lambdas; ``normalize`` establishes it by eta-expansion.  De Bruijn indices may
+"leak" (point beyond all binders); substitution ignores them.
 
 Preterms and types are hash-consed through ``Interned``, the base this module
 also gives the weight indeterminates (``poly``), the first-order terms
 (``fo_order``) and the oracle's symbol keys (``oracle``): every constructor
 returns the one value that exists for its arguments, so structurally equal
 values are the same object, and equality and hash are identity.  Each
-preterm caches its type under the signature it was last typed in, and
-whether a raw ``App`` occurs in it.  The one table keeps every distinct value
-for the life of the process.
+preterm caches its type under the signature it was last typed in, and how
+many binders above it its indices reach.  The one table keeps every distinct
+value for the life of the process.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ class Type(Interned):
 class TyVar(Type):
     __slots__ = ("name",)
     tag = "tyvar"
+    args = ()           # a leaf, so that ``nodes`` walks types
 
     def __new__(cls, name: str):
         key = (cls.tag, name)
@@ -136,20 +137,11 @@ def arrow_count(ty: Type) -> int:
 
 
 def type_is_ground(ty: Type) -> bool:
-    if isinstance(ty, TyVar):
-        return False
-    return all(type_is_ground(a) for a in ty.args)
+    return not any(isinstance(u, TyVar) for u, _ in nodes(ty))
 
 
-def type_vars(ty: Type, acc: Optional[set] = None) -> set:
-    if acc is None:
-        acc = set()
-    if isinstance(ty, TyVar):
-        acc.add(ty.name)
-    else:
-        for a in ty.args:
-            type_vars(a, acc)
-    return acc
+def type_vars(ty: Type) -> set:
+    return {u.name for u, _ in nodes(ty) if isinstance(u, TyVar)}
 
 
 def subst_type(ty: Type, mapping: Dict[str, Type]) -> Type:
@@ -173,10 +165,7 @@ class TypeDecl:
         self.ty_vars = tuple(ty_vars)
         self.param_types = tuple(param_types)
         declared = set(self.ty_vars)
-        used = set()
-        for pt in self.param_types:
-            type_vars(pt, used)
-        type_vars(body, used)
+        used = set().union(*map(type_vars, self.param_types + (body,)))
         if not used <= declared:
             raise TermError("type variables %s not declared" % sorted(used - declared))
         self.body = body
@@ -230,11 +219,13 @@ class Signature:
 # ---------------------------------------------------------------------------
 
 class Preterm(Interned):
-    """``_typed`` caches ``(signature, type)`` for ``type_of``; ``raw`` tells
-    whether a raw ``App`` occurs anywhere in the node, parameters included,
-    and is set once, when the node is interned."""
+    """``_typed`` caches ``(signature, type)`` for ``type_of``; ``loose`` is
+    the number of binders above the node that its indices reach, parameters
+    included (0 on a closed node), so shifting or substituting at ``n`` or
+    more binders above a node with ``loose <= n`` leaves it as it is.  It is
+    set once, when the node is interned."""
 
-    __slots__ = ("_typed", "raw")
+    __slots__ = ("_typed", "loose")
 
     __repr__ = Type.__repr__
 
@@ -242,9 +233,12 @@ class Preterm(Interned):
     def intern(cls, key: tuple, *fields):
         node = super().intern(key, *fields)
         node._typed = None
-        node.raw = cls is App or any(
-            x.raw for f in fields for x in (f if isinstance(f, tuple) else (f,))
-            if isinstance(x, Preterm))
+        loose = max([u.loose for u in children(node)], default=0)
+        if cls is Db:
+            loose = max(loose, node.index + 1)
+        elif cls is Lam:
+            loose = max(loose - 1, 0)
+        node.loose = loose
         return node
 
 
@@ -285,43 +279,25 @@ class Lam(Preterm):
         return TABLE.get(key) or cls.intern(key, arg_ty, body)
 
 
-class App(Preterm):
-    """Raw application node; only legal as input to normalize()."""
-
-    __slots__ = ("fn", "arg")
-    tag = "app"
-
-    def __new__(cls, fn: Preterm, arg: Preterm):
-        key = (cls.tag, fn, arg)
-        return TABLE.get(key) or cls.intern(key, fn, arg)
-
-
-def app(fn: Preterm, *args: Preterm) -> Preterm:
-    for a in args:
-        fn = App(fn, a)
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # Walking, rebuilding and writing, on explicit stacks: no limit on a term's depth
 # ---------------------------------------------------------------------------
 
 def children(u: Preterm, params: bool = True) -> Tuple[Preterm, ...]:
     """The children of ``u``, left to right: its parameters (skipped when
-    ``params`` is false) and its arguments; a lambda's body; a raw ``App``'s
-    ``fn`` and ``arg``."""
+    ``params`` is false) and its arguments; a lambda's body.  A type's
+    children are its arguments."""
     if isinstance(u, Lam):
         return (u.body,)
-    if isinstance(u, App):
-        return (u.fn, u.arg)
     if params and isinstance(u, Sym):
         return u.params + u.args
     return u.args
 
 
 def nodes(t: Preterm, params: bool = True) -> Iterator[Tuple[Preterm, int]]:
-    """Every node of ``t`` in pre-order, with the number of lambdas above it:
-    a node, then the nodes of each of its ``children``."""
+    """Every node of ``t``, a preterm or a type, in pre-order, with the
+    number of lambdas above it: a node, then the nodes of each of its
+    ``children``."""
     stack, d = [t], 0
     while stack:
         u = stack.pop()
@@ -353,8 +329,6 @@ def remake(u: Preterm, kids: Tuple[Preterm, ...]) -> Preterm:
     ``kids`` after its parameters, so extra members are extra arguments."""
     if isinstance(u, Lam):
         return Lam(u.arg_ty, *kids)
-    if isinstance(u, App):
-        return App(*kids)
     if isinstance(u, Sym):
         return Sym(u.name, u.ty_args, kids[:len(u.params)], kids[len(u.params):])
     if isinstance(u, Var):
@@ -369,8 +343,6 @@ def node_types(u: Preterm) -> Tuple[Type, ...]:
         return (u.arg_ty,)
     if isinstance(u, Sym):
         return u.ty_args
-    if isinstance(u, App):
-        return ()
     return (u.ty,)
 
 
@@ -413,7 +385,6 @@ REPR: Dict[type, Callable[..., list]] = {
     Sym: lambda x: _spine([x.name, *_group("<", x.ty_args, ">"),
                            *_group("(", x.params, ")")], x.args),
     Lam: lambda x: ["(\\", x.arg_ty, ". ", x.body, ")"],
-    App: lambda x: ["(", x.fn, " ", x.arg, ")"],
 }
 
 
@@ -436,9 +407,9 @@ def head_type(t: Preterm, sig: Signature) -> Type:
 
 
 def type_of(t: Preterm, sig: Signature) -> Type:
-    """The unique type of a preterm.  Raises TermError on ill-typed spines
-    and on a raw ``App``, which only ``normalize`` takes.  Each node caches
-    the type it last had, and under which signature."""
+    """The unique type of a preterm.  Raises TermError on an ill-typed
+    spine.  Each node caches the type it last had, and under which
+    signature."""
     typed = t._typed
     if typed is not None and typed[0] is sig:
         return typed[1]
@@ -478,8 +449,6 @@ def check_types(t: Preterm, sig: Signature) -> Type:
             while isinstance(t, Lam):
                 binders.append(t.arg_ty)
                 t, lams = t.body, lams + 1
-            if isinstance(t, App):
-                raise TermError("raw application in a normalized term: %r" % t)
             if isinstance(t, Db) and t.index < len(binders) and binders[-1 - t.index] != t.ty:
                 raise TermError("bound index #%d annotated %r but binder has %r"
                                 % (t.index, t.ty, binders[-1 - t.index]))
@@ -521,7 +490,7 @@ def check_types(t: Preterm, sig: Signature) -> Type:
 
 def shift(t: Preterm, n: int, cutoff: int = 0) -> Preterm:
     """Add ``n`` to every De Bruijn index >= cutoff (counting binders)."""
-    if n == 0:
+    if n == 0 or t.loose <= cutoff:
         return t
 
     def rule(u, d, kids):
@@ -535,21 +504,24 @@ def shift(t: Preterm, n: int, cutoff: int = 0) -> Preterm:
 
 def db_subst(t: Preterm, j: int, s: Preterm) -> Preterm:
     """Replace index ``j`` by ``s`` (shifted past crossed binders) and
-    decrement every index above ``j``.  ``t`` and ``s`` are beta-normal, and
-    so is the result: a replaced index's arguments go through ``_apply``."""
+    decrement every index above ``j``.  A replaced index's arguments are
+    applied to the image with ``app``, so the result is beta-normal."""
+    if t.loose <= j:
+        return t
+
     def rule(u, d, kids):
         if isinstance(u, Db) and u.index == j + d:
-            return _apply(shift(s, j + d), kids)
+            return app(shift(s, j + d), *kids)
         if isinstance(u, Db) and u.index > j + d:
             return Db(u.index - 1, u.ty, kids)
         return remake(u, kids)
     return rebuild(t, rule)
 
 
-def _apply(fn: Preterm, args: Tuple[Preterm, ...]) -> Preterm:
-    """The beta-normal form of ``fn`` applied to ``args``, all beta-normal:
-    a lambda takes an argument by substitution, a spine takes the rest as
-    extra arguments."""
+def app(fn: Preterm, *args: Preterm) -> Preterm:
+    """The beta-normal application of ``fn`` to ``args`` (hereditary
+    substitution): a lambda takes an argument by ``db_subst``, a spine takes
+    the rest as extra arguments."""
     for i, a in enumerate(args):
         if not isinstance(fn, Lam):
             return remake(fn, children(fn) + args[i:])
@@ -558,24 +530,21 @@ def _apply(fn: Preterm, args: Tuple[Preterm, ...]) -> Preterm:
 
 
 # ---------------------------------------------------------------------------
-# Normalization: beta-reduce, then eta-expand to the long form
+# Normalization: eta-expand to the long form
 # ---------------------------------------------------------------------------
 
 def normalize(t: Preterm, sig: Signature) -> Preterm:
-    """Eta-long beta-normal form.  Idempotent; the only constructor of valid
-    order inputs from raw (possibly redex-containing, under-applied) terms."""
-    if t.raw:
-        t = rebuild(t, lambda u, d, kids: _apply(kids[0], kids[1:])
-                    if isinstance(u, App) else remake(u, kids))
-
+    """The eta-long form of ``t``, which is beta-normal like every preterm.
+    Idempotent; the one constructor of valid order inputs from under-applied
+    terms."""
     def eta(u, d, kids):
         u = remake(u, kids)
         if isinstance(u, Lam) or not is_arrow(type_of(u, sig)):
             return u
         # an under-applied spine takes one eta-long index per missing argument
         tys, _ = split_arrows(type_of(u, sig))
-        u = _apply(shift(u, len(tys)), tuple(eta_long_index(len(tys) - 1 - i, a, sig)
-                                             for i, a in enumerate(tys)))
+        u = app(shift(u, len(tys)), *(eta_long_index(len(tys) - 1 - i, a, sig)
+                                      for i, a in enumerate(tys)))
         for a in reversed(tys):
             u = Lam(a, u)
         return u
@@ -613,7 +582,11 @@ class Substitution:
         return self.term_map.get((name, ty_after))
 
 
-def _subst_raw(t: Preterm, sub: Substitution) -> Preterm:
+def apply_subst(t: Preterm, sub: Substitution, sig: Signature) -> Preterm:
+    """Capture-avoiding instantiation: a variable's image takes its
+    arguments through ``app``, and the result is eta-expanded again."""
+    if sub.is_empty():
+        return t
     m = sub.ty_map
 
     def rule(u, d, kids):
@@ -626,17 +599,8 @@ def _subst_raw(t: Preterm, sub: Substitution) -> Preterm:
             return Sym(u.name, tuple(subst_type(a, m) for a in u.ty_args), kids[:n], kids[n:])
         if isinstance(u, Db):
             return Db(u.index, subst_type(u.ty, m), kids)
-        if isinstance(u, Lam):
-            return Lam(subst_type(u.arg_ty, m), *kids)
-        return remake(u, kids)
-    return rebuild(t, rule)
-
-
-def apply_subst(t: Preterm, sub: Substitution, sig: Signature) -> Preterm:
-    """Capture-avoiding instantiation followed by renormalization."""
-    if sub.is_empty():
-        return t
-    return normalize(_subst_raw(t, sub), sig)
+        return Lam(subst_type(u.arg_ty, m), *kids)
+    return normalize(rebuild(t, rule), sig)
 
 
 def truncating_apply(t: Preterm, sub: Substitution, sig: Signature) -> Preterm:
@@ -702,7 +666,7 @@ def refers_to_outer_binders(t: Preterm, k: int) -> bool:
 
 def size(t: Preterm) -> int:
     """Head and each parameter or argument occurrence count 1; lambdas count 1."""
-    return sum(not isinstance(u, App) for u, _ in nodes(t))
+    return sum(1 for _ in nodes(t))
 
 
 # ---------------------------------------------------------------------------

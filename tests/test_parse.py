@@ -1,6 +1,7 @@
 """Textual formats: terms, types, signature files and their error reporting."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,8 +9,8 @@ from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import KBO, LPO
 from lamorder.parse import (ParseError, parse_signature, parse_term, render_term,
                             render_type)
-from lamorder.term import (App, Db, Lam, Sym, TermError, TyCon, TyVar, Var, arrow,
-                           normalize, type_of)
+from lamorder.term import (Db, Lam, Sym, TyCon, TyVar, Var, arrow,
+                           arrows, normalize, type_of)
 
 SIG_TEXT = """
 (signature
@@ -310,14 +311,6 @@ def test_rendered_generated_terms_parse_back(polymorphic):
         assert parse_term(render_term(t), sig) is normalize(t, sig), render_term(t)
 
 
-def test_render_names_a_raw_application():
-    """The term syntax has no application form, so a raw ``App`` anywhere in
-    a term is a named fault."""
-    for t in (App(Sym("f"), Sym("a")), Lam(K, Sym("g", (), (), (App(Sym("f"), Db(0, K)),)))):
-        with pytest.raises(TermError, match=r"raw application has no term syntax: \(f "):
-            render_term(t)
-
-
 def test_deep_terms_parse_and_render(sig_params):
     sig, _ = sig_params
     depth = 10000
@@ -331,3 +324,21 @@ def test_deep_terms_parse_and_render(sig_params):
     with pytest.raises(ParseError) as err:
         parse_term(text.replace("(sym a", "(sym nosuch"), sig)
     assert str(err.value) == "1:%d: unknown symbol nosuch" % inner
+
+
+def test_deep_signature_type_parses():
+    """A declaration's type variables are collected with ``nodes``, on an
+    explicit stack, so a depth-3,000 arrow type fits the default recursion
+    limit."""
+    depth = 3000
+    body = "(-> k " * depth + "k" + ")" * depth
+    text = "(signature (types (k 0)) (symbols (d () () %s) (e (A) () %s)) (precedence d e))" \
+        % (body, body.replace("k)", "'A)", 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        sig, _ = parse_signature(text, KBO)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sig.symbols["d"].body is arrows([K] * depth, K)
+    assert sig.symbols["e"].body is arrows([K] * depth, TyVar("A"))

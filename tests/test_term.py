@@ -19,7 +19,7 @@ from lamorder.oracle import DbKey, FKey, LamKey, _check_nonfunctional_range, enc
 from lamorder.ordinal import from_int
 from lamorder.parse import parse_term, render_term
 from lamorder.poly import HInd, KInd, WInd
-from lamorder.term import (ARROW, App, Db, Interned, Lam, Preterm, Signature, Substitution,
+from lamorder.term import (ARROW, Db, Interned, Lam, Preterm, Signature, Substitution,
                            Sym, TermError, TyCon, TyVar, TypeDecl, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
                            check_types, db_subst, eta_expansion_count, is_closed, is_ground,
@@ -66,7 +66,6 @@ def test_equal_constructions_are_one_node():
                   lambda: Sym("sk", (), (Sym("a"),), (Sym("b"),)),
                   lambda: Db(0, arrow(K, K), (Sym("a"),)),
                   lambda: Lam(TyCon("k"), Db(0, K)),
-                  lambda: App(Sym("f"), Sym("a")),
                   lambda: TyVar("A"),
                   lambda: TyCon("k"),
                   lambda: WInd(Var("x", K)),
@@ -87,7 +86,7 @@ def test_equal_constructions_are_one_node():
 
 def test_copies_and_unpickled_nodes_are_the_node_itself():
     t = Lam(K, Sym("g", (), (), (Db(0, K), Var("x", K))))
-    for v in (t, App(Sym("f"), Sym("a")), TyVar("A"), arrow(K, O), WInd(Var("x", K)),
+    for v in (t, TyVar("A"), arrow(K, O), WInd(Var("x", K)),
               KInd(Var("x", K), 1), HInd("A"), FoVar("A"), FoApp("k", (FoVar("A"),)),
               FKey("sk", (K,), (Sym("a"),)), DbKey(1, 0), LamKey(K)):
         assert copy.copy(v) is v
@@ -97,7 +96,7 @@ def test_copies_and_unpickled_nodes_are_the_node_itself():
 
 def test_hash_is_identity():
     x = Var("x", K)
-    for v in (Sym("a"), x, Db(0, K), Lam(K, x), App(Sym("f"), Sym("a")), TyVar("A"), K,
+    for v in (Sym("a"), x, Db(0, K), Lam(K, x), TyVar("A"), K,
               WInd(x), KInd(x, 1), HInd("A"), FoVar("A"), FoApp("k"), FKey("a", (), ()),
               DbKey(0, 1), LamKey(K)):
         assert hash(v) == object.__hash__(v), type(v)
@@ -122,7 +121,7 @@ def test_interned_classes_have_distinct_tags_and_identity_equality():
         assert isinstance(tag, str), cls
         assert tag not in owners, (cls, owners.get(tag))
         owners[tag] = cls
-    assert len(owners) >= 15
+    assert len(owners) >= 14
 
 
 def test_normalize_returns_a_normal_term_itself(sig):
@@ -296,10 +295,11 @@ def test_groundness_predicates(sig):
 
 
 def test_nodes_are_pre_order_with_lambda_depths():
-    p, q, fa, inner = Var("p", K), Var("q", K), App(Sym("f"), Db(0, K)), Lam(O, Db(1, K))
+    p, q, inner = Var("p", K), Var("q", K), Lam(O, Db(1, K))
+    fa = Sym("f", (), (), (Db(0, K),))
     spine = Sym("sk", (), (p, q), (fa, inner))
     t = Lam(K, spine)
-    args = [(fa, 1), (Sym("f"), 1), (Db(0, K), 1), (inner, 1), (Db(1, K), 2)]
+    args = [(fa, 1), (Db(0, K), 1), (inner, 1), (Db(1, K), 2)]
     assert list(nodes(t)) == [(t, 0), (spine, 1), (p, 1), (q, 1)] + args
     assert list(nodes(t, params=False)) == [(t, 0), (spine, 1)] + args
     assert list(nodes(p)) == [(p, 0)]
@@ -311,7 +311,6 @@ def test_node_types_are_the_types_written_in_the_node():
     assert node_types(Sym("c", (K,), (), (Var("x", A),))) == (K,)
     assert node_types(Var("x", A, (Sym("a"),))) == (A,)
     assert node_types(Db(0, O)) == (O,)
-    assert node_types(App(Sym("f"), Sym("a"))) == ()
 
 
 def test_repr_of_every_class():
@@ -330,8 +329,6 @@ def test_repr_of_every_class():
         Sym("sk", (), (Sym("a"),), (Sym("b"),)): "(sk(a) b)",
         Lam(K, Db(0, K)): "(\\k. #0)",
         Lam(arrow(K, K), Lam(K, Db(1, arrow(K, K), (Db(0, K),)))): "(\\(-> k k). (\\k. (#1 #0)))",
-        App(Sym("f"), Sym("a")): "(f a)",
-        App(App(Sym("g"), Sym("a")), Lam(K, Db(0, K))): "((g a) (\\k. #0))",
     }
     for v, want in cases.items():
         assert repr(v) == want
@@ -367,20 +364,28 @@ def test_folds_and_writers_take_deep_terms(sig):
 
 
 def test_rebuilding_maps_take_deep_terms(sig):
-    """Shifting, substitution, normalization, norm keys, quantifier
-    preprocessing and the ground encoding map terms through ``rebuild``, and
-    ``type_of`` peels lambdas in a loop, so a depth-10,000 chain and lambda
-    tower fit the default recursion limit."""
+    """Shifting, substitution, application, normalization, norm keys,
+    quantifier preprocessing and the ground encoding map terms through
+    ``rebuild``, and ``type_of`` peels lambdas in a loop, so a depth-10,000
+    chain, lambda tower and eta nest fit the default recursion limit.  The
+    nest ``h (h (... (h f)))``, with ``h : (k -> k) -> k -> k``, has an
+    under-applied spine at every level; ``shift`` returns its closed
+    subterms at once, so normalizing it takes linear time."""
     depth = 10000
 
     def f(u):
         return Sym("f", (), (), (u,))
 
-    chain, on_db, on_var, raw, tower = Sym("a"), Db(0, K), Var("x", K), Sym("a"), Db(depth, K)
+    sig.add_symbol("h", TypeDecl((), (), arrow(arrow(K, K), arrow(K, K))))
+    chain, on_db, on_var, redex, tower = Sym("a"), Db(0, K), Var("x", K), Sym("a"), Db(depth, K)
+    nest, nest_long = Sym("f"), Lam(K, f(Db(0, K)))
     for _ in range(depth):
         chain, on_db, on_var, tower = f(chain), f(on_db), f(on_var), Lam(K, tower)
-        raw = App(Sym("f"), raw)
-    p = OrderParams(sig, KBO, prec=["sk", "g", "f", "c", "b", "a"], coeffs={("f", 1): from_int(2)})
+        redex = app(Lam(K, f(Db(0, K))), redex)
+        nest = Sym("h", (), (), (nest,))
+        nest_long = Lam(K, Sym("h", (), (), (nest_long, Db(0, K))))
+    p = OrderParams(sig, KBO, prec=["h", "sk", "g", "f", "c", "b", "a"],
+                    coeffs={("f", 1): from_int(2)})
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -388,7 +393,8 @@ def test_rebuilding_maps_take_deep_terms(sig):
         assert strip_lams(shift(tower, 1)) == Db(depth + 1, K)
         assert db_subst(on_db, 0, Sym("a")) is chain
         assert apply_subst(on_var, Substitution(term_map={("x", K): Sym("a")}), sig) is chain
-        assert normalize(raw, sig) is chain and normalize(tower, sig) is tower
+        assert redex is chain and normalize(tower, sig) is tower
+        assert normalize(nest, sig) is nest_long
         under = Sym("g", (), (), (chain,))
         assert normalize(under, sig) is Lam(K, Sym("g", (), (), (chain, Db(0, K))))
         assert parse_term(render_term(under), sig) is normalize(under, sig)
@@ -429,14 +435,29 @@ def test_paths_take_deep_terms():
 
 def test_hereditary_substitution_reduces_at_once():
     """An index applied to arguments and replaced by a lambda is reduced
-    there, so ``db_subst`` leaves no raw redex."""
+    there, so ``db_subst`` leaves no redex."""
     fun = Lam(K, Sym("f", (), (), (Db(0, K),)))
     got = db_subst(Db(0, arrow(K, K), (Sym("a"),)), 0, fun)
-    assert got is Sym("f", (), (), (Sym("a"),)) and not got.raw
+    assert got is Sym("f", (), (), (Sym("a"),))
+
+
+def test_loose_counts_the_binders_an_index_reaches():
+    """``loose`` is 0 on a closed term, the index plus 1 on a leaking index,
+    and drops by 1 under each lambda, down to 0; parameters count."""
+    assert Sym("a").loose == 0 and Lam(K, Db(0, K)).loose == 0
+    assert Db(3, K).loose == 4 and Sym("f", (), (), (Db(3, K),)).loose == 4
+    assert Sym("sk", (), (Db(2, K),), (Sym("b"),)).loose == 3
+    assert Db(0, arrow(K, K), (Db(5, K),)).loose == 6
+    tower = Db(9, K)
+    for i in range(12):
+        tower = Lam(K, tower)
+        assert tower.loose == max(9 - i, 0)
+    assert Lam(K, Sym("g", (), (), (Db(0, K), Db(2, K)))).loose == 2
+    assert shift(tower, 5) is tower and db_subst(tower, 0, Sym("a")) is tower
 
 
 def test_rebuild_with_remake_is_the_identity():
-    t = Lam(K, Sym("sk", (), (Db(0, K),), (App(Sym("f"), Sym("b")),)))
+    t = Lam(K, Sym("sk", (), (Db(0, K),), (Sym("f", (), (), (Sym("b"),)),)))
     assert rebuild(t, lambda u, d, kids: remake(u, kids)) is t
     assert rebuild(t, lambda u, d, kids: 1 + sum(kids)) == len(list(nodes(t)))
 

@@ -18,9 +18,9 @@ from .cmp import E, G, GE, L, LE, U, flip
 from .gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_context,
                   gen_grounding_subst, gen_monomorphizing_subst, gen_signature,
                   gen_var_types)
-from .lambda_order import (KBO, LPO, OrderParams, compare, compare_kbo_naive,
-                           compare_kbo_opt, compare_lpo_naive, compare_lpo_opt,
-                           weight_diff, weight_poly)
+from .lambda_order import (KBO, LPO, OrderParams, collect_indet_reps, compare,
+                           compare_kbo_naive, compare_kbo_opt, compare_lpo_naive,
+                           compare_lpo_opt, weight_diff, weight_poly)
 from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
                      oracle_weight, poly_subst_from_monomorphizing)
 from .ordinal import from_int
@@ -451,8 +451,8 @@ def _weight_grounding_lemma(env, rng, i):
     t = env.gen.gen(env.random_type(), 9, ground=False)
     if not tm.is_monomorphic(t):
         return None
-    reps: Dict = {}
-    w = weight_poly(t, env.kbo, reps)
+    reps = collect_indet_reps(t, env.kbo)
+    w = weight_poly(t, env.kbo)
     theta = gen_grounding_subst(rng, env.sig, free_var_types(t))
     mapping = assignment_from_grounding(theta, reps, env.kbo)
     lhs = subst_poly(w, mapping)
@@ -469,8 +469,8 @@ def _weight_monomorphizing_lemma(env, rng, i):
     if not tyvars:
         return None
     theta = gen_monomorphizing_subst(rng, env.sig, tyvars, flat=True)
-    reps: Dict = {}
-    w = weight_poly(t, env.kbo, reps)
+    reps = collect_indet_reps(t, env.kbo)
+    w = weight_poly(t, env.kbo)
     mapping = poly_subst_from_monomorphizing(theta, reps, env.kbo)
     lhs = subst_poly(w, mapping)
     rhs = weight_poly(apply_subst(t, theta, env.sig), env.kbo)

@@ -1,48 +1,22 @@
 """Untyped first-order KBO (ordinal weights, argument coefficients) and LPO.
 
-Both comparators are parameterized by provider callables, because some use
-sites (the ground encoding) have an infinite, recursively ordered symbol
-universe that cannot be enumerated up front.  Terms are interned
-(``term.Interned``), so equality is identity.
+A first-order term is a ``term.Type`` tree: ``TyVar`` is a variable and
+``TyCon(head, args)`` an application, whose head may be any hashable key --
+a type constructor's name in the type orders, an oracle symbol key in the
+ground encoding.  Both comparators are parameterized by provider callables,
+because some use sites (the ground encoding) have an infinite, recursively
+ordered symbol universe that cannot be enumerated up front.  Terms are
+interned, so equality is identity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Tuple
+from collections import Counter
+from typing import Callable, Hashable
 
 from .cmp import Cmp, E, G, L, U
 from .ordinal import Ord, ZERO, ord_add, ord_compare, ord_mul
-from .term import TABLE, Interned
-
-
-class FoTerm(Interned):
-    __slots__ = ()
-
-
-class FoVar(FoTerm):
-    __slots__ = ("name",)
-    tag = "fovar"
-
-    def __new__(cls, name: str):
-        key = (cls.tag, name)
-        return TABLE.get(key) or cls.intern(key, name)
-
-    def __repr__(self):
-        return "?" + self.name
-
-
-class FoApp(FoTerm):
-    __slots__ = ("key", "args")
-    tag = "foapp"
-
-    def __new__(cls, key: Hashable, args: Tuple[FoTerm, ...] = ()):
-        k = (cls.tag, key, args)
-        return TABLE.get(k) or cls.intern(k, key, args)
-
-    def __repr__(self):
-        if not self.args:
-            return repr(self.key)
-        return "%r(%s)" % (self.key, ", ".join(map(repr, self.args)))
+from .term import TyVar, Type, nodes, rebuild
 
 
 class FoParams:
@@ -59,44 +33,34 @@ class FoParams:
         self.prec = prec
 
 
-def fo_kbo_weight(t: FoTerm, p: FoParams) -> Ord:
+def fo_kbo_weight(t: Type, p: FoParams) -> Ord:
     """Variables weigh 0; an application weighs its head plus the
     coefficient-scaled weights of its arguments."""
-    if isinstance(t, FoVar):
-        return ZERO
-    total = p.weight(t.key)
-    for i, a in enumerate(t.args):
-        total = ord_add(total, ord_mul(p.coeff(t.key, i + 1), fo_kbo_weight(a, p)))
-    return total
+    def rule(u, d, kids):
+        if isinstance(u, TyVar):
+            return ZERO
+        total = p.weight(u.name)
+        for i, w in enumerate(kids):
+            total = ord_add(total, ord_mul(p.coeff(u.name, i + 1), w))
+        return total
+    return rebuild(t, rule)
 
 
-def _var_counts(t: FoTerm, acc: Dict[str, int]) -> None:
-    if isinstance(t, FoVar):
-        acc[t.name] = acc.get(t.name, 0) + 1
-    else:
-        for a in t.args:
-            _var_counts(a, acc)
+def _var_counts(t: Type) -> Counter:
+    return Counter(u for u, _ in nodes(t) if isinstance(u, TyVar))
 
 
-def _covers_vars(t: FoTerm, s: FoTerm) -> bool:
-    ct: Dict[str, int] = {}
-    cs: Dict[str, int] = {}
-    _var_counts(t, ct)
-    _var_counts(s, cs)
-    return all(ct.get(v, 0) >= n for v, n in cs.items())
-
-
-def _kbo_greater(t: FoTerm, s: FoTerm, p: FoParams) -> bool:
-    if not _covers_vars(t, s):
-        return False
+def _kbo_greater(t: Type, s: Type, p: FoParams) -> bool:
+    if _var_counts(s) - _var_counts(t):
+        return False        # a variable occurs more often in s than in t
     wc = ord_compare(fo_kbo_weight(t, p), fo_kbo_weight(s, p))
     if wc > 0:
         return True
     if wc < 0:
         return False
-    if isinstance(t, FoVar) or isinstance(s, FoVar):
+    if isinstance(t, TyVar) or isinstance(s, TyVar):
         return False
-    pc = p.prec(t.key, s.key)
+    pc = p.prec(t.name, s.name)
     if pc > 0:
         return True
     if pc < 0:
@@ -109,26 +73,16 @@ def _kbo_greater(t: FoTerm, s: FoTerm, p: FoParams) -> bool:
     return False
 
 
-def fo_kbo_compare(t: FoTerm, s: FoTerm, p: FoParams) -> Cmp:
-    if t == s:
-        return E
-    if _kbo_greater(t, s, p):
-        return G
-    if _kbo_greater(s, t, p):
-        return L
-    return U
-
-
-def _lpo_greater(t: FoTerm, s: FoTerm, p: FoParams) -> bool:
-    if isinstance(t, FoVar):
+def _lpo_greater(t: Type, s: Type, p: FoParams) -> bool:
+    if isinstance(t, TyVar):
         return False
     # subterm rule
     for a in t.args:
         if a == s or _lpo_greater(a, s, p):
             return True
-    if isinstance(s, FoVar):
+    if isinstance(s, TyVar):
         return False
-    pc = p.prec(t.key, s.key)
+    pc = p.prec(t.name, s.name)
     if pc > 0:
         return all(_lpo_greater(t, b, p) for b in s.args)
     if pc < 0:
@@ -142,11 +96,20 @@ def _lpo_greater(t: FoTerm, s: FoTerm, p: FoParams) -> bool:
     return False
 
 
-def fo_lpo_compare(t: FoTerm, s: FoTerm, p: FoParams) -> Cmp:
+def _trichotomy(greater: Callable[[Type, Type, FoParams], bool],
+                t: Type, s: Type, p: FoParams) -> Cmp:
     if t == s:
         return E
-    if _lpo_greater(t, s, p):
+    if greater(t, s, p):
         return G
-    if _lpo_greater(s, t, p):
+    if greater(s, t, p):
         return L
     return U
+
+
+def fo_kbo_compare(t: Type, s: Type, p: FoParams) -> Cmp:
+    return _trichotomy(_kbo_greater, t, s, p)
+
+
+def fo_lpo_compare(t: Type, s: Type, p: FoParams) -> Cmp:
+    return _trichotomy(_lpo_greater, t, s, p)

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cmp import (Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_fold,
                   lex_merge, smooth)
-from .fo_order import FoApp, FoParams, FoTerm, FoVar, fo_kbo_compare, fo_lpo_compare
+from .fo_order import FoParams, fo_kbo_compare, fo_lpo_compare
 from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
 from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
                    mono_mul)
@@ -131,12 +131,15 @@ class OrderParams:
             raise OrderError("LPO comparison requires a watershed symbol")
         return self.sym_rank(name) > self.sym_rank(self.watershed)
 
+    def fo_compare(self, t: Type, s: Type, fop: FoParams) -> Cmp:
+        """The first-order order of this kind: the type orders, and the
+        oracle's order on encodings."""
+        return (fo_kbo_compare if self.kind == KBO else fo_lpo_compare)(t, s, fop)
+
     def compare_types(self, ty1: Type, ty2: Type) -> Cmp:
         c = self._ty_cmps.get((ty1, ty2))
         if c is None:
-            fo_compare = fo_kbo_compare if self.kind == KBO else fo_lpo_compare
-            c = self._ty_cmps[ty1, ty2] = fo_compare(_type_to_fo(ty1), _type_to_fo(ty2),
-                                                     self._ty_fo)
+            c = self._ty_cmps[ty1, ty2] = self.fo_compare(ty1, ty2, self._ty_fo)
         return c
 
     def compare_type_lists(self, tys1: Sequence[Type], tys2: Sequence[Type]) -> Cmp:
@@ -179,6 +182,8 @@ class OrderParams:
                 if self.sym_rank("diff") > self.sym_rank(self.watershed):
                     raise OrderError("diff must not exceed the watershed")
         for (name, i), c in self.coeffs.items():
+            if i < 1:
+                raise OrderError("argument indices start at 1: k(%s,%d)" % (name, i))
             if not c.is_positive():
                 raise OrderError("argument coefficient must be positive: k(%s,%d)" % (name, i))
             decl = self.sig.symbols.get(name)
@@ -217,12 +222,6 @@ def _check_declared(what: str, declared: Dict[str, object], names: Iterable[str]
     for name in names:
         if name not in declared:
             raise OrderError("%s %s" % (what, name))
-
-
-def _type_to_fo(ty: Type) -> FoTerm:
-    if isinstance(ty, TyVar):
-        return FoVar(ty.name)
-    return FoApp(ty.name, tuple(_type_to_fo(a) for a in ty.args))
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +267,10 @@ def _add_term(acc: Dict[Monomial, Ord], m: Monomial, coeff: Ord, c: Ord) -> None
     acc[m] = c if old is None else ord_add(old, c)
 
 
-def _add_eta(ty: Type, p: OrderParams, reps: Optional[Dict[Indet, Tuple]],
-             acc: Dict[Monomial, Ord], coeff: Ord, mono: Monomial) -> None:
-    """Weight slack for possible eta-expansion: each expansion inserts one
-    lambda and one index."""
-    if isinstance(ty, TyVar):
-        h = HInd(ty.name)
-        if reps is not None:
-            reps.setdefault(h, ("h", ty.name, ()))
-        _add_term(acc, mono_mul(mono, (h,)), coeff, ord_add(p.w_lam, p.w_db))
-
-
-def weight_poly(t: Preterm, p: OrderParams,
-                reps: Optional[Dict[Indet, Tuple]] = None, *,
+def weight_poly(t: Preterm, p: OrderParams, *,
                 acc: Optional[Dict[Monomial, Ord]] = None, coeff: Ord = ONE,
                 mono: Monomial = ()) -> Optional[Poly]:
     """Symbolic weight of a preterm.
-
-    reps, when given, collects a representative concrete origin for every
-    W/K indeterminate: key -> (var name, var type, prefix argument tuple).
-    Distinct origins with the same key always evaluate alike, which is the
-    point of the key normalization.
 
     Without ``acc`` the weight is returned as a Poly.  With it, nothing is
     returned: ``coeff * mono * weight(t)`` is added into ``acc`` (monomial ->
@@ -302,39 +284,34 @@ def weight_poly(t: Preterm, p: OrderParams,
         acc = {}
     if isinstance(t, Lam):
         _add_term(acc, mono, coeff, p.w_lam)
-        weight_poly(t.body, p, reps, acc=acc, coeff=coeff, mono=mono)
+        weight_poly(t.body, p, acc=acc, coeff=coeff, mono=mono)
     elif isinstance(t, Sym):
         _add_term(acc, mono, coeff, p.w(t.name))
         for i, a in enumerate(t.args):
             k = p.k(t.name, i + 1)
             # a unit coefficient keeps coeff identical to ONE, which _add_term skips
-            weight_poly(a, p, reps, acc=acc, coeff=coeff if k is ONE else ord_mul(coeff, k),
+            weight_poly(a, p, acc=acc, coeff=coeff if k is ONE else ord_mul(coeff, k),
                         mono=mono)
-        _add_eta(type_of(t, p.sig), p, reps, acc, coeff, mono)
     elif isinstance(t, Db):
         _add_term(acc, mono, coeff, p.w_db)
         for a in t.args:
-            weight_poly(a, p, reps, acc=acc, coeff=coeff, mono=mono)
-        _add_eta(type_of(t, p.sig), p, reps, acc, coeff, mono)
+            weight_poly(a, p, acc=acc, coeff=coeff, mono=mono)
     else:
         assert isinstance(t, Var)
         prefix, suffix = steady_split(t.args, p.sig)
         key = var_key(t.name, t.ty, prefix, p)
-        w = WInd(key)
-        if reps is not None:
-            reps.setdefault(w, (t.name, t.ty, prefix))
         _add_term(acc, mono, coeff, ONE)
-        _add_term(acc, mono_mul(mono, (w,)), coeff, ONE)
+        _add_term(acc, mono_mul(mono, (WInd(key),)), coeff, ONE)
         # k_i * (weight(a_i) - w_db) for each argument of the steady suffix
         minus_db = -p.w_db
         for i, a in enumerate(suffix):
-            kind = KInd(key, i + 1)
-            if reps is not None:
-                reps.setdefault(kind, (t.name, t.ty, prefix))
-            m = mono_mul(mono, (kind,))
-            weight_poly(a, p, reps, acc=acc, coeff=coeff, mono=m)
+            m = mono_mul(mono, (KInd(key, i + 1),))
+            weight_poly(a, p, acc=acc, coeff=coeff, mono=m)
             _add_term(acc, m, coeff, minus_db)
-        _add_eta(type_of(t, p.sig), p, reps, acc, coeff, mono)
+    if not isinstance(t, Lam):
+        ty = type_of(t, p.sig)
+        if isinstance(ty, TyVar):   # slack for eta-expansion: a lambda and an index each
+            _add_term(acc, mono_mul(mono, (HInd(ty.name),)), coeff, ord_add(p.w_lam, p.w_db))
     return Poly(acc) if top else None
 
 
@@ -347,8 +324,34 @@ def weight_diff(t: Preterm, s: Preterm, p: OrderParams) -> Poly:
 
 
 def collect_indet_reps(t: Preterm, p: OrderParams) -> Dict[Indet, Tuple]:
+    """A representative concrete origin for every indeterminate of
+    ``weight_poly(t, p)``: (var name, var type, prefix argument tuple) for a
+    W or K indeterminate, ("h", type variable, ()) for an H one.  Distinct
+    origins with the same key always evaluate alike, which is the point of
+    the key normalization.  Visits the nodes ``weight_poly`` weighs, in its
+    order, on an explicit stack."""
     reps: Dict[Indet, Tuple] = {}
-    weight_poly(t, p, reps)
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, tuple):    # an indeterminate and its origin, due here
+            reps.setdefault(*u)
+            continue
+        if isinstance(u, Lam):
+            stack.append(u.body)
+            continue
+        ty = type_of(u, p.sig)
+        if isinstance(ty, TyVar):   # after the arguments, as weight_poly adds it
+            stack.append((HInd(ty.name), ("h", ty.name, ())))
+        if isinstance(u, Var):
+            prefix, suffix = steady_split(u.args, p.sig)
+            key = var_key(u.name, u.ty, prefix, p)
+            origin = (u.name, u.ty, prefix)
+            reps.setdefault(WInd(key), origin)
+            for i in reversed(range(len(suffix))):
+                stack += (suffix[i], (KInd(key, i + 1), origin))
+        else:
+            stack += reversed(u.args)
     return reps
 
 

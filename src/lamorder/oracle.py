@@ -1,7 +1,7 @@
 """Ground-level differential oracle.
 
-Ground preterms are encoded into untyped first-order terms over a virtual
-signature whose symbols are interned keys (``term.Interned``): one per
+Ground preterms are encoded into first-order terms, ``TyCon`` trees whose
+heads are interned keys (``term.Interned``) of a virtual signature: one per
 (symbol, type arguments, parameters) combination, one per (index, argument
 count) pair, and one per lambda binder type.  Comparing encodings with the
 plain first-order KBO/LPO under a derived precedence reproduces the
@@ -17,13 +17,13 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cmp import Cmp, E, G, L
-from .fo_order import FoApp, FoParams, FoTerm, fo_kbo_compare, fo_kbo_weight, fo_lpo_compare
+from .fo_order import FoParams, fo_kbo_weight
 from .lambda_order import KBO, OrderParams, var_key, weight_poly
 from .ordinal import Ord, ONE, ZERO, from_int, ord_add, ord_mul
 from .poly import HInd, Indet, KInd, Poly, PolyError, WInd, const_poly, indet_poly
 from . import term as tm
 from .term import (TABLE, Db, Interned, Lam, Preterm, Signature, Substitution, Sym,
-                   TyVar, Type, Var, eta_expansion_count, is_ground, is_steady,
+                   TyCon, TyVar, Type, Var, eta_expansion_count, is_ground, is_steady,
                    split_arrows, steady_split, strip_lams, subst_type)
 
 
@@ -35,11 +35,7 @@ class OracleError(Exception):
 # Encoding
 # ---------------------------------------------------------------------------
 
-class FoSymKey(Interned):
-    __slots__ = ()
-
-
-class FKey(FoSymKey):
+class FKey(Interned):
     __slots__ = ("name", "ty_args", "params")
     tag = "fkey"
 
@@ -51,7 +47,7 @@ class FKey(FoSymKey):
         return "F:%s" % self.name
 
 
-class DbKey(FoSymKey):
+class DbKey(Interned):
     __slots__ = ("index", "argc")
     tag = "dbkey"
 
@@ -63,7 +59,7 @@ class DbKey(FoSymKey):
         return "DB:%d/%d" % (self.index, self.argc)
 
 
-class LamKey(FoSymKey):
+class LamKey(Interned):
     __slots__ = ("ty",)
     tag = "lamkey"
 
@@ -75,14 +71,14 @@ class LamKey(FoSymKey):
         return "LAM:%r" % (self.ty,)
 
 
-def encode_ground(t: Preterm) -> FoTerm:
+def encode_ground(t: Preterm) -> Type:
     def rule(u, d, kids):
         if isinstance(u, Sym):
-            return FoApp(FKey(u.name, u.ty_args, u.params), kids)
+            return TyCon(FKey(u.name, u.ty_args, u.params), kids)
         if isinstance(u, Db):
-            return FoApp(DbKey(u.index, len(u.args)), kids)
+            return TyCon(DbKey(u.index, len(u.args)), kids)
         if isinstance(u, Lam):
-            return FoApp(LamKey(u.arg_ty), kids)
+            return TyCon(LamKey(u.arg_ty), kids)
         raise OracleError("cannot encode nonground preterm %r" % (u,))
     return tm.rebuild(t, rule, params=False)
 
@@ -118,10 +114,8 @@ def make_fo_params(p: OrderParams) -> FoParams:
             return p.k(key.name, i)
         return ONE
 
-    kbo_mode = p.kind == KBO
-
     def tier(key) -> int:
-        if kbo_mode:
+        if p.kind == KBO:
             if isinstance(key, FKey):
                 return 0
             if isinstance(key, DbKey):
@@ -151,7 +145,7 @@ def make_fo_params(p: OrderParams) -> FoParams:
             for va, vb in zip(a.params, b.params):
                 if va == vb:
                     continue
-                c = compare_fn(encode_ground(va), encode_ground(vb), fop)
+                c = p.fo_compare(encode_ground(va), encode_ground(vb), fop)
                 if c is E:
                     raise OracleError("distinct parameters encode equal: %r, %r" % (va, vb))
                 return _cmp_sign(c)
@@ -162,7 +156,6 @@ def make_fo_params(p: OrderParams) -> FoParams:
             return a.argc - b.argc
         return _cmp_sign(p.compare_types(a.ty, b.ty))
 
-    compare_fn = fo_kbo_compare if kbo_mode else fo_lpo_compare
     fop = FoParams(weight=weight, coeff=coeff, prec=prec)
     return fop
 
@@ -171,11 +164,7 @@ def oracle_compare(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
     """Total comparison of ground preterms via the first-order encoding."""
     if not is_ground(t) or not is_ground(s):
         raise OracleError("oracle comparison requires ground preterms")
-    fop = make_fo_params(p)
-    a, b = encode_ground(t), encode_ground(s)
-    if p.kind == KBO:
-        return fo_kbo_compare(a, b, fop)
-    return fo_lpo_compare(a, b, fop)
+    return p.fo_compare(encode_ground(t), encode_ground(s), make_fo_params(p))
 
 
 def oracle_weight(t: Preterm, p: OrderParams) -> Ord:

@@ -345,20 +345,24 @@ def parse_signature(text: str, kind: str,
         except tm.TermError as exc:
             raise _Fault(str(exc), item.at) from exc
 
-    weights = {}
-    for item in section("weights"):
-        name, value = _expect_pair(item, "(NAME ORD)")
-        weights[_expect_atom(name, "a symbol")] = _parse_ord_atom(value)
-    ty_weights = {}
-    for item in section("tyweights"):
-        name, value = _expect_pair(item, "(NAME ORD)")
-        ty_weights[_expect_atom(name, "a type constructor")] = _parse_ord_atom(value)
-    coeffs = {}
-    for item in section("coeffs"):
-        key, value = _expect_pair(item, "((NAME INDEX) ORD)")
-        name, idx = _expect_pair(key, "(NAME INDEX)")
-        coeffs[(_expect_atom(name, "a symbol"), _parse_nat(idx, "index"))] = \
-            _parse_ord_atom(value)
+    def table(name: str, what: str, read_key) -> dict:
+        out = {}
+        for item in section(name):
+            key, value = _expect_pair(item, what)
+            key = read_key(key)
+            if key in out:
+                raise _Fault("repeated entry in (%s ...)" % name, item.at)
+            out[key] = _parse_ord_atom(value)
+        return out
+
+    def coeff_key(e: SExpr) -> Tuple[str, int]:
+        name, idx = _expect_pair(e, "(NAME INDEX)")
+        return _expect_atom(name, "a symbol"), _parse_nat(idx, "index")
+
+    weights = table("weights", "(NAME ORD)", lambda e: _expect_atom(e, "a symbol"))
+    ty_weights = table("tyweights", "(NAME ORD)",
+                       lambda e: _expect_atom(e, "a type constructor"))
+    coeffs = table("coeffs", "((NAME INDEX) ORD)", coeff_key)
 
     prec = None
     if "precedence" in sections:
@@ -370,6 +374,9 @@ def parse_signature(text: str, kind: str,
     if "watershed" in sections:
         watershed = _expect_atom(
             _expect_pair(sections["watershed"], "(watershed SYMBOL)")[1], "a symbol")
+    extra = section("ordinal-weights")
+    if extra:
+        raise _Fault("(ordinal-weights) takes no arguments", extra[0].at)
     ordinal_weights = "ordinal-weights" in sections
 
     from .lambda_order import OrderError

@@ -15,19 +15,19 @@ spine as a whole has non-arrow type, so terms of function type are always
 lambdas; ``normalize`` establishes it by eta-expansion.  De Bruijn indices may
 "leak" (point beyond all binders); substitution ignores them.
 
-Preterms and types are hash-consed through ``Interned``, the base this module
-also gives the weight indeterminates (``poly``), the first-order terms
-(``fo_order``) and the oracle's symbol keys (``oracle``): every constructor
-returns the one value that exists for its arguments, so structurally equal
-values are the same object, and equality and hash are identity.  Each
-preterm caches its type under the signature it was last typed in, and how
-many binders above it its indices reach.  The one table keeps every distinct
-value for the life of the process.
+Preterms and types, which are also the first-order terms of ``fo_order``,
+are hash-consed through ``Interned``, the base this module also gives the
+weight indeterminates (``poly``) and the oracle's symbol keys (``oracle``):
+every constructor returns the one value that exists for its arguments, so
+structurally equal values are the same object, and equality and hash are
+identity.  Each preterm caches its type under the signature it was last
+typed in, and how many binders above it its indices reach.  The one table
+keeps every distinct value for the life of the process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 ARROW = "->"
 
@@ -100,7 +100,7 @@ class TyCon(Type):
     __slots__ = ("name", "args")
     tag = "tycon"
 
-    def __new__(cls, name: str, args: Tuple[Type, ...] = ()):
+    def __new__(cls, name: Hashable, args: Tuple[Type, ...] = ()):
         key = (cls.tag, name, args)
         return TABLE.get(key) or cls.intern(key, name, args)
 
@@ -379,7 +379,7 @@ def _group(opening: str, xs: tuple, closing: str) -> list:
 # the table of ``repr``: ``(-> k k)``, ``(\k. #0)``, ``(f<k,'A>(p,q) a)``
 REPR: Dict[type, Callable[..., list]] = {
     TyVar: lambda x: ["'" + x.name],
-    TyCon: lambda x: _spine([x.name], x.args),
+    TyCon: lambda x: _spine([str(x.name)], x.args),
     Var: lambda x: _spine([x.name], x.args),
     Db: lambda x: _spine(["#%d" % x.index], x.args),
     Sym: lambda x: _spine([x.name, *_group("<", x.ty_args, ">"),

@@ -478,8 +478,8 @@ def test_c13_weight_lemmas():
     bases = [TyCon("iota"), TyCon("kappa")]
     for _ in range(1000):
         t = gen.gen(rng.choice(bases + [arrow(bases[0], bases[1])]), 9, ground=False)
-        reps = {}
-        w = weight_poly(t, kbo, reps)
+        reps = collect_indet_reps(t, kbo)
+        w = weight_poly(t, kbo)
         theta = gen_grounding_subst(rng, sig, free_var_types(t))
         lhs = subst_poly(w, assignment_from_grounding(theta, reps, kbo))
         rhs = weight_poly(apply_subst(t, theta, sig), kbo)
@@ -499,8 +499,8 @@ def test_c13_weight_lemmas():
         if not tyvars:
             continue
         theta = gen_monomorphizing_subst(rngp, sigp, tyvars, flat=True)
-        reps = {}
-        w = weight_poly(t, kbop, reps)
+        reps = collect_indet_reps(t, kbop)
+        w = weight_poly(t, kbop)
         mapping = poly_subst_from_monomorphizing(theta, reps, kbop)
         lhs = subst_poly(w, mapping)
         rhs = weight_poly(apply_subst(t, theta, sigp), kbop)

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from lamorder.cmp import Cmp
-from lamorder.fo_order import (FoApp, FoParams, FoVar, fo_kbo_compare,
-                               fo_kbo_weight, fo_lpo_compare)
+from lamorder.fo_order import FoParams, fo_kbo_compare, fo_kbo_weight, fo_lpo_compare
 from lamorder.lambda_order import KBO, LPO, OrderParams
 from lamorder.ordinal import ONE, ZERO, from_int
-from lamorder.term import Signature, TyCon, TyVar, TypeDecl, arrow
+from lamorder.term import Signature, TyCon, TyVar, TypeDecl, arrow, subst_type
 
 
 def make_params(weights=None, coeffs=None, order=("a", "b", "f", "g", "h")):
@@ -23,18 +22,18 @@ def make_params(weights=None, coeffs=None, order=("a", "b", "f", "g", "h")):
 
 
 def a():
-    return FoApp("a")
+    return TyCon("a")
 
 
 def f(*args):
-    return FoApp("f", tuple(args))
+    return TyCon("f", tuple(args))
 
 
 def g(*args):
-    return FoApp("g", tuple(args))
+    return TyCon("g", tuple(args))
 
 
-X, Y = FoVar("x"), FoVar("y")
+X, Y = TyVar("x"), TyVar("y")
 
 
 def test_kbo_weight():
@@ -115,14 +114,8 @@ def random_fo_term(rng, depth, vars_ok=True):
         return a()
     head = rng.choice(["f", "g", "h"])
     n = 1 if head in ("f", "g") else 2
-    return FoApp(head, tuple(random_fo_term(rng, depth - 1, vars_ok)
+    return TyCon(head, tuple(random_fo_term(rng, depth - 1, vars_ok)
                              for _ in range(n)))
-
-
-def subst_fo(t, mapping):
-    if isinstance(t, FoVar):
-        return mapping.get(t.name, t)
-    return FoApp(t.key, tuple(subst_fo(a, mapping) for a in t.args))
 
 
 def test_kbo_stability_under_substitution():
@@ -136,7 +129,7 @@ def test_kbo_stability_under_substitution():
             continue
         mapping = {"x": random_fo_term(rng, 2, vars_ok=False),
                    "y": random_fo_term(rng, 2, vars_ok=False)}
-        assert fo_kbo_compare(subst_fo(t, mapping), subst_fo(s, mapping), p) is Cmp.G
+        assert fo_kbo_compare(subst_type(t, mapping), subst_type(s, mapping), p) is Cmp.G
         checked += 1
     assert checked > 50
 

@@ -443,6 +443,12 @@ def test_coefficients_reject_undeclared_symbol(small):
         OrderParams(sig, KBO, prec=["a", "b", "g"], coeffs={("qq", 1): from_int(3)})
 
 
+def test_coefficients_reject_index_zero(small):
+    sig, _, _ = small
+    with pytest.raises(OrderError, match="indices start at 1"):
+        OrderParams(sig, KBO, prec=["a", "b", "g"], coeffs={("g", 0): from_int(2)})
+
+
 def test_type_weights_reject_undeclared_constructor(small):
     sig, _, _ = small
     with pytest.raises(OrderError, match="undeclared constructor nope"):
@@ -687,6 +693,28 @@ def test_weight_accumulator_matches_per_node_definition(ordinal_weights):
         transfinite |= any(not c.is_natural() and not (-c).is_natural()
                            for _, c in w.items())
     assert transfinite == ordinal_weights
+
+
+@pytest.mark.parametrize("polymorphic", [False, True])
+def test_indet_reps_cover_the_weight_and_give_its_keys(polymorphic):
+    """Each indeterminate of a weight has a recorded origin, and a W or K
+    origin's key is the indeterminate's own."""
+    cfg = GenConfig(seed=44, polymorphic=polymorphic)
+    sig, kbo, _ = gen_signature(cfg)
+    rng = random.Random(44)
+    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=polymorphic))
+    bases = [TyCon("iota"), TyCon("kappa")]
+    tys = bases + [arrow(bases[0], bases[1])] + ([TyVar("a0")] if polymorphic else [])
+    kinds = set()
+    for _ in range(300):
+        t = g.gen(rng.choice(tys), 10, ground=False)
+        reps = collect_indet_reps(t, kbo)
+        assert set(weight_poly(t, kbo).indets()) <= set(reps)
+        for ind, rep in reps.items():
+            kinds.add(type(ind))
+            if not isinstance(ind, HInd):
+                assert var_key(*rep, kbo) is ind.key
+    assert kinds == ({WInd, KInd, HInd} if polymorphic else {WInd, KInd})
 
 
 # ---------------------------------------------------------------------------

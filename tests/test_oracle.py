@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from lamorder.checks import bench_signature, deep_chain_pair
 from lamorder.cmp import Cmp
 from lamorder.gen import GenConfig, TermGen, free_var_types, gen_grounding_subst, gen_signature
 from lamorder.lambda_order import (KBO, LPO, OrderParams, collect_indet_reps,
@@ -43,15 +45,28 @@ def params(sig):
 
 
 def test_encode_examples(sig):
-    from lamorder.fo_order import FoApp
-    assert encode_ground(Lam(K, Db(0, K))) == FoApp(LamKey(K), (FoApp(DbKey(0, 0)),))
+    assert encode_ground(Lam(K, Db(0, K))) == TyCon(LamKey(K), (TyCon(DbKey(0, 0)),))
     fa = normalize(app(Sym("f"), Sym("a")), sig)
-    assert encode_ground(fa) == FoApp(FKey("f", (), ()), (FoApp(FKey("a", (), ())),))
+    assert encode_ground(fa) == TyCon(FKey("f", (), ()), (TyCon(FKey("a", (), ())),))
     leak = Db(1, arrows([K, K], K), (Sym("a"), Sym("b")))
-    assert encode_ground(leak) == FoApp(DbKey(1, 2), (FoApp(FKey("a", (), ())),
-                                                      FoApp(FKey("b", (), ()))))
+    assert encode_ground(leak) == TyCon(DbKey(1, 2), (TyCon(FKey("a", (), ())),
+                                                      TyCon(FKey("b", (), ()))))
+    assert repr(encode_ground(deep_chain_pair(3)[0])) == "(F:f (F:f (F:f F:a)))"
     with pytest.raises(OracleError):
         encode_ground(Var("x", K))
+
+
+def test_oracle_weight_of_a_deep_chain():
+    """The encoding and its weight are post-order maps, so a depth-10,000
+    chain fits the default recursion limit."""
+    _, kbo, _ = bench_signature()
+    t, _ = deep_chain_pair(10000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert oracle_weight(t, kbo) == from_int(10001)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_kbo_precedence_tiers(params):
@@ -204,8 +219,8 @@ def test_weight_lemma_randomized(sig):
     for _ in range(250):
         ty = rng.choice([K, arrow(K, K)])
         t = g.gen(ty, 9, ground=False)
-        reps = {}
-        w = weight_poly(t, kbo, reps)
+        reps = collect_indet_reps(t, kbo)
+        w = weight_poly(t, kbo)
         theta = gen_grounding_subst(rng, sig, free_var_types(t))
         lhs = subst_poly(w, assignment_from_grounding(theta, reps, kbo))
         rhs = weight_poly(apply_subst(t, theta, sig), kbo)
@@ -219,8 +234,8 @@ def test_monomorphizing_substitution_examples():
     kbo = OrderParams(s, KBO, prec=["a"])
     alpha = TyVar("alpha")
     x = Var("x", alpha)
-    reps = {}
-    w = weight_poly(x, kbo, reps)
+    reps = collect_indet_reps(x, kbo)
+    w = weight_poly(x, kbo)
     assert HInd("alpha") in {i for m, _ in w.items() for i in m}
 
     # eta counts: (k->k)->k causes 2, k causes 0
@@ -251,8 +266,8 @@ def test_monomorphizing_weight_lemma_flat_types():
         if not tyvars:
             continue
         theta = gen_monomorphizing_subst(rng, sig2, tyvars, flat=True)
-        reps = {}
-        w = weight_poly(t, kbo, reps)
+        reps = collect_indet_reps(t, kbo)
+        w = weight_poly(t, kbo)
         mapping = poly_subst_from_monomorphizing(theta, reps, kbo)
         lhs = subst_poly(w, mapping)
         rhs = weight_poly(apply_subst(t, theta, sig2), kbo)

@@ -105,6 +105,11 @@ def test_signature_constraint_violations_are_named():
     assert "watershed" in str(err.value)
     parse_signature(no_ws, KBO)  # fine without the watershed in KBO mode
 
+    zero_index = SIG_TEXT.replace("(coeffs ((g 2) 2))", "(coeffs ((g 0) 2))")
+    with pytest.raises(ParseError) as err:
+        parse_signature(zero_index, KBO)
+    assert "argument indices start at 1: k(g,0)" in str(err.value)
+
     bad_bot = SIG_TEXT.replace("(precedence top bot diff a f g)",
                                "(precedence bot top diff a f g)")
     with pytest.raises(ParseError) as err:
@@ -125,9 +130,15 @@ def test_signature_constraint_violations_are_named():
     ("(a () () k)", "(a () () (@q k))"),
     ("(f () () (-> k k))", "(f () () (-> k @kk))"),
     ("((-> 'A 'B) (-> 'A 'B))", "((@-> 'A) (-> 'A 'B))"),
+    ("(weights (a 2) (f 1))", "(weights (a 2) @(a 3))"),
+    ("(tyweights (k 1)", "(tyweights (k 1) @(k 2)"),
+    ("(coeffs ((g 2) 2))", "(coeffs ((g 2) 2) @((g 2) 3))"),
+    ("(watershed a))", "(watershed a) (ordinal-weights @yes please))"),
 ], ids=["arity", "coeff-index", "type-entry", "weight-entry", "wlam",
         "watershed", "misspelt", "repeated", "redeclared-type",
-        "symbol-type-constructor", "symbol-type-atom", "symbol-param-arity"])
+        "symbol-type-constructor", "symbol-type-atom", "symbol-param-arity",
+        "repeated-weight", "repeated-tyweight", "repeated-coeff",
+        "ordinal-weights-arguments"])
 def test_malformed_signature_entries_are_positioned(old, new):
     """Each text is SIG_TEXT with one entry broken; @ marks where the error
     must point."""

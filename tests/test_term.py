@@ -11,7 +11,6 @@ import pytest
 
 import lamorder
 from lamorder.checks import _outside_params
-from lamorder.fo_order import FoApp, FoVar
 from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_grounding_subst,
                           gen_signature)
 from lamorder.lambda_order import KBO, OrderParams, norm_key
@@ -71,8 +70,6 @@ def test_equal_constructions_are_one_node():
                   lambda: WInd(Var("x", K)),
                   lambda: KInd(Var("x", K), 2),
                   lambda: HInd("A"),
-                  lambda: FoVar("A"),
-                  lambda: FoApp("->", (FoApp("k"), FoVar("A"))),
                   lambda: FKey("sk", (K,), (Sym("a"),)),
                   lambda: DbKey(0, 2),
                   lambda: LamKey(arrow(K, O))):
@@ -87,7 +84,7 @@ def test_equal_constructions_are_one_node():
 def test_copies_and_unpickled_nodes_are_the_node_itself():
     t = Lam(K, Sym("g", (), (), (Db(0, K), Var("x", K))))
     for v in (t, TyVar("A"), arrow(K, O), WInd(Var("x", K)),
-              KInd(Var("x", K), 1), HInd("A"), FoVar("A"), FoApp("k", (FoVar("A"),)),
+              KInd(Var("x", K), 1), HInd("A"),
               FKey("sk", (K,), (Sym("a"),)), DbKey(1, 0), LamKey(K)):
         assert copy.copy(v) is v
         assert copy.deepcopy(v) is v
@@ -97,7 +94,7 @@ def test_copies_and_unpickled_nodes_are_the_node_itself():
 def test_hash_is_identity():
     x = Var("x", K)
     for v in (Sym("a"), x, Db(0, K), Lam(K, x), TyVar("A"), K,
-              WInd(x), KInd(x, 1), HInd("A"), FoVar("A"), FoApp("k"), FKey("a", (), ()),
+              WInd(x), KInd(x, 1), HInd("A"), FKey("a", (), ()),
               DbKey(0, 1), LamKey(K)):
         assert hash(v) == object.__hash__(v), type(v)
 
@@ -121,7 +118,7 @@ def test_interned_classes_have_distinct_tags_and_identity_equality():
         assert isinstance(tag, str), cls
         assert tag not in owners, (cls, owners.get(tag))
         owners[tag] = cls
-    assert len(owners) >= 14
+    assert len(owners) >= 12
 
 
 def test_normalize_returns_a_normal_term_itself(sig):
@@ -402,9 +399,9 @@ def test_rebuilding_maps_take_deep_terms(sig):
         assert strip_lams(norm_key(tower, p)) is norm_key(Db(depth, K), p)
         assert preprocess_quantifiers(chain, sig) is chain
         assert preprocess_quantifiers(tower, sig) is tower
-        encoded = FoApp(FKey("a", (), ()), ())
+        encoded = TyCon(FKey("a", (), ()))
         for _ in range(depth):
-            encoded = FoApp(FKey("f", (), ()), (encoded,))
+            encoded = TyCon(FKey("f", (), ()), (encoded,))
         assert encode_ground(chain) is encoded
     finally:
         sys.setrecursionlimit(limit)

@@ -10,6 +10,7 @@ calls them directly with its own trial counts.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 from typing import Callable, Dict, List, Optional, Tuple
@@ -18,9 +19,8 @@ from .cmp import E, G, GE, L, LE, U, flip
 from .gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_context,
                   gen_grounding_subst, gen_monomorphizing_subst, gen_signature,
                   gen_var_types)
-from .lambda_order import (KBO, LPO, OrderParams, collect_indet_reps, compare,
-                           compare_kbo_naive, compare_kbo_opt, compare_lpo_naive,
-                           compare_lpo_opt, weight_diff, weight_poly)
+from .lambda_order import (ALGORITHMS, KBO, LPO, OrderParams, collect_indet_reps,
+                           compare, weight_diff, weight_poly)
 from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
                      oracle_weight, poly_subst_from_monomorphizing)
 from .ordinal import from_int
@@ -163,7 +163,7 @@ def _context_round_trip(env, rng, i):
     sub = subterm_at(t, path)
     if tm.refers_to_outer_binders(sub, depth):
         return None  # not the image of a shift; no term plugs in here
-    lowered = shift(sub, -depth, 0) if depth else sub
+    lowered = shift(sub, -depth) if depth else sub
     back = replace_at(t, path, lowered)
     if back != t:
         return "context round trip failed at %r in %r" % (path, t)
@@ -210,29 +210,19 @@ def _analyze_consistent(env, rng, i):
 # Order families
 # ---------------------------------------------------------------------------
 
-_ALGOS = {
-    KBO: (compare_kbo_naive, compare_kbo_opt),
-    LPO: (compare_lpo_naive, compare_lpo_opt),
-}
-
-
 def _mutated_params(p: OrderParams) -> OrderParams:
-    """Same parameters with two adjacent plain symbols swapped in the
-    precedence; used as a self-test that the differential harness detects
-    seeded faults."""
-    prec = sorted(p.prec_ranks, key=p.prec_ranks.get)
-    plain = [n for n in prec if n.startswith("f") or n.startswith("c")]
+    """A copy of p with the ranks of its two highest plain symbols swapped;
+    used as a self-test that the differential harness detects seeded
+    faults."""
+    plain = sorted((n for n in p.prec_ranks if n.startswith(("f", "c"))),
+                   key=p.prec_ranks.get)
     if len(plain) < 2:
         raise ValueError("not enough plain symbols to mutate")
-    a, b = plain[-2], plain[-1]
-    ia, ib = prec.index(a), prec.index(b)
-    prec[ia], prec[ib] = prec[ib], prec[ia]
-    return OrderParams(p.sig, p.kind, weights=p.weights, w_lam=p.w_lam,
-                       w_db=p.w_db, coeffs=p.coeffs, prec=prec,
-                       ty_weights=p.ty_weights,
-                       ty_prec=sorted(p.ty_prec_ranks, key=p.ty_prec_ranks.get),
-                       watershed=p.watershed, strict_leaks=p.strict_leaks,
-                       ordinal_weights=p.ordinal_weights)
+    a, b = plain[-2:]
+    q = copy.copy(p)
+    q.prec_ranks = {**p.prec_ranks, a: p.prec_ranks[b], b: p.prec_ranks[a]}
+    q.validate()
+    return q
 
 
 @family("oracle-equivalence")
@@ -242,7 +232,7 @@ def _oracle_equivalence(env, rng, i, mutate=False):
     t = env.ground_term(8)
     s = env.ground_term(8)
     want = oracle_compare(t, s, oracle_p)
-    for fn in _ALGOS[kind]:
+    for fn in ALGORITHMS[kind]:
         got = fn(t, s, p)
         if got != want:
             return "%s %s vs oracle %s on %r / %r" % (fn.__name__, got, want, t, s)
@@ -272,7 +262,7 @@ def _ground_total(env, rng, i):
 @family("naive-opt-equal", polymorphic=True)
 def _naive_opt_equal(env, rng, i):
     kind, p = env.order(i)
-    naive, opt = _ALGOS[kind]
+    naive, opt = ALGORITHMS[kind]
     t = env.open_term(8)
     s = env.open_term(8)
     a = naive(t, s, p)
@@ -382,7 +372,7 @@ def _subterm_property(env, rng, i):
     sub = subterm_at(u, path)
     if tm.refers_to_outer_binders(sub, depth):
         return None
-    s = shift(sub, -depth, 0) if depth else sub
+    s = shift(sub, -depth) if depth else sub
     c = compare(u, s, p)
     if c not in (G, E):
         return "%s: term vs its accessible subterm gave %s" % (kind, c)

@@ -35,7 +35,8 @@ def lex_merge(first: Cmp, rest: Cmp) -> Cmp:
     """Lexicographic combination of a verdict with the one that follows it:
     E defers to ``rest``, a strict verdict or U decides.  GE and LE defer to
     ``rest`` too, but stand when it is E and give U when it points the other
-    way."""
+    way.  The merge is associative, so a scan may merge each position into a
+    running verdict, left to right."""
     if first is E:
         return rest
     if first is GE:
@@ -43,14 +44,6 @@ def lex_merge(first: Cmp, rest: Cmp) -> Cmp:
     if first is LE:
         return U if rest is G or rest is GE else (LE if rest is E else rest)
     return first
-
-
-def lex_fold(pending: Sequence[Cmp], verdict: Cmp) -> Cmp:
-    """Fold the nonstrict verdicts a scan passed, in scan order, into the
-    verdict it ended on."""
-    for c in reversed(pending):
-        verdict = lex_merge(c, verdict)
-    return verdict
 
 
 def smooth(cmp: Cmp) -> Cmp:
@@ -65,20 +58,20 @@ def smooth(cmp: Cmp) -> Cmp:
 def lex_ext(op: Callable, ts: Sequence, ss: Sequence) -> Cmp:
     """Left-to-right lexicographic extension of a six-valued comparison.
 
-    Both lists must have the same length; empty lists compare E.  The
-    nonstrict verdicts passed on the way are folded into the deciding one.
+    Both lists must have the same length; empty lists compare E.  The scan
+    keeps one running verdict, merged with each position's, and stops at a
+    strict or U position.
     """
     if len(ts) != len(ss):
         raise ValueError("lexicographic extension over unequal lengths: %d vs %d"
                          % (len(ts), len(ss)))
-    pending = []
+    acc = E
     for a, b in zip(ts, ss):
         c = op(a, b)
+        acc = lex_merge(acc, c)
         if c is G or c is L or c is U:
-            return lex_fold(pending, c) if pending else c
-        if c is not E:
-            pending.append(c)
-    return lex_fold(pending, E) if pending else E
+            break
+    return acc
 
 
 def cw_ext(op: Callable, ts: Sequence, ss: Sequence) -> Cmp:

@@ -12,7 +12,7 @@ interned, so equality is identity.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Hashable
+from typing import Callable, Dict, Hashable, Tuple
 
 from .cmp import Cmp, E, G, L, U
 from .ordinal import Ord, ZERO, ord_add, ord_compare, ord_mul
@@ -73,43 +73,57 @@ def _kbo_greater(t: Type, s: Type, p: FoParams) -> bool:
     return False
 
 
-def _lpo_greater(t: Type, s: Type, p: FoParams) -> bool:
+# the decided pairs of one comparison
+_Memo = Dict[Tuple[Type, Type], bool]
+
+
+def _lpo_greater(t: Type, s: Type, p: FoParams, memo: _Memo) -> bool:
+    """Whether t > s, each pair decided once per memo: the subterm rule
+    revisits pairs, which without the memo is exponential in the depth."""
+    got = memo.get((t, s))
+    if got is None:
+        got = memo[t, s] = _lpo_rules(t, s, p, memo)
+    return got
+
+
+def _lpo_rules(t: Type, s: Type, p: FoParams, memo: _Memo) -> bool:
     if isinstance(t, TyVar):
         return False
     # subterm rule
     for a in t.args:
-        if a == s or _lpo_greater(a, s, p):
+        if a == s or _lpo_greater(a, s, p, memo):
             return True
     if isinstance(s, TyVar):
         return False
     pc = p.prec(t.name, s.name)
     if pc > 0:
-        return all(_lpo_greater(t, b, p) for b in s.args)
+        return all(_lpo_greater(t, b, p, memo) for b in s.args)
     if pc < 0:
         return False
     # same head: lexicographic step plus the argument check
     for i, (a, b) in enumerate(zip(t.args, s.args)):
         if a == b:
             continue
-        return (_lpo_greater(a, b, p)
-                and all(_lpo_greater(t, sb, p) for sb in s.args[i + 1:]))
+        return (_lpo_greater(a, b, p, memo)
+                and all(_lpo_greater(t, sb, p, memo) for sb in s.args[i + 1:]))
     return False
 
 
-def _trichotomy(greater: Callable[[Type, Type, FoParams], bool],
-                t: Type, s: Type, p: FoParams) -> Cmp:
+def _trichotomy(greater: Callable[[Type, Type], bool], t: Type, s: Type) -> Cmp:
     if t == s:
         return E
-    if greater(t, s, p):
+    if greater(t, s):
         return G
-    if greater(s, t, p):
+    if greater(s, t):
         return L
     return U
 
 
 def fo_kbo_compare(t: Type, s: Type, p: FoParams) -> Cmp:
-    return _trichotomy(_kbo_greater, t, s, p)
+    return _trichotomy(lambda a, b: _kbo_greater(a, b, p), t, s)
 
 
 def fo_lpo_compare(t: Type, s: Type, p: FoParams) -> Cmp:
-    return _trichotomy(_lpo_greater, t, s, p)
+    """Both directions share one memo of decided pairs."""
+    memo: _Memo = {}
+    return _trichotomy(lambda a, b: _lpo_greater(a, b, p, memo), t, s)

@@ -15,7 +15,7 @@ from .ordinal import ONE, Ord, OMEGA, from_int, ord_add
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Substitution, Sym, TyCon, TyVar,
                    Type, TypeDecl, Var, accessible_positions, arrow, arrows,
-                   is_arrow, split_arrows, subst_type)
+                   is_arrow, split_arrows)
 
 
 class GenError(Exception):
@@ -134,17 +134,14 @@ class TermGen:
 
     def __init__(self, rng: random.Random, sig: Signature,
                  var_types: Optional[Dict[str, Type]] = None,
-                 ty_pool: Optional[Sequence[Type]] = None,
                  poly_ty_vars: Sequence[str] = ()):
         self.rng = rng
         self.sig = sig
         self.var_types = dict(var_types or {})
-        pool = sig.base_types() if ty_pool is None else list(ty_pool)
-        self.ty_pool = pool + [TyVar(v) for v in poly_ty_vars]
+        self.ty_pool = sig.base_types() + [TyVar(v) for v in poly_ty_vars]
 
-    def gen(self, ty: Type, budget: int, ground: bool,
-            binders: Tuple[Type, ...] = ()) -> Preterm:
-        return self._gen(ty, max(budget, min_size(ty)), ground, binders)
+    def gen(self, ty: Type, budget: int, ground: bool) -> Preterm:
+        return self._gen(ty, max(budget, min_size(ty)), ground, ())
 
     def _gen(self, ty: Type, budget: int, ground: bool,
              binders: Tuple[Type, ...]) -> Preterm:
@@ -273,16 +270,11 @@ def gen_monomorphizing_subst(rng: random.Random, sig: Signature,
 
 
 def gen_grounding_subst(rng: random.Random, sig: Signature,
-                        var_types: Dict[str, Type],
-                        ty_vars: Sequence[str] = (),
-                        budget: int = 6) -> Substitution:
-    ty_map = {a: gen_ground_type(rng, sig) for a in ty_vars}
+                        var_types: Dict[str, Type]) -> Substitution:
+    """A ground image for each variable, within a size budget of 6."""
     g = TermGen(rng, sig)
-    term_map = {}
-    for name, vty in var_types.items():
-        ground_ty = subst_type(vty, ty_map)
-        term_map[(name, ground_ty)] = g.gen(ground_ty, budget, ground=True)
-    return Substitution(ty_map=ty_map, term_map=term_map)
+    return Substitution(term_map={(name, vty): g.gen(vty, 6, ground=True)
+                                  for name, vty in var_types.items()})
 
 
 def free_var_types(t: Preterm) -> Dict[str, Type]:

@@ -16,10 +16,9 @@ dominate lambdas and De Bruijn indices, symbols below are dominated by them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .cmp import (Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_fold,
-                  lex_merge, smooth)
+from .cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge, smooth
 from .fo_order import FoParams, fo_kbo_compare, fo_lpo_compare
 from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
 from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
@@ -469,16 +468,15 @@ class _KboNaive(_Kbo):
         if len(ts) != len(ss):
             raise ValueError("lexicographic extension over unequal lengths: %d vs %d"
                              % (len(ts), len(ss)))
-        pending: List[Cmp] = []
+        verdict = E
         for a, b in zip(ts, ss):
             c = self.compare(a, b, depth)
             if smoothed:
                 c = smooth(c)
+            verdict = lex_merge(verdict, c)
             if c is G or c is L or c is U:
-                return lex_fold(pending, c)
-            if c is not E:
-                pending.append(c)
-        return lex_fold(pending, E)
+                break
+        return verdict
 
 
 class _KboOpt(_Kbo):
@@ -504,7 +502,6 @@ class _KboOpt(_Kbo):
         one map: each reached position adds its difference times its scale,
         and the positions after the deciding one are weighed straight in."""
         acc: Dict[Monomial, Ord] = {}
-        pending: List[Cmp] = []
         verdict = E
         rest = len(ts)
         for i, (a, b, (k, m)) in enumerate(zip(ts, ss, scales, strict=True)):
@@ -514,17 +511,16 @@ class _KboOpt(_Kbo):
                     _add_term(acc, mono_mul(m, mono), k, coeff)
             if smoothed:
                 c = smooth(c)
+            verdict = lex_merge(verdict, c)
             if c is G or c is L or c is U:
-                verdict, rest = c, i + 1
+                rest = i + 1
                 break
-            if c is not E:
-                pending.append(c)
         for a, b, (k, m) in zip(ts[rest:], ss[rest:], scales[rest:], strict=True):
             if not k.is_zero():
                 weight_poly(a, self.p, acc=acc, coeff=k, mono=m)
                 weight_poly(b, self.p, acc=acc, coeff=-k, mono=m)
         w = Poly(acc)
-        return w, lex_merge(analyze_weight_diff(w), lex_fold(pending, verdict))
+        return w, lex_merge(analyze_weight_diff(w), verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +554,13 @@ class _Lpo(_Base):
     """The rule table both LPO algorithms share.  ``dispatch`` lets ``enter``
     settle a pair first, then ends it by its heads: ``U``, the componentwise
     extension over one steady variable, a descent into lambda bodies of equal
-    types, ``win(winner, dw, loser_args, dl, verdict, guard)`` when a
-    precedence, type or head rank picks a winner that must still beat the
-    loser's arguments, or ``scan(t, dt, ts, s, ds, ss, np)``, a lexicographic
-    scan of equal heads' parameters (the first ``np`` positions) and
-    arguments.  ``leave`` may revise the verdict.  ``guard``, when
-    ``(t, s)``, applies the type guard to the winner's verdict: it applies
-    unless the winner is a symbol above the watershed or the loser is a
-    lambda."""
+    types, ``win`` when a precedence, type or head rank picks a winner that
+    must still beat the loser's arguments, or ``scan(t, dt, ts, s, ds, ss,
+    np)``, a lexicographic scan of equal heads' parameters (the first ``np``
+    positions) and arguments.  ``leave`` may revise the verdict.  Each
+    algorithm checks a winner against the loser's arguments in its own
+    ``beats(winner, dw, loser_args, dl)``: G when the winner strictly beats
+    all of them, L when one of them dominates it, U otherwise."""
 
     def dispatch(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
         out = self.enter(t, s, dt, ds)
@@ -603,6 +598,18 @@ class _Lpo(_Base):
                 out = U
         return self.leave(t, s, dt, ds, out)
 
+    def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
+            verdict: Cmp, guard) -> Cmp:
+        """``winner`` claims ``verdict`` when it beats the loser's arguments;
+        when one of them dominates it instead, the loser wins by its subterm
+        rule.  ``guard``, when ``(t, s)``, applies the type guard to the
+        claimed verdict: it applies unless the winner is a symbol above the
+        watershed or the loser is a lambda."""
+        r = self.beats(winner, dw, loser_args, dl)
+        if r is G:
+            return verdict if guard is None else self.consider_poly(*guard, verdict)
+        return flip(verdict) if r is L else U
+
     def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
         """Whether one of ``ts`` is at least ``s``: the subterm rule."""
         for a in ts:
@@ -628,43 +635,39 @@ class _LpoNaive(_Lpo):
     def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
         return out
 
-    def check_args(self, t: Preterm, dt: int, ss: Sequence[Preterm], dss: int) -> bool:
+    def beats(self, t: Preterm, dt: int, ss: Sequence[Preterm], ds: int) -> Cmp:
+        """G when t strictly beats every one of ss, U otherwise."""
         for b in ss:
-            if self.compare(t, b, dt, dss) is not G:
-                return False
-        return True
-
-    def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
-            verdict: Cmp, guard) -> Cmp:
-        if not self.check_args(winner, dw, loser_args, dl):
-            return U
-        return verdict if guard is None else self.consider_poly(*guard, verdict)
+            if self.compare(t, b, dt, ds) is not G:
+                return U
+        return G
 
     def scan(self, t: Preterm, dt: int, ts: Sequence[Preterm],
              s: Preterm, ds: int, ss: Sequence[Preterm], np: int) -> Cmp:
         c = lex_ext(lambda a, b: self.compare(a, b, dt, ds), ts, ss)
         if c is G or c is GE:
-            return c if self.check_args(t, dt, ss[np:], ds) else U
+            return c if self.beats(t, dt, ss[np:], ds) is G else U
         if c is L or c is LE:
-            return c if self.check_args(s, ds, ts[np:], dt) else U
+            return c if self.beats(s, ds, ts[np:], dt) is G else U
         return c
 
 
 class _LpoOpt(_Lpo):
     """The same rule table with the subterm rules postponed (Löchner's
     split): ``leave`` tries them only when the heads end without a strict
-    verdict, and a winner's scan of the loser's arguments (``win``, through
-    ``compare_rest``) runs once, an argument dominating the winner deciding
-    for the loser.  On ground terms, where every recursive verdict is G, E
-    or L, the postponed checks never run.  Off ground terms they revisit
-    subterm pairs, so a memo for one top-level comparison, keyed on two
-    subterms and their binder depths, holds at most 2·|t|·|s| verdicts, each
-    found by one linear scan: the descent is polynomial on every input
-    (Löchner's memoized LPO).
+    verdict, and ``beats`` scans the loser's arguments once, an argument
+    dominating the winner deciding for the loser, so the one ``win`` turns
+    that into the loser's verdict.  ``scan`` keeps one running verdict and
+    hands a strict position to ``beats`` as well.  On ground terms, where
+    every recursive verdict is G, E or L, the postponed checks never run.
+    Off ground terms they revisit subterm pairs, so a memo for one
+    top-level comparison, keyed on two subterms and their binder depths,
+    holds at most 2·|t|·|s| verdicts, each found by one linear scan: the
+    descent is polynomial on every input (Löchner's memoized LPO).
 
-    A G or L that a winner's scan backs takes the guard of the rule that
-    picked the winner; a verdict coming out of a subterm observation is
-    never guarded."""
+    A G or L that ``beats`` backs takes the guard of the rule that picked
+    the winner; a verdict coming out of a subterm observation is never
+    guarded."""
 
     compare = _Lpo.dispatch
 
@@ -688,21 +691,9 @@ class _LpoOpt(_Lpo):
         self.memo[t, s, dt, ds] = out
         return out
 
-    def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
-            verdict: Cmp, guard) -> Cmp:
-        """``winner`` claims ``verdict`` provided it strictly beats every one
-        of the loser's arguments; when the scan instead finds an argument
-        dominating the winner, the loser wins outright by its subterm rule."""
-        r = self.compare_rest(winner, dw, loser_args, dl)
-        if r is G:
-            return verdict if guard is None else self.consider_poly(*guard, verdict)
-        if r is L:
-            return flip(verdict)
-        return U
-
-    def compare_rest(self, t: Preterm, dt: int, ss: Sequence[Preterm], ds: int) -> Cmp:
-        """Scan of the other side's arguments: G when t strictly beats all of
-        them, L when one of them dominates t, U otherwise."""
+    def beats(self, t: Preterm, dt: int, ss: Sequence[Preterm], ds: int) -> Cmp:
+        """One scan of ss: G when t strictly beats all of them, L when one of
+        them dominates t, U otherwise."""
         for i, b in enumerate(ss):
             c = self.compare(t, b, dt, ds)
             if c is G:
@@ -717,23 +708,17 @@ class _LpoOpt(_Lpo):
              s: Preterm, ds: int, ss: Sequence[Preterm], np: int) -> Cmp:
         """A strict win at position i still has to beat the loser's arguments
         after i, or all of them when i is a parameter."""
-        pending: List[Cmp] = []
         verdict = E
         for i in range(len(ts)):
             c = self.compare(ts[i], ss[i], dt, ds)
-            if c is E:
-                continue
-            if c is GE or c is LE:
-                pending.append(c)
-                continue
             if c is G:
-                verdict = self.compare_rest(t, dt, ss[max(i + 1, np):], ds)
+                c = self.beats(t, dt, ss[max(i + 1, np):], ds)
             elif c is L:
-                verdict = flip(self.compare_rest(s, ds, ts[max(i + 1, np):], dt))
-            else:
-                verdict = U
-            break
-        return lex_fold(pending, verdict)
+                c = flip(self.beats(s, ds, ts[max(i + 1, np):], dt))
+            verdict = lex_merge(verdict, c)
+            if c is G or c is L or c is U:
+                break
+        return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -768,11 +753,14 @@ def compare_lpo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
     return _run(_LpoOpt, t, s, p)
 
 
+# each order's algorithms, in the order of ALGOS
+ALGORITHMS = {
+    KBO: (compare_kbo_naive, compare_kbo_opt),
+    LPO: (compare_lpo_naive, compare_lpo_opt),
+}
+
+
 def compare(t: Preterm, s: Preterm, p: OrderParams, algo: str = "optimized") -> Cmp:
     if algo not in ALGOS:
         raise OrderError("unknown algorithm %r" % algo)
-    if p.kind == KBO:
-        fn = compare_kbo_naive if algo == "naive" else compare_kbo_opt
-    else:
-        fn = compare_lpo_naive if algo == "naive" else compare_lpo_opt
-    return fn(t, s, p)
+    return ALGORITHMS[p.kind][ALGOS.index(algo)](t, s, p)

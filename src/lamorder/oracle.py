@@ -37,10 +37,9 @@ class OracleError(Exception):
 
 class FKey(Interned):
     __slots__ = ("name", "ty_args", "params")
-    tag = "fkey"
 
     def __new__(cls, name: str, ty_args: Tuple[Type, ...], params: Tuple[Preterm, ...]):
-        key = (cls.tag, name, ty_args, params)
+        key = (cls, name, ty_args, params)
         return TABLE.get(key) or cls.intern(key, name, ty_args, params)
 
     def __repr__(self):
@@ -49,10 +48,9 @@ class FKey(Interned):
 
 class DbKey(Interned):
     __slots__ = ("index", "argc")
-    tag = "dbkey"
 
     def __new__(cls, index: int, argc: int):
-        key = (cls.tag, index, argc)
+        key = (cls, index, argc)
         return TABLE.get(key) or cls.intern(key, index, argc)
 
     def __repr__(self):
@@ -61,10 +59,9 @@ class DbKey(Interned):
 
 class LamKey(Interned):
     __slots__ = ("ty",)
-    tag = "lamkey"
 
     def __new__(cls, ty: Type):
-        key = (cls.tag, ty)
+        key = (cls, ty)
         return TABLE.get(key) or cls.intern(key, ty)
 
     def __repr__(self):

@@ -34,7 +34,7 @@ import re
 from collections import namedtuple
 from typing import List, Optional, Tuple, Union
 
-from .lambda_order import OrderParams
+from .lambda_order import OrderError, OrderParams
 from .ordinal import Ord, parse_ord
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TyCon, TyVar, Type,
@@ -379,7 +379,6 @@ def parse_signature(text: str, kind: str,
         raise _Fault("(ordinal-weights) takes no arguments", extra[0].at)
     ordinal_weights = "ordinal-weights" in sections
 
-    from .lambda_order import OrderError
     kwargs = dict(weights=weights, coeffs=coeffs, prec=prec,
                   ty_weights=ty_weights, ty_prec=ty_prec, watershed=watershed,
                   strict_leaks=strict_leaks, ordinal_weights=ordinal_weights)
@@ -424,5 +423,3 @@ def render_term(x) -> str:
     """The text of a preterm or a type."""
     return tm.write(x, _SYNTAX)
 
-
-render_type = render_term

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Dict, ItemsView, List, Mapping, Optional, Tuple, Union
 
 from .cmp import Cmp, E, G, GE, L, LE, U
-from .ordinal import Ord, ZERO, ONE, ord_add, ord_mul
+from .ordinal import Ord, ZERO, ONE, from_int, ord_add, ord_mul
 from . import term as tm
 from .term import TABLE, Interned
 
@@ -39,10 +39,9 @@ class Indet(Interned):
 
 class WInd(Indet):
     __slots__ = ("key",)
-    tag = "w"
 
     def __new__(cls, key: tm.Preterm):
-        k = (cls.tag, key)
+        k = (cls, key)
         return TABLE.get(k) or cls.intern(k, key)
 
     def __repr__(self):
@@ -51,10 +50,9 @@ class WInd(Indet):
 
 class KInd(Indet):
     __slots__ = ("key", "i")
-    tag = "k"
 
     def __new__(cls, key: tm.Preterm, i: int):
-        k = (cls.tag, key, i)
+        k = (cls, key, i)
         return TABLE.get(k) or cls.intern(k, key, i)
 
     def __repr__(self):
@@ -63,10 +61,9 @@ class KInd(Indet):
 
 class HInd(Indet):
     __slots__ = ("name",)
-    tag = "h"
 
     def __new__(cls, name: str):
-        k = (cls.tag, name)
+        k = (cls, name)
         return TABLE.get(k) or cls.intern(k, name)
 
     def __repr__(self):
@@ -163,7 +160,7 @@ class Poly:
     def surely_nonneg(self) -> bool:
         """Sound, incomplete: True only if every coefficient is >= 0, which
         forces a nonnegative value under every assignment."""
-        return all(c.is_nonneg() for c in self._coeffs.values())
+        return analyze_weight_diff(self) in (G, GE, E)
 
     def __repr__(self):
         if not self._coeffs:
@@ -182,7 +179,6 @@ class Poly:
 
 def const_poly(c: Union[Ord, int]) -> Poly:
     if isinstance(c, int):
-        from .ordinal import from_int
         c = from_int(c)
     if c.is_zero():
         return Poly()

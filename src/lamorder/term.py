@@ -44,7 +44,7 @@ class UnderApplied(TermError):
 # Interning
 # ---------------------------------------------------------------------------
 
-# The one table of interned values, keyed on each value's tagged key.
+# The one table of interned values, keyed on each value's class and fields.
 # Entries are kept for the life of the process: a workload that parses the
 # same text again finds its nodes, and their cached types, still there.
 # Single-threaded use only: two threads could build one key twice.
@@ -52,11 +52,12 @@ TABLE: Dict[tuple, "Interned"] = {}
 
 
 class Interned:
-    """A hash-consed value.  Each subclass names its ``tag`` once; its
-    ``__new__`` returns ``TABLE.get(key) or cls.intern(key, *fields)`` for
-    the key ``(cls.tag, *fields)``, the fields in ``__slots__`` order.
-    ``serial`` is the creation number, unique since the table never drops a
-    value.  Equality and hash are the object's identity."""
+    """A hash-consed value.  A subclass's ``__new__`` returns
+    ``TABLE.get(key) or cls.intern(key, *fields)`` for the key
+    ``(cls, *fields)``, the fields in ``__slots__`` order: the class is the
+    tag, so values of two classes never share a key.  ``serial`` is the
+    creation number, unique since the table never drops a value.  Equality
+    and hash are the object's identity."""
 
     __slots__ = ("serial",)
 
@@ -88,20 +89,18 @@ class Type(Interned):
 
 class TyVar(Type):
     __slots__ = ("name",)
-    tag = "tyvar"
     args = ()           # a leaf, so that ``nodes`` walks types
 
     def __new__(cls, name: str):
-        key = (cls.tag, name)
+        key = (cls, name)
         return TABLE.get(key) or cls.intern(key, name)
 
 
 class TyCon(Type):
     __slots__ = ("name", "args")
-    tag = "tycon"
 
     def __new__(cls, name: Hashable, args: Tuple[Type, ...] = ()):
-        key = (cls.tag, name, args)
+        key = (cls, name, args)
         return TABLE.get(key) or cls.intern(key, name, args)
 
 
@@ -244,38 +243,34 @@ class Preterm(Interned):
 
 class Var(Preterm):
     __slots__ = ("name", "ty", "args")
-    tag = "var"
 
     def __new__(cls, name: str, ty: Type, args: Tuple[Preterm, ...] = ()):
-        key = (cls.tag, name, ty, args)
+        key = (cls, name, ty, args)
         return TABLE.get(key) or cls.intern(key, name, ty, args)
 
 
 class Sym(Preterm):
     __slots__ = ("name", "ty_args", "params", "args")
-    tag = "sym"
 
     def __new__(cls, name: str, ty_args: Tuple[Type, ...] = (),
                 params: Tuple[Preterm, ...] = (), args: Tuple[Preterm, ...] = ()):
-        key = (cls.tag, name, ty_args, params, args)
+        key = (cls, name, ty_args, params, args)
         return TABLE.get(key) or cls.intern(key, name, ty_args, params, args)
 
 
 class Db(Preterm):
     __slots__ = ("index", "ty", "args")
-    tag = "db"
 
     def __new__(cls, index: int, ty: Type, args: Tuple[Preterm, ...] = ()):
-        key = (cls.tag, index, ty, args)
+        key = (cls, index, ty, args)
         return TABLE.get(key) or cls.intern(key, index, ty, args)
 
 
 class Lam(Preterm):
     __slots__ = ("arg_ty", "body")
-    tag = "lam"
 
     def __new__(cls, arg_ty: Type, body: Preterm):
-        key = (cls.tag, arg_ty, body)
+        key = (cls, arg_ty, body)
         return TABLE.get(key) or cls.intern(key, arg_ty, body)
 
 
@@ -488,13 +483,13 @@ def check_types(t: Preterm, sig: Signature) -> Type:
 # Shifting and substitution on indices
 # ---------------------------------------------------------------------------
 
-def shift(t: Preterm, n: int, cutoff: int = 0) -> Preterm:
-    """Add ``n`` to every De Bruijn index >= cutoff (counting binders)."""
-    if n == 0 or t.loose <= cutoff:
+def shift(t: Preterm, n: int) -> Preterm:
+    """Add ``n`` to every loose De Bruijn index of ``t``."""
+    if n == 0 or t.loose == 0:
         return t
 
     def rule(u, d, kids):
-        if isinstance(u, Db) and u.index >= cutoff + d:
+        if isinstance(u, Db) and u.index >= d:
             if u.index + n < 0:
                 raise TermError("shift would make index #%d negative" % u.index)
             return Db(u.index + n, u.ty, kids)
@@ -741,10 +736,7 @@ def eta_expansion_count(ty: Type) -> int:
 # Quantifier preprocessing
 # ---------------------------------------------------------------------------
 
-def preprocess_quantifiers(t: Preterm, sig: Signature,
-                           forall: str = "forall", exists: str = "exists",
-                           eq: str = "eq", neq: str = "neq",
-                           top: str = "top", bot: str = "bot") -> Preterm:
+def preprocess_quantifiers(t: Preterm, sig: Signature) -> Preterm:
     """Rewrite ``forall (\\x. t)`` into ``(\\x. t) = (\\x. top)`` and
     ``exists (\\x. t)`` into ``(\\x. t) /= (\\x. bot)``, bottom-up."""
 
@@ -752,13 +744,13 @@ def preprocess_quantifiers(t: Preterm, sig: Signature,
         return Lam(arg_ty, normalize(Sym(const), sig))
 
     def rule(u, d, kids):
-        if (isinstance(u, Sym) and u.name in (forall, exists) and len(u.args) == 1
+        if (isinstance(u, Sym) and u.name in ("forall", "exists") and len(u.args) == 1
                 and isinstance(kids[-1], Lam)):
             lam = kids[-1]
             pred_ty = arrow(lam.arg_ty, type_of(lam.body, sig))
-            if u.name == forall:
-                return Sym(eq, (pred_ty,), (), (lam, truth_lam(lam.arg_ty, top)))
-            return Sym(neq, (pred_ty,), (), (lam, truth_lam(lam.arg_ty, bot)))
+            if u.name == "forall":
+                return Sym("eq", (pred_ty,), (), (lam, truth_lam(lam.arg_ty, "top")))
+            return Sym("neq", (pred_ty,), (), (lam, truth_lam(lam.arg_ty, "bot")))
         return remake(u, kids)
 
     return rebuild(t, rule)

@@ -423,7 +423,7 @@ def test_c10_context_properties(random_env):
         sub = subterm_at(u, path)
         if refers_to_outer_binders(sub, depth):
             continue
-        s = shift(sub, -depth, 0) if depth else sub
+        s = shift(sub, -depth) if depth else sub
         assert compare(u, s, p) in (G, E)
         subterm += 1
     ok("c10-context-properties", "1000 compatibility + 1000 subterm witnesses")

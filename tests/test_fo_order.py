@@ -149,3 +149,23 @@ def test_type_order_dispatch():
     assert lpo.compare_types(K, I) is Cmp.G
     assert lpo.compare_types(arrow(K, I), K) is Cmp.G  # subterm
     assert lpo.compare_types(TyVar("alpha"), TyVar("alpha")) is Cmp.E
+
+
+def test_lpo_decides_each_pair_once(monkeypatch):
+    """One memo serves both directions of a comparison.  Trying the subterm
+    rule first revisits pairs: on the chains f^d(a) and f^d(b) the same
+    rules without the memo make 2^(d+2) - 2 calls, 4094 at d = 10."""
+    from lamorder import fo_order
+    from lamorder.checks import bench_signature, deep_chain_pair
+    from lamorder.oracle import oracle_compare
+    calls = [0]
+    greater = fo_order._lpo_greater
+
+    def counted(*args):
+        calls[0] += 1
+        return greater(*args)
+    monkeypatch.setattr(fo_order, "_lpo_greater", counted)
+    _, _, lpo = bench_signature()
+    assert oracle_compare(*deep_chain_pair(10), lpo) is Cmp.L
+    assert calls[0] == 222
+    assert oracle_compare(*deep_chain_pair(200), lpo) is Cmp.L

@@ -1,12 +1,14 @@
 """The KBO and LPO comparisons: worked examples, guard behaviour, and the
 pointwise agreement of the naive and optimized algorithms."""
 
+import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext
+from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import (KBO, LPO, LeakTypeMismatch, OrderError,
                                    OrderParams, _KboNaive, _KboOpt, _LpoNaive,
@@ -294,6 +296,24 @@ def test_lex_ext_traces():
     assert lex_ext(lambda a, b: next(seq), [1, 2], [1, 2]) is L
     with pytest.raises(ValueError):
         lex_ext(lambda a, b: E, [1], [])
+    # every verdict sequence up to length 4: the scan stops at the first
+    # strict or U verdict, and its result is the right fold of what it saw
+    stub = _KboNaive(SimpleNamespace(sig=None))
+    for n in range(5):
+        for seq in itertools.product(list(Cmp), repeat=n):
+            stop = next((i + 1 for i, c in enumerate(seq) if c in (G, L, U)), n)
+            want = E
+            for c in reversed(seq[:stop]):
+                want = lex_merge(c, want)
+            calls = []
+
+            def op(a, b, depth=0):
+                calls.append(a)
+                return seq[a]
+            assert lex_ext(op, range(n), range(n)) is want, seq
+            stub.compare = op
+            assert stub.descend(range(n), range(n), (), 0, False) is want, seq
+            assert len(calls) == 2 * stop, seq
     # a long run of nonstrict positions folds in a loop, not a recursion
     n = 5000
     assert lex_ext(lambda a, b: GE, [0] * n, [0] * n) is GE

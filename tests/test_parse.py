@@ -7,8 +7,7 @@ import pytest
 
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import KBO, LPO
-from lamorder.parse import (ParseError, parse_signature, parse_term, render_term,
-                            render_type)
+from lamorder.parse import ParseError, parse_signature, parse_term, render_term
 from lamorder.term import (Db, Lam, Sym, TyCon, TyVar, Var, arrow,
                            arrows, normalize, type_of)
 
@@ -189,7 +188,7 @@ def test_render_round_trip(sig_params):
         t = parse_term(text, sig)
         again = parse_term(render_term(t), sig)
         assert again == t
-    assert render_type(arrow(K, TyVar("A"))) == "(-> k 'A)"
+    assert render_term(arrow(K, TyVar("A"))) == "(-> k 'A)"
 
 
 def test_comments_and_strings():

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Hashable, Tuple
 
 from .cmp import Cmp, E, G, L, U
 from .ordinal import Ord, ZERO, ord_add, ord_compare, ord_mul
-from .term import TyVar, Type, nodes, rebuild
+from .term import TyVar, Type, rebuild
 
 
 class FoParams:
@@ -33,27 +33,38 @@ class FoParams:
         self.prec = prec
 
 
-def fo_kbo_weight(t: Type, p: FoParams) -> Ord:
-    """Variables weigh 0; an application weighs its head plus the
+# each weighed subterm of one comparison: its weight and its variable counts
+_Facts = Dict[Type, Tuple[Ord, Counter]]
+
+
+def _weigh(t: Type, p: FoParams, facts: _Facts) -> Tuple[Ord, Counter]:
+    """The weight and variable counts of ``t``, entered into ``facts`` for
+    each of its subterms that ``facts`` lacks.  Variables weigh 0; an application weighs its head plus the
     coefficient-scaled weights of its arguments."""
     def rule(u, d, kids):
-        if isinstance(u, TyVar):
-            return ZERO
-        total = p.weight(u.name)
-        for i, w in enumerate(kids):
-            total = ord_add(total, ord_mul(p.coeff(u.name, i + 1), w))
-        return total
+        if u not in facts:
+            if isinstance(u, TyVar):
+                facts[u] = ZERO, Counter((u,))
+            else:
+                total, counts = p.weight(u.name), Counter()
+                for i, (w, c) in enumerate(kids):
+                    total = ord_add(total, ord_mul(p.coeff(u.name, i + 1), w))
+                    counts.update(c)
+                facts[u] = total, counts
+        return facts[u]
     return rebuild(t, rule)
 
 
-def _var_counts(t: Type) -> Counter:
-    return Counter(u for u, _ in nodes(t) if isinstance(u, TyVar))
+def fo_kbo_weight(t: Type, p: FoParams) -> Ord:
+    return _weigh(t, p, {})[0]
 
 
-def _kbo_greater(t: Type, s: Type, p: FoParams) -> bool:
-    if _var_counts(s) - _var_counts(t):
+def _kbo_greater(t: Type, s: Type, p: FoParams, facts: _Facts) -> bool:
+    """Whether t > s, both weighed in ``facts``."""
+    (wt, ct), (ws, cs) = facts[t], facts[s]
+    if cs - ct:
         return False        # a variable occurs more often in s than in t
-    wc = ord_compare(fo_kbo_weight(t, p), fo_kbo_weight(s, p))
+    wc = ord_compare(wt, ws)
     if wc > 0:
         return True
     if wc < 0:
@@ -69,7 +80,7 @@ def _kbo_greater(t: Type, s: Type, p: FoParams) -> bool:
     for a, b in zip(t.args, s.args):
         if a == b:
             continue
-        return _kbo_greater(a, b, p)
+        return _kbo_greater(a, b, p, facts)
     return False
 
 
@@ -120,7 +131,11 @@ def _trichotomy(greater: Callable[[Type, Type], bool], t: Type, s: Type) -> Cmp:
 
 
 def fo_kbo_compare(t: Type, s: Type, p: FoParams) -> Cmp:
-    return _trichotomy(lambda a, b: _kbo_greater(a, b, p), t, s)
+    """Each subterm of both sides is weighed once, for both directions."""
+    facts: _Facts = {}
+    _weigh(t, p, facts)
+    _weigh(s, p, facts)
+    return _trichotomy(lambda a, b: _kbo_greater(a, b, p, facts), t, s)
 
 
 def fo_lpo_compare(t: Type, s: Type, p: FoParams) -> Cmp:

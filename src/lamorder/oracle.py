@@ -330,7 +330,7 @@ def enum_ground_terms(sig: Signature, ty: Type, max_size: int,
             if base == target:
                 yield ("db", i, bty, (), arg_tys)
         for name, decl in sig.symbols.items():
-            for inst in itertools.product(pool, repeat=decl.ty_arity):
+            for inst in itertools.product(pool, repeat=len(decl.ty_vars)):
                 param_tys, body = decl.instantiate(inst)
                 arg_tys, base = split_arrows(body)
                 if base == target:

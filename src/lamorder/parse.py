@@ -65,11 +65,27 @@ def _positioned(read):
         try:
             return read(text, *args, **kwargs)
         except _Fault as fault:
-            at = fault.at
-            raise ParseError(fault.args[0], text.count("\n", 0, at) + 1,
-                             at - text.rfind("\n", 0, at)) from fault.__cause__
+            raise ParseError(fault.args[0], *_line_col(text, fault.at)) from fault.__cause__
 
     return reader
+
+
+def _line_col(text: str, at: int) -> Tuple[int, int]:
+    """The line and column, from 1, of the offset ``at`` in ``text``."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def _read_file(path: str) -> str:
+    """The text of a UTF-8 file, its newlines read as ``open`` reads them; a
+    byte that is not UTF-8 is a ParseError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise ParseError("byte 0x%02x is not UTF-8" % data[exc.start],
+                         *_line_col(before, len(before))) from None
 
 
 # One token, after any blanks and comments: an opening parenthesis, an empty
@@ -267,8 +283,7 @@ def parse_term(text: str, sig: Signature) -> Preterm:
 
 
 def parse_term_file(path: str, sig: Signature) -> Preterm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_term(fh.read(), sig)
+    return parse_term(_read_file(path), sig)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +409,7 @@ def parse_signature(text: str, kind: str,
 
 def parse_signature_file(path: str, kind: str,
                          strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_signature(fh.read(), kind, strict_leaks)
+    return parse_signature(_read_file(path), kind, strict_leaks)
 
 
 # ---------------------------------------------------------------------------

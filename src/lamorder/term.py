@@ -20,9 +20,10 @@ are hash-consed through ``Interned``, the base this module also gives the
 weight indeterminates (``poly``) and the oracle's symbol keys (``oracle``):
 every constructor returns the one value that exists for its arguments, so
 structurally equal values are the same object, and equality and hash are
-identity.  Each preterm caches its type under the signature it was last
-typed in, and how many binders above it its indices reach.  The one table
-keeps every distinct value for the life of the process.
+identity.  A node is shared by every signature, so it carries only facts
+that hold in all: its serial, and how many binders above it its indices
+reach; a signature keeps its nodes' types, a declaration its instances.
+The one table keeps every distinct value for the life of the process.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class UnderApplied(TermError):
 
 # The one table of interned values, keyed on each value's class and fields.
 # Entries are kept for the life of the process: a workload that parses the
-# same text again finds its nodes, and their cached types, still there.
+# same text again finds its nodes still there.
 # Single-threaded use only: two threads could build one key twice.
 TABLE: Dict[tuple, "Interned"] = {}
 
@@ -144,11 +145,11 @@ def type_vars(ty: Type) -> set:
 
 
 def subst_type(ty: Type, mapping: Dict[str, Type]) -> Type:
-    if isinstance(ty, TyVar):
-        return mapping.get(ty.name, ty)
-    if not ty.args:
-        return ty
-    return TyCon(ty.name, tuple(subst_type(a, mapping) for a in ty.args))
+    def rule(u, d, kids):
+        if isinstance(u, TyVar):
+            return mapping.get(u.name, u)
+        return TyCon(u.name, kids) if kids else u
+    return rebuild(ty, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ def subst_type(ty: Type, mapping: Dict[str, Type]) -> Type:
 class TypeDecl:
     """Symbol typing: forall ty_vars, param_types => body."""
 
-    __slots__ = ("ty_vars", "param_types", "body")
+    __slots__ = ("ty_vars", "param_types", "body", "instances")
 
     def __init__(self, ty_vars: Sequence[str], param_types: Sequence[Type], body: Type):
         self.ty_vars = tuple(ty_vars)
@@ -168,26 +169,28 @@ class TypeDecl:
         if not used <= declared:
             raise TermError("type variables %s not declared" % sorted(used - declared))
         self.body = body
+        # a declaration without type variables has one instance, its own types
+        self.instances = {} if self.ty_vars else {(): (self.param_types, body)}
 
-    @property
-    def ty_arity(self) -> int:
-        return len(self.ty_vars)
-
-    def instantiate(self, ty_args: Sequence[Type]) -> Tuple[Tuple[Type, ...], Type]:
-        if len(ty_args) != len(self.ty_vars):
-            raise TermError("expected %d type arguments, got %d"
-                            % (len(self.ty_vars), len(ty_args)))
-        if not self.ty_vars:
-            return self.param_types, self.body
-        m = dict(zip(self.ty_vars, ty_args))
-        return (tuple(subst_type(p, m) for p in self.param_types),
-                subst_type(self.body, m))
+    def instantiate(self, ty_args: Tuple[Type, ...]) -> Tuple[Tuple[Type, ...], Type]:
+        """The parameter types and body at ``ty_args``, each instance built
+        once and kept in ``instances``."""
+        got = self.instances.get(ty_args)
+        if got is None:
+            if len(ty_args) != len(self.ty_vars):
+                raise TermError("expected %d type arguments, got %d"
+                                % (len(self.ty_vars), len(ty_args)))
+            m = dict(zip(self.ty_vars, ty_args))
+            got = self.instances[ty_args] = (
+                tuple(subst_type(p, m) for p in self.param_types), subst_type(self.body, m))
+        return got
 
 
 class Signature:
     def __init__(self):
         self.type_constructors: Dict[str, int] = {ARROW: 2}
         self.symbols: Dict[str, TypeDecl] = {}
+        self.types: Dict[Preterm, Type] = {}    # each node's type, filled by type_of
 
     def add_type(self, name: str, arity: int) -> None:
         if name in self.type_constructors and self.type_constructors[name] != arity:
@@ -198,7 +201,7 @@ class Signature:
         if name in self.type_constructors:
             raise TermError("symbol name %s clashes with a type constructor" % name)
         if name in self.symbols:
-            # a node caches its type per signature, so a declaration is final
+            # ``types`` holds types derived from it, so a declaration is final
             raise TermError("symbol %s redeclared" % name)
         self.symbols[name] = decl
 
@@ -218,20 +221,18 @@ class Signature:
 # ---------------------------------------------------------------------------
 
 class Preterm(Interned):
-    """``_typed`` caches ``(signature, type)`` for ``type_of``; ``loose`` is
-    the number of binders above the node that its indices reach, parameters
-    included (0 on a closed node), so shifting or substituting at ``n`` or
-    more binders above a node with ``loose <= n`` leaves it as it is.  It is
-    set once, when the node is interned."""
+    """``loose`` is the number of binders above the node that its indices
+    reach, parameters included (0 on a closed node), so shifting or
+    substituting at ``n`` or more binders above a node with ``loose <= n``
+    leaves it as it is.  It is set once, when the node is interned."""
 
-    __slots__ = ("_typed", "loose")
+    __slots__ = ("loose",)
 
     __repr__ = Type.__repr__
 
     @classmethod
     def intern(cls, key: tuple, *fields):
         node = super().intern(key, *fields)
-        node._typed = None
         loose = max([u.loose for u in children(node)], default=0)
         if cls is Db:
             loose = max(loose, node.index + 1)
@@ -402,29 +403,28 @@ def head_type(t: Preterm, sig: Signature) -> Type:
 
 
 def type_of(t: Preterm, sig: Signature) -> Type:
-    """The unique type of a preterm.  Raises TermError on an ill-typed
-    spine.  Each node caches the type it last had, and under which
-    signature."""
-    typed = t._typed
-    if typed is not None and typed[0] is sig:
-        return typed[1]
+    """The unique type of a preterm in ``sig``, kept in ``sig.types``.
+    Raises TermError on an ill-typed spine."""
+    types = sig.types
+    ty = types.get(t)
+    if ty is not None:
+        return ty
     if isinstance(t, Lam):
         # peel the lambdas in a loop, down to a typed node or a spine
         lams = []
-        while isinstance(t, Lam) and (t._typed is None or t._typed[0] is not sig):
+        while isinstance(t, Lam) and t not in types:
             lams.append(t)
             t = t.body
         ty = type_of(t, sig)
         for lam in reversed(lams):
-            ty = arrow(lam.arg_ty, ty)
-            lam._typed = (sig, ty)
+            ty = types[lam] = arrow(lam.arg_ty, ty)
         return ty
     ty = head_type(t, sig)
     for i, _ in enumerate(t.args):
         if not is_arrow(ty):
             raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
         ty = ty.args[1]
-    t._typed = (sig, ty)
+    types[t] = ty
     return ty
 
 

@@ -67,6 +67,14 @@ def test_compare_rejects_bad_inputs(capsys, tmp_path):
     assert code == 1
 
 
+def test_compare_rejects_non_utf8_file(capsys, tmp_path):
+    bad = tmp_path / "bad.sig"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, "compare", "--sig", str(bad), "--order", "kbo",
+                         fx("ex1_left.term"), fx("ex1_right.term"))
+    assert (code, out, err) == (1, "", "error: 1:1: byte 0xff is not UTF-8")
+
+
 def _chain_file(path, leaf, depth=10000):
     path.write_text("(sym f () () " * depth + leaf + ")" * depth)
     return str(path)

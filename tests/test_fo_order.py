@@ -44,6 +44,19 @@ def test_kbo_weight():
     assert fo_kbo_weight(f(a()), p2) == from_int(3)
 
 
+def test_kbo_weighs_each_subterm_once():
+    """A same-head descent down a depth-100 chain asks the weight provider
+    at most once per node of either side."""
+    t, s = a(), TyCon("b")
+    for _ in range(100):
+        t, s = f(t), f(s)
+    calls = []
+    p = make_params()
+    p.weight = lambda k: calls.append(k) or ONE
+    assert fo_kbo_compare(t, s, p) is Cmp.L
+    assert len(calls) <= 2 * 101
+
+
 def test_kbo_compare_examples():
     p = make_params()
     assert fo_kbo_compare(f(X), X, p) is Cmp.G

@@ -7,7 +7,8 @@ import pytest
 
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import KBO, LPO
-from lamorder.parse import ParseError, parse_signature, parse_term, render_term
+from lamorder.parse import (ParseError, parse_signature, parse_signature_file, parse_term,
+                            parse_term_file, render_term)
 from lamorder.term import (Db, Lam, Sym, TyCon, TyVar, Var, arrow,
                            arrows, normalize, type_of)
 
@@ -352,3 +353,35 @@ def test_deep_signature_type_parses():
         sys.setrecursionlimit(limit)
     assert sig.symbols["d"].body is arrows([K] * depth, K)
     assert sig.symbols["e"].body is arrows([K] * depth, TyVar("A"))
+
+
+def test_deep_polymorphic_declaration_instantiates():
+    """``subst_type`` is a ``rebuild`` rule, so a symbol whose declared type
+    is 3,000 deep is instantiated within a recursion limit of 1,000."""
+    depth = 3000
+    body = "(c " * depth + "'A" + ")" * depth
+    text = "(signature (types (k 0) (c 1)) (symbols (p (A) () %s)) (precedence p))" % body
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        sig, _ = parse_signature(text, KBO)
+        t = parse_term("(sym p (k) ())", sig)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = K
+    for _ in range(depth):
+        want = TyCon("c", (want,))
+    assert type_of(t, sig) is want
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    sig_file, term_file = tmp_path / "bad.sig", tmp_path / "bad.term"
+    sig_file.write_bytes(b"\xff\xfe\x00bad")
+    term_file.write_bytes(b"(sym a () ())\r\n  \xc3(")
+    with pytest.raises(ParseError) as err:
+        parse_signature_file(str(sig_file), KBO)
+    assert str(err.value) == "1:1: byte 0xff is not UTF-8"
+    sig, _ = parse_signature(SIG_TEXT, KBO)
+    with pytest.raises(ParseError) as err:
+        parse_term_file(str(term_file), sig)
+    assert str(err.value) == "2:3: byte 0xc3 is not UTF-8"

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import lamorder
+from lamorder import term
 from lamorder.checks import _outside_params
 from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_grounding_subst,
                           gen_signature)
@@ -127,16 +128,31 @@ def test_normalize_returns_a_normal_term_itself(sig):
     assert normalize(t, sig) is t
 
 
-def test_type_cache_follows_the_signature():
+def test_type_cache_follows_the_signature(monkeypatch):
+    """Each signature keeps the types of its nodes, so a node typed in turn
+    under two signatures is typed once in each."""
     first, second = Signature(), Signature()
     for s in (first, second):
         s.add_type("k", 0)
     first.add_symbol("c0", TypeDecl((), (), K))
     second.add_symbol("c0", TypeDecl((), (), arrow(K, K)))
     c = Sym("c0")
-    for _ in range(2):
+    calls = []
+    head_type = term.head_type
+    monkeypatch.setattr(term, "head_type", lambda t, s: calls.append(s) or head_type(t, s))
+    for _ in range(5):
         assert type_of(c, first) == K
         assert type_of(c, second) == arrow(K, K)
+    assert calls == [first, second]
+    assert first.types[c] is K and second.types[c] is arrow(K, K)
+
+
+def test_instantiate_rejects_a_wrong_count_on_every_call():
+    decl = TypeDecl(("A",), (), TyVar("A"))
+    assert decl.instantiate((K,)) is decl.instantiate((K,))
+    for _ in range(2):
+        with pytest.raises(TermError, match="expected 1 type arguments, got 0"):
+            decl.instantiate(())
 
 
 def test_type_mismatch_detected(sig):

@@ -12,7 +12,7 @@ interned, so equality is identity.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Callable, Dict, Generator, Hashable, Sequence, Tuple
 
 from .cmp import Cmp, E, G, L, U
 from .ordinal import Ord, ZERO, ord_add, ord_compare, ord_mul
@@ -60,63 +60,88 @@ def fo_kbo_weight(t: Type, p: FoParams) -> Ord:
 
 
 def _kbo_greater(t: Type, s: Type, p: FoParams, facts: _Facts) -> bool:
-    """Whether t > s, both weighed in ``facts``."""
-    (wt, ct), (ws, cs) = facts[t], facts[s]
-    if cs - ct:
-        return False        # a variable occurs more often in s than in t
-    wc = ord_compare(wt, ws)
-    if wc > 0:
-        return True
-    if wc < 0:
-        return False
-    if isinstance(t, TyVar) or isinstance(s, TyVar):
-        return False
-    pc = p.prec(t.name, s.name)
-    if pc > 0:
-        return True
-    if pc < 0:
-        return False
-    # same head: left-to-right lexicographic on arguments
-    for a, b in zip(t.args, s.args):
-        if a == b:
-            continue
-        return _kbo_greater(a, b, p, facts)
-    return False
+    """Whether t > s, both weighed in ``facts``.  A same-head descent is a
+    tail call, so it is a loop: no limit on the depth."""
+    while True:
+        (wt, ct), (ws, cs) = facts[t], facts[s]
+        if cs - ct:
+            return False        # a variable occurs more often in s than in t
+        wc = ord_compare(wt, ws)
+        if wc > 0:
+            return True
+        if wc < 0:
+            return False
+        if isinstance(t, TyVar) or isinstance(s, TyVar):
+            return False
+        pc = p.prec(t.name, s.name)
+        if pc > 0:
+            return True
+        if pc < 0:
+            return False
+        # same head: left-to-right lexicographic on arguments
+        for a, b in zip(t.args, s.args):
+            if a != b:
+                break
+        else:
+            return False
+        t, s = a, b
 
 
 # the decided pairs of one comparison
 _Memo = Dict[Tuple[Type, Type], bool]
+# the rules of one pair: yields each pair whose verdict it needs, is sent that
+# verdict, and returns its own
+_Rules = Generator[Tuple[Type, Type], bool, bool]
 
 
 def _lpo_greater(t: Type, s: Type, p: FoParams, memo: _Memo) -> bool:
     """Whether t > s, each pair decided once per memo: the subterm rule
-    revisits pairs, which without the memo is exponential in the depth."""
-    got = memo.get((t, s))
-    if got is None:
-        got = memo[t, s] = _lpo_rules(t, s, p, memo)
-    return got
+    revisits pairs, which without the memo is exponential in the depth.  The
+    pairs being decided are an explicit stack of ``_lpo_rules`` generators,
+    so no limit on the depth; a pair in the memo is sent straight back."""
+    verdict = memo.get((t, s))
+    stack = [] if verdict is not None else [((t, s), _lpo_rules(t, s, p))]
+    while stack:
+        pair, rules = stack[-1]
+        try:
+            need = rules.send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = memo[pair] = done.value
+            continue
+        verdict = memo.get(need)
+        if verdict is None:
+            stack.append((need, _lpo_rules(*need, p)))
+    return verdict
 
 
-def _lpo_rules(t: Type, s: Type, p: FoParams, memo: _Memo) -> bool:
+def _all_greater(t: Type, ss: Sequence[Type]) -> _Rules:
+    """Whether t > every member of ``ss``, asked in turn."""
+    for s in ss:
+        if not (yield t, s):
+            return False
+    return True
+
+
+def _lpo_rules(t: Type, s: Type, p: FoParams) -> _Rules:
     if isinstance(t, TyVar):
         return False
     # subterm rule
     for a in t.args:
-        if a == s or _lpo_greater(a, s, p, memo):
+        if a == s or (yield a, s):
             return True
     if isinstance(s, TyVar):
         return False
     pc = p.prec(t.name, s.name)
     if pc > 0:
-        return all(_lpo_greater(t, b, p, memo) for b in s.args)
+        return (yield from _all_greater(t, s.args))
     if pc < 0:
         return False
     # same head: lexicographic step plus the argument check
     for i, (a, b) in enumerate(zip(t.args, s.args)):
         if a == b:
             continue
-        return (_lpo_greater(a, b, p, memo)
-                and all(_lpo_greater(t, sb, p, memo) for sb in s.args[i + 1:]))
+        return (yield a, b) and (yield from _all_greater(t, s.args[i + 1:]))
     return False
 
 

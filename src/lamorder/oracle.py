@@ -255,10 +255,9 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
         arg_tys_all, tail = split_arrows(ty)
         pending = len(arg_tys_all) - len(prefix)  # suffix slots of this spine
         tail2 = subst_type(tail, theta.ty_map)
-        exp_tys, _ = split_arrows(tail2)
-        c = len(exp_tys)
         # the arguments eta-expansion appends behind the pending slots
-        e_args = tuple(tm.eta_long_index(c - 1 - j, exp_tys[j], p.sig) for j in range(c))
+        e_args = tm.eta_args(tail2)
+        c = len(e_args)
         prefix2 = tuple(tm.apply_subst(a, theta, p.sig) for a in prefix)
         wdb = const_poly(p.w_db)
         wlam = const_poly(p.w_lam)

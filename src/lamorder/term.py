@@ -537,18 +537,33 @@ def normalize(t: Preterm, sig: Signature) -> Preterm:
         if isinstance(u, Lam) or not is_arrow(type_of(u, sig)):
             return u
         # an under-applied spine takes one eta-long index per missing argument
-        tys, _ = split_arrows(type_of(u, sig))
-        u = app(shift(u, len(tys)), *(eta_long_index(len(tys) - 1 - i, a, sig)
-                                      for i, a in enumerate(tys)))
-        for a in reversed(tys):
-            u = Lam(a, u)
-        return u
+        ty = type_of(u, sig)
+        args = eta_args(ty)
+        return eta_lams(ty, app(shift(u, len(args)), *args))
     return rebuild(t, eta)
 
 
-def eta_long_index(index: int, ty: Type, sig: Signature) -> Preterm:
-    """Eta-long form of a bare De Bruijn index of the given type."""
-    return normalize(Db(index, ty), sig)
+def eta_lams(ty: Type, body: Preterm) -> Preterm:
+    """``body`` under one lambda per argument type of ``ty``."""
+    for a in reversed(split_arrows(ty)[0]):
+        body = Lam(a, body)
+    return body
+
+
+def eta_args(ty: Type) -> Tuple[Preterm, ...]:
+    """The eta-long indices that eta-expansion applies a spine of type ``ty``
+    to, one per argument type, the first bound by the outermost lambda.
+    One post-order map over the type, so no limit on its depth: the image
+    of ``A -> R`` is the index for ``A`` followed by the image of ``R``, and
+    that index is ``A``'s own lambdas around an index of type ``A`` applied
+    to the image of ``A``; every other type's image is empty."""
+    def rule(u, d, kids):
+        if not is_arrow(u):
+            return ()
+        inner, rest = kids
+        a = u.args[0]
+        return (eta_lams(a, Db(len(rest) + len(inner), a, inner)),) + rest
+    return rebuild(ty, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -723,13 +738,16 @@ def replace_at(t: Preterm, path: Position, s: Preterm) -> Preterm:
 def eta_expansion_count(ty: Type) -> int:
     """Number of lambdas introduced when a head of this ground type is brought
     into eta-long form: one per expected argument, plus the expansions of each
-    appended index."""
-    if isinstance(ty, TyVar):
-        raise TermError("eta expansion count needs a ground type")
-    if not is_arrow(ty):
-        return 0
-    args, _ = split_arrows(ty)
-    return len(args) + sum(eta_expansion_count(a) for a in args)
+    appended index.  On an explicit stack of argument types."""
+    n, stack = 0, [ty]
+    while stack:
+        ty = stack.pop()
+        if isinstance(ty, TyVar):
+            raise TermError("eta expansion count needs a ground type")
+        args, _ = split_arrows(ty)
+        n += len(args)
+        stack += args
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Command-line interface: golden outputs on fixtures, exit codes, check mode."""
 
 import os
-import re
 import subprocess
 import sys
 
@@ -112,6 +111,19 @@ def test_compare_deep_identical_files(capsys, tmp_path):
         assert (code, out) == (0, "E"), err
 
 
+def test_compare_term_with_a_deep_argument_type(capsys, tmp_path):
+    # the bare h eta-expands into one lambda per level of its argument type
+    ty = "k"
+    for _ in range(3000):
+        ty = "(-> %s k)" % ty
+    sig = tmp_path / "deep.sig"
+    sig.write_text("(signature (types (k 0)) (symbols (h () () (-> %s k))) (precedence h))" % ty)
+    h = tmp_path / "h.term"
+    h.write_text("(sym h () ())")
+    code, out, err = run(capsys, "compare", "--sig", str(sig), "--order", "kbo", str(h), str(h))
+    assert (code, out) == (0, "E"), err
+
+
 def test_compare_rejects_constraint_violation(capsys, tmp_path):
     sig = tmp_path / "bad.sig"
     sig.write_text("""
@@ -176,25 +188,3 @@ def test_check_output_is_the_same_under_any_string_hash_seed():
             for seed in ("0", "1")]
     assert outs[0] == outs[1]
     assert outs[0].endswith(b"CHECK 20 families, 0 failing\n")
-
-
-def test_bench_produces_table(capsys):
-    code, out, _ = run(capsys, "bench", "--lpo-depth", "4",
-                       "--kbo-depth", "40", "--budget", "0.5")
-    assert code == 0
-    assert "naive" in out and "optimized" in out
-    assert "weight builds" in out
-
-
-def test_bench_reports_recursion_limit_per_cell(capsys):
-    # at depth 400 the naive KBO exceeds Python's default stack and the
-    # optimized one does not; the table marks the naive cell and completes
-    code, out, _ = run(capsys, "bench", "--lpo-depth", "2",
-                       "--kbo-depth", "400", "--budget", "0.5")
-    assert code == 0
-    deep = [line for line in out.splitlines() if line.startswith("kbo chain depth 400")]
-    assert len(deep) == 1
-    m = re.search(r"recursion limit +[0-9.]+s +weight builds: - vs ([0-9]+)$", deep[0])
-    assert m, deep[0]
-    assert int(m.group(1)) <= 4 * 2 * 401
-    assert "kbo chain depth 200" in out

@@ -165,20 +165,40 @@ def test_type_order_dispatch():
 
 
 def test_lpo_decides_each_pair_once(monkeypatch):
-    """One memo serves both directions of a comparison.  Trying the subterm
-    rule first revisits pairs: on the chains f^d(a) and f^d(b) the same
-    rules without the memo make 2^(d+2) - 2 calls, 4094 at d = 10."""
+    """One memo serves both directions of a comparison, and each pair's
+    rules run once: 132 pairs at d = 10.  Trying the subterm rule first
+    revisits pairs: on the chains f^d(a) and f^d(b) the same rules without
+    the memo make 2^(d+2) - 2 calls, 4094 at d = 10."""
     from lamorder import fo_order
     from lamorder.checks import bench_signature, deep_chain_pair
     from lamorder.oracle import oracle_compare
     calls = [0]
-    greater = fo_order._lpo_greater
+    rules = fo_order._lpo_rules
 
     def counted(*args):
         calls[0] += 1
-        return greater(*args)
-    monkeypatch.setattr(fo_order, "_lpo_greater", counted)
+        return rules(*args)
+    monkeypatch.setattr(fo_order, "_lpo_rules", counted)
     _, _, lpo = bench_signature()
     assert oracle_compare(*deep_chain_pair(10), lpo) is Cmp.L
-    assert calls[0] == 222
+    assert calls[0] == 132
     assert oracle_compare(*deep_chain_pair(200), lpo) is Cmp.L
+
+
+def test_deep_terms_at_a_low_recursion_limit():
+    """Neither order recurses: the KBO's same-head descent is a loop, and
+    the LPO's pairs are an explicit stack.  The LPO decides a quadratic
+    number of pairs on these families, so it is checked at depth 600, past
+    the 493 where a recursive LPO ran out of stack at this limit."""
+    import sys
+    from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair
+    from lamorder.oracle import oracle_compare
+    _, kbo, lpo = bench_signature()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for params, depth in ((kbo, 10000), (lpo, 600)):
+            for family in (deep_chain_pair, adversarial_lpo_pair):
+                assert oracle_compare(*family(depth), params) is Cmp.L
+    finally:
+        sys.setrecursionlimit(limit)

@@ -17,7 +17,7 @@ from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_
 from lamorder.lambda_order import KBO, OrderParams, norm_key
 from lamorder.oracle import DbKey, FKey, LamKey, _check_nonfunctional_range, encode_ground
 from lamorder.ordinal import from_int
-from lamorder.parse import parse_term, render_term
+from lamorder.parse import parse_signature, parse_term, render_term
 from lamorder.poly import HInd, KInd, WInd
 from lamorder.term import (ARROW, Db, Interned, Lam, Preterm, Signature, Substitution,
                            Sym, TermError, TyCon, TyVar, TypeDecl, Var,
@@ -443,6 +443,35 @@ def test_paths_take_deep_terms():
         path, d = accessible_positions(tower)[-1]
         assert path == (("body", 0),) * depth and d == depth
         assert strip_lams(replace_at(tower, path, Db(0, K))) is Db(depth, K)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_eta_expansion_takes_deep_argument_types():
+    """Eta-expansion builds the indices an under-applied spine takes with
+    one map over its type, and ``eta_expansion_count`` counts its lambdas
+    on a stack, so a bare symbol whose argument type nests
+    ``((k -> k) -> k) ... -> k`` 3,000 deep parses and is counted at the
+    default recursion limit; at depth 2 the expansion is the hand-built
+    one."""
+    def nested(depth):
+        ty = "k"
+        for _ in range(depth):
+            ty = "(-> %s k)" % ty
+        text = "(signature (types (k 0)) (symbols (h () () (-> %s k))) (precedence h))"
+        return parse_signature(text % ty, "kbo")[0]
+
+    A, C = arrow(arrow(K, K), K), arrow(K, K)
+    want = Lam(A, Sym("h", (), (), (Lam(C, Db(1, A, (Lam(K, Db(1, C, (Db(0, K),))),))),)))
+    assert parse_term("(sym h () ())", nested(2)) is want
+    deep = nested(3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = parse_term("(sym h () ())", deep)
+        assert normalize(t, deep) is t
+        lams = sum(isinstance(u, Lam) for u, _ in nodes(t))
+        assert lams == eta_expansion_count(deep.decl("h").body) == 3001
     finally:
         sys.setrecursionlimit(limit)
 

@@ -379,15 +379,15 @@ class _Base:
             return cmp if type_relaxed_ge(type_of(s, self.sig), type_of(t, self.sig)) else U
         return cmp
 
-    def same_var(self, t: Var, s: Var) -> bool:
-        return t.name == s.name and t.ty == s.ty
-
-    def steady_args(self, t: Var) -> bool:
-        return all(is_steady(a, self.sig) for a in t.args)
+    def same_steady_var(self, t: Preterm, s: Preterm) -> bool:
+        """The variable rule's premise: one variable on both sides, applied
+        to steady arguments only."""
+        return (isinstance(t, Var) and isinstance(s, Var) and t.name == s.name
+                and t.ty == s.ty and all(is_steady(a, self.sig) for a in t.args))
 
     def leak_mismatch(self, t: Db, s: Db, dt: int, ds: int) -> bool:
         """Equal indices with unequal annotated types, at least one leaking."""
-        if t.ty == s.ty:
+        if t.index != s.index or t.ty == s.ty:
             return False
         if t.index < dt and s.index < ds:
             return False
@@ -401,6 +401,14 @@ class _Base:
 # ---------------------------------------------------------------------------
 # KBO: one head dispatch, two algorithms
 # ---------------------------------------------------------------------------
+
+def _kbo_rank(t: Preterm) -> Tuple[int, ...]:
+    """Lambdas rank highest, then indices, by number and argument count (the
+    oracle's ``DbKey``), then symbols."""
+    if isinstance(t, Db):
+        return 1, t.index, len(t.args)
+    return (2,) if isinstance(t, Lam) else (0,)
+
 
 class _Kbo(_Base):
     """The head rules both KBO algorithms share.  The naive one consults them
@@ -420,25 +428,15 @@ class _Kbo(_Base):
                 return self.leaf(t.body, s.body, c)
             t, s, depth = t.body, s.body, depth + 1
         if isinstance(t, Var) or isinstance(s, Var):
-            if not (isinstance(t, Var) and isinstance(s, Var) and self.same_var(t, s)
-                    and self.steady_args(t)):
+            if not self.same_steady_var(t, s):
                 return self.leaf(t, s, U)
             # all arguments steady: the key's prefix is empty
             key = var_key(t.name, t.ty, (), p)
             return self.descend(t.args, s.args,
                                 [(ONE, (KInd(key, i + 1),)) for i in range(len(t.args))],
                                 depth, True)
-        if isinstance(t, Lam):
-            c = G
-        elif isinstance(t, Db):
-            if isinstance(s, Db) and t.index == s.index:
-                if self.leak_mismatch(t, s, depth, depth):
-                    return self.leaf(t, s, U)
-                return self.descend(t.args, s.args, [(ONE, ())] * len(t.args), depth, False)
-            c = L if isinstance(s, Lam) or (isinstance(s, Db) and t.index < s.index) else G
-        else:
-            assert isinstance(t, Sym)
-            c = p.sym_cmp(t.name, s.name) if isinstance(s, Sym) else L
+        if isinstance(t, Sym) and isinstance(s, Sym):
+            c = p.sym_cmp(t.name, s.name)
             if c is E:
                 c = p.compare_type_lists(t.ty_args, s.ty_args)
                 if c is E:
@@ -446,6 +444,13 @@ class _Kbo(_Base):
                     scales += [(p.k(t.name, i + 1), ()) for i in range(len(t.args))]
                     return self.descend(t.params + t.args, s.params + s.args, scales,
                                         depth, False)
+        elif isinstance(t, Db) and isinstance(s, Db) and self.leak_mismatch(t, s, depth, depth):
+            return self.leaf(t, s, U)
+        else:
+            rt, rs = _kbo_rank(t), _kbo_rank(s)
+            if rt == rs:
+                return self.descend(t.args, s.args, [(ONE, ())] * len(t.args), depth, False)
+            c = G if rt > rs else L
         return self.leaf(t, s, self.consider_poly(t, s, c))
 
 
@@ -538,25 +543,24 @@ def _subterms(t: Preterm, dt: int) -> Tuple[Sequence[Preterm], int]:
     return t.args, dt
 
 
-def _head_rank(t: Preterm, p: OrderParams) -> Tuple[int, int]:
-    """Heads of different kinds rank symbols above the watershed first, then
-    De Bruijn indices, the higher index first, then lambdas, then symbols
+def _lpo_rank(t: Preterm, p: OrderParams) -> Tuple[int, ...]:
+    """Symbols above the watershed rank highest, then indices, by number and
+    argument count (the oracle's ``DbKey``), then lambdas, then symbols
     below the watershed."""
-    if isinstance(t, Sym):
-        return (3, 0) if p.above_watershed(t.name) else (0, 0)
     if isinstance(t, Db):
-        return 2, t.index
-    assert isinstance(t, Lam)
-    return 1, 0
+        return 2, t.index, len(t.args)
+    if isinstance(t, Lam):
+        return (1,)
+    return (3,) if p.above_watershed(t.name) else (0,)
 
 
 class _Lpo(_Base):
     """The rule table both LPO algorithms share.  ``dispatch`` lets ``enter``
     settle a pair first, then ends it by its heads: ``U``, the componentwise
     extension over one steady variable, a descent into lambda bodies of equal
-    types, ``win`` when a precedence, type or head rank picks a winner that
-    must still beat the loser's arguments, or ``scan(t, dt, ts, s, ds, ss,
-    np)``, a lexicographic scan of equal heads' parameters (the first ``np``
+    types, a winner by precedence, types or ``_lpo_rank`` that must still
+    beat the loser's arguments, or ``scan(t, dt, ts, s, ds, ss, np)``, a
+    lexicographic scan of equal heads' parameters (the first ``np``
     positions) and arguments.  ``leave`` may revise the verdict.  Each
     algorithm checks a winner against the loser's arguments in its own
     ``beats(winner, dw, loser_args, dl)``: G when the winner strictly beats
@@ -569,8 +573,7 @@ class _Lpo(_Base):
         p = self.p
         c = U
         if isinstance(t, Var) or isinstance(s, Var):
-            if (isinstance(t, Var) and isinstance(s, Var)
-                    and self.same_var(t, s) and self.steady_args(t)):
+            if self.same_steady_var(t, s):
                 out = cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
         elif isinstance(t, Sym) and isinstance(s, Sym):
             c = p.sym_cmp(t.name, s.name)
@@ -583,32 +586,25 @@ class _Lpo(_Base):
             c = p.compare_types(t.arg_ty, s.arg_ty)
             if c is E:
                 out = self.compare(t.body, s.body, dt + 1, ds + 1)
-        elif isinstance(t, Db) and isinstance(s, Db) and t.index == s.index:
-            if not self.leak_mismatch(t, s, dt, ds):
-                out = self.scan(t, dt, t.args, s, ds, s.args, 0)
+        elif isinstance(t, Db) and isinstance(s, Db) and self.leak_mismatch(t, s, dt, ds):
+            out = U
         else:
-            c = G if _head_rank(t, p) > _head_rank(s, p) else L
+            rt, rs = _lpo_rank(t, p), _lpo_rank(s, p)
+            if rt == rs:
+                out = self.scan(t, dt, t.args, s, ds, s.args, 0)
+            else:
+                c = G if rt > rs else L
         if out is None:
+            out = U
             if c is G or c is L:
                 hi, dhi, lo, dlo = (t, dt, s, ds) if c is G else (s, ds, t, dt)
-                guard = (None if isinstance(lo, Lam)
-                         or isinstance(hi, Sym) and p.above_watershed(hi.name) else (t, s))
-                out = self.win(hi, dhi, *_subterms(lo, dlo), c, guard)
-            else:
-                out = U
+                r = self.beats(hi, dhi, *_subterms(lo, dlo))
+                if r is L:      # an argument of the loser dominates the winner
+                    out = flip(c)
+                elif r is G:    # type-guarded, unless eta-expanding the loser cannot undo it
+                    out = (c if isinstance(lo, Lam) or isinstance(hi, Sym)
+                           and p.above_watershed(hi.name) else self.consider_poly(t, s, c))
         return self.leave(t, s, dt, ds, out)
-
-    def win(self, winner: Preterm, dw: int, loser_args: Sequence[Preterm], dl: int,
-            verdict: Cmp, guard) -> Cmp:
-        """``winner`` claims ``verdict`` when it beats the loser's arguments;
-        when one of them dominates it instead, the loser wins by its subterm
-        rule.  ``guard``, when ``(t, s)``, applies the type guard to the
-        claimed verdict: it applies unless the winner is a symbol above the
-        watershed or the loser is a lambda."""
-        r = self.beats(winner, dw, loser_args, dl)
-        if r is G:
-            return verdict if guard is None else self.consider_poly(*guard, verdict)
-        return flip(verdict) if r is L else U
 
     def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
         """Whether one of ``ts`` is at least ``s``: the subterm rule."""
@@ -656,7 +652,7 @@ class _LpoOpt(_Lpo):
     """The same rule table with the subterm rules postponed (Löchner's
     split): ``leave`` tries them only when the heads end without a strict
     verdict, and ``beats`` scans the loser's arguments once, an argument
-    dominating the winner deciding for the loser, so the one ``win`` turns
+    dominating the winner deciding for the loser, so ``dispatch`` turns
     that into the loser's verdict.  ``scan`` keeps one running verdict and
     hands a strict position to ``beats`` as well.  On ground terms, where
     every recursive verdict is G, E or L, the postponed checks never run.

@@ -81,20 +81,6 @@ class Ord:
     def __mul__(self, other: "Ord") -> "Ord":
         return ord_mul(self, other)
 
-    # -- total order --------------------------------------------------------
-
-    def __lt__(self, other: "Ord") -> bool:
-        return ord_compare(self, other) < 0
-
-    def __le__(self, other: "Ord") -> bool:
-        return ord_compare(self, other) <= 0
-
-    def __gt__(self, other: "Ord") -> bool:
-        return ord_compare(self, other) > 0
-
-    def __ge__(self, other: "Ord") -> bool:
-        return ord_compare(self, other) >= 0
-
     def __repr__(self) -> str:
         return "Ord(%s)" % format_ord(self)
 

@@ -566,6 +566,18 @@ def eta_args(ty: Type) -> Tuple[Preterm, ...]:
     return rebuild(ty, rule)
 
 
+def eta_expansion_count(ty: Type) -> int:
+    """Number of lambdas introduced when a head of this ground type is brought
+    into eta-long form: one per expected argument, plus the expansions of each
+    appended index.  One post-order map over the type, as ``eta_args``: the
+    image of ``A -> R`` is 1 + image(A) + image(R), of a type variable an error."""
+    def rule(u, d, kids):
+        if isinstance(u, TyVar):
+            raise TermError("eta expansion count needs a ground type")
+        return 1 + kids[0] + kids[1] if is_arrow(u) else 0
+    return rebuild(ty, rule)
+
+
 # ---------------------------------------------------------------------------
 # Substitutions
 # ---------------------------------------------------------------------------
@@ -729,25 +741,6 @@ def replace_at(t: Preterm, path: Position, s: Preterm) -> Preterm:
         kids[i - len(u.args) if step == "arg" else 0] = s
         s = remake(u, tuple(kids))
     return s
-
-
-# ---------------------------------------------------------------------------
-# Eta-expansion counting
-# ---------------------------------------------------------------------------
-
-def eta_expansion_count(ty: Type) -> int:
-    """Number of lambdas introduced when a head of this ground type is brought
-    into eta-long form: one per expected argument, plus the expansions of each
-    appended index.  On an explicit stack of argument types."""
-    n, stack = 0, [ty]
-    while stack:
-        ty = stack.pop()
-        if isinstance(ty, TyVar):
-            raise TermError("eta expansion count needs a ground type")
-        args, _ = split_arrows(ty)
-        n += len(args)
-        stack += args
-    return n
 
 
 # ---------------------------------------------------------------------------

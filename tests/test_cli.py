@@ -31,6 +31,9 @@ def run(capsys, *argv):
     ("ex4.sig", "kbo", "ex4_map_nil.term", "ex4_nil.term", "G"),
     ("ex4.sig", "lpo", "ex4_map_cons.term", "ex4_cons_map.term", "U"),
     ("ex4.sig", "kbo", "ex4_map_cons.term", "ex4_cons_map.term", "U"),
+    ("ex5.sig", "lpo", "ex5_left.term", "ex5_right.term", "L"),
+    ("ex5.sig", "lpo", "ex5_right.term", "ex5_left.term", "G"),
+    ("ex5.sig", "kbo", "ex5_left.term", "ex5_right.term", "G"),
 ])
 def test_compare_golden(capsys, sig, order, left, right, want):
     code, out, err = run(capsys, "compare", "--sig", fx(sig), "--order", order,

@@ -424,6 +424,24 @@ def test_strict_leak_mode():
     assert compare_kbo_naive(t, s, lenient) is U
 
 
+def test_leak_rule_precedes_index_arity():
+    """Leaking indices of one number, with different types and argument
+    counts: the leak rule settles them before their head ranks could, so
+    the LPO says U (or raises in strict mode) and the KBO's weights decide."""
+    sig = Signature()
+    sig.add_type("k", 0)
+    sig.add_symbol("a", TypeDecl((), (), K))
+    t, s = Db(3, arrow(K, K), (Sym("a"),)), Db(3, K)
+    lpo = OrderParams(sig, LPO, prec=["a"], watershed="a")
+    strict = OrderParams(sig, LPO, prec=["a"], watershed="a", strict_leaks=True)
+    kbo = OrderParams(sig, KBO, prec=["a"])
+    assert both(LPO_ALGOS, t, s, lpo) is U and both(LPO_ALGOS, s, t, lpo) is U
+    for algo in LPO_ALGOS:
+        with pytest.raises(LeakTypeMismatch):
+            algo(t, s, strict)
+    assert both(KBO_ALGOS, t, s, kbo) is G and both(KBO_ALGOS, s, t, kbo) is L
+
+
 # ---------------------------------------------------------------------------
 # Parameter validation
 # ---------------------------------------------------------------------------

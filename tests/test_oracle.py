@@ -179,6 +179,30 @@ def test_exhaustive_equivalence_small(sig, params):
             assert opt(t, s, p) == want
 
 
+def test_index_heads_at_function_type_instances():
+    """A binder of any type, instantiated at k -> k and k -> k -> k, puts
+    indices of one number and different argument counts under the two
+    sides' lambdas, which the encoding names as two heads.  On every
+    ordered pair of the 61 terms, both algorithms of each order agree with
+    the oracle."""
+    sig = Signature()
+    sig.add_type("k", 0)
+    for name in ("a", "b", "ws"):
+        sig.add_symbol(name, TypeDecl((), (), K))
+    sig.add_symbol("g", TypeDecl(("X",), (), arrow(arrow(TyVar("X"), K), K)))
+    terms = enum_ground_terms(sig, K, 5, ty_pool=[K, arrow(K, K), arrows([K, K], K)])
+    assert len(terms) == 61
+    orders = [(OrderParams(sig, LPO, prec=prec, watershed="ws"),
+               (compare_lpo_naive, compare_lpo_opt))
+              for prec in (["g", "a", "ws", "b"], ["a", "b", "ws", "g"])]
+    orders.append((OrderParams(sig, KBO), (compare_kbo_naive, compare_kbo_opt)))
+    for p, algos in orders:
+        for t, s in itertools.product(terms, repeat=2):
+            want = oracle_compare(t, s, p)
+            for algo in algos:
+                assert algo(t, s, p) == want, (algo.__name__, t, s)
+
+
 def test_assignment_examples(sig):
     kbo = OrderParams(sig, KBO, prec=["a", "b", "f", "g"],
                       coeffs={("f", 1): from_int(2)})

@@ -450,7 +450,7 @@ def test_paths_take_deep_terms():
 def test_eta_expansion_takes_deep_argument_types():
     """Eta-expansion builds the indices an under-applied spine takes with
     one map over its type, and ``eta_expansion_count`` counts its lambdas
-    on a stack, so a bare symbol whose argument type nests
+    by another, so a bare symbol whose argument type nests
     ``((k -> k) -> k) ... -> k`` 3,000 deep parses and is counted at the
     default recursion limit; at depth 2 the expansion is the hand-built
     one."""

@@ -37,8 +37,8 @@ class OrderError(Exception):
 
 
 class LeakTypeMismatch(Exception):
-    """Leaking De Bruijn indices with the same index but different types were
-    compared in strict mode."""
+    """In strict mode, a De Bruijn index number that leaks in the compared
+    terms carries two different types among its occurrences."""
 
 
 # Instrumentation: number of weight_poly calls (one per spine node weighed).
@@ -147,19 +147,17 @@ class OrderParams:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        for name, weight in self.weights.items():
-            if not weight.is_positive():
-                raise OrderError("symbol weight must be positive: w(%s) = %s" % (name, weight))
-        if not self.w_lam.is_positive() or not self.w_db.is_positive():
-            raise OrderError("lambda and index weights must be positive")
-        if not self.ordinal_weights:
+        values = [("w_lam", self.w_lam), ("w_db", self.w_db)]
+        values += [("w(%s)" % f, v) for f, v in self.weights.items()]
+        values += [("k(%s,%d)" % fi, v) for fi, v in self.coeffs.items()]
+        values += [("type weight of %s" % n, v) for n, v in self.ty_weights.items()]
+        for what, v in values:
+            if v.is_zero() or not v.is_ordinal():
+                raise OrderError("%s = %s must be a positive ordinal" % (what, v))
             # infinite weights are opt-in; the common configuration is finite
-            finite = (list(self.weights.values()) + list(self.coeffs.values())
-                      + list(self.ty_weights.values()) + [self.w_lam, self.w_db])
-            for v in finite:
-                if not v.is_natural():
-                    raise OrderError("weight %s is transfinite; enable "
-                                     "ordinal weights to use it" % v)
+            if not self.ordinal_weights and not v.is_natural():
+                raise OrderError("%s = %s is transfinite; enable ordinal weights "
+                                 "to use it" % (what, v))
         missing = set(self.sig.symbols) - set(self.prec_ranks)
         if missing:
             raise OrderError("precedence does not rank symbols %s" % sorted(missing))
@@ -183,8 +181,6 @@ class OrderParams:
         for (name, i), c in self.coeffs.items():
             if i < 1:
                 raise OrderError("argument indices start at 1: k(%s,%d)" % (name, i))
-            if not c.is_positive():
-                raise OrderError("argument coefficient must be positive: k(%s,%d)" % (name, i))
             decl = self.sig.symbols.get(name)
             if decl is not None and i > arrow_count(decl.body) and c != ONE:
                 # Extra spine positions only appear via type-variable
@@ -227,23 +223,18 @@ def _check_declared(what: str, declared: Dict[str, object], names: Iterable[str]
 # Normalized indeterminate keys
 # ---------------------------------------------------------------------------
 
-WEIGHT_LIT_PREFIX = "!wt:"
-
-
-def _weight_literal(weight: Ord, ty: Type, args: Tuple[Preterm, ...]) -> Preterm:
-    return Sym(WEIGHT_LIT_PREFIX + str(weight), (ty,), (), args)
-
-
 def norm_key(t: Preterm, p: OrderParams) -> Preterm:
     """Collapse heads that always weigh the same: a symbol spine with all-unit
     coefficients becomes a weight literal tagged with the head's type, and a
-    De Bruijn head becomes the index-weight literal.  A symbol's parameters
-    are kept as they are.  The result is only ever used as a syntactic key."""
+    De Bruijn head becomes the index-weight literal.  A weight literal is a
+    ``Sym`` named by its weight, an ``Ord``, which no declared symbol's name
+    equals.  A symbol's parameters are kept as they are.  The result is only
+    ever used as a syntactic key."""
     def rule(u, d, kids):
         if isinstance(u, Db):
-            return _weight_literal(p.w_db, u.ty, kids)
+            return Sym(p.w_db, (u.ty,), (), kids)
         if isinstance(u, Sym) and p.unit_coeffs(u.name):
-            return _weight_literal(p.w(u.name), tm.head_type(u, p.sig), kids)
+            return Sym(p.w(u.name), (tm.head_type(u, p.sig),), (), kids)
         if isinstance(u, Sym):
             return Sym(u.name, u.ty_args, u.params, kids)
         return tm.remake(u, kids)
@@ -387,15 +378,7 @@ class _Base:
 
     def leak_mismatch(self, t: Db, s: Db, dt: int, ds: int) -> bool:
         """Equal indices with unequal annotated types, at least one leaking."""
-        if t.index != s.index or t.ty == s.ty:
-            return False
-        if t.index < dt and s.index < ds:
-            return False
-        if self.p.strict_leaks:
-            raise LeakTypeMismatch(
-                "leaking index #%d carries type %r on one side and %r on the other"
-                % (t.index, t.ty, s.ty))
-        return True
+        return t.index == s.index and t.ty != s.ty and (t.index >= dt or s.index >= ds)
 
 
 # ---------------------------------------------------------------------------
@@ -721,13 +704,34 @@ class _LpoOpt(_Lpo):
 # Entry points
 # ---------------------------------------------------------------------------
 
+def _check_leak_types(t: Preterm, s: Preterm) -> None:
+    """Strict mode: raise LeakTypeMismatch when an index number that leaks
+    somewhere in ``t`` or ``s`` carries two annotated types among its
+    occurrences in them."""
+    types: Dict[int, set] = {}
+    leaking = set()
+    for u in (t, s):
+        for v, d in tm.nodes(u):
+            if isinstance(v, Db):
+                types.setdefault(v.index, set()).add(v.ty)
+                if v.index >= d:
+                    leaking.add(v.index)
+    for n in sorted(leaking):
+        if len(types[n]) > 1:
+            raise LeakTypeMismatch("leaking index #%d carries types %s"
+                                   % (n, ", ".join(sorted(map(repr, types[n])))))
+
+
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    """Check that neither input is an arrow-typed spine, then compare them."""
+    """Check that neither input is an arrow-typed spine, and in strict mode
+    that no leaking index carries two types, then compare them."""
     for u in (t, s):
         if not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
             # name the fault, not the term: printing a deep term overflows
             raise TermError("not a normalized term (normalize it first): "
                             "it has arrow type %r" % (type_of(u, p.sig),))
+    if p.strict_leaks:
+        _check_leak_types(t, s)
     if t is s:
         return E
     return cls(p).compare(t, s)

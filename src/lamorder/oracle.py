@@ -22,7 +22,7 @@ from .lambda_order import KBO, OrderParams, var_key, weight_poly
 from .ordinal import Ord, ONE, ZERO, from_int, ord_add, ord_mul
 from .poly import HInd, Indet, KInd, Poly, PolyError, WInd, const_poly, indet_poly
 from . import term as tm
-from .term import (TABLE, Db, Interned, Lam, Preterm, Signature, Substitution, Sym,
+from .term import (Db, Interned, Lam, Preterm, Signature, Substitution, Sym,
                    TyCon, TyVar, Type, Var, eta_expansion_count, is_ground, is_steady,
                    split_arrows, steady_split, strip_lams, subst_type)
 
@@ -38,10 +38,6 @@ class OracleError(Exception):
 class FKey(Interned):
     __slots__ = ("name", "ty_args", "params")
 
-    def __new__(cls, name: str, ty_args: Tuple[Type, ...], params: Tuple[Preterm, ...]):
-        key = (cls, name, ty_args, params)
-        return TABLE.get(key) or cls.intern(key, name, ty_args, params)
-
     def __repr__(self):
         return "F:%s" % self.name
 
@@ -49,20 +45,12 @@ class FKey(Interned):
 class DbKey(Interned):
     __slots__ = ("index", "argc")
 
-    def __new__(cls, index: int, argc: int):
-        key = (cls, index, argc)
-        return TABLE.get(key) or cls.intern(key, index, argc)
-
     def __repr__(self):
         return "DB:%d/%d" % (self.index, self.argc)
 
 
 class LamKey(Interned):
     __slots__ = ("ty",)
-
-    def __new__(cls, ty: Type):
-        key = (cls, ty)
-        return TABLE.get(key) or cls.intern(key, ty)
 
     def __repr__(self):
         return "LAM:%r" % (self.ty,)

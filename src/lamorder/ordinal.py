@@ -52,6 +52,11 @@ class Ord:
     def is_positive(self) -> bool:
         return bool(self.terms) and self.terms[0][1] > 0
 
+    def is_ordinal(self) -> bool:
+        """True iff the value is an ordinal (possibly 0): every coefficient
+        is positive and every exponent is an ordinal."""
+        return all(c > 0 and e.is_ordinal() for e, c in self.terms)
+
     def is_natural(self) -> bool:
         """True iff the value is a natural number (possibly 0)."""
         if not self.terms:

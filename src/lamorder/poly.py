@@ -21,8 +21,7 @@ from typing import Dict, ItemsView, List, Mapping, Optional, Tuple, Union
 
 from .cmp import Cmp, E, G, GE, L, LE, U
 from .ordinal import Ord, ZERO, ONE, from_int, ord_add, ord_mul
-from . import term as tm
-from .term import TABLE, Interned
+from .term import Interned
 
 
 class PolyError(Exception):
@@ -40,10 +39,6 @@ class Indet(Interned):
 class WInd(Indet):
     __slots__ = ("key",)
 
-    def __new__(cls, key: tm.Preterm):
-        k = (cls, key)
-        return TABLE.get(k) or cls.intern(k, key)
-
     def __repr__(self):
         return "w[%r]" % (self.key,)
 
@@ -51,20 +46,12 @@ class WInd(Indet):
 class KInd(Indet):
     __slots__ = ("key", "i")
 
-    def __new__(cls, key: tm.Preterm, i: int):
-        k = (cls, key, i)
-        return TABLE.get(k) or cls.intern(k, key, i)
-
     def __repr__(self):
         return "k[%r,%d]" % (self.key, self.i)
 
 
 class HInd(Indet):
     __slots__ = ("name",)
-
-    def __new__(cls, name: str):
-        k = (cls, name)
-        return TABLE.get(k) or cls.intern(k, name)
 
     def __repr__(self):
         return "h[%s]" % self.name

@@ -18,7 +18,7 @@ lambdas; ``normalize`` establishes it by eta-expansion.  De Bruijn indices may
 Preterms and types, which are also the first-order terms of ``fo_order``,
 are hash-consed through ``Interned``, the base this module also gives the
 weight indeterminates (``poly``) and the oracle's symbol keys (``oracle``):
-every constructor returns the one value that exists for its arguments, so
+its one constructor returns the one value that exists for its fields, so
 structurally equal values are the same object, and equality and hash are
 identity.  A node is shared by every signature, so it carries only facts
 that hold in all: its serial, and how many binders above it its indices
@@ -28,7 +28,7 @@ The one table keeps every distinct value for the life of the process.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ARROW = "->"
 
@@ -53,14 +53,23 @@ TABLE: Dict[tuple, "Interned"] = {}
 
 
 class Interned:
-    """A hash-consed value.  A subclass's ``__new__`` returns
-    ``TABLE.get(key) or cls.intern(key, *fields)`` for the key
-    ``(cls, *fields)``, the fields in ``__slots__`` order: the class is the
-    tag, so values of two classes never share a key.  ``serial`` is the
-    creation number, unique since the table never drops a value.  Equality
-    and hash are the object's identity."""
+    """A hash-consed value.  A subclass declares only its fields, in
+    ``__slots__``, and in ``defaults`` the values of its omitted trailing
+    fields.  The constructor takes the fields positionally, in ``__slots__``
+    order, and returns the one value for the key ``(cls, *fields)``: the
+    class is the tag, so values of two classes never share a key.
+    ``serial`` is the creation number, unique since the table never drops a
+    value.  Equality and hash are the object's identity."""
 
     __slots__ = ("serial",)
+    defaults: tuple = ()
+
+    def __new__(cls, *fields):
+        missing = len(fields) - len(cls.__slots__)
+        if missing < 0:
+            fields += cls.defaults[missing:]
+        key = (cls,) + fields
+        return TABLE.get(key) or cls.intern(key, *fields)
 
     def __reduce__(self):
         # copies and unpickled values go through the constructor, so they intern
@@ -68,7 +77,11 @@ class Interned:
 
     @classmethod
     def intern(cls, key: tuple, *fields):
-        """Build and register the value for a key the table does not hold."""
+        """Build and register the value for a key the table does not hold.
+        Only a miss reaches here, so only a miss checks the field count."""
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields, got %d with defaults"
+                            % (cls.__name__, len(cls.__slots__), len(fields)))
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
@@ -92,17 +105,10 @@ class TyVar(Type):
     __slots__ = ("name",)
     args = ()           # a leaf, so that ``nodes`` walks types
 
-    def __new__(cls, name: str):
-        key = (cls, name)
-        return TABLE.get(key) or cls.intern(key, name)
-
 
 class TyCon(Type):
     __slots__ = ("name", "args")
-
-    def __new__(cls, name: Hashable, args: Tuple[Type, ...] = ()):
-        key = (cls, name, args)
-        return TABLE.get(key) or cls.intern(key, name, args)
+    defaults = ((),)
 
 
 def arrow(a: Type, b: Type) -> Type:
@@ -244,35 +250,21 @@ class Preterm(Interned):
 
 class Var(Preterm):
     __slots__ = ("name", "ty", "args")
-
-    def __new__(cls, name: str, ty: Type, args: Tuple[Preterm, ...] = ()):
-        key = (cls, name, ty, args)
-        return TABLE.get(key) or cls.intern(key, name, ty, args)
+    defaults = ((),)
 
 
 class Sym(Preterm):
     __slots__ = ("name", "ty_args", "params", "args")
-
-    def __new__(cls, name: str, ty_args: Tuple[Type, ...] = (),
-                params: Tuple[Preterm, ...] = (), args: Tuple[Preterm, ...] = ()):
-        key = (cls, name, ty_args, params, args)
-        return TABLE.get(key) or cls.intern(key, name, ty_args, params, args)
+    defaults = ((), (), ())
 
 
 class Db(Preterm):
     __slots__ = ("index", "ty", "args")
-
-    def __new__(cls, index: int, ty: Type, args: Tuple[Preterm, ...] = ()):
-        key = (cls, index, ty, args)
-        return TABLE.get(key) or cls.intern(key, index, ty, args)
+    defaults = ((),)
 
 
 class Lam(Preterm):
     __slots__ = ("arg_ty", "body")
-
-    def __new__(cls, arg_ty: Type, body: Preterm):
-        key = (cls, arg_ty, body)
-        return TABLE.get(key) or cls.intern(key, arg_ty, body)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,7 @@ REPR: Dict[type, Callable[..., list]] = {
     TyCon: lambda x: _spine([str(x.name)], x.args),
     Var: lambda x: _spine([x.name], x.args),
     Db: lambda x: _spine(["#%d" % x.index], x.args),
-    Sym: lambda x: _spine([x.name, *_group("<", x.ty_args, ">"),
+    Sym: lambda x: _spine([str(x.name), *_group("<", x.ty_args, ">"),
                            *_group("(", x.params, ")")], x.args),
     Lam: lambda x: ["(\\", x.arg_ty, ". ", x.body, ")"],
 }

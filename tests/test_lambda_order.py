@@ -10,14 +10,16 @@ import pytest
 
 from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
-from lamorder.lambda_order import (KBO, LPO, LeakTypeMismatch, OrderError,
+from lamorder.lambda_order import (ALGORITHMS, KBO, LPO, LeakTypeMismatch, OrderError,
                                    OrderParams, _KboNaive, _KboOpt, _LpoNaive,
                                    _LpoOpt, collect_indet_reps, compare,
                                    compare_kbo_naive, compare_kbo_opt,
                                    compare_lpo_naive, compare_lpo_opt, norm_key,
                                    reset_weight_calls, type_relaxed_ge, var_key,
                                    weight_calls, weight_diff, weight_poly)
+from lamorder.oracle import oracle_compare
 from lamorder.ordinal import ONE, from_int, ord_add
+from lamorder.parse import ParseError, parse_signature, parse_term
 from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly
 from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TermError,
                            TyCon, TyVar, TypeDecl, Var, accessible_positions,
@@ -442,6 +444,25 @@ def test_leak_rule_precedes_index_arity():
     assert both(KBO_ALGOS, t, s, kbo) is G and both(KBO_ALGOS, s, t, kbo) is L
 
 
+@pytest.mark.parametrize("kind", [KBO, LPO])
+def test_strict_mode_is_decided_before_any_algorithm(kind):
+    """Strict mode rejects a leaking index number with two types even where
+    the weights would settle the pair, so every algorithm raises, the naive
+    KBO that weighs first included; a consistent leak still compares."""
+    sig = Signature()
+    sig.add_type("k", 0)
+    sig.add_symbol("a", TypeDecl((), (), K))
+    strict = OrderParams(sig, kind, prec=["a"], watershed="a", strict_leaks=True)
+    t, s = Db(3, arrow(K, K), (Sym("a"),)), Db(3, K)
+    for algo in ALGORITHMS[kind]:
+        with pytest.raises(LeakTypeMismatch, match="#3"):
+            algo(t, s, strict)
+        # #3 under four lambdas is bound, but its number leaks in t
+        with pytest.raises(LeakTypeMismatch):
+            algo(t, Lam(K, Lam(K, Lam(K, Lam(K, Db(3, K))))), strict)
+        assert algo(Db(3, K), Db(2, K), strict) in (G, L)
+
+
 # ---------------------------------------------------------------------------
 # Parameter validation
 # ---------------------------------------------------------------------------
@@ -493,6 +514,22 @@ def test_type_weights_reject_undeclared_constructor(small):
         OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"nope": from_int(2)})
     # the arrow is a declared constructor and may carry a weight
     OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"->": from_int(2)})
+
+
+@pytest.mark.parametrize("section", [
+    # w^(-1) is below 1: f a would weigh less than a, against the subterm property
+    '(weights (f "w^(-1)")) (coeffs ((f 1) "w^(-1)")) (ordinal-weights)',
+    # a weightless unary type constructor: c<list k> > c<list (list k)> > ...
+    "(tyweights (list 0))",
+    '(weights (f "w - 1")) (ordinal-weights)',
+    "(tyweights (k -1))",
+])
+def test_parameter_values_must_be_positive_ordinals(section):
+    text = ("(signature (types (k 0) (list 1)) (symbols (a () () k) (f () () (-> k k))"
+            " (c (X) () k)) (precedence a c f) (typrecedence -> list k) %s)" % section)
+    with pytest.raises(ParseError, match="^1:1: invalid order parameters: .* must be a "
+                                         "positive ordinal"):
+        parse_signature(text, KBO)
 
 
 ALL_ALGOS = (compare_kbo_naive, compare_kbo_opt, compare_lpo_naive, compare_lpo_opt)
@@ -753,6 +790,26 @@ def test_indet_reps_cover_the_weight_and_give_its_keys(polymorphic):
             if not isinstance(ind, HInd):
                 assert var_key(*rep, kbo) is ind.key
     assert kinds == ({WInd, KInd, HInd} if polymorphic else {WInd, KInd})
+
+
+def test_weight_literal_is_no_declared_symbol():
+    """A weight literal is named by its weight, so a symbol the parser
+    accepts under a string spelling of that weight keeps its own key: the
+    pair is not G, since its instance under x := (\\h. h c) is L."""
+    sig, kbo = parse_signature(
+        "(signature (types (k 0)) (symbols (c () () k) (lt () () k) (hv () () k)"
+        " (g () () (-> k (-> k k))) (f () () (-> k k)) (!wt:2 (X) () (-> k k)))"
+        " (weights (f 2) (!wt:2 2) (hv 2)) (coeffs ((!wt:2 1) 3))"
+        " (precedence c lt hv g f !wt:2) (watershed c))", KBO)
+    t = parse_term("(sym g () () (var x (-> (-> k k) k) (lam k (sym f () () (db 0 k))))"
+                   " (sym hv () ()))", sig)
+    s = parse_term("(sym g () () (var x (-> (-> k k) k) (lam k (sym !wt:2 ((-> k k)) ()"
+                   " (db 0 k)))) (sym lt () ()))", sig)
+    assert both(KBO_ALGOS, t, s, kbo) is U
+    hk = arrow(K, K)
+    sub = Substitution(term_map={("x", arrow(hk, K)): Lam(hk, Db(0, hk, (Sym("c"),)))})
+    ti, si = apply_subst(t, sub, sig), apply_subst(s, sub, sig)
+    assert both(KBO_ALGOS, ti, si, kbo) is L and oracle_compare(ti, si, kbo) is L
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,39 @@ def test_interned_classes_have_distinct_tags_and_identity_equality():
         assert a is not b and type(a) is not type(b), (a, b)
 
 
+def test_one_constructor_builds_every_interned_class():
+    """Every interned class declares only its fields, and ``Interned.__new__``
+    builds it: equal fields give one value, an omitted trailing field is its
+    default, and a wrong field count raises before the table grows."""
+    for mod in pkgutil.iter_modules(lamorder.__path__):
+        importlib.import_module("lamorder." + mod.name)
+    x = Var("x", K)
+    full = {TyVar: ("A",), TyCon: ("pair", (K, O)), Var: ("x", K, (Sym("a"),)),
+            Sym: ("f", (K,), (Sym("p"),), (Sym("a"),)), Db: (0, K, (Sym("a"),)),
+            Lam: (K, Db(0, K)), WInd: (x,), KInd: (x, 2), HInd: ("A",),
+            FKey: ("sk", (K,), (Sym("a"),)), DbKey: (0, 2), LamKey: (K,)}
+    todo, leaves = list(Interned.__subclasses__()), set()
+    while todo:
+        cls = todo.pop()
+        assert "__new__" not in vars(cls), cls
+        todo += cls.__subclasses__()
+        if not cls.__subclasses__():
+            leaves.add(cls)
+    assert leaves == set(full)
+    assert Sym("a") is Sym("a", (), (), ()) and Db(0, K) is Db(0, K, ())
+    for cls, fields in full.items():
+        v = cls(*fields)
+        assert type(v) is cls and v is cls(*fields)
+        assert tuple(getattr(v, f) for f in cls.__slots__) == fields
+        for n in range(1, len(cls.defaults) + 1):
+            assert cls(*fields[:-n]) is cls(*fields[:-n], *cls.defaults[-n:])
+        size = len(term.TABLE)
+        for wrong in (fields + (None,), fields[:len(fields) - len(cls.defaults) - 1]):
+            with pytest.raises(TypeError, match="%s takes %d fields" % (cls.__name__, len(fields))):
+                cls(*wrong)
+        assert len(term.TABLE) == size
+
+
 def test_normalize_returns_a_normal_term_itself(sig):
     t = normalize(app(Sym("g"), Sym("a")), sig)
     assert normalize(t, sig) is t

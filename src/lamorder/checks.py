@@ -413,12 +413,29 @@ def _outside_params(t: Preterm, name: str) -> bool:
                for u, _ in tm.nodes(t, params=False))
 
 
-@family("variable-guarantee")
+def _variables(t: Preterm, params: bool = True) -> set:
+    """The variables of t, as (name, type) pairs; without params, those
+    outside every symbol's parameters."""
+    return {(u.name, u.ty) for u, _ in tm.nodes(t, params) if isinstance(u, Var)}
+
+
+@family("variable-guarantee", polymorphic=True)
 def _variable_guarantee(env, rng, i):
-    kind, p = env.order(i)
     ty = env.random_type()
     t = env.gen.gen(ty, 8, ground=False)
     s = env.gen.gen(ty, 8, ground=False)
+    # the variable condition, on every verdict of all four algorithms: a side
+    # that is at least the other holds the other's variables outside
+    # parameters among all of its own
+    for fns, p in ((ALGORITHMS[KBO], env.kbo), (ALGORITHMS[LPO], env.lpo)):
+        for fn in fns:
+            c = fn(t, s, p)
+            for big, small, at_least in ((t, s, (G, GE, E)), (s, t, (L, LE, E))):
+                missing = _variables(small, params=False) - _variables(big)
+                if c in at_least and missing:
+                    return "%s gave %s, yet the larger side lacks %s: %r / %r" \
+                        % (fn.__name__, c, sorted(missing, key=repr), t, s)
+    kind, p = env.order(i)
     if compare(t, s, p) is not G:
         return None
     # the identity substitution qualifies once every variable in both

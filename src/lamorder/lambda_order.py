@@ -36,6 +36,11 @@ class OrderError(Exception):
     """Invalid order parameters."""
 
 
+class DepthError(RecursionError):
+    """A comparison recursed deeper than the interpreter's stack allows.  A
+    ``RecursionError``, so a handler of that still catches it."""
+
+
 class LeakTypeMismatch(Exception):
     """In strict mode, a De Bruijn index number that leaks in the compared
     terms carries two different types among its occurrences."""
@@ -646,7 +651,22 @@ class _LpoOpt(_Lpo):
 
     A G or L that ``beats`` backs takes the guard of the rule that picked
     the winner; a verdict coming out of a subterm observation is never
-    guarded."""
+    guarded.
+
+    The variable condition of reduction orders settles many nonground
+    pairs before any of that: ``t`` is at least ``s`` (G, GE or E) only if
+    every variable of ``s`` outside parameters occurs in ``t``.  By
+    induction over ``dispatch``, such a verdict comes from one of: the
+    memo; ``t is s``; ``cw_ext`` over one variable; a ``scan`` whose strict
+    position ``beats`` the rest of the loser's arguments; equal lambda
+    bodies; a winner by heads that ``beats`` all of the loser's immediate
+    subterms; a subterm rule.  Each needs, recursively, the variables of
+    every argument of ``s`` inside ``t``.  The one exception: ``scan``
+    never compares a parameter of ``s`` after the deciding position, so the
+    condition leaves out ``s``'s parameters and counts all of ``t``, the
+    masks ``arg_vars`` of ``s`` and ``all_vars`` of ``t``.  ``enter``
+    returns U when the condition fails both ways, and ``leave`` skips the
+    subterm rule of a side that fails it."""
 
     compare = _Lpo.dispatch
 
@@ -655,17 +675,23 @@ class _LpoOpt(_Lpo):
         self.memo: Dict[Tuple[Preterm, Preterm, int, int], Cmp] = {}
 
     def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
-        return self.memo.get((t, s, dt, ds))
+        out = self.memo.get((t, s, dt, ds))
+        if out is None and s.arg_vars & ~t.all_vars and t.arg_vars & ~s.all_vars:
+            return U
+        return out
 
     def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
-        """Run the subterm rules the naive algorithm front-loads, then store
-        the verdict.  Inconclusive and nonstrict verdicts can still be beaten
-        by a subterm win; strict verdicts cannot, since the relations they
-        claim are orders."""
+        """Run the subterm rules the naive algorithm front-loads, on each
+        side that holds the other's variables, then store the verdict.
+        Inconclusive and nonstrict verdicts can still be beaten by a subterm
+        win; strict verdicts cannot, since the relations they claim are
+        orders."""
         if out is not G and out is not E and out is not L:
-            if out is not LE and self.check_subs(*_subterms(t, dt), s, ds):
+            if (out is not LE and not s.arg_vars & ~t.all_vars
+                    and self.check_subs(*_subterms(t, dt), s, ds)):
                 out = G
-            elif out is not GE and self.check_subs(*_subterms(s, ds), t, dt):
+            elif (out is not GE and not t.arg_vars & ~s.all_vars
+                    and self.check_subs(*_subterms(s, ds), t, dt)):
                 out = L
         self.memo[t, s, dt, ds] = out
         return out
@@ -724,7 +750,8 @@ def _check_leak_types(t: Preterm, s: Preterm) -> None:
 
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
     """Check that neither input is an arrow-typed spine, and in strict mode
-    that no leaking index carries two types, then compare them."""
+    that no leaking index carries two types, then compare them; a comparison
+    that overflows the interpreter's stack raises ``DepthError``."""
     for u in (t, s):
         if not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
             # name the fault, not the term: printing a deep term overflows
@@ -734,7 +761,10 @@ def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
         _check_leak_types(t, s)
     if t is s:
         return E
-    return cls(p).compare(t, s)
+    try:
+        return cls(p).compare(t, s)
+    except RecursionError:
+        raise DepthError("terms nested too deeply to compare") from None
 
 
 def compare_kbo_naive(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:

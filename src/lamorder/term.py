@@ -21,8 +21,9 @@ weight indeterminates (``poly``) and the oracle's symbol keys (``oracle``):
 its one constructor returns the one value that exists for its fields, so
 structurally equal values are the same object, and equality and hash are
 identity.  A node is shared by every signature, so it carries only facts
-that hold in all: its serial, and how many binders above it its indices
-reach; a signature keeps its nodes' types, a declaration its instances.
+that hold in all: its serial, how many binders above it its indices
+reach, and masks of the variables it holds; a signature keeps its nodes'
+types, a declaration its instances.
 The one table keeps every distinct value for the life of the process.
 """
 
@@ -226,25 +227,51 @@ class Signature:
 # Preterms
 # ---------------------------------------------------------------------------
 
+# A variable is its (name, type) pair.  The variables are numbered in
+# first-seen order and the numbers folded into VAR_BITS bits, so a variable
+# mask stays a small int.  Two variables may share a bit: a shared bit can
+# hide that a variable is missing from a mask, never claim that one is.
+VAR_BITS = 60
+_var_bits: Dict[Tuple[str, Type], int] = {}
+
+
+def var_bit(name: str, ty: Type) -> int:
+    """The bit of the variable ``(name, ty)`` in the variable masks."""
+    bit = _var_bits.get((name, ty))
+    if bit is None:
+        bit = _var_bits[name, ty] = 1 << (len(_var_bits) % VAR_BITS)
+    return bit
+
+
 class Preterm(Interned):
     """``loose`` is the number of binders above the node that its indices
     reach, parameters included (0 on a closed node), so shifting or
     substituting at ``n`` or more binders above a node with ``loose <= n``
-    leaves it as it is.  It is set once, when the node is interned."""
+    leaves it as it is.  ``all_vars`` is the mask of the ``var_bit`` of
+    every variable in the node, ``arg_vars`` of those outside every symbol's
+    parameters, the variables of ``nodes(u, params=False)``; a De Bruijn
+    index is not a variable.  All three are set once, when the node is
+    interned."""
 
-    __slots__ = ("loose",)
+    __slots__ = ("loose", "all_vars", "arg_vars")
 
     __repr__ = Type.__repr__
 
     @classmethod
     def intern(cls, key: tuple, *fields):
         node = super().intern(key, *fields)
-        loose = max([u.loose for u in children(node)], default=0)
+        kids = children(node)
+        loose = max([u.loose for u in kids], default=0)
         if cls is Db:
             loose = max(loose, node.index + 1)
         elif cls is Lam:
             loose = max(loose - 1, 0)
-        node.loose = loose
+        all_vars = arg_vars = var_bit(node.name, node.ty) if cls is Var else 0
+        for u in kids:
+            all_vars |= u.all_vars
+        for u in node.args if cls is Sym else kids:
+            arg_vars |= u.arg_vars
+        node.loose, node.all_vars, node.arg_vars = loose, all_vars, arg_vars
         return node
 
 

@@ -560,6 +560,18 @@ def _nonground_nest(depth):
     return t, s
 
 
+def _shared_var_nest(depth):
+    """The nest around g(x, y) against g(y, x): both sides hold both
+    variables, so the variable condition cannot settle the pair at the
+    root, and the memo has to bound the descent."""
+    x, y = Var("x", K), Var("y", K)
+    t, s = Sym("g", (), (), (x, y)), Sym("g", (), (), (y, x))
+    for _ in range(depth):
+        t = Sym("g", (), (), (t, Sym("b")))
+        s = Sym("g", (), (), (s, Sym("a")))
+    return t, s
+
+
 def test_c14_nonground_lpo_gate():
     """The optimized LPO is polynomial off ground terms too: one comparison
     fills at most 2*|t|*|s| memo entries, and no memo state survives it."""
@@ -568,22 +580,29 @@ def test_c14_nonground_lpo_gate():
     from lamorder.term import size
     _, _, lpo = bench_signature()
 
-    t14, s14 = _nonground_nest(14)
-    assert compare_lpo_opt(t14, s14, lpo) is U
-    best = min(_timed(lambda: compare_lpo_opt(t14, s14, lpo)) for _ in range(3))
-    assert best < 1.0, "optimized nonground depth 14 took %.2fs" % best
+    best = 0.0
+    for make in (_nonground_nest, _shared_var_nest):
+        t14, s14 = make(14)
+        assert compare_lpo_opt(t14, s14, lpo) is U
+        took = min(_timed(lambda: compare_lpo_opt(t14, s14, lpo)) for _ in range(3))
+        assert took < 1.0, "optimized %s depth 14 took %.2fs" % (make.__name__, took)
+        best = max(best, took)
 
-    for d in range(4, 21):
-        t, s = _nonground_nest(d)
-        opt = _LpoOpt(lpo)
-        assert opt.compare(t, s) is U
-        bound = 2 * size(t) * size(s)
-        assert len(opt.memo) <= bound, "depth %d: %d memo entries" % (d, len(opt.memo))
+        for d in range(4, 21):
+            t, s = make(d)
+            opt = _LpoOpt(lpo)
+            assert opt.compare(t, s) is U
+            bound = 2 * size(t) * size(s)
+            assert len(opt.memo) <= bound, \
+                "%s depth %d: %d memo entries" % (make.__name__, d, len(opt.memo))
+            # the condition settles the disjoint nest at the root, not this one
+            assert (len(opt.memo) > 0) is (make is _shared_var_nest)
 
     # the same params across consecutive calls on freshly built terms, whose
     # node identities the interpreter may reuse, against fresh params
     for d in range(1, 9):
-        for make, verdict in ((_nonground_nest, U), (adversarial_lpo_pair, L)):
+        for make, verdict in ((_nonground_nest, U), (_shared_var_nest, U),
+                              (adversarial_lpo_pair, L)):
             fresh = bench_signature()[2]
             for p in (lpo, lpo, fresh):
                 assert compare_lpo_opt(*make(d), p) is verdict

@@ -10,8 +10,8 @@ import pytest
 
 from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
-from lamorder.lambda_order import (ALGORITHMS, KBO, LPO, LeakTypeMismatch, OrderError,
-                                   OrderParams, _KboNaive, _KboOpt, _LpoNaive,
+from lamorder.lambda_order import (ALGORITHMS, KBO, LPO, DepthError, LeakTypeMismatch,
+                                   OrderError, OrderParams, _KboNaive, _KboOpt, _LpoNaive,
                                    _LpoOpt, collect_indet_reps, compare,
                                    compare_kbo_naive, compare_kbo_opt,
                                    compare_lpo_naive, compare_lpo_opt, norm_key,
@@ -590,6 +590,24 @@ def test_kbo_deep_chains_fit_default_stack():
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_too_deep_comparison_raises_depth_error(algo):
+    """Every algorithm spends at least two frames per level of a chain, so
+    a depth-600 chain overflows a limit of 1,000; the overflow comes out as
+    the named ``DepthError``, which is still a ``RecursionError``."""
+    from lamorder.checks import bench_signature, deep_chain_pair
+    _, kbo, lpo = bench_signature()
+    t, s = deep_chain_pair(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(DepthError, match="nested too deeply"):
+            algo(t, s, _params_for(algo, kbo, lpo))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert issubclass(DepthError, RecursionError)
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
 def test_deep_equal_copies_compare_equal(algo):
     """Two constructions of one deep term are one node, so the comparison
     ends at once, far below where a structural equality would overflow."""
@@ -609,13 +627,13 @@ def test_recursive_steps_live_in_their_own_classes():
     assert "compare" in vars(_LpoOpt)
 
 
-def _counting_lpo_naive():
+def _counting_lpo(cls=_LpoNaive):
     calls = [0]
 
-    class Spy(_LpoNaive):
+    class Spy(cls):
         def compare(self, t, s, dt=0, ds=0):
             calls[0] += 1
-            return _LpoNaive.compare(self, t, s, dt, ds)
+            return cls.compare(self, t, s, dt, ds)
 
     return Spy, calls
 
@@ -623,9 +641,11 @@ def _counting_lpo_naive():
 def test_naive_lpo_call_counts_are_pinned():
     """The naive LPO is the reference whose call count decides which bench
     pairs are timed: pin its calls on the adversarial nests, both directions
-    summed."""
+    summed.  On the generated nonground pairs pin the optimized LPO's calls
+    too, which the variable condition cuts: without it, 1,816."""
     from lamorder.checks import adversarial_lpo_pair, bench_signature
-    Spy, calls = _counting_lpo_naive()
+    Spy, calls = _counting_lpo()
+    OptSpy, opt_calls = _counting_lpo(_LpoOpt)
     _, _, lpo = bench_signature()
     counts = []
     for d in range(1, 6):
@@ -647,8 +667,8 @@ def test_naive_lpo_call_counts_are_pinned():
         t, s = g.gen(ty, 9, ground=False), g.gen(ty, 9, ground=False)
         if t != s:
             compares += 1
-            Spy(glpo).compare(t, s)
-    assert (calls[0], compares) == (5507, 286)
+            assert Spy(glpo).compare(t, s) is OptSpy(glpo).compare(t, s)
+    assert (calls[0], opt_calls[0], compares) == (5507, 666, 286)
 
 
 @pytest.mark.parametrize("algo", [_KboNaive, _KboOpt])

@@ -20,13 +20,13 @@ from lamorder.ordinal import from_int
 from lamorder.parse import parse_signature, parse_term, render_term
 from lamorder.poly import HInd, KInd, WInd
 from lamorder.term import (ARROW, Db, Interned, Lam, Preterm, Signature, Substitution,
-                           Sym, TermError, TyCon, TyVar, TypeDecl, Var,
+                           Sym, TermError, TyCon, TyVar, TypeDecl, VAR_BITS, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
                            check_types, db_subst, eta_expansion_count, is_closed, is_ground,
                            is_monomorphic, is_steady, node_types, nodes, normalize,
                            preprocess_quantifiers, rebuild, refers_to_outer_binders,
                            remake, replace_at, shift, size, strip_lams, subterm_at,
-                           truncating_apply, type_of)
+                           truncating_apply, type_of, var_bit)
 
 K = TyCon("k")
 O = TyCon("o")
@@ -530,6 +530,29 @@ def test_loose_counts_the_binders_an_index_reaches():
         assert tower.loose == max(9 - i, 0)
     assert Lam(K, Sym("g", (), (), (Db(0, K), Db(2, K)))).loose == 2
     assert shift(tower, 5) is tower and db_subst(tower, 0, Sym("a")) is tower
+
+
+def test_variable_masks_leave_out_parameters_and_indices():
+    """``all_vars`` holds every variable of a node, ``arg_vars`` those
+    outside every symbol's parameters; an index, loose or bound, is not a
+    variable, and a variable is its name and its type together.  The types
+    are new here, so the variables are numbered one after another and get
+    distinct bits."""
+    A, B = TyCon("masks_a"), TyCon("masks_b")
+    xa, xb, ya = Var("x", A), Var("x", B), Var("y", A)
+    bx, bxb, by = var_bit("x", A), var_bit("x", B), var_bit("y", A)
+    assert len({bx, bxb, by}) == 3
+    assert xa.all_vars == xa.arg_vars == bx and xb.all_vars == bxb
+    # parameters are left out of arg_vars, at any depth
+    sk = Sym("sk", (), (xa,), (ya,))
+    assert (sk.all_vars, sk.arg_vars) == (bx | by, by)
+    t = Lam(A, Sym("f", (), (), (sk, Var("x", B, (Db(0, A),)))))
+    assert (t.all_vars, t.arg_vars) == (bx | bxb | by, bxb | by)
+    # an index is not a variable, whether it leaks or not
+    for u in (Db(3, A), Lam(A, Db(0, A)), Sym("sk", (), (Db(2, A),), (Db(0, A),))):
+        assert u.all_vars == u.arg_vars == 0
+    # the numbers fold into VAR_BITS bits
+    assert all(0 < b < 1 << VAR_BITS for b in (bx, bxb, by))
 
 
 def test_rebuild_with_remake_is_the_identity():

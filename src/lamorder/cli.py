@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import checks
-from .lambda_order import LeakTypeMismatch, OrderError, compare
+from .lambda_order import DepthError, LeakTypeMismatch, OrderError, compare
 from .parse import ParseError, parse_signature_file, parse_term_file
 from .term import TermError
 
@@ -41,11 +41,8 @@ def _cmd_compare(args) -> int:
             print(a)
         else:
             print(compare(t, s, params, algo=args.algo))
-    except (LeakTypeMismatch, TermError, OrderError) as exc:
+    except (DepthError, LeakTypeMismatch, TermError, OrderError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: terms nested too deeply to compare", file=sys.stderr)
         return 1
     return 0
 

@@ -227,11 +227,8 @@ class Signature:
 # Preterms
 # ---------------------------------------------------------------------------
 
-# A variable is its (name, type) pair.  The variables are numbered in
-# first-seen order and the numbers folded into VAR_BITS bits, so a variable
-# mask stays a small int.  Two variables may share a bit: a shared bit can
-# hide that a variable is missing from a mask, never claim that one is.
-VAR_BITS = 60
+# A variable is its (name, type) pair; each has its own bit, numbered in
+# first-seen order.
 _var_bits: Dict[Tuple[str, Type], int] = {}
 
 
@@ -239,7 +236,7 @@ def var_bit(name: str, ty: Type) -> int:
     """The bit of the variable ``(name, ty)`` in the variable masks."""
     bit = _var_bits.get((name, ty))
     if bit is None:
-        bit = _var_bits[name, ty] = 1 << (len(_var_bits) % VAR_BITS)
+        bit = _var_bits[name, ty] = 1 << len(_var_bits)
     return bit
 
 
@@ -269,7 +266,7 @@ class Preterm(Interned):
         all_vars = arg_vars = var_bit(node.name, node.ty) if cls is Var else 0
         for u in kids:
             all_vars |= u.all_vars
-        for u in node.args if cls is Sym else kids:
+        for u in children(node, False):
             arg_vars |= u.arg_vars
         node.loose, node.all_vars, node.arg_vars = loose, all_vars, arg_vars
         return node

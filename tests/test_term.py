@@ -20,7 +20,7 @@ from lamorder.ordinal import from_int
 from lamorder.parse import parse_signature, parse_term, render_term
 from lamorder.poly import HInd, KInd, WInd
 from lamorder.term import (ARROW, Db, Interned, Lam, Preterm, Signature, Substitution,
-                           Sym, TermError, TyCon, TyVar, TypeDecl, VAR_BITS, Var,
+                           Sym, TermError, TyCon, TyVar, TypeDecl, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
                            check_types, db_subst, eta_expansion_count, is_closed, is_ground,
                            is_monomorphic, is_steady, node_types, nodes, normalize,
@@ -535,13 +535,12 @@ def test_loose_counts_the_binders_an_index_reaches():
 def test_variable_masks_leave_out_parameters_and_indices():
     """``all_vars`` holds every variable of a node, ``arg_vars`` those
     outside every symbol's parameters; an index, loose or bound, is not a
-    variable, and a variable is its name and its type together.  The types
-    are new here, so the variables are numbered one after another and get
-    distinct bits."""
+    variable, and a variable is its name and its type together, with a
+    bit of its own."""
     A, B = TyCon("masks_a"), TyCon("masks_b")
     xa, xb, ya = Var("x", A), Var("x", B), Var("y", A)
     bx, bxb, by = var_bit("x", A), var_bit("x", B), var_bit("y", A)
-    assert len({bx, bxb, by}) == 3
+    assert len({bx, bxb, by}) == 3 and all(b.bit_count() == 1 for b in (bx, bxb, by))
     assert xa.all_vars == xa.arg_vars == bx and xb.all_vars == bxb
     # parameters are left out of arg_vars, at any depth
     sk = Sym("sk", (), (xa,), (ya,))
@@ -551,8 +550,6 @@ def test_variable_masks_leave_out_parameters_and_indices():
     # an index is not a variable, whether it leaks or not
     for u in (Db(3, A), Lam(A, Db(0, A)), Sym("sk", (), (Db(2, A),), (Db(0, A),))):
         assert u.all_vars == u.arg_vars == 0
-    # the numbers fold into VAR_BITS bits
-    assert all(0 < b < 1 << VAR_BITS for b in (bx, bxb, by))
 
 
 def test_rebuild_with_remake_is_the_identity():

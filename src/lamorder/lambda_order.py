@@ -664,7 +664,7 @@ class _LpoOpt(_Lpo):
     every argument of ``s`` inside ``t``.  The one exception: ``scan``
     never compares a parameter of ``s`` after the deciding position, so the
     condition leaves out ``s``'s parameters and counts all of ``t``, the
-    masks ``arg_vars`` of ``s`` and ``all_vars`` of ``t``.  ``enter``
+    sets ``arg_vars`` of ``s`` and ``all_vars`` of ``t``.  ``enter``
     returns U when the condition fails both ways, and ``leave`` skips the
     subterm rule of a side that fails it."""
 
@@ -676,7 +676,7 @@ class _LpoOpt(_Lpo):
 
     def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
         out = self.memo.get((t, s, dt, ds))
-        if out is None and s.arg_vars & ~t.all_vars and t.arg_vars & ~s.all_vars:
+        if out is None and not s.arg_vars <= t.all_vars and not t.arg_vars <= s.all_vars:
             return U
         return out
 
@@ -687,10 +687,10 @@ class _LpoOpt(_Lpo):
         win; strict verdicts cannot, since the relations they claim are
         orders."""
         if out is not G and out is not E and out is not L:
-            if (out is not LE and not s.arg_vars & ~t.all_vars
+            if (out is not LE and s.arg_vars <= t.all_vars
                     and self.check_subs(*_subterms(t, dt), s, ds)):
                 out = G
-            elif (out is not GE and not t.arg_vars & ~s.all_vars
+            elif (out is not GE and t.arg_vars <= s.all_vars
                     and self.check_subs(*_subterms(s, ds), t, dt)):
                 out = L
         self.memo[t, s, dt, ds] = out

@@ -22,14 +22,14 @@ its one constructor returns the one value that exists for its fields, so
 structurally equal values are the same object, and equality and hash are
 identity.  A node is shared by every signature, so it carries only facts
 that hold in all: its serial, how many binders above it its indices
-reach, and masks of the variables it holds; a signature keeps its nodes'
-types, a declaration its instances.
+reach, and sets of the variables it holds, built from its children alone;
+a signature keeps its nodes' types, a declaration its instances.
 The one table keeps every distinct value for the life of the process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 ARROW = "->"
 
@@ -172,6 +172,9 @@ class TypeDecl:
         self.ty_vars = tuple(ty_vars)
         self.param_types = tuple(param_types)
         declared = set(self.ty_vars)
+        repeated = sorted(v for v in declared if self.ty_vars.count(v) > 1)
+        if repeated:
+            raise TermError("type variables %s repeated" % repeated)
         used = set().union(*map(type_vars, self.param_types + (body,)))
         if not used <= declared:
             raise TermError("type variables %s not declared" % sorted(used - declared))
@@ -227,28 +230,27 @@ class Signature:
 # Preterms
 # ---------------------------------------------------------------------------
 
-# A variable is its (name, type) pair; each has its own bit, numbered in
-# first-seen order.
-_var_bits: Dict[Tuple[str, Type], int] = {}
+_NO_VARS: FrozenSet[Tuple[str, Type]] = frozenset()
 
 
-def var_bit(name: str, ty: Type) -> int:
-    """The bit of the variable ``(name, ty)`` in the variable masks."""
-    bit = _var_bits.get((name, ty))
-    if bit is None:
-        bit = _var_bits[name, ty] = 1 << len(_var_bits)
-    return bit
+def _join(own: FrozenSet, sets: Sequence[FrozenSet]) -> FrozenSet:
+    """The union of ``own`` and ``sets``, as one of them when it holds the rest."""
+    out = own
+    for vs in sets:
+        if not vs <= out:
+            out = vs if out <= vs else out | vs
+    return out
 
 
 class Preterm(Interned):
     """``loose`` is the number of binders above the node that its indices
     reach, parameters included (0 on a closed node), so shifting or
     substituting at ``n`` or more binders above a node with ``loose <= n``
-    leaves it as it is.  ``all_vars`` is the mask of the ``var_bit`` of
+    leaves it as it is.  ``all_vars`` is the set of the ``(name, ty)`` of
     every variable in the node, ``arg_vars`` of those outside every symbol's
     parameters, the variables of ``nodes(u, params=False)``; a De Bruijn
-    index is not a variable.  All three are set once, when the node is
-    interned."""
+    index is not a variable.  All three are set once, from the children
+    alone, and ``_join`` shares a child's set that holds the whole."""
 
     __slots__ = ("loose", "all_vars", "arg_vars")
 
@@ -263,11 +265,9 @@ class Preterm(Interned):
             loose = max(loose, node.index + 1)
         elif cls is Lam:
             loose = max(loose - 1, 0)
-        all_vars = arg_vars = var_bit(node.name, node.ty) if cls is Var else 0
-        for u in kids:
-            all_vars |= u.all_vars
-        for u in children(node, False):
-            arg_vars |= u.arg_vars
+        own = frozenset([(node.name, node.ty)]) if cls is Var else _NO_VARS
+        all_vars = _join(own, [u.all_vars for u in kids])
+        arg_vars = _join(own, [u.arg_vars for u in children(node, False)])
         node.loose, node.all_vars, node.arg_vars = loose, all_vars, arg_vars
         return node
 
@@ -685,7 +685,7 @@ def steady_split(args: Sequence[Preterm], sig: Signature) -> Tuple[Tuple[Preterm
 
 
 def is_closed(t: Preterm) -> bool:
-    return not any(isinstance(u, Var) for u, _ in nodes(t))
+    return not t.all_vars
 
 
 def is_monomorphic(t: Preterm) -> bool:

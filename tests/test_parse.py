@@ -134,11 +134,12 @@ def test_signature_constraint_violations_are_named():
     ("(tyweights (k 1)", "(tyweights (k 1) @(k 2)"),
     ("(coeffs ((g 2) 2))", "(coeffs ((g 2) 2) @((g 2) 3))"),
     ("(watershed a))", "(watershed a) (ordinal-weights @yes please))"),
+    ("(a () () k)", "@(a (A A) () k)"),
 ], ids=["arity", "coeff-index", "type-entry", "weight-entry", "wlam",
         "watershed", "misspelt", "repeated", "redeclared-type",
         "symbol-type-constructor", "symbol-type-atom", "symbol-param-arity",
         "repeated-weight", "repeated-tyweight", "repeated-coeff",
-        "ordinal-weights-arguments"])
+        "ordinal-weights-arguments", "repeated-type-variable"])
 def test_malformed_signature_entries_are_positioned(old, new):
     """Each text is SIG_TEXT with one entry broken; @ marks where the error
     must point."""

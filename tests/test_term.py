@@ -26,7 +26,7 @@ from lamorder.term import (ARROW, Db, Interned, Lam, Preterm, Signature, Substit
                            is_monomorphic, is_steady, node_types, nodes, normalize,
                            preprocess_quantifiers, rebuild, refers_to_outer_binders,
                            remake, replace_at, shift, size, strip_lams, subterm_at,
-                           truncating_apply, type_of, var_bit)
+                           truncating_apply, type_of)
 
 K = TyCon("k")
 O = TyCon("o")
@@ -186,6 +186,11 @@ def test_instantiate_rejects_a_wrong_count_on_every_call():
     for _ in range(2):
         with pytest.raises(TermError, match="expected 1 type arguments, got 0"):
             decl.instantiate(())
+
+
+def test_declaration_rejects_a_repeated_type_variable():
+    with pytest.raises(TermError, match=r"type variables \['A'\] repeated"):
+        TypeDecl(("A", "A"), (), arrow(TyVar("A"), TyVar("A")))
 
 
 def test_type_mismatch_detected(sig):
@@ -532,24 +537,33 @@ def test_loose_counts_the_binders_an_index_reaches():
     assert shift(tower, 5) is tower and db_subst(tower, 0, Sym("a")) is tower
 
 
-def test_variable_masks_leave_out_parameters_and_indices():
+def test_variable_sets_leave_out_parameters_and_indices():
     """``all_vars`` holds every variable of a node, ``arg_vars`` those
     outside every symbol's parameters; an index, loose or bound, is not a
-    variable, and a variable is its name and its type together, with a
-    bit of its own."""
-    A, B = TyCon("masks_a"), TyCon("masks_b")
+    variable, and a variable is its name and its type together."""
+    A, B = TyCon("sets_a"), TyCon("sets_b")
     xa, xb, ya = Var("x", A), Var("x", B), Var("y", A)
-    bx, bxb, by = var_bit("x", A), var_bit("x", B), var_bit("y", A)
-    assert len({bx, bxb, by}) == 3 and all(b.bit_count() == 1 for b in (bx, bxb, by))
-    assert xa.all_vars == xa.arg_vars == bx and xb.all_vars == bxb
+    vx, vxb, vy = ("x", A), ("x", B), ("y", A)
+    # one name at two types is two variables
+    assert xa.all_vars == xa.arg_vars == {vx} and xb.all_vars == {vxb}
     # parameters are left out of arg_vars, at any depth
     sk = Sym("sk", (), (xa,), (ya,))
-    assert (sk.all_vars, sk.arg_vars) == (bx | by, by)
+    assert (sk.all_vars, sk.arg_vars) == ({vx, vy}, {vy})
     t = Lam(A, Sym("f", (), (), (sk, Var("x", B, (Db(0, A),)))))
-    assert (t.all_vars, t.arg_vars) == (bx | bxb | by, bxb | by)
+    assert (t.all_vars, t.arg_vars) == ({vx, vxb, vy}, {vxb, vy})
     # an index is not a variable, whether it leaks or not
     for u in (Db(3, A), Lam(A, Db(0, A)), Sym("sk", (), (Db(2, A),), (Db(0, A),))):
-        assert u.all_vars == u.arg_vars == 0
+        assert u.all_vars == u.arg_vars == set() and is_closed(u)
+    # a node that adds no variable shares its child's set; closed nodes share one
+    assert Lam(A, sk).all_vars is sk.all_vars and Sym("g", (), (), (ya, ya)).arg_vars is ya.arg_vars
+    assert Sym("a").all_vars is Lam(A, Db(0, A)).arg_vars
+
+
+def test_variable_sets_do_not_grow_with_the_process():
+    """A node's variable sets depend on the node alone: fresh variables,
+    built after every other variable of the session, keep one-pair sets."""
+    fresh = [Var("fresh_%d" % i, K) for i in range(20000)]
+    assert sum(sys.getsizeof(v.all_vars) for v in fresh) / len(fresh) < 512
 
 
 def test_rebuild_with_remake_is_the_identity():

@@ -16,9 +16,9 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .cmp import E, G, GE, L, LE, U, flip
-from .gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_context,
-                  gen_grounding_subst, gen_monomorphizing_subst, gen_signature,
-                  gen_var_types)
+from .gen import (GenConfig, GenError, TermGen, free_ty_vars, free_var_types,
+                  gen_context, gen_grounding_subst, gen_monomorphizing_subst,
+                  gen_signature, gen_var_types)
 from .lambda_order import (ALGORITHMS, KBO, LPO, OrderParams, collect_indet_reps,
                            compare, weight_diff, weight_poly)
 from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
@@ -259,16 +259,41 @@ def _ground_total(env, rng, i):
     return None
 
 
+def _rewrite_step(env, rng, t: Preterm) -> Optional[Preterm]:
+    """t with one accessible non-root position replaced by a fresh term of
+    the same type, or None when t has no such position or no fresh term of
+    that type could be drawn."""
+    positions = accessible_positions(t)[1:]
+    if not positions:
+        return None
+    path, _ = rng.choice(positions)
+    try:
+        fresh = env.gen.gen(type_of(subterm_at(t, path), env.sig), 4, ground=False)
+    except GenError:
+        return None
+    return replace_at(t, path, fresh)
+
+
 @family("naive-opt-equal", polymorphic=True)
 def _naive_opt_equal(env, rng, i):
+    """Two independent draws, and the first of them that has an accessible
+    non-root position against itself after one rewrite step there: a pair
+    that shares every subterm off one path, as a prover's are."""
     kind, p = env.order(i)
     naive, opt = ALGORITHMS[kind]
     t = env.open_term(8)
     s = env.open_term(8)
-    a = naive(t, s, p)
-    b = opt(t, s, p)
-    if a != b:
-        return "%s naive=%s opt=%s on %r / %r" % (kind, a, b, t, s)
+    pairs = [(t, s)]
+    for base in (t, s):
+        u = _rewrite_step(env, rng, base)
+        if u is not None:
+            pairs.append((base, u))
+            break
+    for x, y in pairs:
+        a = naive(x, y, p)
+        b = opt(x, y, p)
+        if a != b:
+            return "%s naive=%s opt=%s on %r / %r" % (kind, a, b, x, y)
     return None
 
 

@@ -124,25 +124,29 @@ def _all_greater(t: Type, ss: Sequence[Type]) -> _Rules:
 
 
 def _lpo_rules(t: Type, s: Type, p: FoParams) -> _Rules:
+    """On a same head the lexicographic step comes first (Löchner's order of
+    the rules), so a same-head chain decides one pair per level.  When t_i >
+    s_i fails at the first differing position i, only an argument of t after
+    i can satisfy the subterm rule: an earlier t_k equals s_k, which s
+    dominates, and t_i >= s would give t_i > s_i."""
     if isinstance(t, TyVar):
         return False
+    pc = None if isinstance(s, TyVar) else p.prec(t.name, s.name)
+    subs = t.args
+    if pc == 0:
+        for i, (a, b) in enumerate(zip(t.args, s.args)):
+            if a != b:
+                if (yield a, b):
+                    return (yield from _all_greater(t, s.args[i + 1:]))
+                subs = t.args[i + 1:]
+                break
+        else:
+            subs = t.args[len(s.args):]
     # subterm rule
-    for a in t.args:
+    for a in subs:
         if a == s or (yield a, s):
             return True
-    if isinstance(s, TyVar):
-        return False
-    pc = p.prec(t.name, s.name)
-    if pc > 0:
-        return (yield from _all_greater(t, s.args))
-    if pc < 0:
-        return False
-    # same head: lexicographic step plus the argument check
-    for i, (a, b) in enumerate(zip(t.args, s.args)):
-        if a == b:
-            continue
-        return (yield a, b) and (yield from _all_greater(t, s.args[i + 1:]))
-    return False
+    return pc is not None and pc > 0 and (yield from _all_greater(t, s.args))
 
 
 def _trichotomy(greater: Callable[[Type, Type], bool], t: Type, s: Type) -> Cmp:

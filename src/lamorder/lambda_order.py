@@ -25,7 +25,8 @@ from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
                    mono_mul)
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TermError, TyVar, Type, Var,
-                   arrow_count, is_arrow, is_steady, steady_split, type_of)
+                   arrow_count, is_arrow, is_steady, is_steady_type, steady_split,
+                   type_of)
 
 KBO = "kbo"
 LPO = "lpo"
@@ -386,6 +387,17 @@ class _Base:
         return t.index == s.index and t.ty != s.ty and (t.index >= dt or s.index >= ds)
 
 
+def _rigid(t: Preterm) -> bool:
+    """Whether every variable of ``t`` takes steady arguments only, read off
+    the argument types in its ``all_vars``."""
+    for _, ty in t.all_vars:
+        while is_arrow(ty):
+            a, ty = ty.args
+            if not is_steady_type(a):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # KBO: one head dispatch, two algorithms
 # ---------------------------------------------------------------------------
@@ -475,7 +487,15 @@ class _KboNaive(_Kbo):
 class _KboOpt(_Kbo):
     """Weights and shapes in one interleaved pass: every pair returns its
     weight difference with its verdict, so a parent's difference is rebuilt
-    from its children's instead of being weighed again."""
+    from its children's instead of being weighed again.
+
+    Terms are hash-consed, so ``descend`` decides identical pairs by
+    identity.  Their weight difference is zero, so after the deciding
+    position they are not weighed, and before it a ``_rigid`` one is E
+    without a descent: every head rule matches both of its sides alike, and
+    the one rule that can end an identical pair otherwise,
+    ``same_steady_var`` failing on a variable with a non-steady argument,
+    cannot fire on it."""
 
     # the recursive step, bound in this class's own namespace where the
     # benchmark's call budget and tracer look it up
@@ -498,6 +518,8 @@ class _KboOpt(_Kbo):
         verdict = E
         rest = len(ts)
         for i, (a, b, (k, m)) in enumerate(zip(ts, ss, scales, strict=True)):
+            if a is b and _rigid(a):
+                continue
             w, c = self.process(a, b, depth)
             if not k.is_zero():
                 for mono, coeff in w.items():
@@ -509,7 +531,7 @@ class _KboOpt(_Kbo):
                 rest = i + 1
                 break
         for a, b, (k, m) in zip(ts[rest:], ss[rest:], scales[rest:], strict=True):
-            if not k.is_zero():
+            if a is not b and not k.is_zero():
                 weight_poly(a, self.p, acc=acc, coeff=k, mono=m)
                 weight_poly(b, self.p, acc=acc, coeff=-k, mono=m)
         w = Poly(acc)
@@ -653,11 +675,19 @@ class _LpoOpt(_Lpo):
     the winner; a verdict coming out of a subterm observation is never
     guarded.
 
+    Terms are hash-consed, so ``enter`` decides a ``_rigid`` identical pair
+    by identity, as E, before the memo.  Every head rule matches both of its
+    sides alike, whatever the binder depths, no subterm rule fires, since
+    no proper subterm of a term is at least the term, and the one rule that
+    can end an identical pair otherwise, ``same_steady_var`` failing on a
+    variable with a non-steady argument, cannot fire on it.
+
     The variable condition of reduction orders settles many nonground
     pairs before any of that: ``t`` is at least ``s`` (G, GE or E) only if
     every variable of ``s`` outside parameters occurs in ``t``.  By
     induction over ``dispatch``, such a verdict comes from one of: the
-    memo; ``t is s``; ``cw_ext`` over one variable; a ``scan`` whose strict
+    memo; ``t is s``, at the root or by ``enter``'s short cut for a rigid
+    pair; ``cw_ext`` over one variable; a ``scan`` whose strict
     position ``beats`` the rest of the loser's arguments; equal lambda
     bodies; a winner by heads that ``beats`` all of the loser's immediate
     subterms; a subterm rule.  Each needs, recursively, the variables of
@@ -675,6 +705,8 @@ class _LpoOpt(_Lpo):
         self.memo: Dict[Tuple[Preterm, Preterm, int, int], Cmp] = {}
 
     def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
+        if t is s and _rigid(t):
+            return E
         out = self.memo.get((t, s, dt, ds))
         if out is None and not s.arg_vars <= t.all_vars and not t.arg_vars <= s.all_vars:
             return U

@@ -302,10 +302,13 @@ def default_type_pool(sig: Signature) -> List[Type]:
 
 
 def enum_ground_terms(sig: Signature, ty: Type, max_size: int,
-                      ty_pool: Optional[Sequence[Type]] = None) -> List[Preterm]:
-    """All eta-long ground preterms of the given ground type with size at most
-    max_size.  Complete for monomorphic signatures; polymorphic symbols are
-    instantiated from the type pool only."""
+                      ty_pool: Optional[Sequence[Type]] = None,
+                      var_pool: Sequence[Tuple[str, Type]] = ()) -> List[Preterm]:
+    """All eta-long preterms of the given ground type with size at most
+    max_size whose free variables are among ``var_pool``'s ``(name, type)``
+    pairs, enumerated as extra heads: with the default empty pool, the
+    ground ones.  Complete for monomorphic signatures; polymorphic symbols
+    are instantiated from the type pool only."""
     if not tm.type_is_ground(ty):
         raise OracleError("enumeration target type must be ground")
     pool = list(ty_pool) if ty_pool is not None else default_type_pool(sig)
@@ -322,6 +325,10 @@ def enum_ground_terms(sig: Signature, ty: Type, max_size: int,
                 arg_tys, base = split_arrows(body)
                 if base == target:
                     yield ("sym", name, tuple(inst), param_tys, arg_tys)
+        for name, vty in var_pool:
+            arg_tys, base = split_arrows(vty)
+            if base == target:
+                yield ("var", name, vty, (), arg_tys)
 
     def enum(binders: Tuple[Type, ...], target: Type, budget: int) -> Tuple[Preterm, ...]:
         if budget <= 0:
@@ -345,6 +352,8 @@ def enum_ground_terms(sig: Signature, ty: Type, max_size: int,
                                                   budget - 1 - psize):
                         if kind == "db":
                             out.append(Db(ident, ty_or_inst, args))
+                        elif kind == "var":
+                            out.append(Var(ident, ty_or_inst, args))
                         else:
                             out.append(Sym(ident, ty_or_inst, params, args))
         result = tuple(out)

@@ -669,11 +669,14 @@ def strip_lams(t: Preterm) -> Preterm:
 # Structural predicates and helpers
 # ---------------------------------------------------------------------------
 
-def is_steady(t: Preterm, sig: Signature) -> bool:
-    """True iff the type is a constructor other than the arrow: such arguments
-    behave first-orderly under substitution."""
-    ty = type_of(t, sig)
+def is_steady_type(ty: Type) -> bool:
+    """True iff the type is a constructor other than the arrow: arguments of
+    such a type behave first-orderly under substitution."""
     return isinstance(ty, TyCon) and ty.name != ARROW
+
+
+def is_steady(t: Preterm, sig: Signature) -> bool:
+    return is_steady_type(type_of(t, sig))
 
 
 def steady_split(args: Sequence[Preterm], sig: Signature) -> Tuple[Tuple[Preterm, ...], Tuple[Preterm, ...]]:

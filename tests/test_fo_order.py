@@ -166,9 +166,11 @@ def test_type_order_dispatch():
 
 def test_lpo_decides_each_pair_once(monkeypatch):
     """One memo serves both directions of a comparison, and each pair's
-    rules run once: 132 pairs at d = 10.  Trying the subterm rule first
-    revisits pairs: on the chains f^d(a) and f^d(b) the same rules without
-    the memo make 2^(d+2) - 2 calls, 4094 at d = 10."""
+    rules run once.  On the chains f^d(a) and f^d(b) the lexicographic step
+    comes before the subterm rule, so each direction decides one pair per
+    level: 2d + 2 rule runs, 22 at d = 10 and 2,002 at d = 1,000.  Trying
+    the subterm rule first decided a quadratic number of pairs (132 at
+    d = 10), and without the memo made 2^(d+2) - 2 calls, 4094 at d = 10."""
     from lamorder import fo_order
     from lamorder.checks import bench_signature, deep_chain_pair
     from lamorder.oracle import oracle_compare
@@ -180,16 +182,18 @@ def test_lpo_decides_each_pair_once(monkeypatch):
         return rules(*args)
     monkeypatch.setattr(fo_order, "_lpo_rules", counted)
     _, _, lpo = bench_signature()
-    assert oracle_compare(*deep_chain_pair(10), lpo) is Cmp.L
-    assert calls[0] == 132
-    assert oracle_compare(*deep_chain_pair(200), lpo) is Cmp.L
+    for d in (10, 200, 1000):
+        calls[0] = 0
+        assert oracle_compare(*deep_chain_pair(d), lpo) is Cmp.L
+        assert calls[0] == 2 * d + 2
 
 
 def test_deep_terms_at_a_low_recursion_limit():
     """Neither order recurses: the KBO's same-head descent is a loop, and
-    the LPO's pairs are an explicit stack.  The LPO decides a quadratic
-    number of pairs on these families, so it is checked at depth 600, past
-    the 493 where a recursive LPO ran out of stack at this limit."""
+    the LPO's pairs are an explicit stack.  The LPO decides a number of
+    pairs linear in the depth on both families (2d + 2 on the chains), so
+    both orders are checked at depth 10,000, far past the 493 where a
+    recursive LPO ran out of stack at this limit."""
     import sys
     from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair
     from lamorder.oracle import oracle_compare
@@ -197,8 +201,8 @@ def test_deep_terms_at_a_low_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for params, depth in ((kbo, 10000), (lpo, 600)):
+        for params in (kbo, lpo):
             for family in (deep_chain_pair, adversarial_lpo_pair):
-                assert oracle_compare(*family(depth), params) is Cmp.L
+                assert oracle_compare(*family(10000), params) is Cmp.L
     finally:
         sys.setrecursionlimit(limit)

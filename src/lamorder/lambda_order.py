@@ -304,9 +304,13 @@ def weight_poly(t: Preterm, p: OrderParams, *,
             m = mono_mul(mono, (KInd(key, i + 1),))
             weight_poly(a, p, acc=acc, coeff=coeff, mono=m)
             _add_term(acc, m, coeff, minus_db)
-    if not isinstance(t, Lam):
+    if isinstance(t, (Sym, Db)):
+        # slack for eta-expansion: a lambda and an index each.  A variable
+        # takes none: an instance of it may drop the index, as x := λ.u with
+        # u ignoring its argument does, and its W indeterminate already
+        # ranges over the instance's weight
         ty = type_of(t, p.sig)
-        if isinstance(ty, TyVar):   # slack for eta-expansion: a lambda and an index each
+        if isinstance(ty, TyVar):
             _add_term(acc, mono_mul(mono, (HInd(ty.name),)), coeff, ord_add(p.w_lam, p.w_db))
     return Poly(acc) if top else None
 
@@ -336,9 +340,6 @@ def collect_indet_reps(t: Preterm, p: OrderParams) -> Dict[Indet, Tuple]:
         if isinstance(u, Lam):
             stack.append(u.body)
             continue
-        ty = type_of(u, p.sig)
-        if isinstance(ty, TyVar):   # after the arguments, as weight_poly adds it
-            stack.append((HInd(ty.name), ("h", ty.name, ())))
         if isinstance(u, Var):
             prefix, suffix = steady_split(u.args, p.sig)
             key = var_key(u.name, u.ty, prefix, p)
@@ -346,8 +347,11 @@ def collect_indet_reps(t: Preterm, p: OrderParams) -> Dict[Indet, Tuple]:
             reps.setdefault(WInd(key), origin)
             for i in reversed(range(len(suffix))):
                 stack += (suffix[i], (KInd(key, i + 1), origin))
-        else:
-            stack += reversed(u.args)
+            continue
+        ty = type_of(u, p.sig)
+        if isinstance(ty, TyVar):   # after the arguments, as weight_poly adds it
+            stack.append((HInd(ty.name), ("h", ty.name, ())))
+        stack += reversed(u.args)
     return reps
 
 

@@ -249,7 +249,6 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
         prefix2 = tuple(tm.apply_subst(a, theta, p.sig) for a in prefix)
         wdb = const_poly(p.w_db)
         wlam = const_poly(p.w_lam)
-        eta_count = eta_expansion_count(tail2)
 
         if pending and not all(is_steady(e, p.sig) for e in e_args):
             # the pending steady arguments would migrate into the key itself,
@@ -277,8 +276,6 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
             acc = acc + indet_poly(KInd(key2, j)) * (weight_poly(a, p) - wdb)
         if c:
             acc = acc + wlam.scale(from_int(c))
-        if eta_count:
-            acc = acc - (wlam + wdb).scale(from_int(eta_count))
         out[ind] = acc
     return out
 

@@ -2,34 +2,27 @@
 
 Each test prints one PASS line (visible with ``pytest -s`` or in captured
 output).  The exhaustive corpora and their comparison tables are shared
-session-wide, because several criteria consume the same pairs.
+session-wide, because several criteria consume the same pairs.  On
+generated signatures, criteria 5-13 run the property families of
+``lamorder.checks`` at fixed seeds and trial counts, and assert a floor on
+their witnesses, the trials that reach a family's check.
 """
 
-import itertools
+import os
 import random
 import time
 
 import pytest
 
-from lamorder.cmp import Cmp, E, G, GE, L, LE, U, flip
-from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types,
-                          gen_grounding_subst, gen_monomorphizing_subst,
-                          gen_signature, gen_var_types)
-from lamorder.lambda_order import (KBO, LPO, OrderParams, collect_indet_reps,
-                                   compare, compare_kbo_naive, compare_kbo_opt,
-                                   compare_lpo_naive, compare_lpo_opt,
+from lamorder.checks import FAMILIES
+from lamorder.cmp import E, G, L, U, flip
+from lamorder.lambda_order import (KBO, LPO, OrderParams, compare, compare_kbo_naive,
+                                   compare_kbo_opt, compare_lpo_naive, compare_lpo_opt,
                                    reset_weight_calls, weight_calls, weight_poly)
-from lamorder.oracle import (assignment_from_grounding, enum_ground_terms,
-                             oracle_compare, poly_subst_from_monomorphizing)
+from lamorder.oracle import enum_ground_terms, oracle_compare
 from lamorder.ordinal import from_int
 from lamorder.parse import parse_signature_file, parse_term_file
-from lamorder.poly import subst_poly
-from lamorder.term import (Lam, Signature, Sym, TyCon, TyVar, TypeDecl, Var,
-                           accessible_positions, app, apply_subst, arrow, arrows,
-                           is_ground, normalize, refers_to_outer_binders,
-                           replace_at, shift, subterm_at, type_of)
-
-import os
+from lamorder.term import Signature, Sym, TyCon, TyVar, TypeDecl, Var, arrow, arrows
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 ALGOS = {KBO: (compare_kbo_naive, compare_kbo_opt),
@@ -108,17 +101,6 @@ def ground_tables(corpora):
     return tables
 
 
-@pytest.fixture(scope="session")
-def random_env():
-    cfg = GenConfig(seed=20240817)
-    sig, kbo, lpo = gen_signature(cfg)
-    rng = random.Random(20240817)
-    vt = gen_var_types(rng, cfg, sig)
-    gen = TermGen(rng, sig, var_types=vt)
-    bases = [TyCon("iota"), TyCon("kappa")]
-    return sig, kbo, lpo, rng, gen, bases
-
-
 # ---------------------------------------------------------------------------
 # 1-4: the worked examples, from the shipped fixture files
 # ---------------------------------------------------------------------------
@@ -190,7 +172,7 @@ def test_c04_example4():
 
 
 # ---------------------------------------------------------------------------
-# 5-6: oracle equivalence and ground trichotomy
+# 5-6: oracle equivalence and ground trichotomy on the exhaustive corpora
 # ---------------------------------------------------------------------------
 
 def test_c05_c06_oracle_equivalence_and_trichotomy(corpora, ground_tables):
@@ -212,22 +194,6 @@ def test_c05_c06_oracle_equivalence_and_trichotomy(corpora, ground_tables):
             for i in range(len(terms)):
                 j = (i * 7 + 3) % len(terms)
                 assert naive(terms[i], terms[j], p) == table[(i, j)]
-    # random ground pairs on the generated signature
-    cfg = GenConfig(seed=99)
-    sig, kbo, lpo = gen_signature(cfg)
-    rng = random.Random(99)
-    gen = TermGen(rng, sig)
-    bases = [TyCon("iota"), TyCon("kappa")]
-    for n in range(2500):
-        ty = rng.choice(bases + [arrow(bases[0], bases[1])])
-        t = gen.gen(ty, 8, ground=True)
-        s = gen.gen(ty, 8, ground=True)
-        for kind, p in ((KBO, kbo), (LPO, lpo)):
-            want = oracle_compare(t, s, p)
-            assert want in (G, E, L)
-            for fn in ALGOS[kind]:
-                assert fn(t, s, p) == want
-            pairs += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120, "oracle suite took %.1fs" % elapsed
     ok("c05-oracle-equivalence", "%d pairs, %.1fs" % (pairs, elapsed))
@@ -235,112 +201,7 @@ def test_c05_c06_oracle_equivalence_and_trichotomy(corpora, ground_tables):
 
 
 # ---------------------------------------------------------------------------
-# 7: naive/optimized equivalence
-# ---------------------------------------------------------------------------
-
-def test_c07_naive_optimized_equivalence():
-    start = time.perf_counter()
-    cfg = GenConfig(seed=4242, polymorphic=True)
-    sig, kbo, lpo = gen_signature(cfg)
-    rng = random.Random(4242)
-    vt = gen_var_types(rng, cfg, sig, polymorphic=True)
-    gen = TermGen(rng, sig, var_types=vt, poly_ty_vars=["a0", "a1"])
-    bases = [TyCon("iota"), TyCon("kappa")]
-    tys = bases + [arrow(bases[0], bases[1]), TyVar("a0")]
-    for kind, p in ((KBO, kbo), (LPO, lpo)):
-        naive, opt = ALGOS[kind]
-        for n in range(10000):
-            ty = rng.choice(tys)
-            if n % 3 == 0:
-                t = gen.gen(ty, 8, ground=False)
-                pos = accessible_positions(t)
-                path, _ = rng.choice(pos)
-                sub = subterm_at(t, path)
-                try:
-                    s = replace_at(t, path, gen.gen(type_of(sub, sig), 5,
-                                                    ground=False))
-                except Exception:
-                    s = gen.gen(ty, 8, ground=False)
-            else:
-                t = gen.gen(ty, 8, ground=False)
-                s = gen.gen(rng.choice(tys), 8, ground=False)
-            assert naive(t, s, p) == opt(t, s, p), "%r vs %r" % (t, s)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 120, "equivalence suite took %.1fs" % elapsed
-    ok("c07-naive-opt", "20000 pairs, %.1fs" % elapsed)
-
-
-# ---------------------------------------------------------------------------
-# 8: stability under grounding and monomorphizing substitutions
-# ---------------------------------------------------------------------------
-
-def test_c08_grounding_stability(random_env):
-    sig, kbo, lpo, rng, gen, bases = random_env
-    witnesses = 0
-    tries = 0
-    while witnesses < 1000 and tries < 40000:
-        tries += 1
-        kind, p = (KBO, kbo) if tries % 2 else (LPO, lpo)
-        ty = rng.choice(bases + [arrow(bases[0], bases[0])])
-        t = gen.gen(ty, 8, ground=False)
-        s = gen.gen(ty, 8, ground=False)
-        c = compare(t, s, p)
-        if c in (L, LE):
-            t, s, c = s, t, flip(c)
-        if c not in (G, GE):
-            continue
-        fv = dict(free_var_types(t))
-        fv.update(free_var_types(s))
-        for _ in range(10):
-            theta = gen_grounding_subst(rng, sig, fv)
-            cg = compare(apply_subst(t, theta, sig), apply_subst(s, theta, sig), p)
-            if c is G:
-                assert cg is G, "G collapsed to %s" % cg
-            else:
-                assert cg in (G, E), "GE collapsed to %s" % cg
-        witnesses += 1
-    assert witnesses >= 1000
-    ok("c08a-grounding-stability", "%d witnesses x 10 groundings" % witnesses)
-
-
-def test_c08_monomorphizing_stability():
-    cfg = GenConfig(seed=777, polymorphic=True)
-    sig, kbo, lpo = gen_signature(cfg)
-    rng = random.Random(777)
-    vt = gen_var_types(rng, cfg, sig, polymorphic=True)
-    gen = TermGen(rng, sig, var_types=vt, poly_ty_vars=["a0", "a1"])
-    bases = [TyCon("iota"), TyCon("kappa")]
-    tys = bases + [TyVar("a0"), TyVar("a1"), arrow(bases[0], bases[1])]
-    witnesses = 0
-    tries = 0
-    while witnesses < 1000 and tries < 60000:
-        tries += 1
-        kind, p = (KBO, kbo) if tries % 2 else (LPO, lpo)
-        ty = rng.choice(tys)
-        t = gen.gen(ty, 8, ground=False)
-        s = gen.gen(ty, 8, ground=False)
-        c = compare(t, s, p)
-        if c in (L, LE):
-            t, s, c = s, t, flip(c)
-        if c not in (G, GE):
-            continue
-        tyvars = sorted(set(free_ty_vars(t)) | set(free_ty_vars(s)))
-        if not tyvars:
-            continue
-        for _ in range(10):
-            theta = gen_monomorphizing_subst(rng, sig, tyvars)
-            cg = compare(apply_subst(t, theta, sig), apply_subst(s, theta, sig), p)
-            if c is G:
-                assert cg is G, "%s: G became %s on %r / %r" % (kind, cg, t, s)
-            else:
-                assert cg in (G, GE, E), "%s: GE became %s" % (kind, cg)
-        witnesses += 1
-    assert witnesses >= 1000
-    ok("c08b-monomorphizing-stability", "%d witnesses x 10 instantiations" % witnesses)
-
-
-# ---------------------------------------------------------------------------
-# 9: transitivity
+# 9: transitivity on the exhaustive corpora
 # ---------------------------------------------------------------------------
 
 def test_c09_transitivity(corpora, ground_tables):
@@ -369,83 +230,40 @@ def test_c09_transitivity(corpora, ground_tables):
                 else:
                     assert c3 is E
                 checked += 1
-    # nonground chains exercise the nonstrict verdicts
-    cfg = GenConfig(seed=5150)
-    sig, kbo, lpo = gen_signature(cfg)
-    rng2 = random.Random(5150)
-    vt = gen_var_types(rng2, cfg, sig)
-    gen = TermGen(rng2, sig, var_types=vt)
-    bases = [TyCon("iota"), TyCon("kappa")]
-    for _ in range(4000):
-        kind, p = (KBO, kbo) if rng2.random() < 0.5 else (LPO, lpo)
-        ty = rng2.choice(bases + [arrow(bases[0], bases[0])])
-        u = gen.gen(ty, 7, ground=False)
-        t = gen.gen(ty, 7, ground=False)
-        s = gen.gen(ty, 7, ground=False)
-        cut, cts = compare(u, t, p), compare(t, s, p)
-        if cut in (G, GE, E) and cts in (G, GE, E):
-            cus = compare(u, s, p)
-            assert cus in (G, GE, E), "%s chain broke: %s,%s -> %s" % (kind, cut, cts, cus)
-            if cut is G or cts is G:
-                assert cus is G
-            checked += 1
     assert checked >= 100000, "only %d comparable chains" % checked
     ok("c09-transitivity", "%d comparable chains" % checked)
 
 
 # ---------------------------------------------------------------------------
-# 10: rewrite-context properties
+# 5-13 on generated signatures: the property families of lamorder.checks
 # ---------------------------------------------------------------------------
 
-def test_c10_context_properties(random_env):
-    sig, kbo, lpo, rng, gen, bases = random_env
-    compat = 0
-    subterm = 0
-    while compat < 1000:
-        kind, p = (KBO, kbo) if compat % 2 else (LPO, lpo)
-        ty = rng.choice(bases)
-        t = gen.gen(ty, 6, ground=True)
-        s = gen.gen(ty, 6, ground=True)
-        if compare(t, s, p) is not G:
-            continue
-        host = gen.gen(rng.choice(bases + [arrow(bases[0], bases[0])]), 8, ground=True)
-        spots = [(path, d) for path, d in accessible_positions(host)
-                 if type_of(subterm_at(host, path), sig) == ty]
-        if not spots:
-            continue
-        path, depth = rng.choice(spots)
-        assert compare(replace_at(host, path, t), replace_at(host, path, s), p) is G
-        compat += 1
-    while subterm < 1000:
-        kind, p = (KBO, kbo) if subterm % 2 else (LPO, lpo)
-        u = gen.gen(rng.choice(bases + [arrow(bases[0], bases[0])]), 8, ground=True)
-        path, depth = rng.choice(accessible_positions(u))
-        sub = subterm_at(u, path)
-        if refers_to_outer_binders(sub, depth):
-            continue
-        s = shift(sub, -depth) if depth else sub
-        assert compare(u, s, p) in (G, E)
-        subterm += 1
-    ok("c10-context-properties", "1000 compatibility + 1000 subterm witnesses")
+# criterion, family, seed, trials, witness floor.  A witness is a trial that
+# reaches the family's check; the trial counts were chosen from each
+# family's witness rate before the first run, with room to spare.
+# naive-opt-equal compares at least one pair per trial.
+FAMILY_CRITERIA = [
+    ("c05-oracle-equivalence", "oracle-equivalence", 99, 5000, 5000),
+    ("c06-ground-trichotomy", "ground-total", 99, 5000, 5000),
+    ("c07-naive-opt", "naive-opt-equal", 4242, 20000, 20000),
+    ("c08a-grounding-stability", "grounding-stable", 20240817, 2500, 1000),
+    ("c08b-monomorphizing-stability", "monomorphizing-stable", 777, 7000, 1000),
+    ("c09-transitivity", "transitive", 5150, 5000, 300),
+    ("c10-context-compatibility", "context-compatible", 20240817, 6000, 1000),
+    ("c10-subterm-property", "subterm-property", 20240817, 1300, 1000),
+    ("c11-diff-requirement", "diff-dominated", 20240817, 1000, 1000),
+    ("c13-weight-grounding", "weight-grounding-lemma", 1212, 1000, 1000),
+    ("c13-weight-monomorphizing", "weight-monomorphizing-lemma", 2323, 5500, 1000),
+]
 
 
-# ---------------------------------------------------------------------------
-# 11: the difference-witness requirement
-# ---------------------------------------------------------------------------
-
-def test_c11_diff_requirement(random_env):
-    sig, kbo, lpo, rng, gen, bases = random_env
-    for kind, p in ((KBO, kbo), (LPO, lpo)):
-        for n in range(500):
-            fun_ty = arrow(rng.choice(bases), rng.choice(bases))
-            u = gen.gen(fun_ty, 7, ground=True)
-            s = gen.gen(fun_ty, 5, ground=True)
-            t = gen.gen(fun_ty, 5, ground=True)
-            skolem = Sym("diff", tuple(fun_ty.args), (s, t))
-            applied = normalize(app(u, skolem), sig)
-            assert compare(u, applied, p) is G, \
-                "%s: %r does not dominate its difference application" % (kind, u)
-    ok("c11-diff-requirement", "500 instances per order kind, all G")
+@pytest.mark.parametrize("criterion, name, seed, trials, floor", FAMILY_CRITERIA,
+                         ids=[row[0] for row in FAMILY_CRITERIA])
+def test_family_criterion(criterion, name, seed, trials, floor):
+    res = FAMILIES[name](seed, trials)
+    assert res.ok, res.counterexample
+    assert res.witnesses >= floor, "%d witnesses, want %d" % (res.witnesses, floor)
+    ok(criterion, res.line())
 
 
 # ---------------------------------------------------------------------------
@@ -463,50 +281,6 @@ def test_c12_top_bot_minimality(corpora):
             assert compare(t, top, p) is G, "%r fails against top" % (t,)
             assert compare(t, bot, p) is G, "%r fails against bot" % (t,)
     ok("c12-top-bot-minimality", "%d enumerated terms beat both constants" % len(terms))
-
-
-# ---------------------------------------------------------------------------
-# 13: weight transport lemmas
-# ---------------------------------------------------------------------------
-
-def test_c13_weight_lemmas():
-    cfg = GenConfig(seed=1212)
-    sig, kbo, _ = gen_signature(cfg)
-    rng = random.Random(1212)
-    vt = gen_var_types(rng, cfg, sig)
-    gen = TermGen(rng, sig, var_types=vt)
-    bases = [TyCon("iota"), TyCon("kappa")]
-    for _ in range(1000):
-        t = gen.gen(rng.choice(bases + [arrow(bases[0], bases[1])]), 9, ground=False)
-        reps = collect_indet_reps(t, kbo)
-        w = weight_poly(t, kbo)
-        theta = gen_grounding_subst(rng, sig, free_var_types(t))
-        lhs = subst_poly(w, assignment_from_grounding(theta, reps, kbo))
-        rhs = weight_poly(apply_subst(t, theta, sig), kbo)
-        assert lhs == rhs, "grounding transport failed on %r" % (t,)
-
-    cfgp = GenConfig(seed=2323, polymorphic=True)
-    sigp, kbop, _ = gen_signature(cfgp)
-    rngp = random.Random(2323)
-    vtp = gen_var_types(rngp, cfgp, sigp, polymorphic=True)
-    genp = TermGen(rngp, sigp, var_types=vtp, poly_ty_vars=["a0", "a1"])
-    tys = [TyCon("iota"), TyCon("kappa"), TyVar("a0"),
-           arrow(TyCon("iota"), TyCon("kappa"))]
-    done = 0
-    while done < 1000:
-        t = genp.gen(rngp.choice(tys), 8, ground=False)
-        tyvars = free_ty_vars(t)
-        if not tyvars:
-            continue
-        theta = gen_monomorphizing_subst(rngp, sigp, tyvars, flat=True)
-        reps = collect_indet_reps(t, kbop)
-        w = weight_poly(t, kbop)
-        mapping = poly_subst_from_monomorphizing(theta, reps, kbop)
-        lhs = subst_poly(w, mapping)
-        rhs = weight_poly(apply_subst(t, theta, sigp), kbop)
-        assert lhs == rhs, "monomorphizing transport failed on %r" % (t,)
-        done += 1
-    ok("c13-weight-lemmas", "1000 grounding + 1000 monomorphizing instances")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ smoke test showing the differential harness actually detects mutations."""
 
 import pytest
 
-from lamorder.checks import (FAMILIES, _mutated_params, oracle_equivalence_mutated,
-                             run_families)
+from lamorder.checks import (FAMILIES, SKIP, _mutated_params, _trials,
+                             oracle_equivalence_mutated, run_families)
 from lamorder.gen import GenConfig, gen_signature
 
 NAMES = [
@@ -29,6 +29,15 @@ def test_every_family_passes_briefly():
         res = fn(11, 40)
         assert res.ok, "%s: %s" % (name, res.counterexample)
         assert res.trials == 40
+        assert 0 <= res.witnesses <= res.trials
+
+
+def test_skipped_trials_are_not_witnesses():
+    outcomes = [None, SKIP, "first", SKIP, "second", None]
+    res = _trials("probe", lambda env, rng, i: outcomes[i], False, 0, len(outcomes))
+    assert (res.trials, res.witnesses, res.failures) == (6, 4, 2)
+    assert res.counterexample == "first"
+    assert "witnesses=4 " in res.line()
 
 
 def test_run_families_filter():

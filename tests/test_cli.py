@@ -168,7 +168,11 @@ def test_check_subset_of_families(capsys):
                        "--families", "ground-total", "subterm-property")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("PROP")]
-    assert len(lines) == 2
+    # every ground-total trial is a witness; a subterm-property trial whose
+    # chosen subterm refers to an outer binder is not
+    assert [l.split()[1:] for l in lines] == [
+        ["ground-total", "trials=10", "witnesses=10", "failures=0"],
+        ["subterm-property", "trials=10", "witnesses=9", "failures=0"]]
 
 
 @pytest.mark.parametrize("iters", ["10", "0"])

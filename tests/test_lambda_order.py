@@ -282,6 +282,41 @@ def test_kbo_guard_blocks_variable_typed_comparison(polysig):
     assert both(KBO_ALGOS, h, poly_a, kbo) is U
 
 
+def _eta_dropping_pairs():
+    """Two pairs whose larger-looking side holds x2 : a0.  The instance
+    a0 := ι → ι, x2 := λι. pany<ι> eta-expands x2 to a lambda whose body
+    ignores its index, so no eta slack on x2 is earned.  The first pair is
+    under the generated polymorphic signature of seed 0, the second under
+    pany < f < pfun, with both sides of type kappa."""
+    kappa, a0 = TyCon("kappa"), TyVar("a0")
+    x2 = Var("x2", a0)
+    gen_sig, gen_kbo, _ = gen_signature(GenConfig(seed=0, polymorphic=True))
+    sig = Signature()
+    sig.add_type("iota", 0)
+    sig.add_type("kappa", 0)
+    sig.add_symbol("pany", TypeDecl(("P",), (), TyVar("P")))
+    sig.add_symbol("pfun", TypeDecl(("P",), (), arrow(TyVar("P"), kappa)))
+    sig.add_symbol("f", TypeDecl((), (), arrow(kappa, kappa)))
+    kbo = OrderParams(sig, KBO, prec=["pany", "f", "pfun"])
+    pfun_x2 = Sym("pfun", (a0,), (), (x2,))
+    pany = Sym("pany", (a0,))
+    return [(gen_sig, gen_kbo, pfun_x2, pany),
+            (sig, kbo, Sym("f", (), (), (pfun_x2,)), Sym("pfun", (a0,), (), (pany,)))]
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+def test_variable_of_type_variable_type_takes_no_eta_slack(pair):
+    sig, kbo, t, s = _eta_dropping_pairs()[pair]
+    t, s = normalize(t, sig), normalize(s, sig)
+    assert both(KBO_ALGOS, t, s, kbo) is not G
+    iota = TyCon("iota")
+    mono = Substitution(ty_map={"a0": arrow(iota, iota)})
+    ground = Substitution(term_map={
+        ("x2", arrow(iota, iota)): normalize(Lam(iota, Sym("pany", (iota,))), sig)})
+    tg, sg = (apply_subst(apply_subst(u, mono, sig), ground, sig) for u in (t, s))
+    assert oracle_compare(tg, sg, kbo) is L
+
+
 # ---------------------------------------------------------------------------
 # Pseudocode combinators
 # ---------------------------------------------------------------------------
@@ -844,7 +879,8 @@ def _reference_weight(t, p, reps, visited):
     """The weight polynomial built node by node with Poly arithmetic, the
     definition the one-pass accumulator must reproduce.  ``visited`` counts
     the nodes it weighs: a variable's arguments before its steady suffix are
-    part of its key and are not weighed."""
+    part of its key and are not weighed.  Symbols and indices of type-variable
+    type take the eta slack; variables do not."""
     visited[0] += 1
 
     def eta(ty):
@@ -873,7 +909,7 @@ def _reference_weight(t, p, reps, visited):
         reps.setdefault(KInd(key, i + 1), (t.name, t.ty, prefix))
         acc = acc + indet_poly(KInd(key, i + 1)) * (
             _reference_weight(a, p, reps, visited) - const_poly(p.w_db))
-    return acc + eta(type_of(t, p.sig))
+    return acc
 
 
 @pytest.mark.parametrize("ordinal_weights", [False, True])

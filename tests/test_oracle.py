@@ -17,7 +17,7 @@ from lamorder.oracle import (DbKey, FKey, LamKey, OracleError,
                              enum_ground_terms, make_fo_params, oracle_compare,
                              oracle_weight, poly_subst_from_monomorphizing)
 from lamorder.ordinal import from_int
-from lamorder.poly import HInd, KInd, WInd, const_poly, subst_poly
+from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly, subst_poly
 from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TyCon, TyVar,
                            TypeDecl, Var, app, apply_subst, arrow, arrows,
                            normalize, size)
@@ -255,12 +255,17 @@ def test_monomorphizing_substitution_examples():
     s = Signature()
     s.add_type("k", 0)
     s.add_symbol("a", TypeDecl((), (), K))
-    kbo = OrderParams(s, KBO, prec=["a"])
+    s.add_symbol("c", TypeDecl(("P",), (), TyVar("P")))
+    kbo = OrderParams(s, KBO, prec=["a", "c"])
     alpha = TyVar("alpha")
     x = Var("x", alpha)
-    reps = collect_indet_reps(x, kbo)
-    w = weight_poly(x, kbo)
-    assert HInd("alpha") in {i for m, _ in w.items() for i in m}
+    c = Sym("c", (alpha,))
+    # a constant of type alpha takes the eta slack of a lambda and an index;
+    # a variable of that type takes none, since an instance of it may drop
+    # the index (x := λ.u with u ignoring its argument)
+    assert weight_poly(c, kbo) == const_poly(1) + const_poly(2) * indet_poly(HInd("alpha"))
+    assert weight_poly(x, kbo) == const_poly(1) + indet_poly(WInd(x))
+    reps = {**collect_indet_reps(x, kbo), **collect_indet_reps(c, kbo)}
 
     # eta counts: (k->k)->k causes 2, k causes 0
     theta2 = Substitution(ty_map={"alpha": arrow(arrow(K, K), K)})
@@ -270,8 +275,7 @@ def test_monomorphizing_substitution_examples():
     theta0 = Substitution(ty_map={"alpha": K})
     mapping0 = poly_subst_from_monomorphizing(theta0, reps, kbo)
     assert mapping0[HInd("alpha")] == const_poly(0)
-    assert mapping0[WInd(Var("x", alpha))] == \
-        const_poly(0) + __import__("lamorder.poly", fromlist=["indet_poly"]).indet_poly(WInd(Var("x", K)))
+    assert mapping0[WInd(x)] == indet_poly(WInd(Var("x", K)))
 
 
 def test_monomorphizing_weight_lemma_flat_types():

@@ -4,12 +4,15 @@
     lamorder check   [--seed N] [--iters N] [--families NAME ...]
 
 compare prints exactly one of G GE E LE L U.  Exit codes: 0 success,
-1 invalid input or comparison error, 2 property failure.
+1 invalid input or comparison error, 2 property failure, 141 the reader of
+the output closed it early (128 + SIGPIPE, a shell's status for a writer
+that a broken pipe ends).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -17,6 +20,8 @@ from . import checks
 from .lambda_order import DepthError, LeakTypeMismatch, OrderError, compare
 from .parse import ParseError, parse_signature_file, parse_term_file
 from .term import TermError
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _cmd_compare(args) -> int:
@@ -86,7 +91,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_chk.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

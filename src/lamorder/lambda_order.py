@@ -700,7 +700,25 @@ class _LpoOpt(_Lpo):
     condition leaves out ``s``'s parameters and counts all of ``t``, the
     sets ``arg_vars`` of ``s`` and ``all_vars`` of ``t``.  ``enter``
     returns U when the condition fails both ways, and ``leave`` skips the
-    subterm rule of a side that fails it."""
+    subterm rule of a side that fails it.
+
+    Three short cuts skip a call whose answer is known:
+
+    - ``check_subs`` passes a subterm ``a`` unless ``s.arg_vars <=
+      a.all_vars``: by the condition above, ``compare(a, s)`` is then L,
+      LE or U, never at least.
+    - ``beats`` passes a loser argument ``b`` that is one of the winner's
+      own ``args`` (of a ``Sym`` or ``Db`` head only: parameters and a
+      variable's arguments are not subterms the rule consults, and a
+      lambda's body lies under a binder) when ``b`` is rigid: the subterm
+      rule gives ``t > b``, since ``b`` against ``b`` is E by ``enter``'s
+      short cut.
+    - ``scan`` passes a rigid identical position, which ``enter`` would
+      answer E, as ``_KboOpt.descend`` does.
+
+    The naive LPO keeps the shared ``_Lpo.check_subs``: its call count
+    decides which benchmark pairs fit the call budget, and the filter
+    there would change them."""
 
     compare = _Lpo.dispatch
 
@@ -732,10 +750,25 @@ class _LpoOpt(_Lpo):
         self.memo[t, s, dt, ds] = out
         return out
 
+    def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
+        """The subterm rule, past each of ``ts`` that fails the variable
+        condition against ``s``."""
+        vs = s.arg_vars
+        for a in ts:
+            if vs <= a.all_vars:
+                c = self.compare(a, s, dts, ds)
+                if c is G or c is GE or c is E:
+                    return True
+        return False
+
     def beats(self, t: Preterm, dt: int, ss: Sequence[Preterm], ds: int) -> Cmp:
         """One scan of ss: G when t strictly beats all of them, L when one of
-        them dominates t, U otherwise."""
+        them dominates t, U otherwise.  A rigid one of t's own arguments is
+        passed: t beats it by the subterm rule."""
+        own = t.args if isinstance(t, (Sym, Db)) else ()
         for i, b in enumerate(ss):
+            if b in own and _rigid(b):     # by identity, as terms compare
+                continue
             c = self.compare(t, b, dt, ds)
             if c is G:
                 continue
@@ -751,6 +784,8 @@ class _LpoOpt(_Lpo):
         after i, or all of them when i is a parameter."""
         verdict = E
         for i in range(len(ts)):
+            if ts[i] is ss[i] and _rigid(ts[i]):
+                continue
             c = self.compare(ts[i], ss[i], dt, ds)
             if c is G:
                 c = self.beats(t, dt, ss[max(i + 1, np):], ds)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from lamorder.cli import main
+import lamorder
+from lamorder.cli import EXIT_BROKEN_PIPE, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -184,14 +185,39 @@ def test_check_rejects_unknown_family(capsys, iters):
     assert err.startswith("error: ") and "ground-totl" in err
 
 
+def _cli_env(**extra):
+    """The environment of a ``lamorder.cli`` subprocess that imports the
+    package these tests import."""
+    src = os.path.dirname(os.path.dirname(lamorder.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_check_output_is_the_same_under_any_string_hash_seed():
     """Interned values hash by identity and strings by PYTHONHASHSEED, so no
     output may depend on the order of a set or a hash."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = [subprocess.run([sys.executable, "-m", "lamorder.cli", "check", "--seed", "0",
                             "--iters", "20"], capture_output=True, check=True,
-                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout
+                           env=_cli_env(PYTHONHASHSEED=seed)).stdout
             for seed in ("0", "1")]
     assert outs[0] == outs[1]
     assert outs[0].endswith(b"CHECK 20 families, 0 failing\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_check_into_a_closed_pipe_exits_quietly(unbuffered):
+    """A reader that closes the pipe early, as ``| head -1`` does, ends the
+    run with the broken-pipe status and no traceback, whether the output
+    breaks at a line or at the flush before exit."""
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "lamorder.cli", "check", "--seed", "0",
+                             "--iters", "5"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -677,7 +677,9 @@ def test_naive_lpo_call_counts_are_pinned():
     """The naive LPO is the reference whose call count decides which bench
     pairs are timed: pin its calls on the adversarial nests, both directions
     summed.  On the generated nonground pairs pin the optimized LPO's calls
-    too, which the variable condition cuts: without it, 1,816."""
+    too, which the variable condition cuts: without it, 1,816.  Before
+    its ``check_subs``, ``beats`` and ``scan`` passed the subterms, own
+    arguments and identical positions whose answer is known, 666."""
     from lamorder.checks import adversarial_lpo_pair, bench_signature
     Spy, calls = _counting_lpo()
     OptSpy, opt_calls = _counting_lpo(_LpoOpt)
@@ -703,7 +705,7 @@ def test_naive_lpo_call_counts_are_pinned():
         if t != s:
             compares += 1
             assert Spy(glpo).compare(t, s) is OptSpy(glpo).compare(t, s)
-    assert (calls[0], opt_calls[0], compares) == (5507, 666, 286)
+    assert (calls[0], opt_calls[0], compares) == (5507, 644, 286)
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +763,12 @@ def test_identical_arguments_cost_no_descent():
     """A pair that differs in one argument of a deep shared context costs
     only the differing argument.  Against g(b, T) and g(a, T), with T the
     chain f^50(a), the optimized KBO weighs 2 nodes (104 when it weighed
-    both copies of T); against g(T, b) and g(T, a) it processes 2 pairs
-    and the optimized LPO compares 3 (53 each when they walked T)."""
+    both copies of T), and the optimized LPO compares 2 pairs: the root
+    and b against a, after which g(b, T) beats the loser's T as its own
+    argument (53 when it compared g(b, T) with T).  Against g(T, b) and
+    g(T, a) the optimized KBO processes 2 pairs and the optimized LPO
+    compares 2: its scan passes the identical T without a call (3 when it
+    called compare to find T identical, 53 each when they walked T)."""
     from lamorder.checks import bench_signature
     _, kbo, lpo = bench_signature()
     chain = Sym("a")
@@ -784,10 +790,61 @@ def test_identical_arguments_cost_no_descent():
             return _KboOpt.process(self, t, s, depth)
 
     LpoSpy, compared = _counting_lpo(_LpoOpt)
+    assert LpoSpy(lpo).compare(g(Sym("b"), chain), g(Sym("a"), chain)) is G
+    assert compared[0] == 2
+
+    compared[0] = 0
     t, s = g(chain, Sym("b")), g(chain, Sym("a"))
     assert KboSpy(kbo).compare(t, s) is G
     assert LpoSpy(lpo).compare(t, s) is G
-    assert (processed[0], compared[0]) == (2, 3)
+    assert (processed[0], compared[0]) == (2, 2)
+
+
+def test_variable_condition_prunes_subterm_checks():
+    """The optimized LPO's subterm rule passes a subterm that lacks a
+    variable of the other side: it cannot be at least that side.  Against
+    g(T, x) and g(x, T), with T the chain f^50(a), neither T nor x holds
+    both sides' variables, so the pair costs 6 calls (109 when the
+    condition pruned only at the root of a subterm check, each T walked
+    against the other side).  The verdict is U under both algorithms, on
+    a chain short enough for the naive one."""
+    from lamorder.checks import bench_signature
+    _, _, lpo = bench_signature()
+    x = Var("x", TyCon("kappa"))
+
+    def chain(n):
+        u = Sym("a")
+        for _ in range(n):
+            u = Sym("f", (), (), (u,))
+        return u
+
+    def g(u, v):
+        return Sym("g", (), (), (u, v))
+
+    LpoSpy, compared = _counting_lpo(_LpoOpt)
+    t, s = g(chain(50), x), g(x, chain(50))
+    assert LpoSpy(lpo).compare(t, s) is U
+    assert compared[0] == 6
+    t, s = g(chain(3), x), g(x, chain(3))
+    for algo in LPO_ALGOS:
+        assert algo(t, s, lpo) is U
+        assert algo(s, t, lpo) is U
+
+
+def test_own_flex_argument_is_not_passed(small):
+    """The optimized LPO passes a winner's own argument in ``beats`` only
+    when it is rigid.  In g(b, y2(λ#0)) against g(a, y2(λ#0)) the shared
+    argument holds a variable applied to a lambda, which compares U with
+    itself, so the pair is U both ways under both algorithms; passing the
+    argument anyway would make the optimized verdict G."""
+    sig, _, lpo = small
+    y2 = Var("y2", arrow(arrow(K, K), K))
+    flex = normalize(app(y2, Lam(K, Db(0, K))), sig)
+    t = normalize(app(Sym("g"), Sym("b"), flex), sig)
+    s = normalize(app(Sym("g"), Sym("a"), flex), sig)
+    for algo in LPO_ALGOS:
+        assert algo(t, s, lpo) is U
+        assert algo(s, t, lpo) is U
 
 
 @pytest.mark.parametrize("algo", [_KboNaive, _KboOpt])
@@ -843,8 +900,10 @@ def test_randomized_naive_opt_agreement():
 
 def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
     """Every term of type k up to size 4 over a, b : k, f : k -> k,
-    g : k -> k -> k, h : (k -> k) -> k and the variables X, Y : k and
-    Z : k -> k (197 terms), and every ordered pair of them: the naive and
+    g : k -> k -> k, h : (k -> k) -> k and the variables X, Y : k,
+    Z : k -> k and W : (k -> k) -> k (222 terms; W applied to a lambda
+    makes a node that is not rigid, which the optimized orders must not
+    decide by identity), and every ordered pair of them: the naive and
     optimized algorithms agree under the KBO and under the LPO with the
     lowest and the highest watershed.  Exhaustion reaches the nonstrict
     verdicts that random draws rarely do: 309 GE pairs for the KBO and 306
@@ -854,8 +913,9 @@ def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
     for name, ty in (("a", K), ("b", K), ("f", arrow(K, K)), ("g", arrows([K, K], K)),
                      ("h", arrow(arrow(K, K), K))):
         sig.add_symbol(name, TypeDecl((), (), ty))
-    terms = enum_ground_terms(sig, K, 4, var_pool=[("X", K), ("Y", K), ("Z", arrow(K, K))])
-    assert len(terms) == 197
+    terms = enum_ground_terms(sig, K, 4, var_pool=[("X", K), ("Y", K), ("Z", arrow(K, K)),
+                                                  ("W", arrow(arrow(K, K), K))])
+    assert len(terms) == 222
     prec = ["a", "b", "f", "g", "h"]
     orders = [OrderParams(sig, KBO, prec=prec)]
     orders += [OrderParams(sig, LPO, prec=prec, watershed=w) for w in ("a", "h")]

@@ -130,7 +130,18 @@ def min_size(ty: Type) -> int:
 
 class TermGen:
     """Budget-driven generation of eta-long, well-typed preterms.  The budget
-    is a hard size bound: children receive shares that sum below it."""
+    is a hard size bound: children receive shares that sum below it.
+
+    A node's head is drawn among the bound indices, the variables (unless
+    ``ground``) and the declarations whose result can equal the goal type,
+    in that order, among those whose arguments fit the budget.  ``_table``
+    keeps, for each goal type from its first use, the matching variables
+    and, in declaration order, each matching declaration with its type
+    arguments as far as the match fixes them (``None`` where one is free).
+    Each free one is drawn from ``ty_pool`` at every use, before the budget
+    filter, so a seed draws what a scan of the whole signature at each node
+    would draw.  Declarations are only ever added, so a change of their
+    count drops the table: a symbol declared later is a candidate."""
 
     def __init__(self, rng: random.Random, sig: Signature,
                  var_types: Optional[Dict[str, Type]] = None,
@@ -139,8 +150,20 @@ class TermGen:
         self.sig = sig
         self.var_types = dict(var_types or {})
         self.ty_pool = sig.base_types() + [TyVar(v) for v in poly_ty_vars]
+        # goal type -> (variable heads, declaration entries), built over the
+        # first _decl_count declarations
+        self._table: Dict[Type, tuple] = {}
+        self._decl_count = len(sig.symbols)
+        # type -> its argument types, result and their minimum sizes
+        self._shapes: Dict[Type, tuple] = {}
+        # (symbol, type arguments) -> (least budget, head)
+        self._sym_heads: Dict[Tuple[str, Tuple[Type, ...]], tuple] = {}
 
     def gen(self, ty: Type, budget: int, ground: bool) -> Preterm:
+        try:
+            tm.check_type(ty, self.sig)
+        except tm.TermError as e:
+            raise GenError("goal type %r: %s" % (ty, e)) from None
         return self._gen(ty, max(budget, min_size(ty)), ground, ())
 
     def _gen(self, ty: Type, budget: int, ground: bool,
@@ -151,8 +174,7 @@ class TermGen:
         candidates = self._heads(ty, ground, binders, budget)
         if not candidates:
             raise GenError("no head inhabits %r within budget %d" % (ty, budget))
-        kind, ident, head_ty, param_tys, arg_tys = self.rng.choice(candidates)
-        mins = [min_size(x) for x in param_tys] + [min_size(x) for x in arg_tys]
+        kind, ident, head_ty, param_tys, arg_tys, mins = self.rng.choice(candidates)
         spare = budget - 1 - sum(mins)
         shares = []
         for m in mins:
@@ -172,51 +194,80 @@ class TermGen:
         return Sym(ident, head_ty, params, args)
 
     def _heads(self, ty: Type, ground: bool, binders: Tuple[Type, ...], budget: int):
+        """Every head of a node of type ``ty`` that fits ``budget``, as
+        ``(kind, ident, head type, parameter types, argument types, their
+        minimum sizes)``."""
         out = []
-
-        def fits(param_tys, arg_tys) -> bool:
-            return (1 + sum(min_size(x) for x in param_tys)
-                    + sum(min_size(x) for x in arg_tys)) <= budget
-
         for i, bty in enumerate(binders):
-            arg_tys, base = split_arrows(bty)
-            if base == ty and fits((), arg_tys):
-                out.append(("db", i, bty, (), arg_tys))
+            arg_tys, base, mins = self._shape(bty)
+            if base is ty and 1 + sum(mins) <= budget:
+                out.append(("db", i, bty, (), arg_tys, mins))
+        var_heads, decl_heads = self._entry(ty)
         if not ground:
-            for name, vty in self.var_types.items():
-                arg_tys, base = split_arrows(vty)
-                if base == ty and fits((), arg_tys):
-                    out.append(("var", name, vty, (), arg_tys))
-        for name, decl in self.sig.symbols.items():
-            inst = self._match_decl(decl, ty)
-            if inst is None:
-                continue
-            param_tys, body = decl.instantiate(inst)
-            arg_tys, _ = split_arrows(body)
-            if fits(param_tys, arg_tys):
-                out.append(("sym", name, tuple(inst), param_tys, arg_tys))
+            out += [head for need, head in var_heads if need <= budget]
+        pool, choice = self.ty_pool, self.rng.choice
+        for name, decl, slots, free in decl_heads:
+            if free:
+                slots = tuple([choice(pool) if a is None else a for a in slots])
+            need, head = self._sym_head(name, decl, slots)
+            if need <= budget:
+                out.append(head)
         return out
 
-    def _match_decl(self, decl: TypeDecl, ty: Type) -> Optional[Tuple[Type, ...]]:
-        """A type-argument tuple making the declaration's result equal ty, or
-        None.  Unconstrained type variables are filled from the pool."""
+    def _entry(self, ty: Type) -> tuple:
+        """The table's heads for goal type ``ty``, filled on first use."""
+        if len(self.sig.symbols) != self._decl_count:
+            self._table.clear()
+            self._decl_count = len(self.sig.symbols)
+        got = self._table.get(ty)
+        if got is None:
+            var_heads = []
+            for name, vty in self.var_types.items():
+                arg_tys, base, mins = self._shape(vty)
+                if base is ty:
+                    var_heads.append((1 + sum(mins), ("var", name, vty, (), arg_tys, mins)))
+            decl_heads = []
+            for name, decl in self.sig.symbols.items():
+                slots = self._match_decl(decl, ty)
+                if slots is not None:
+                    decl_heads.append((name, decl, slots, None in slots))
+            got = self._table[ty] = (var_heads, decl_heads)
+        return got
+
+    def _shape(self, ty: Type) -> tuple:
+        got = self._shapes.get(ty)
+        if got is None:
+            arg_tys, base = split_arrows(ty)
+            got = self._shapes[ty] = (tuple(arg_tys), base,
+                                      tuple(min_size(x) for x in arg_tys))
+        return got
+
+    def _sym_head(self, name: str, decl: TypeDecl, inst: Tuple[Type, ...]) -> tuple:
+        got = self._sym_heads.get((name, inst))
+        if got is None:
+            param_tys, body = decl.instantiate(inst)
+            arg_tys, _, arg_mins = self._shape(body)
+            mins = tuple(min_size(x) for x in param_tys) + arg_mins
+            got = self._sym_heads[name, inst] = (
+                1 + sum(mins), ("sym", name, inst, param_tys, arg_tys, mins))
+        return got
+
+    def _match_decl(self, decl: TypeDecl, ty: Type) -> Optional[Tuple[Optional[Type], ...]]:
+        """The type arguments making the declaration's result equal ty, with
+        None for each that the match leaves free; None if the result cannot
+        equal ty, or if a type argument is free and the pool is empty."""
         _, base = split_arrows(decl.body)
         mapping: Dict[str, Type] = {}
         if isinstance(base, TyVar):
             mapping[base.name] = ty
         elif not self._match_type(base, ty, mapping):
             return None
-        inst = []
-        for v in decl.ty_vars:
-            if v in mapping:
-                inst.append(mapping[v])
-            elif self.ty_pool:
-                inst.append(self.rng.choice(self.ty_pool))
-            else:
-                return None
-        # argument types may still mention variables we just filled; the
-        # instantiation is checked by construction elsewhere
-        return tuple(inst)
+        slots = tuple(mapping.get(v) for v in decl.ty_vars)
+        if None in slots and not self.ty_pool:
+            return None
+        # argument types may still mention the variables filled from the
+        # pool; the instantiation is checked by construction elsewhere
+        return slots
 
     @staticmethod
     def _match_type(pattern: Type, target: Type, mapping: Dict[str, Type]) -> bool:

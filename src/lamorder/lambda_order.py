@@ -144,6 +144,11 @@ class OrderParams:
     def compare_types(self, ty1: Type, ty2: Type) -> Cmp:
         c = self._ty_cmps.get((ty1, ty2))
         if c is None:
+            for ty in (ty1, ty2):
+                for u, _ in tm.nodes(ty):
+                    if isinstance(u, tm.TyCon) and u.name not in self.ty_prec_ranks:
+                        raise OrderError("type constructor %s has no type precedence rank"
+                                         % u.name)
             c = self._ty_cmps[ty1, ty2] = self.fo_compare(ty1, ty2, self._ty_fo)
         return c
 

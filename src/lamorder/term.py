@@ -226,6 +226,22 @@ class Signature:
             raise TermError("unknown symbol %s" % name) from None
 
 
+def check_type(ty: Type, sig: Signature) -> None:
+    """Raise TermError unless every constructor in ``ty`` is declared in
+    ``sig`` with as many arguments as ``ty`` gives it."""
+    stack = [ty]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, TyCon):
+            arity = sig.type_constructors.get(u.name)
+            if arity is None:
+                raise TermError("unknown type constructor %s" % u.name)
+            if arity != len(u.args):
+                raise TermError("type constructor %s expects %d arguments, got %d"
+                                % (u.name, arity, len(u.args)))
+            stack += u.args
+
+
 # ---------------------------------------------------------------------------
 # Preterms
 # ---------------------------------------------------------------------------
@@ -445,10 +461,11 @@ def type_of(t: Preterm, sig: Signature) -> Type:
 
 
 def check_types(t: Preterm, sig: Signature) -> Type:
-    """Full well-formedness check: spine arg types match, bound index types
-    agree with their binders, parameters match the declaration.  Walks depth
-    first, left to right, on an explicit stack, so the depth of ``t`` is not
-    bounded by the recursion limit."""
+    """Full well-formedness check: every type written in a node names
+    declared constructors with their arities, spine arg types match, bound
+    index types agree with their binders, parameters match the
+    declaration.  Walks depth first, left to right, on an explicit stack,
+    so the depth of ``t`` is not bounded by the recursion limit."""
     binders: List[Type] = []   # innermost last
     # open spines: [spine, lambdas above it, its type so far, parameter
     # types, next child (the parameters, then the arguments)]
@@ -458,13 +475,20 @@ def check_types(t: Preterm, sig: Signature) -> Type:
         if got is None:
             lams = 0
             while isinstance(t, Lam):
+                check_type(t.arg_ty, sig)
                 binders.append(t.arg_ty)
                 t, lams = t.body, lams + 1
             if isinstance(t, Db) and t.index < len(binders) and binders[-1 - t.index] != t.ty:
                 raise TermError("bound index #%d annotated %r but binder has %r"
                                 % (t.index, t.ty, binders[-1 - t.index]))
             ty = head_type(t, sig)
-            wants = sig.decl(t.name).instantiate(t.ty_args)[0] if isinstance(t, Sym) else ()
+            if isinstance(t, Sym):
+                for a in t.ty_args:
+                    check_type(a, sig)
+                wants = sig.decl(t.name).instantiate(t.ty_args)[0]
+            else:
+                check_type(t.ty, sig)
+                wants = ()
             stack.append([t, lams, ty, wants, 0])
         frame = stack[-1]
         spine, lams, ty, wants, i = frame

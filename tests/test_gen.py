@@ -1,14 +1,23 @@
 """Generators: determinism, validity, budget discipline."""
 
+import hashlib
 import random
 
-from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types,
+import pytest
+
+from lamorder.gen import (GenConfig, GenError, TermGen, free_ty_vars, free_var_types,
                           gen_grounding_subst, gen_monomorphizing_subst,
                           gen_signature, gen_var_types)
 from lamorder.lambda_order import compare, weight_poly
 from lamorder.ordinal import ord_compare
-from lamorder.term import (TyCon, apply_subst, arrow, check_types, is_ground,
-                           normalize, size, type_is_ground, type_of)
+from lamorder.parse import render_term
+from lamorder.term import (Signature, Sym, TyCon, TyVar, TypeDecl, apply_subst, arrow,
+                           check_types, is_ground, normalize, size, type_is_ground,
+                           type_of)
+
+# _stream_digest() of the generator that scanned every declaration at each
+# node, before the per-type head table
+STREAM_DIGEST = "8ad26f784c19bcecc8544a77c774cfef29762cf8b42636241400e76de3755b8a"
 
 
 def test_signature_deterministic():
@@ -96,3 +105,59 @@ def test_monomorphizing_subst_covers():
         assert all(type_is_ground(ty) for ty in theta.ty_map.values())
         seen += 1
     assert seen > 20
+
+
+def _stream_digest() -> str:
+    """sha256 of the text of a fixed batch of draws over eight polymorphic
+    signatures, at base, arrow and type-variable goal types, ground and
+    nonground; a draw that fails is written as ``GenError``."""
+    iota, kappa, a0 = TyCon("iota"), TyCon("kappa"), TyVar("a0")
+    goals = [iota, kappa, a0, TyVar("a1"), arrow(iota, kappa), arrow(a0, kappa),
+             arrow(arrow(iota, kappa), arrow(kappa, iota))]
+    h = hashlib.sha256()
+    for k in range(8):
+        cfg = GenConfig(seed=k, polymorphic=True, ordinal_weights=k % 2 == 1)
+        sig, _, _ = gen_signature(cfg)
+        rng = random.Random("stream:%d" % k)
+        vt = gen_var_types(rng, cfg, sig, polymorphic=True)
+        g = TermGen(rng, sig, var_types=vt, poly_ty_vars=["a0", "a1"])
+        for ty in goals:
+            for ground in (True, False):
+                for budget in (1, 5, 10, 16, 24, 40):
+                    try:
+                        text = render_term(g.gen(ty, budget, ground))
+                    except GenError:
+                        text = "GenError"
+                    h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_generator_stream_is_pinned():
+    # recorded before the per-type head table replaced the scan of every
+    # declaration at each node: a seed must keep drawing the same terms
+    assert _stream_digest() == STREAM_DIGEST
+
+
+@pytest.mark.parametrize("ty", [TyCon("nosuch"), arrow(TyCon("iota"), TyCon("nosuch")),
+                                TyCon("iota", (TyCon("kappa"),))])
+def test_gen_rejects_an_undeclared_goal_type_before_any_draw(ty):
+    sig, _, _ = gen_signature(GenConfig(seed=1, polymorphic=True))
+    rng = random.Random(3)
+    g = TermGen(rng, sig, poly_ty_vars=["a0"])
+    state = rng.getstate()
+    with pytest.raises(GenError, match="goal type"):
+        g.gen(ty, 5, ground=True)
+    assert rng.getstate() == state
+
+
+def test_symbol_declared_after_the_generator_is_a_candidate():
+    k = TyCon("k")
+    sig = Signature()
+    sig.add_type("k", 0)
+    sig.add_symbol("a", TypeDecl((), (), k))
+    g = TermGen(random.Random(0), sig)
+    assert {g.gen(k, 4, ground=True) for _ in range(20)} == {Sym("a")}
+    sig.add_symbol("f", TypeDecl((), (), arrow(k, k)))
+    sig.add_symbol("p", TypeDecl(("P",), (), arrow(TyVar("P"), k)))
+    heads = {(t.name, t.ty_args) for t in (g.gen(k, 4, ground=True) for _ in range(200))}
+    assert heads == {("a", ()), ("f", ()), ("p", (k,))}

@@ -567,6 +567,32 @@ def test_parameter_values_must_be_positive_ordinals(section):
         parse_signature(text, KBO)
 
 
+@pytest.mark.parametrize("algo", ("naive", "optimized"))
+@pytest.mark.parametrize("kind", (KBO, LPO))
+def test_undeclared_type_constructor_is_a_named_error(kind, algo):
+    # check_types rejects such a term; compare, which does not run it,
+    # reaches the type order on the type arguments of pany
+    sig, kbo, lpo = gen_signature(GenConfig(seed=1, polymorphic=True))
+    p = kbo if kind == KBO else lpo
+    t, s = Sym("pany", (TyCon("nosuch"),)), Sym("pany", (TyCon("iota"),))
+    with pytest.raises(OrderError, match="type constructor nosuch has no type precedence"):
+        compare(t, s, p, algo)
+
+
+def test_compare_types_names_an_unranked_constructor():
+    sig, kbo, lpo = gen_signature(GenConfig(seed=1, polymorphic=True))
+    # equal type weights: the KBO reaches the type precedence too
+    p = OrderParams(sig, KBO, prec=list(kbo.prec_ranks))
+    for params in (p, lpo):
+        with pytest.raises(OrderError, match="constructor nosuch"):
+            params.compare_types(TyCon("nosuch"), TyCon("iota"))
+    # a constructor declared after the parameters were made has no rank
+    sig.add_type("late", 0)
+    with pytest.raises(OrderError, match="constructor late"):
+        lpo.compare_types(arrow(TyCon("iota"), TyCon("late")), TyCon("iota"))
+    assert lpo.compare_types(TyCon("iota"), TyCon("iota")) is E
+
+
 ALL_ALGOS = (compare_kbo_naive, compare_kbo_opt, compare_lpo_naive, compare_lpo_opt)
 
 

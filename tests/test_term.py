@@ -201,6 +201,20 @@ def test_type_mismatch_detected(sig):
         check_types(Sym("f", (), (), (Lam(K, Db(0, K)),)), sig)
 
 
+@pytest.mark.parametrize("t, fault", [
+    (Sym("c", (TyCon("nosuch"),)), "unknown type constructor nosuch"),
+    (Var("x", arrow(K, TyCon("nosuch"))), "unknown type constructor nosuch"),
+    (Lam(TyCon("nosuch"), Sym("a")), "unknown type constructor nosuch"),
+    (Sym("f", (), (), (Sym("c", (TyCon("k", (K,)),)),)),
+     "type constructor k expects 0 arguments, got 1"),
+    (Sym("sk", (), (Var("y", TyCon("->", (K,))),), (Sym("a"),)),
+     "type constructor -> expects 2 arguments, got 1"),
+])
+def test_check_types_rejects_undeclared_type_constructors(sig, t, fault):
+    with pytest.raises(TermError, match=fault):
+        check_types(t, sig)
+
+
 def test_normalize_eta_expands_bare_symbol(sig):
     assert normalize(Sym("f"), sig) == Lam(K, Sym("f", (), (), (Db(0, K),)))
 

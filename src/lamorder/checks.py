@@ -67,7 +67,9 @@ class _Env:
     """One generated signature with both parameter sets and helper pools."""
 
     def __init__(self, seed: int, polymorphic: bool = False):
-        cfg = GenConfig(seed=seed, polymorphic=polymorphic)
+        # odd seeds draw transfinite weights (w, w + 1, w + 2), as the
+        # benchmark's odd signatures do
+        cfg = GenConfig(seed=seed, polymorphic=polymorphic, ordinal_weights=seed % 2 == 1)
         self.polymorphic = polymorphic
         self.rng = random.Random(seed ^ 0x5EED)
         self.sig, self.kbo, self.lpo = gen_signature(cfg)

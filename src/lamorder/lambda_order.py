@@ -707,11 +707,15 @@ class _LpoOpt(_Lpo):
     returns U when the condition fails both ways, and ``leave`` skips the
     subterm rule of a side that fails it.
 
-    Three short cuts skip a call whose answer is known:
+    Four short cuts skip a call whose answer is known:
 
     - ``check_subs`` passes a subterm ``a`` unless ``s.arg_vars <=
       a.all_vars``: by the condition above, ``compare(a, s)`` is then L,
       LE or U, never at least.
+    - ``check_subs`` passes a subterm ``a`` that is one of ``s``'s own
+      ``args`` (of a ``Sym`` or ``Db`` head, as in ``beats``) when ``a`` is
+      rigid: ``s`` beats ``a`` by the subterm rule, since ``a`` against
+      ``a`` is E by ``enter``'s short cut, so ``compare(a, s)`` is L.
     - ``beats`` passes a loser argument ``b`` that is one of the winner's
       own ``args`` (of a ``Sym`` or ``Db`` head only: parameters and a
       variable's arguments are not subterms the rule consults, and a
@@ -757,10 +761,11 @@ class _LpoOpt(_Lpo):
 
     def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
         """The subterm rule, past each of ``ts`` that fails the variable
-        condition against ``s``."""
+        condition against ``s`` or is a rigid one of ``s``'s own arguments."""
         vs = s.arg_vars
         for a in ts:
-            if vs <= a.all_vars:
+            if vs <= a.all_vars and not (isinstance(s, (Sym, Db)) and a in s.args
+                                         and _rigid(a)):
                 c = self.compare(a, s, dts, ds)
                 if c is G or c is GE or c is E:
                     return True

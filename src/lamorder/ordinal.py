@@ -9,13 +9,17 @@ under subtraction, which weight-difference analysis needs.
 Addition and multiplication are the Hessenberg (natural) operations, extended
 coefficient-wise to signed values.  They are commutative, associative and
 strictly monotone, unlike the classical ordinal operations.
+
+Every operation works on term lists already in this canonical order: a sum
+is one merge of the two lists by exponent, a product merges one row per
+term of the shorter factor, and a comparison walks both lists to the first
+term where they differ, without building the difference.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cmp_to_key
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 class Ord:
@@ -110,51 +114,82 @@ def omega_pow(e: Ord, coeff: int = 1) -> Ord:
     return Ord(((e, coeff),))
 
 
-def _canonical(pairs: Iterable[Tuple[Ord, int]]) -> Ord:
-    acc: dict = {}
-    for e, c in pairs:
-        acc[e] = acc.get(e, 0) + c
-    items = [(e, c) for e, c in acc.items() if c != 0]
-    if len(items) > 1:
-        items.sort(key=cmp_to_key(lambda a, b: ord_compare(a[0], b[0])), reverse=True)
-    return Ord(tuple(items))
-
-
 def ord_add(a: Ord, b: Ord) -> Ord:
-    """Hessenberg sum, coefficient-wise on like exponents."""
-    if not a.terms:
+    """Hessenberg sum: one merge of the two term lists by exponent, like
+    terms summed and zero sums dropped."""
+    ta, tb = a.terms, b.terms
+    if not ta:
         return b
-    if not b.terms:
+    if not tb:
         return a
-    if len(a.terms) == 1 and len(b.terms) == 1 and a.terms[0][0] == b.terms[0][0]:
-        c = a.terms[0][1] + b.terms[0][1]
-        return Ord(((a.terms[0][0], c),)) if c else ZERO
-    return _canonical(list(a.terms) + list(b.terms))
+    na, nb = len(ta), len(tb)
+    if na == 1 and nb == 1:
+        (ea, ca), = ta
+        (eb, cb), = tb
+        if ea is eb or ea == eb:
+            c = ca + cb
+            return Ord(((ea, c),)) if c else ZERO
+    out = []
+    i = j = 0
+    while i < na and j < nb:
+        ea, ca = ta[i]
+        eb, cb = tb[j]
+        d = 0 if ea is eb else ord_compare(ea, eb)
+        if d > 0:
+            out.append(ta[i])
+            i += 1
+        elif d < 0:
+            out.append(tb[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    return Ord(tuple(out) + ta[i:] + tb[j:])
 
 
 def ord_mul(a: Ord, b: Ord) -> Ord:
-    """Hessenberg product: bilinear, with natural sums of exponents."""
-    if not a.terms or not b.terms:
+    """Hessenberg product: bilinear, with natural sums of exponents.  Each
+    term of the shorter factor scales the longer one into a row that keeps
+    its order, since the natural sum is strictly monotone; the rows are
+    merged by ``ord_add``."""
+    ta, tb = a.terms, b.terms
+    if not ta or not tb:
         return ZERO
-    if len(a.terms) == 1 and len(b.terms) == 1:
-        (ea, ca), = a.terms
-        (eb, cb), = b.terms
+    if len(ta) == 1 and len(tb) == 1:
+        (ea, ca), = ta
+        (eb, cb), = tb
         return Ord(((ord_add(ea, eb), ca * cb),))
-    pairs = []
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            pairs.append((ord_add(ea, eb), ca * cb))
-    return _canonical(pairs)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    out = ZERO
+    for ea, ca in ta:
+        out = ord_add(out, Ord(tuple([(ord_add(ea, eb), ca * cb) for eb, cb in tb])))
+    return out
 
 
 def ord_compare(a: Ord, b: Ord) -> int:
-    """-1, 0 or 1.  Total; agrees with ordinal order on nonnegative values."""
-    if a.terms == b.terms:
+    """-1, 0 or 1: the sign of ``a - b``, read off the first term where the
+    two lists differ.  Total; agrees with ordinal order on nonnegative
+    values."""
+    if a is b:
         return 0
-    diff = a - b
-    if not diff.terms:
-        return 0
-    return 1 if diff.terms[0][1] > 0 else -1
+    ta, tb = a.terms, b.terms
+    for (ea, ca), (eb, cb) in zip(ta, tb):
+        c = 0 if ea is eb else ord_compare(ea, eb)
+        if c > 0:       # a - b leads with a's term
+            return 1 if ca > 0 else -1
+        if c < 0:       # a - b leads with b's term, negated
+            return -1 if cb > 0 else 1
+        if ca != cb:
+            return 1 if ca > cb else -1
+    if len(ta) > len(tb):
+        return 1 if ta[len(tb)][1] > 0 else -1
+    if len(ta) < len(tb):
+        return -1 if tb[len(ta)][1] > 0 else 1
+    return 0
 
 
 # -- textual ordinal literals ------------------------------------------------

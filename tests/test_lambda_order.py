@@ -705,7 +705,9 @@ def test_naive_lpo_call_counts_are_pinned():
     summed.  On the generated nonground pairs pin the optimized LPO's calls
     too, which the variable condition cuts: without it, 1,816.  Before
     its ``check_subs``, ``beats`` and ``scan`` passed the subterms, own
-    arguments and identical positions whose answer is known, 666."""
+    arguments and identical positions whose answer is known, 666, and
+    before ``check_subs`` passed the other side's rigid own arguments,
+    644."""
     from lamorder.checks import adversarial_lpo_pair, bench_signature
     Spy, calls = _counting_lpo()
     OptSpy, opt_calls = _counting_lpo(_LpoOpt)
@@ -731,7 +733,7 @@ def test_naive_lpo_call_counts_are_pinned():
         if t != s:
             compares += 1
             assert Spy(glpo).compare(t, s) is OptSpy(glpo).compare(t, s)
-    assert (calls[0], opt_calls[0], compares) == (5507, 644, 286)
+    assert (calls[0], opt_calls[0], compares) == (5507, 643, 286)
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +787,16 @@ def test_identical_flex_subterm_is_not_short_cut(small):
         assert algo(t, s, _params_for(algo, kbo, lpo)) is U
 
 
+def _chain(n, u):
+    for _ in range(n):
+        u = Sym("f", (), (), (u,))
+    return u
+
+
+def _g(u, v):
+    return Sym("g", (), (), (u, v))
+
+
 def test_identical_arguments_cost_no_descent():
     """A pair that differs in one argument of a deep shared context costs
     only the differing argument.  Against g(b, T) and g(a, T), with T the
@@ -797,15 +809,9 @@ def test_identical_arguments_cost_no_descent():
     called compare to find T identical, 53 each when they walked T)."""
     from lamorder.checks import bench_signature
     _, kbo, lpo = bench_signature()
-    chain = Sym("a")
-    for _ in range(50):
-        chain = Sym("f", (), (), (chain,))
-
-    def g(x, y):
-        return Sym("g", (), (), (x, y))
-
+    chain = _chain(50, Sym("a"))
     reset_weight_calls()
-    assert compare_kbo_opt(g(Sym("b"), chain), g(Sym("a"), chain), kbo) is G
+    assert compare_kbo_opt(_g(Sym("b"), chain), _g(Sym("a"), chain), kbo) is G
     assert weight_calls() == 2
 
     processed = [0]
@@ -816,11 +822,11 @@ def test_identical_arguments_cost_no_descent():
             return _KboOpt.process(self, t, s, depth)
 
     LpoSpy, compared = _counting_lpo(_LpoOpt)
-    assert LpoSpy(lpo).compare(g(Sym("b"), chain), g(Sym("a"), chain)) is G
+    assert LpoSpy(lpo).compare(_g(Sym("b"), chain), _g(Sym("a"), chain)) is G
     assert compared[0] == 2
 
     compared[0] = 0
-    t, s = g(chain, Sym("b")), g(chain, Sym("a"))
+    t, s = _g(chain, Sym("b")), _g(chain, Sym("a"))
     assert KboSpy(kbo).compare(t, s) is G
     assert LpoSpy(lpo).compare(t, s) is G
     assert (processed[0], compared[0]) == (2, 2)
@@ -829,32 +835,54 @@ def test_identical_arguments_cost_no_descent():
 def test_variable_condition_prunes_subterm_checks():
     """The optimized LPO's subterm rule passes a subterm that lacks a
     variable of the other side: it cannot be at least that side.  Against
-    g(T, x) and g(x, T), with T the chain f^50(a), neither T nor x holds
-    both sides' variables, so the pair costs 6 calls (109 when the
-    condition pruned only at the root of a subterm check, each T walked
-    against the other side).  The verdict is U under both algorithms, on
-    a chain short enough for the naive one."""
+    g(T, x) and g(x, T'), with T the chain f^50(a) and T' the chain
+    f^50(b), neither chain holds x, so the pair costs 2 calls (104 when
+    the subterm rule compared every subterm, each chain walked against the
+    other side).  The verdict is U under both algorithms, on chains short
+    enough for the naive one."""
     from lamorder.checks import bench_signature
     _, _, lpo = bench_signature()
     x = Var("x", TyCon("kappa"))
 
-    def chain(n):
-        u = Sym("a")
-        for _ in range(n):
-            u = Sym("f", (), (), (u,))
-        return u
-
-    def g(u, v):
-        return Sym("g", (), (), (u, v))
-
     LpoSpy, compared = _counting_lpo(_LpoOpt)
-    t, s = g(chain(50), x), g(x, chain(50))
+    t, s = _g(_chain(50, Sym("a")), x), _g(x, _chain(50, Sym("b")))
     assert LpoSpy(lpo).compare(t, s) is U
-    assert compared[0] == 6
-    t, s = g(chain(3), x), g(x, chain(3))
+    assert compared[0] == 2
+    t, s = _g(_chain(3, Sym("a")), x), _g(x, _chain(3, Sym("b")))
     for algo in LPO_ALGOS:
         assert algo(t, s, lpo) is U
         assert algo(s, t, lpo) is U
+
+
+def test_subterm_rule_passes_the_other_sides_rigid_own_argument(small):
+    """The optimized LPO's subterm rule passes a subterm that is a rigid one
+    of the other side's own arguments: the other side beats it by the
+    subterm rule.  Against g(y, T) and g(T, b), with T the chain f^50(x),
+    T holds every variable of g(T, b), so only this rule passes it: the
+    pair costs 2 calls each way (104 when T was compared with g(T, b),
+    the chain walked against it).  A flex argument, y2(λ#0), is compared
+    (4 calls each way), as ``beats`` compares one.  The verdicts are U
+    under both algorithms, on a chain short enough for the naive one."""
+    from lamorder.checks import bench_signature
+    _, _, lpo = bench_signature()
+    x, y = Var("x", TyCon("kappa")), Var("y", TyCon("kappa"))
+    sig, _, small_lpo = small
+    flex = normalize(app(Var("y2", arrow(arrow(K, K), K)), Lam(K, Db(0, K))), sig)
+    flex_pair = (normalize(app(Sym("g"), Var("y", K), flex), sig),
+                 normalize(app(Sym("g"), flex, Sym("b")), sig))
+
+    LpoSpy, compared = _counting_lpo(_LpoOpt)
+    for p, (t, s), calls in ((lpo, (_g(y, _chain(50, x)), _g(_chain(50, x), Sym("b"))), 2),
+                             (small_lpo, flex_pair, 4)):
+        for u, v in ((t, s), (s, t)):
+            compared[0] = 0
+            assert LpoSpy(p).compare(u, v) is U
+            assert compared[0] == calls
+    for p, (t, s) in ((lpo, (_g(y, _chain(3, x)), _g(_chain(3, x), Sym("b")))),
+                      (small_lpo, flex_pair)):
+        for algo in LPO_ALGOS:
+            assert algo(t, s, p) is U
+            assert algo(s, t, p) is U
 
 
 def test_own_flex_argument_is_not_passed(small):

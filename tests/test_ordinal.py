@@ -1,26 +1,67 @@
-"""Ordinal arithmetic: fixture table, ring laws on a finite domain, order laws."""
+"""Ordinal arithmetic: fixture table, ring laws on a finite domain, order laws,
+and the merges against a dict-and-sort reference."""
 
 import itertools
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamorder.ordinal import (ONE, OMEGA, ZERO, Ord, _canonical, format_ord, from_int,
-                              omega_pow, ord_add, ord_compare, ord_mul, parse_ord)
+from lamorder.ordinal import (ONE, OMEGA, ZERO, Ord, format_ord, from_int, omega_pow,
+                              ord_add, ord_compare, ord_mul, parse_ord)
 
 
-def cnf_values(max_depth=2):
-    """Signed CNF values with bounded exponent nesting."""
+# -- reference: collect like exponents in a dict, sort, compare by subtraction
+
+def ref_canonical(pairs):
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + c
+    items = [(e, c) for e, c in acc.items() if c != 0]
+    items.sort(key=cmp_to_key(lambda a, b: ref_compare(a[0], b[0])), reverse=True)
+    return Ord(tuple(items))
+
+
+def ref_neg(a):
+    return Ord(tuple((e, -c) for e, c in a.terms))
+
+
+def ref_add(a, b):
+    return ref_canonical(a.terms + b.terms)
+
+
+def ref_mul(a, b):
+    return ref_canonical([(ref_add(ea, eb), ca * cb)
+                          for ea, ca in a.terms for eb, cb in b.terms])
+
+
+def ref_compare(a, b):
+    if a.terms == b.terms:
+        return 0
+    diff = ref_add(a, ref_neg(b))
+    return 1 if diff.terms[0][1] > 0 else -1
+
+
+def assert_canonical(a):
+    """Exponents strictly decreasing and canonical themselves, coefficients
+    nonzero."""
+    for e, c in a.terms:
+        assert c != 0
+        assert_canonical(e)
+    for (e1, _), (e2, _) in zip(a.terms, a.terms[1:]):
+        assert ref_compare(e1, e2) > 0
+
+
+def cnf_values():
+    """Signed CNF values with nested exponents, such as w^(w+1), built by
+    the reference alone."""
     coeff = st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)
-    base = st.builds(lambda c: Ord(((ZERO, c),)) if c else ZERO,
+    base = st.builds(lambda c: ref_canonical([(ZERO, c)]),
                      st.integers(min_value=-4, max_value=4))
     def extend(children):
         def build(pairs):
-            acc = ZERO
-            for exp, c in pairs:
-                acc = acc + omega_pow(exp if exp.is_nonneg() else -exp, c)
-            return acc
+            return ref_canonical([(e if e.is_nonneg() else ref_neg(e), c) for e, c in pairs])
         return st.builds(build, st.lists(st.tuples(children, coeff), max_size=3))
     return st.recursive(base, extend, max_leaves=6)
 
@@ -213,14 +254,37 @@ def test_format_parse_round_trip_hypothesis(a):
     assert parse_ord(format_ord(a)) == a
 
 
-def test_single_term_fast_paths_agree_with_canonical():
+def check_against_reference(a, b):
+    for ours, ref in ((ord_add(a, b), ref_add(a, b)), (ord_mul(a, b), ref_mul(a, b))):
+        assert ours == ref
+        assert_canonical(ours)
+    assert ord_compare(a, b) == ref_compare(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cnf_values(), cnf_values())
+def test_merges_agree_with_reference(a, b):
+    check_against_reference(a, b)
+    assert ord_compare(a, a) == 0
+    assert ord_compare(a, Ord(a.terms)) == 0     # equal, not identical
+
+
+def test_merges_agree_with_reference_on_nested_exponents():
+    e = ref_canonical([(ONE, 1), (ZERO, 1)])     # w + 1, as in w^(w+1)
+    vals = [ref_canonical(pairs) for pairs in (
+        [(e, 2), (ONE, 1), (ZERO, -1)], [(e, -1), (OMEGA, 1)],
+        [(ref_canonical([(e, 1)]), 3), (ZERO, 2)],
+        [(ref_canonical([(ONE, 1), (ZERO, 2)]), 1), (ONE, -2)],
+        [(e, 1), (OMEGA, -1), (ONE, 1), (ZERO, 4)])]
+    for a, b in itertools.product(vals, repeat=2):
+        check_against_reference(a, b)
+
+
+def test_single_term_fast_paths_agree_with_reference():
     exps = [ZERO, ONE, from_int(2), OMEGA, OMEGA + ONE]
     singles = [omega_pow(e, c) for e in exps for c in (-3, -1, 1, 2)]
     for a, b in itertools.product(singles, repeat=2):
-        assert ord_add(a, b) == _canonical(a.terms + b.terms)
-        (ea, ca), = a.terms
-        (eb, cb), = b.terms
-        assert ord_mul(a, b) == _canonical([(_canonical(ea.terms + eb.terms), ca * cb)])
+        check_against_reference(a, b)
     # like exponents that cancel give the canonical zero, finite or not
     for e in exps:
         total = ord_add(omega_pow(e, 2), omega_pow(e, -2))

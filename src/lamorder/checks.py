@@ -154,7 +154,7 @@ def _normalize_idempotent(env, rng, i):
     again = normalize(t, env.sig)
     if again != t:
         return "normalize not idempotent on %r" % (t,)
-    tm.check_types(t, env.sig)
+    type_of(t, env.sig)
     return None
 
 

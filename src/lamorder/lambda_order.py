@@ -24,7 +24,7 @@ from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
 from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
                    mono_mul)
 from . import term as tm
-from .term import (Db, Lam, Preterm, Signature, Sym, TermError, TyVar, Type, Var,
+from .term import (Db, Lam, Preterm, Signature, Sym, TyVar, Type, Var,
                    arrow_count, is_arrow, is_steady, is_steady_type, steady_split,
                    type_of)
 
@@ -830,14 +830,11 @@ def _check_leak_types(t: Preterm, s: Preterm) -> None:
 
 
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    """Check that neither input is an arrow-typed spine, and in strict mode
-    that no leaking index carries two types, then compare them; a comparison
-    that overflows the interpreter's stack raises ``DepthError``."""
+    """Type both inputs by the checked pass (a TermError names a fault), in
+    strict mode check that no leaking index carries two types, then compare
+    them; a comparison that overflows the stack raises ``DepthError``."""
     for u in (t, s):
-        if not isinstance(u, Lam) and is_arrow(type_of(u, p.sig)):
-            # name the fault, not the term: printing a deep term overflows
-            raise TermError("not a normalized term (normalize it first): "
-                            "it has arrow type %r" % (type_of(u, p.sig),))
+        type_of(u, p.sig)
     if p.strict_leaks:
         _check_leak_types(t, s)
     if t is s:

@@ -4,9 +4,9 @@ Type syntax:      TY ::= NAME | 'NAME | (NAME TY*) | (-> TY TY)
 Term syntax:      T  ::= (lam TY T) | (db N TY) | (sym NAME (TY*) (T*) T*)
                        | (var NAME TY T*)
 A term is read in one pass, each node built at its closing parenthesis on an
-explicit stack, then type-checked; it is normalized only when the check finds
-an under-applied spine.  Positions are character offsets until a ParseError
-gives the line and column.
+explicit stack, then typed by ``term.type_of``, which checks only the nodes
+its signature has not typed; it is normalized only on an under-applied spine.
+Positions are character offsets until a ParseError gives line and column.
 
 A signature file is one s-expression:
 
@@ -264,7 +264,7 @@ def _read(tokens, sig: Optional[Signature], role: int):
 
 @_positioned
 def parse_term(text: str, sig: Signature) -> Preterm:
-    """Read and type-check one term; normalize it only if a spine is under-applied."""
+    """Read and type one term; normalize it only if a spine is under-applied."""
     tokens = _tokens(text)
     t, at = _read(tokens, sig, _TERM)
     if next(tokens, None) is not None:
@@ -272,11 +272,11 @@ def parse_term(text: str, sig: Signature) -> Preterm:
                      % len(read_sexprs(text)), 0)
     try:
         try:
-            tm.check_types(t, sig)
+            tm.type_of(t, sig)
         except tm.UnderApplied:
             # eta-expand the under-applied spines; any other fault is the first
             t = normalize(t, sig)
-            tm.check_types(t, sig)
+            tm.type_of(t, sig)
     except tm.TermError as exc:
         raise _Fault(str(exc), at) from exc
     return t

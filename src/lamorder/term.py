@@ -200,9 +200,12 @@ class Signature:
     def __init__(self):
         self.type_constructors: Dict[str, int] = {ARROW: 2}
         self.symbols: Dict[str, TypeDecl] = {}
-        self.types: Dict[Preterm, Type] = {}    # each node's type, filled by type_of
+        self.types: Dict[Preterm, Type] = {}    # each checked node's type
+        self.index_types: Dict[Preterm, tuple] = {}    # see _index_types
 
     def add_type(self, name: str, arity: int) -> None:
+        if name in self.symbols:
+            raise TermError("type constructor name %s clashes with a symbol" % name)
         if name in self.type_constructors and self.type_constructors[name] != arity:
             raise TermError("type constructor %s redeclared" % name)
         self.type_constructors[name] = arity
@@ -434,89 +437,109 @@ def head_type(t: Preterm, sig: Signature) -> Type:
     raise TermError("not a spine head: %r" % t)
 
 
-def type_of(t: Preterm, sig: Signature) -> Type:
-    """The unique type of a preterm in ``sig``, kept in ``sig.types``.
-    Raises TermError on an ill-typed spine."""
-    types = sig.types
-    ty = types.get(t)
-    if ty is not None:
-        return ty
-    if isinstance(t, Lam):
-        # peel the lambdas in a loop, down to a typed node or a spine
-        lams = []
-        while isinstance(t, Lam) and t not in types:
-            lams.append(t)
-            t = t.body
-        ty = type_of(t, sig)
-        for lam in reversed(lams):
-            ty = types[lam] = arrow(lam.arg_ty, ty)
-        return ty
-    ty = head_type(t, sig)
-    for i, _ in enumerate(t.args):
+def spine_rule(u: Preterm, sig: Signature) -> Tuple[List[Type], Type]:
+    """The types the children of the spine ``u`` must have, in the order of
+    ``children(u)``, and the type of ``u``: its head's less one arrow per
+    argument.  Raises TermError on an argument the head does not take."""
+    ty = head_type(u, sig)
+    wants = list(sig.decl(u.name).instantiate(u.ty_args)[0]) if isinstance(u, Sym) else []
+    for i in range(len(u.args)):
         if not is_arrow(ty):
-            raise TermError("type mismatch at argument %d of %r" % (i + 1, t))
+            raise TermError("type mismatch at argument %d of %r" % (i + 1, u))
+        wants.append(ty.args[0])
         ty = ty.args[1]
-    types[t] = ty
-    return ty
+    return wants, ty
+
+
+def type_of(t: Preterm, sig: Signature) -> Type:
+    """The type of ``t`` in ``sig``: one lookup if ``t`` is typed there."""
+    return sig.types.get(t) or check_types(t, sig)
 
 
 def check_types(t: Preterm, sig: Signature) -> Type:
-    """Full well-formedness check: every type written in a node names
-    declared constructors with their arities, spine arg types match, bound
-    index types agree with their binders, parameters match the
-    declaration.  Walks depth first, left to right, on an explicit stack,
-    so the depth of ``t`` is not bounded by the recursion limit."""
-    binders: List[Type] = []   # innermost last
-    # open spines: [spine, lambdas above it, its type so far, parameter
-    # types, next child (the parameters, then the arguments)]
-    stack: list = []
-    got = None                 # the type of the child just checked, if any
-    while True:
-        if got is None:
-            lams = 0
-            while isinstance(t, Lam):
-                check_type(t.arg_ty, sig)
-                binders.append(t.arg_ty)
-                t, lams = t.body, lams + 1
-            if isinstance(t, Db) and t.index < len(binders) and binders[-1 - t.index] != t.ty:
-                raise TermError("bound index #%d annotated %r but binder has %r"
-                                % (t.index, t.ty, binders[-1 - t.index]))
-            ty = head_type(t, sig)
-            if isinstance(t, Sym):
-                for a in t.ty_args:
-                    check_type(a, sig)
-                wants = sig.decl(t.name).instantiate(t.ty_args)[0]
-            else:
-                check_type(t.ty, sig)
-                wants = ()
-            stack.append([t, lams, ty, wants, 0])
-        frame = stack[-1]
-        spine, lams, ty, wants, i = frame
-        np = len(wants)
-        if got is not None:    # child i - 1 is checked
-            if i <= np:
-                if got != wants[i - 1]:
-                    raise TermError("parameter of %s has type %r, expected %r"
-                                    % (spine.name, got, wants[i - 1]))
-            elif got != ty.args[0]:
-                raise TermError("argument %d of %r has type %r, expected %r"
-                                % (i - np, spine, got, ty.args[0]))
-            else:
-                frame[2] = ty = ty.args[1]
-        if i < np + len(spine.args):
-            if i >= np and not is_arrow(ty):
-                raise TermError("type mismatch at argument %d of %r" % (i - np + 1, spine))
-            t = spine.params[i] if i < np else spine.args[i - np]
-            frame[4], got = i + 1, None
+    """The one typing pass: check each node of ``t`` not typed in ``sig``,
+    children first on an explicit stack, and enter it in ``sig.types`` once
+    it passes; return the type of ``t``.  Each rule is local: a node's own
+    types, index and head (``spine_rule``) on its first visit, its children's
+    types on the second, where a lambda reads its body's ``index_types``.
+    Raises TermError at the first fault, UnderApplied on an arrow-typed spine."""
+    types, index_types = sig.types, sig.index_types
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is not tuple:
+            if u not in types:
+                for ty in node_types(u):
+                    check_type(ty, sig)
+                if isinstance(u, Db) and u.index < 0:
+                    raise TermError("index must be a natural number")
+                stack.append((u, *(((), None) if isinstance(u, Lam) else spine_rule(u, sig))))
+                stack += reversed(children(u))
             continue
-        if is_arrow(ty):
-            raise UnderApplied("under-applied spine (type %r): %r" % (ty, spine))
-        for _ in range(lams):
-            ty = arrow(binders.pop(), ty)
-        stack.pop()
-        if not stack:
-            return ty
-        got = ty
+        u, wants, ty = u            # the second visit: the children are typed
+        kids = children(u)
+        if isinstance(u, Lam):
+            ty = arrow(u.arg_ty, types[u.body])
+            layers, offset = index_types.get(u.body, ((), 0))
+            for got, n in (pair for layer in layers for pair in layer.get(offset, ())):
+                if got is not u.arg_ty:
+                    raise TermError("bound index #%d annotated %r but binder has %r"
+                                    % (n, got, u.arg_ty))
+        else:
+            np = len(kids) - len(u.args)
+            for i, want in enumerate(wants):
+                got = types[kids[i]]
+                if got is not want:
+                    at = ("parameter of %s" % u.name if i < np
+                          else "argument %d of %r" % (i - np + 1, u))
+                    raise TermError("%s has type %r, expected %r" % (at, got, want))
+            if is_arrow(ty):
+                raise UnderApplied("not a normalized term (normalize it first): "
+                                   "a spine has arrow type %r" % (ty,))
+        if u.loose:
+            index_types[u] = _index_types(u, kids, index_types)
+        types[u] = ty
+    return types[t]
+
+
+def _index_types(u: Preterm, kids: Tuple[Preterm, ...],
+                 index_types: Dict[Preterm, tuple]) -> tuple:
+    """The types of the loose indices of ``u``: layers of maps from an
+    index's number at ``u`` plus ``offset`` to each type it is written with,
+    paired with a number it is written as; and the offset.  A lambda keeps
+    its body's layers with the offset one up, so the index it binds falls
+    out.  A spine adds its other parts' entries to its largest part's layers
+    as a new layer, merging the last two while the last is at least half the
+    one before: O(log n) layers, and each entry is copied O(log n) times."""
+    if isinstance(u, Lam):
+        layers, offset = index_types[u.body]
+        return layers, offset + 1
+    parts = [index_types[k] for k in kids if k.loose]
+    if isinstance(u, Db):
+        parts.append((({u.index: ((u.ty, u.index),)},), 0))
+    base = max(parts, key=lambda part: sum(map(len, part[0])))
+    layers, offset = base
+    new: Dict[int, tuple] = {}
+    for part in parts:
+        if part is not base:
+            for layer in part[0]:
+                _add_index_types(new, layer, offset - part[1], offset)
+    layers += (new,) if new else ()
+    while len(layers) > 1 and 2 * len(layers[-1]) >= len(layers[-2]):
+        last = dict(layers[-2])
+        _add_index_types(last, layers[-1], 0, offset)
+        layers = layers[:-2] + (last,)
+    return layers, offset
+
+
+def _add_index_types(into: Dict[int, tuple], layer: Dict[int, tuple], shift: int,
+                     low: int) -> None:
+    """Add each entry of ``layer``, its key plus ``shift``, to ``into``, each
+    type once, and drop the keys below ``low``: indices a lambda bound."""
+    for key, pairs in layer.items():
+        if key + shift >= low:
+            have = into.get(key + shift, ())
+            into[key + shift] = have + tuple(p for p in pairs if p[0] not in dict(have))
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +594,13 @@ def app(fn: Preterm, *args: Preterm) -> Preterm:
 def normalize(t: Preterm, sig: Signature) -> Preterm:
     """The eta-long form of ``t``, which is beta-normal like every preterm.
     Idempotent; the one constructor of valid order inputs from under-applied
-    terms."""
+    terms.  It checks nothing: an untyped spine's type is its ``spine_rule``."""
     def eta(u, d, kids):
         u = remake(u, kids)
-        if isinstance(u, Lam) or not is_arrow(type_of(u, sig)):
+        ty = None if isinstance(u, Lam) or u in sig.types else spine_rule(u, sig)[1]
+        if not is_arrow(ty):
             return u
         # an under-applied spine takes one eta-long index per missing argument
-        ty = type_of(u, sig)
         args = eta_args(ty)
         return eta_lams(ty, app(shift(u, len(args)), *args))
     return rebuild(t, eta)

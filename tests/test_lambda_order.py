@@ -22,7 +22,7 @@ from lamorder.ordinal import ONE, from_int, ord_add
 from lamorder.parse import ParseError, parse_signature, parse_term
 from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly
 from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TermError,
-                           TyCon, TyVar, TypeDecl, Var, accessible_positions,
+                           TyCon, TyVar, TypeDecl, UnderApplied, Var, accessible_positions,
                            app, apply_subst, arrow, arrows, nodes, normalize, replace_at,
                            shift, steady_split, subterm_at, type_of)
 
@@ -130,7 +130,8 @@ def ex3():
     sig.add_symbol("sk", TypeDecl((), (pred,), arrow(K, K)))
     y = Var("y", pred)
     lit1 = Lam(K, Sym("a", (), (), (Db(0, K),)))
-    lit2 = Lam(K, Sym("f", (), (), (Sym("sk", (), (y,), (Db(0, K),)),)))
+    # the parameter is eta-long, as every subterm of an order's input is
+    lit2 = Lam(K, Sym("f", (), (), (Sym("sk", (), (normalize(y, sig),), (Db(0, K),)),)))
     lit3 = Lam(K, Db(0, K))
     return sig, lit1, lit2, lit3
 
@@ -570,12 +571,11 @@ def test_parameter_values_must_be_positive_ordinals(section):
 @pytest.mark.parametrize("algo", ("naive", "optimized"))
 @pytest.mark.parametrize("kind", (KBO, LPO))
 def test_undeclared_type_constructor_is_a_named_error(kind, algo):
-    # check_types rejects such a term; compare, which does not run it,
-    # reaches the type order on the type arguments of pany
+    # compare types its inputs by the checked pass, before any type order
     sig, kbo, lpo = gen_signature(GenConfig(seed=1, polymorphic=True))
     p = kbo if kind == KBO else lpo
     t, s = Sym("pany", (TyCon("nosuch"),)), Sym("pany", (TyCon("iota"),))
-    with pytest.raises(OrderError, match="type constructor nosuch has no type precedence"):
+    with pytest.raises(TermError, match="unknown type constructor nosuch"):
         compare(t, s, p, algo)
 
 
@@ -607,6 +607,49 @@ def test_compare_rejects_arrow_typed_spine(small, algo):
         algo(Sym("g"), Sym("a"), p)
     with pytest.raises(TermError, match="not a normalized term"):
         algo(Sym("a"), Sym("g", (), (), (Sym("b"),)), p)
+
+
+def _rejected_pairs():
+    """Inputs that are ill-typed below the root, or not eta-long there, each
+    with its parameters and the fault it must raise."""
+    from lamorder.checks import bench_signature
+    hsig = Signature()
+    hsig.add_type("k", 0)
+    for name, ty in (("a", K), ("f", arrow(K, K)), ("h", arrow(arrow(K, K), K))):
+        hsig.add_symbol(name, TypeDecl((), (), ty))
+    hk = (OrderParams(hsig, KBO, prec=["a", "f", "h"]),
+          OrderParams(hsig, LPO, prec=["a", "f", "h"], watershed="a"))
+    h_f = Sym("h", (), (), (Sym("f"),))
+    h_long = Sym("h", (), (), (Lam(K, Sym("f", (), (), (Db(0, K),))),))
+    _, *bench = bench_signature()
+    kappa, nosuch = TyCon("kappa"), TyCon("nosuch")
+    _, *gen = gen_signature(GenConfig(seed=1, polymorphic=True))
+    iota = TyCon("iota")
+    return [
+        (hk, h_f, h_long, UnderApplied, "not a normalized term"),
+        (bench, Sym("f", (), (), (Lam(kappa, Sym("a")),)), Sym("f", (), (), (Sym("b"),)),
+         TermError, r"argument 1 of \(f \(\\kappa\. a\)\) has type \(-> kappa kappa\)"),
+        (gen, Sym("pany", (TyCon("iota", (iota,)),)), Sym("pany", (iota,)),
+         TermError, "type constructor iota expects 0 arguments, got 1"),
+        (bench, Var("x", nosuch), Var("y", nosuch), TermError, "unknown type constructor nosuch"),
+        (bench, Var("x", nosuch), Var("x", nosuch), TermError, "unknown type constructor nosuch"),
+        (bench, Db(-1, kappa), Sym("a"), TermError, "index must be a natural number"),
+        (bench, Db(-1, kappa), Db(0, kappa), TermError, "index must be a natural number"),
+        (bench, Lam(kappa, Db(-1, kappa)), Lam(kappa, Db(0, kappa)), TermError,
+         "index must be a natural number"),
+    ]
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_compare_rejects_ill_typed_input(algo):
+    """compare types both inputs by the checked pass, so an input with a
+    fault anywhere is a named error under every algorithm, whichever side
+    it is on, and never a verdict or a bare ValueError."""
+    for params, t, s, error, fault in _rejected_pairs():
+        p = _params_for(algo, *params)
+        for pair in ((t, s), (s, t)):
+            with pytest.raises(error, match=fault):
+                algo(*pair, p)
 
 
 # ---------------------------------------------------------------------------
@@ -959,9 +1002,11 @@ def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
     makes a node that is not rigid, which the optimized orders must not
     decide by identity), and every ordered pair of them: the naive and
     optimized algorithms agree under the KBO and under the LPO with the
-    lowest and the highest watershed.  Exhaustion reaches the nonstrict
-    verdicts that random draws rarely do: 309 GE pairs for the KBO and 306
-    for each LPO."""
+    lowest and the highest watershed.  Each verdict is the flip of the
+    reverse pair's, and a G, GE or E one keeps the smaller side's variables
+    within the bigger side's, as the dual does for L, LE or E.  Exhaustion
+    reaches the nonstrict verdicts that random draws rarely do: 309 GE
+    pairs for the KBO and 306 for each LPO."""
     sig = Signature()
     sig.add_type("k", 0)
     for name, ty in (("a", K), ("b", K), ("f", arrow(K, K)), ("g", arrows([K, K], K)),
@@ -976,12 +1021,18 @@ def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
     nonstrict = []
     for p in orders:
         naive, opt = ALGORITHMS[p.kind]
-        ge = 0
+        verdicts = {}
         for t, s in itertools.product(terms, repeat=2):
-            c = naive(t, s, p)
+            c = verdicts[t, s] = naive(t, s, p)
             assert opt(t, s, p) is c, (p.kind, p.watershed, t, s)
-            ge += c is GE
-        nonstrict.append(ge)
+        for (t, s), c in verdicts.items():
+            assert c is flip(verdicts[s, t]), (p.kind, p.watershed, t, s)
+            # the variable condition, on the variables outside parameters
+            if c in (G, GE, E):
+                assert s.arg_vars <= t.all_vars, (p.kind, p.watershed, c, t, s)
+            if c in (L, LE, E):
+                assert t.arg_vars <= s.all_vars, (p.kind, p.watershed, c, t, s)
+        nonstrict.append(sum(c is GE for c in verdicts.values()))
     assert nonstrict == [309, 306, 306]
 
 

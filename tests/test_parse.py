@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
+from lamorder import term
 from lamorder.lambda_order import KBO, LPO
 from lamorder.parse import (ParseError, parse_signature, parse_signature_file, parse_term,
                             parse_term_file, render_term)
@@ -283,11 +284,13 @@ def test_under_applied_spines_are_eta_expanded(sig_params):
 def test_first_fault_is_named_unless_a_spine_is_under_applied(sig_params):
     """Only an under-applied spine is eta-expanded before the check runs
     again; any other fault is reported as the first check finds it, even
-    when the term also has an under-applied spine."""
+    when the term also has an under-applied spine.  The check finishes a
+    node after its children, so an argument's type is checked before the
+    binder of an index in it."""
     sig, _ = sig_params
     cases = {
         "(sym g () () (sym top () ()))": "argument 1 of (g top) has type o, expected k",
-        "(lam k (sym g () () (db 0 o)))": "bound index #0 annotated o but binder has k",
+        "(lam k (sym g () () (db 0 o)))": "argument 1 of (g #0) has type o, expected k",
         "(sym f () () (sym a () ()) (sym g () () (sym a () ())))":
             "type mismatch at argument 2 of (f a (g a))",
         "(sym f () () (sym g () () (sym a () ())))":
@@ -336,6 +339,25 @@ def test_deep_terms_parse_and_render(sig_params):
     with pytest.raises(ParseError) as err:
         parse_term(text.replace("(sym a", "(sym nosuch"), sig)
     assert str(err.value) == "1:%d: unknown symbol nosuch" % inner
+
+
+def test_reading_a_known_term_again_checks_nothing(sig_params, monkeypatch):
+    """Every node of a term read before is typed in its signature, so a
+    second read types it by one lookup: no head is typed again and no node
+    is added.  A term that shares nodes with it checks only the others."""
+    sig, _ = sig_params
+    f = "(lam k (sym f () () (db 0 k)))"
+    text = "(lam k (sym g () () (sym f () () (db 0 k)) (sym diff (k k) (%s %s))))" % (f, f)
+    t = parse_term(text, sig)
+    typed = len(sig.types)
+    calls = []
+    head_type = term.head_type
+    monkeypatch.setattr(term, "head_type", lambda u, s: calls.append(u) or head_type(u, s))
+    assert parse_term(text, sig) is t
+    assert calls == [] and len(sig.types) == typed
+    diff = "(sym diff (k k) (%s %s))" % (f, f)
+    u = parse_term("(sym g () () %s %s)" % (diff, diff), sig)
+    assert calls == [u] and len(sig.types) == typed + 1
 
 
 def test_deep_signature_type_parses():

@@ -60,6 +60,19 @@ def test_add_symbol_rejects_redeclared_name(sig):
     assert type_of(Sym("a"), sig) == K
 
 
+def test_a_type_constructor_and_a_symbol_never_share_a_name():
+    """The clash is named whichever of the two is declared first."""
+    first, second = Signature(), Signature()
+    first.add_type("k", 0)
+    with pytest.raises(TermError, match="symbol name k clashes with a type constructor"):
+        first.add_symbol("k", TypeDecl((), (), K))
+    second.add_type("j", 0)
+    second.add_symbol("a", TypeDecl((), (), TyCon("j")))
+    with pytest.raises(TermError, match="type constructor name a clashes with a symbol"):
+        second.add_type("a", 0)
+    assert "a" not in second.type_constructors
+
+
 def test_equal_constructions_are_one_node():
     a = Sym("a")
     for build in (lambda: Var("x", K, (Sym("a"),)),
@@ -165,19 +178,21 @@ def test_type_cache_follows_the_signature(monkeypatch):
     """Each signature keeps the types of its nodes, so a node typed in turn
     under two signatures is typed once in each."""
     first, second = Signature(), Signature()
+    J = TyCon("j")
     for s in (first, second):
         s.add_type("k", 0)
+        s.add_type("j", 0)
     first.add_symbol("c0", TypeDecl((), (), K))
-    second.add_symbol("c0", TypeDecl((), (), arrow(K, K)))
+    second.add_symbol("c0", TypeDecl((), (), J))
     c = Sym("c0")
     calls = []
     head_type = term.head_type
     monkeypatch.setattr(term, "head_type", lambda t, s: calls.append(s) or head_type(t, s))
     for _ in range(5):
         assert type_of(c, first) == K
-        assert type_of(c, second) == arrow(K, K)
+        assert type_of(c, second) == J
     assert calls == [first, second]
-    assert first.types[c] is K and second.types[c] is arrow(K, K)
+    assert first.types[c] is K and second.types[c] is J
 
 
 def test_instantiate_rejects_a_wrong_count_on_every_call():
@@ -213,6 +228,145 @@ def test_type_mismatch_detected(sig):
 def test_check_types_rejects_undeclared_type_constructors(sig, t, fault):
     with pytest.raises(TermError, match=fault):
         check_types(t, sig)
+
+
+@pytest.mark.parametrize("t", [Db(-1, K), Lam(K, Db(-1, K)), Sym("f", (), (), (Db(-2, K),))])
+def test_a_negative_index_is_a_named_error(sig, t):
+    with pytest.raises(TermError, match="index must be a natural number"):
+        type_of(t, sig)
+    assert t not in sig.types
+
+
+def test_typing_enters_only_checked_nodes(sig):
+    """A node enters ``sig.types`` once it passes, so a failed check leaves
+    out the faulty node and every node above it; ``normalize`` reads the
+    type of an under-applied spine without entering it."""
+    inner = Sym("f", (), (), (Sym("a"), Sym("b")))
+    bad = Lam(K, Sym("g", (), (), (Db(0, K), inner)))
+    with pytest.raises(TermError, match="type mismatch at argument 2 of \\(f a b\\)"):
+        type_of(bad, sig)
+    assert Db(0, K) in sig.types
+    assert not {inner, bad.body, bad} & set(sig.types)
+    assert normalize(Sym("f"), sig) is Lam(K, Sym("f", (), (), (Db(0, K),)))
+    assert Sym("f") not in sig.types
+    with pytest.raises(term.UnderApplied):
+        type_of(Sym("g", (), (), (Sym("a"),)), sig)
+    assert Sym("g", (), (), (Sym("a"),)) not in sig.types
+
+
+def test_a_binder_reads_its_body_index_types(sig):
+    """A lambda checks the indices its body holds for it through the body's
+    ``index_types``, kept only for nodes with loose indices; two types on
+    one leaking index are no fault until a lambda binds it."""
+    clash = Var("v", arrows([K, O], K), (Db(1, K), Db(1, O)))
+    assert type_of(clash, sig) is K and type_of(Lam(K, clash), sig) is arrow(K, K)
+    with pytest.raises(TermError, match=r"bound index #1 annotated o but binder has k"):
+        type_of(Lam(K, Lam(K, clash)), sig)
+    with pytest.raises(TermError, match=r"bound index #2 annotated o but binder has k"):
+        type_of(Lam(K, Lam(O, Lam(K, Var("v", arrow(O, K), (Db(2, O),))))), sig)
+    assert type_of(Lam(O, Lam(K, Lam(K, Sym("g", (), (), (Db(0, K), Db(1, K)))))), sig) \
+        is arrows([O, K, K], K)
+    assert sig.index_types and all(u.loose for u in sig.index_types)
+    assert set(sig.index_types) <= set(sig.types)
+
+
+def _index_types_by_walk(u):
+    """The types of each loose index of ``u``, by its number at ``u``, read
+    off every node of ``u``: the reference ``index_types`` must match."""
+    out = {}
+    for v, d in nodes(u):
+        if isinstance(v, Db) and v.index >= d:
+            out.setdefault(v.index - d, set()).add(v.ty)
+    return out
+
+
+def _stored_index_types(sig, u):
+    layers, offset = sig.index_types[u]
+    out = {}
+    for layer in layers:
+        for key, pairs in layer.items():
+            if key >= offset:
+                out.setdefault(key - offset, set()).update(ty for ty, _ in pairs)
+    return out
+
+
+def _random_open_term(rng, binders, size):
+    """A well-typed term and its type: lambdas over ``k`` or ``o``, indices,
+    bound or leaking (a leaking one of either type), and spines of a
+    variable applied to such terms."""
+    if size <= 1 or rng.random() < 0.25:
+        i = rng.randrange(len(binders) + 2)
+        ty = binders[-1 - i] if i < len(binders) else rng.choice([K, O])
+        return Db(i, ty), ty
+    if rng.random() < 0.4:
+        a = rng.choice([K, O])
+        body, ty = _random_open_term(rng, binders + [a], size - 1)
+        return Lam(a, body), arrow(a, ty)
+    args = [_random_open_term(rng, binders, size // 3) for _ in range(rng.randint(1, 3))]
+    return Var("v", arrows([ty for _, ty in args], K), tuple(t for t, _ in args)), K
+
+
+def test_index_types_match_a_walk(sig):
+    """Every typed node with loose indices keeps their types, as a walk of
+    the node finds them, on random open terms and on two combs, each level
+    of which holds an index of its own binder; a comb keeps a few layers per
+    node, so typing it takes neither quadratic time nor memory."""
+    rng = random.Random(11)
+    for _ in range(300):
+        t, ty = _random_open_term(rng, [], 30)
+        assert type_of(t, sig) is ty
+    assert len(sig.index_types) > 500
+    for u in sig.index_types:
+        assert _stored_index_types(sig, u) == _index_types_by_walk(u)
+    assert {u for u in sig.types if u.loose} == set(sig.index_types)
+    depth = 2000
+    for indices in (range(depth), reversed(range(depth))):
+        comb = Sym("a")
+        for i in indices:
+            comb = Var("v", arrows([K, K], K), (Db(i, K), comb))
+        for _ in range(depth):
+            comb = Lam(K, comb)
+        sig = Signature()
+        sig.add_type("k", 0)
+        sig.add_symbol("a", TypeDecl((), (), K))
+        assert type_of(comb, sig) is arrows([K] * depth, K)
+        assert max(len(layers) for layers, _ in sig.index_types.values()) <= 12
+        for u in list(sig.index_types)[::97]:
+            assert _stored_index_types(sig, u) == _index_types_by_walk(u)
+
+
+def test_deep_terms_type_once_per_node(sig, monkeypatch):
+    """A depth-10,000 lambda nest whose innermost index reaches its
+    outermost binder, and a depth-10,000 chain, type at the default
+    recursion limit; each node is checked once, and typing either again
+    checks nothing."""
+    depth = 10000
+    chain, nest = Sym("a"), Sym("g", (), (), (Db(0, K), Db(depth - 1, K)))
+    for _ in range(depth):
+        chain = Sym("f", (), (), (chain,))
+    for _ in range(depth):
+        nest = Lam(K, nest)
+    bad = strip_lams(nest)
+    for _ in range(depth - 1):
+        bad = Lam(K, bad)
+    bad = Lam(O, bad)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        before = len(sig.types)
+        assert type_of(chain, sig) is K
+        assert type_of(nest, sig) is arrows([K] * depth, K)
+        # the chain's depth + 1 nodes, the nest's lambdas, its spine and two indices
+        assert len(sig.types) - before == (depth + 1) + (depth + 3)
+        with pytest.raises(TermError, match="bound index #%d annotated k but binder has o"
+                                            % (depth - 1)):
+            type_of(bad, sig)
+        calls = []
+        monkeypatch.setattr(term, "head_type", lambda t, s: calls.append(t))
+        assert check_types(chain, sig) is K and check_types(nest, sig) is arrows([K] * depth, K)
+        assert calls == []
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_normalize_eta_expands_bare_symbol(sig):

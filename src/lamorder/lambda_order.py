@@ -831,11 +831,12 @@ def _check_leak_types(t: Preterm, s: Preterm) -> None:
 
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
     """Type both inputs by the checked pass (a TermError names a fault), in
-    strict mode check that no leaking index carries two types, then compare
-    them; a comparison that overflows the stack raises ``DepthError``."""
+    strict mode check that no leaking index carries two types (a closed pair
+    has none), then compare them; a comparison that overflows the stack
+    raises ``DepthError``."""
     for u in (t, s):
         type_of(u, p.sig)
-    if p.strict_leaks:
+    if p.strict_leaks and (t.loose or s.loose):
         _check_leak_types(t, s)
     if t is s:
         return E

@@ -3,10 +3,12 @@
 Type syntax:      TY ::= NAME | 'NAME | (NAME TY*) | (-> TY TY)
 Term syntax:      T  ::= (lam TY T) | (db N TY) | (sym NAME (TY*) (T*) T*)
                        | (var NAME TY T*)
-A term is read in one pass, each node built at its closing parenthesis on an
-explicit stack, then typed by ``term.type_of``, which checks only the nodes
-its signature has not typed; it is normalized only on an under-applied spine.
-Positions are character offsets until a ParseError gives line and column.
+A text is split into one list of tokens by one regex, its comments dropped.
+A term is read in one pass over that list, each node built at its closing
+parenthesis on an explicit stack, then typed by ``term.type_of``, which
+checks only the nodes its signature has not typed; it is normalized only on
+an under-applied spine.  A fault names its token by number; only a
+ParseError finds that token in the text again, for its line and column.
 
 A signature file is one s-expression:
 
@@ -29,7 +31,6 @@ with spaces can be double-quoted.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from collections import namedtuple
 from typing import List, Optional, Tuple, Union
@@ -49,23 +50,25 @@ class ParseError(Exception):
 
 
 class _Fault(Exception):
-    """A fault at a character offset of the text being read."""
+    """A fault at a token of the text being read, named by its number in
+    the text's tokens; None is the start of the text."""
 
-    def __init__(self, message: str, at: int):
+    def __init__(self, message: str, at: Optional[int]):
         super().__init__(message)
         self.at = at
 
 
 def _positioned(read):
     """Let ``read(text, ...)`` report a fault as a ParseError at the line
-    and column of its offset in ``text``."""
+    and column of its token in ``text``."""
 
     @functools.wraps(read)
     def reader(text: str, *args, **kwargs):
         try:
             return read(text, *args, **kwargs)
         except _Fault as fault:
-            raise ParseError(fault.args[0], *_line_col(text, fault.at)) from fault.__cause__
+            at = 0 if fault.at is None else _token_starts(text)[fault.at]
+            raise ParseError(fault.args[0], *_line_col(text, at)) from fault.__cause__
 
     return reader
 
@@ -88,30 +91,35 @@ def _read_file(path: str) -> str:
                          *_line_col(before, len(before))) from None
 
 
-# One token, after any blanks and comments: an opening parenthesis, an empty
-# list, a closing parenthesis, an atom, a string (its content), or a quote
-# that opens a string not closed on its line.  A comment must run to the end
-# of its line, so that no backtracking can split it into an atom.
-_TOKEN = re.compile(r'(?:\s|;[^\n]*(?![^\n]))*'
-                    r'(?:(\()(?!\s*\))|(\(\s*\))|(\))|([^\s();"]+)|"([^"\n]*)"|("))')
-_OPEN, _EMPTY, _CLOSE, _WORD, _STRING = 1, 2, 3, 4, 5
+# One token: an empty list, a parenthesis, an atom, a string (a quote that
+# opens a string not closed on its line stops at its end), or a comment.
+# Only blanks start no token, so the tokens of a text hold all of it but them.
+_TOKEN = re.compile(r'\(\s*\)|[()]|[^\s();"]+|"[^"\n]*"?|;[^\n]*')
 
 
-def _tokens(text: str, at: int = 0):
-    """The tokens of ``text`` from offset ``at``.  Every character but blanks
-    and comments starts a token, so they end where only those are left."""
-    return iter(_TOKEN.scanner(text, at).match, None)
+def _tokens(text: str) -> List[str]:
+    """The tokens of ``text`` but its comments."""
+    tokens = _TOKEN.findall(text)
+    return [tok for tok in tokens if tok[0] != ";"] if ";" in text else tokens
+
+
+def _token_starts(text: str) -> List[int]:
+    """The offset in ``text`` of each of its tokens but its comments."""
+    return [m.start() for m in _TOKEN.finditer(text) if m.group()[0] != ";"]
+
 
 Atom = namedtuple("Atom", "text at")
 SList = namedtuple("SList", "items at")
 SExpr = Union[Atom, SList]
 
 
-@_positioned
-def read_sexprs(text: str) -> List[SExpr]:
-    """Every s-expression of ``text``, each read from its first token on."""
-    tokens = _tokens(text)
-    return [_read(itertools.chain((m,), tokens), None, _SEXPR)[0] for m in tokens]
+def _sexprs(tokens: List[str]) -> List[SExpr]:
+    """Every s-expression of ``tokens``, each read from its first token on."""
+    exprs, i = [], 0
+    while i < len(tokens):
+        e, _, i = _read(tokens, i, None, _SEXPR)
+        exprs.append(e)
+    return exprs
 
 
 def _expect_atom(e: SExpr, what: str) -> str:
@@ -152,8 +160,10 @@ _LIST_SLOTS = {_SEXPR: (_SEXPR,) * 5, _TERM: (_KEYWORD,) + (_TERM,) * 4,
                _TYPE: (_TYCON,) + (_TYPE,) * 4, _TYPES: (_TYPE,) * 5,
                _TERMS: (_TERM,) * 5}
 _LAM_ARITY = "(lam TY T) takes two arguments"
+_SYM_SLOTS = (_KEYWORD, _SYMBOL, _TYPES, _TERMS, _TERM)
 # Each term keyword: the roles of its list's children, the fewest children
-# the list takes, the fault when it has fewer, and the preterm it builds.
+# the list takes, the fault when it has fewer, and the preterm it builds;
+# ``_read`` builds a symbol's itself, the list it closes most often.
 _FORMS = {
     "lam": ((_KEYWORD, _TYPE, _TERM, _EXTRA, _EXTRA), 3, _LAM_ARITY,
             lambda x: Lam(x[1], x[2])),
@@ -163,9 +173,8 @@ _FORMS = {
     "var": ((_KEYWORD, _VARNAME, _TYPE, _TERM, _TERM), 3,
             "(var NAME TY T*) needs a name and a type",
             lambda x: Var(x[1], x[2], tuple(x[3:]))),
-    "sym": ((_KEYWORD, _SYMBOL, _TYPES, _TERMS, _TERM), 4,
-            "(sym NAME (TY*) (T*) T*) needs name, type and parameter lists",
-            lambda x: Sym(x[1], x[2], x[3], tuple(x[4:]))),
+    "sym": (_SYM_SLOTS, 4,
+            "(sym NAME (TY*) (T*) T*) needs name, type and parameter lists", None),
 }
 # the fault of an atom in a role lists fill, or of a list in one atoms fill
 _MISPLACED = {_TERM: "expected a term", _TYPES: "expected type arguments",
@@ -177,8 +186,8 @@ _MISPLACED = {_TERM: "expected a term", _TYPES: "expected type arguments",
 
 def _close(kind: int, at: int, items: list, sig: Signature):
     """The value of a list, built at its closing parenthesis.  A type list's
-    offset is that of its head, where its faults point; a constructor atom
-    reads as the list of itself."""
+    token is its head, where its faults point; a constructor atom reads as
+    the list of itself."""
     if kind == _SEXPR:
         return SList(items, at)
     if kind == _TERM:
@@ -202,74 +211,81 @@ def _close(kind: int, at: int, items: list, sig: Signature):
     return tuple(items)
 
 
-def _read(tokens, sig: Optional[Signature], role: int):
+def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
     """Read the one s-expression, type or term (``role``) whose first token
-    ``tokens`` yields next, leaving ``tokens`` after its last; return it and
-    its offset.  Each open list is a frame ``[kind, offset, children,
-    roles]``."""
+    is number ``i`` of ``tokens``; return it, that number, and the number of
+    the token after its last.  Each open list is a frame ``[kind, token
+    number, children, roles]``."""
     stack: list = []
-    for m in tokens:
-        kind = m.lastindex
-        if kind == _CLOSE:
+    for i in range(i, len(tokens)):
+        tok = tokens[i]
+        if tok == ")":
             if not stack:
-                raise _Fault("unbalanced )", m.start(kind))
-            role, at, items, _ = stack.pop()
-            value = _close(role, at, items, sig)
+                raise _Fault("unbalanced )", i)
+            role, at, items, roles = stack.pop()
+            if roles is _SYM_SLOTS and len(items) >= 4:  # see _FORMS
+                value = Sym(items[1], items[2], items[3], tuple(items[4:]))
+            else:
+                value = _close(role, at, items, sig)
         else:
+            at = i
             if stack:
                 frame = stack[-1]
                 n = len(frame[2])
                 role = frame[3][n if n < _SLOTS else -1]
                 if role == _EXTRA:
                     raise _Fault(_LAM_ARITY, frame[1])
-            if kind <= _EMPTY:
-                at = m.start(kind)
+            first = tok[0]
+            if first == "(":
                 if role > _TERMS:
-                    raise _Fault(_MISPLACED[role], at)
-                if kind == _OPEN:
-                    stack.append([role, at, [], _LIST_SLOTS[role]])
+                    raise _Fault(_MISPLACED[role], i)
+                if tok == "(":
+                    stack.append([role, i, [], _LIST_SLOTS[role]])
                     continue
-                value = _close(role, at, [], sig)
+                # an empty list of type arguments or parameters
+                value = () if role >= _TYPES else _close(role, i, [], sig)
             else:
-                if kind > _STRING:
-                    raise _Fault("unterminated string", m.start(kind))
-                value, at = m.group(kind), m.start(kind) - (kind == _STRING)
+                if first == '"':
+                    if len(tok) == 1 or tok[-1] != '"':
+                        raise _Fault("unterminated string", i)
+                    tok = tok[1:-1]
+                value = tok
                 if role == _KEYWORD:
                     if value not in _FORMS:
-                        raise _Fault("unknown term keyword %s" % value, at)
+                        raise _Fault("unknown term keyword %s" % value, i)
                     frame[3] = _FORMS[value][0]
                 elif role == _SYMBOL:
                     if value not in sig.symbols:
-                        raise _Fault("unknown symbol %s" % value, at)
+                        raise _Fault("unknown symbol %s" % value, i)
                 elif role == _TYPE:
                     value = (TyVar(value[1:]) if value.startswith("'")
-                             else _close(_TYPE, at, [value], sig))
+                             else _close(_TYPE, i, [value], sig))
                 elif role == _TYCON:
-                    frame[1] = at
+                    frame[1] = i
                 elif role == _INDEX:
                     if not value.isdecimal():
-                        raise _Fault("index must be a natural number", at)
+                        raise _Fault("index must be a natural number", i)
                     value = int(value)
                 elif role == _SEXPR:
-                    value = Atom(value, at)
+                    value = Atom(value, i)
                 elif role != _VARNAME:
-                    raise _Fault(_MISPLACED[role], at)
+                    raise _Fault(_MISPLACED[role], i)
         if not stack:
-            return value, at
+            return value, at, i + 1
         stack[-1][2].append(value)
     if stack:
         raise _Fault("unbalanced (", stack[-1][1])
-    raise _Fault("expected exactly one expression, found 0", 0)
+    raise _Fault("expected exactly one expression, found 0", None)
 
 
 @_positioned
 def parse_term(text: str, sig: Signature) -> Preterm:
     """Read and type one term; normalize it only if a spine is under-applied."""
     tokens = _tokens(text)
-    t, at = _read(tokens, sig, _TERM)
-    if next(tokens, None) is not None:
+    t, at, end = _read(tokens, 0, sig, _TERM)
+    if end < len(tokens):
         raise _Fault("expected exactly one expression, found %d"
-                     % len(read_sexprs(text)), 0)
+                     % len(_sexprs(tokens)), None)
     try:
         try:
             tm.type_of(t, sig)
@@ -306,9 +322,10 @@ def parse_signature(text: str, kind: str,
                     strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
     """Parse the signature plus order-parameter file and validate every
     constraint the orders rely on.  Violations are reported by name."""
-    exprs = read_sexprs(text)
+    tokens = _tokens(text)
+    exprs = _sexprs(tokens)
     if len(exprs) != 1:
-        raise _Fault("expected exactly one expression, found %d" % len(exprs), 0)
+        raise _Fault("expected exactly one expression, found %d" % len(exprs), None)
     root = exprs[0]
     entries = _expect_list(root, "(signature ...)")
     if not entries or not isinstance(entries[0], Atom) or entries[0].text != "signature":
@@ -330,7 +347,7 @@ def parse_signature(text: str, kind: str,
         return sections[name].items[1:] if name in sections else []
 
     def parse_type(e: SExpr) -> Type:
-        return _read(_tokens(text, e.at), sig, _TYPE)[0]
+        return _read(tokens, e.at, sig, _TYPE)[0]
 
     for item in section("types"):
         name, arity = _expect_pair(item, "(NAME ARITY)")

@@ -499,6 +499,28 @@ def test_strict_mode_is_decided_before_any_algorithm(kind):
         assert algo(Db(3, K), Db(2, K), strict) in (G, L)
 
 
+def test_strict_mode_walks_no_closed_pair(monkeypatch):
+    """Only a loose index can leak, so strict mode walks neither side of a
+    closed pair, however deep; a leaking pair with two types still raises."""
+    from lamorder import term
+    from lamorder.checks import adversarial_lpo_pair, bench_signature
+    sig, *params = bench_signature()
+    t, s = adversarial_lpo_pair(200)
+    walked = []
+    walk = term.nodes
+    monkeypatch.setattr(term, "nodes", lambda u, *a: walked.append(u) or walk(u, *a))
+    for p in params:
+        strict = OrderParams(sig, p.kind, prec=["a", "b", "f", "g"], watershed="a",
+                             strict_leaks=True)
+        assert compare(t, s, strict) is L
+        assert not any(isinstance(u, term.Preterm) for u in walked)
+        kappa = TyCon("kappa")
+        with pytest.raises(LeakTypeMismatch, match="#3"):
+            compare(Db(3, arrow(kappa, kappa), (Sym("a"),)), Db(3, kappa), strict)
+        assert Db(3, kappa) in walked
+        walked.clear()
+
+
 # ---------------------------------------------------------------------------
 # Parameter validation
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import parse_mutants
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder import term
 from lamorder.lambda_order import KBO, LPO
@@ -136,11 +137,18 @@ def test_signature_constraint_violations_are_named():
     ("(coeffs ((g 2) 2))", "(coeffs ((g 2) 2) @((g 2) 3))"),
     ("(watershed a))", "(watershed a) (ordinal-weights @yes please))"),
     ("(a () () k)", "@(a (A A) () k)"),
+    ("(types (k 0)", '; ( ) " (\n  (types (k @x)'),
+    ("(types (k 0)", "(types ; (k\n (k 0) @(j)"),
+    ("(a () () k)", '("a;b" () () k) (a () () (@q k))'),
+    ("(watershed a))", "(watershed a))@)"),
+    ("(watershed a))", '(watershed @"a))'),
 ], ids=["arity", "coeff-index", "type-entry", "weight-entry", "wlam",
         "watershed", "misspelt", "repeated", "redeclared-type",
         "symbol-type-constructor", "symbol-type-atom", "symbol-param-arity",
         "repeated-weight", "repeated-tyweight", "repeated-coeff",
-        "ordinal-weights-arguments", "repeated-type-variable"])
+        "ordinal-weights-arguments", "repeated-type-variable",
+        "after-comment", "after-comment-paren", "after-string-semicolon",
+        "last-token", "last-token-string"])
 def test_malformed_signature_entries_are_positioned(old, new):
     """Each text is SIG_TEXT with one entry broken; @ marks where the error
     must point."""
@@ -200,6 +208,8 @@ def test_comments_and_strings():
         " (symbols (a () () k)) (precedence a))", KBO)
     assert "a" in sig.symbols
     assert parse_term('; a\n(sym "a" () ()) ; last (sym a () ())', sig) is Sym("a")
+    # an open list, a comment and a close: not one empty-list token
+    assert parse_term("(sym a ( ; c\n) ())", sig) is Sym("a")
 
 
 def test_ordinal_weights_are_opt_in():
@@ -253,6 +263,12 @@ def test_ordinal_weights_are_opt_in():
     ("@(sym diff (k k) ((sym a () ()) (lam k (sym f () () (db 0 k)))))",
      "parameter of diff has type k, expected (-> k k)"),
     ("\n @(lam k (lam o (db 1 o)))", "bound index #1 annotated o but binder has k"),
+    ("; (sym\n(sym f () () @x)", "expected a term"),
+    ("(sym f () () ; ) )\n @x)", "expected a term"),
+    ('; "\n(sym @nosuch () ())', "unknown symbol nosuch"),
+    ('(var "y;z" k @x)', "expected a term"),
+    ("(sym f () ()\n (var y @zzz", "unknown type constructor zzz"),
+    ('(lam k (db 0 @"k', "unterminated string"),
 ])
 def test_malformed_terms_are_positioned(sig_params, marked, message):
     """Each text has one fault; @ marks where the error must point."""
@@ -324,6 +340,27 @@ def test_rendered_generated_terms_parse_back(polymorphic):
     for _ in range(300):
         t = g.gen(rng.choice(tys), 12, ground=False)
         assert parse_term(render_term(t), sig) is normalize(t, sig), render_term(t)
+
+
+def test_mutated_terms_read_or_fail_at_a_token():
+    """Each of 2,000 seeded mutations of rendered generated terms reads as a
+    term or fails with a ParseError at one of its tokens, never with another
+    exception; only a text that is not one expression fails at 1:1, which
+    may be blank."""
+    read = 0
+    for text, sig in parse_mutants.mutants(0):
+        try:
+            parse_term(text, sig)
+            read += 1
+        except ParseError as err:
+            lines = text.split("\n")
+            assert 1 <= err.line <= len(lines), (text, str(err))
+            line = lines[err.line - 1]
+            if str(err).startswith("1:1: expected exactly one expression"):
+                continue
+            assert 1 <= err.col <= len(line) and not line[err.col - 1].isspace(), \
+                (text, str(err))
+    assert 0 < read < 2000
 
 
 def test_deep_terms_parse_and_render(sig_params):

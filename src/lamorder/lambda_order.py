@@ -21,8 +21,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from .cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge, smooth
 from .fo_order import FoParams, fo_kbo_compare, fo_lpo_compare
 from .ordinal import Ord, ONE, ZERO, ord_add, ord_compare, ord_mul
-from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, analyze_weight_diff,
-                   mono_mul)
+from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, ZERO_POLY,
+                   analyze_weight_diff, mono_mul)
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TyVar, Type, Var,
                    arrow_count, is_arrow, is_steady, is_steady_type, steady_split,
@@ -106,6 +106,9 @@ class OrderParams:
             prec=lambda a, b: self.ty_prec_ranks[a] - self.ty_prec_ranks[b])
         # verdicts of compare_types; nothing changes the parameters after this
         self._ty_cmps: Dict[Tuple[Type, Type], Cmp] = {}
+        # the KBO's scale of each position of a symbol's spine, by symbol and
+        # number of parameters and arguments, filled by arg_scales
+        self._scales: Dict[Tuple[str, int, int], Tuple[Tuple[Ord, Monomial], ...]] = {}
         # the symbols with a coefficient other than 1, for unit_coeffs
         self._nonunit = {f for (f, _), c in self.coeffs.items() if c != ONE}
         self.validate()
@@ -127,9 +130,28 @@ class OrderParams:
         except KeyError:
             raise OrderError("symbol %s has no precedence rank" % name) from None
 
-    def sym_cmp(self, g: str, f: str) -> Cmp:
-        d = self.sym_rank(g) - self.sym_rank(f)
-        return G if d > 0 else (L if d < 0 else E)
+    def head_cmp(self, t: Sym, s: Sym) -> Cmp:
+        """Two symbol heads by precedence, then by type arguments.  Equal
+        names are E after one rank lookup, which still raises for a symbol
+        declared after these parameters, and two empty type-argument tuples
+        are E at once; distinct names have distinct ranks."""
+        if t.name != s.name:
+            return G if self.sym_rank(t.name) > self.sym_rank(s.name) else L
+        self.sym_rank(t.name)
+        if not t.ty_args and not s.ty_args:
+            return E
+        return lex_ext(self.compare_types, t.ty_args, s.ty_args)
+
+    def arg_scales(self, t: Sym) -> Tuple[Tuple[Ord, Monomial], ...]:
+        """The scale of each parameter and argument of ``t``'s spine in the
+        KBO's descent: zero for a parameter, ``k(name, i)`` for argument i."""
+        key = t.name, len(t.params), len(t.args)
+        scales = self._scales.get(key)
+        if scales is None:
+            scales = self._scales[key] = (((ZERO, ()),) * len(t.params)
+                                          + tuple((self.k(t.name, i + 1), ())
+                                                  for i in range(len(t.args))))
+        return scales
 
     def above_watershed(self, name: str) -> bool:
         if self.watershed is None:
@@ -151,9 +173,6 @@ class OrderParams:
                                          % u.name)
             c = self._ty_cmps[ty1, ty2] = self.fo_compare(ty1, ty2, self._ty_fo)
         return c
-
-    def compare_type_lists(self, tys1: Sequence[Type], tys2: Sequence[Type]) -> Cmp:
-        return lex_ext(self.compare_types, tys1, tys2)
 
     # -- validation ---------------------------------------------------------
 
@@ -260,12 +279,27 @@ def var_key(name: str, ty: Type, prefix: Tuple[Preterm, ...], p: OrderParams) ->
 # Weight polynomials
 # ---------------------------------------------------------------------------
 
+# the coefficient of a minus side, by which a weight is negated, not multiplied
+MINUS_ONE = -ONE
+
+
+def _neg(k: Ord) -> Ord:
+    return MINUS_ONE if k is ONE else -k
+
+
 def _add_term(acc: Dict[Monomial, Ord], m: Monomial, coeff: Ord, c: Ord) -> None:
-    """acc[m] += coeff * c"""
+    """acc[m] += coeff * c; a sum that cancels drops the entry"""
     if coeff is not ONE:
-        c = ord_mul(coeff, c)
+        c = _neg(c) if coeff is MINUS_ONE else ord_mul(coeff, c)
     old = acc.get(m)
-    acc[m] = c if old is None else ord_add(old, c)
+    if old is None:
+        acc[m] = c
+    else:
+        c = ord_add(old, c)
+        if c.terms:
+            acc[m] = c
+        else:
+            del acc[m]
 
 
 def weight_poly(t: Preterm, p: OrderParams, *,
@@ -275,8 +309,8 @@ def weight_poly(t: Preterm, p: OrderParams, *,
 
     Without ``acc`` the weight is returned as a Poly.  With it, nothing is
     returned: ``coeff * mono * weight(t)`` is added into ``acc`` (monomial ->
-    coefficient, zeros allowed), in the one pass that also visits the
-    arguments, so no polynomial is built per node.
+    nonzero coefficient), in the one pass that also visits the arguments, so
+    no polynomial is built per node.
     """
     global _weight_calls
     _weight_calls += 1
@@ -324,8 +358,8 @@ def weight_diff(t: Preterm, s: Preterm, p: OrderParams) -> Poly:
     """weight(t) - weight(s), accumulated by one signed pass over each side."""
     acc: Dict[Monomial, Ord] = {}
     weight_poly(t, p, acc=acc)
-    weight_poly(s, p, acc=acc, coeff=-ONE)
-    return Poly(acc)
+    weight_poly(s, p, acc=acc, coeff=MINUS_ONE)
+    return Poly(acc) if acc else ZERO_POLY
 
 
 def collect_indet_reps(t: Preterm, p: OrderParams) -> Dict[Indet, Tuple]:
@@ -445,14 +479,10 @@ class _Kbo(_Base):
                                 [(ONE, (KInd(key, i + 1),)) for i in range(len(t.args))],
                                 depth, True)
         if isinstance(t, Sym) and isinstance(s, Sym):
-            c = p.sym_cmp(t.name, s.name)
+            c = p.head_cmp(t, s)
             if c is E:
-                c = p.compare_type_lists(t.ty_args, s.ty_args)
-                if c is E:
-                    scales = [(ZERO, ())] * len(t.params)
-                    scales += [(p.k(t.name, i + 1), ()) for i in range(len(t.args))]
-                    return self.descend(t.params + t.args, s.params + s.args, scales,
-                                        depth, False)
+                return self.descend(t.params + t.args, s.params + s.args,
+                                    p.arg_scales(t), depth, False)
         elif isinstance(t, Db) and isinstance(s, Db) and self.leak_mismatch(t, s, depth, depth):
             return self.leaf(t, s, U)
         else:
@@ -525,7 +555,7 @@ class _KboOpt(_Kbo):
         and the positions after the deciding one are weighed straight in."""
         acc: Dict[Monomial, Ord] = {}
         verdict = E
-        rest = len(ts)
+        rest = n = len(ts)
         for i, (a, b, (k, m)) in enumerate(zip(ts, ss, scales, strict=True)):
             if a is b and _rigid(a):
                 continue
@@ -539,10 +569,13 @@ class _KboOpt(_Kbo):
             if c is G or c is L or c is U:
                 rest = i + 1
                 break
-        for a, b, (k, m) in zip(ts[rest:], ss[rest:], scales[rest:], strict=True):
-            if a is not b and not k.is_zero():
-                weight_poly(a, self.p, acc=acc, coeff=k, mono=m)
-                weight_poly(b, self.p, acc=acc, coeff=-k, mono=m)
+        if rest < n or len(ss) != n:
+            for a, b, (k, m) in zip(ts[rest:], ss[rest:], scales[rest:], strict=True):
+                if a is not b and not k.is_zero():
+                    weight_poly(a, self.p, acc=acc, coeff=k, mono=m)
+                    weight_poly(b, self.p, acc=acc, coeff=_neg(k), mono=m)
+        if not acc:
+            return ZERO_POLY, verdict
         w = Poly(acc)
         return w, lex_merge(analyze_weight_diff(w), verdict)
 
@@ -595,12 +628,10 @@ class _Lpo(_Base):
             if self.same_steady_var(t, s):
                 out = cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
         elif isinstance(t, Sym) and isinstance(s, Sym):
-            c = p.sym_cmp(t.name, s.name)
+            c = p.head_cmp(t, s)
             if c is E:
-                c = p.compare_type_lists(t.ty_args, s.ty_args)
-                if c is E:
-                    out = self.scan(t, dt, t.params + t.args, s, ds, s.params + s.args,
-                                    len(t.params))
+                out = self.scan(t, dt, t.params + t.args, s, ds, s.params + s.args,
+                                len(t.params))
         elif isinstance(t, Lam) and isinstance(s, Lam):
             c = p.compare_types(t.arg_ty, s.arg_ty)
             if c is E:

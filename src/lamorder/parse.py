@@ -214,33 +214,51 @@ def _close(kind: int, at: int, items: list, sig: Signature):
 def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
     """Read the one s-expression, type or term (``role``) whose first token
     is number ``i`` of ``tokens``; return it, that number, and the number of
-    the token after its last.  Each open list is a frame ``[kind, token
-    number, children, roles]``."""
+    the token after its last.  The innermost open list is held in locals, its
+    kind, token number, children and their roles; the lists around it wait
+    on a stack.  A term that opens with ``(sym NAME () ()``, NAME declared
+    and written bare, is entered in one step: none of those tokens can
+    fault, and the list stands as if read token by token."""
     stack: list = []
-    for i in range(i, len(tokens)):
+    kind = start = roles = None
+    items: Optional[list] = None      # the innermost open list's children
+    n = len(tokens)
+    while i < n:
         tok = tokens[i]
         if tok == ")":
-            if not stack:
+            if items is None:
                 raise _Fault("unbalanced )", i)
-            role, at, items, roles = stack.pop()
             if roles is _SYM_SLOTS and len(items) >= 4:  # see _FORMS
                 value = Sym(items[1], items[2], items[3], tuple(items[4:]))
             else:
-                value = _close(role, at, items, sig)
+                value = _close(kind, start, items, sig)
+            at = start
+            if not stack:
+                return value, at, i + 1
+            kind, start, items, roles = stack.pop()
         else:
             at = i
-            if stack:
-                frame = stack[-1]
-                n = len(frame[2])
-                role = frame[3][n if n < _SLOTS else -1]
+            if items is not None:
+                k = len(items)
+                role = roles[k if k < _SLOTS else -1]
                 if role == _EXTRA:
-                    raise _Fault(_LAM_ARITY, frame[1])
+                    raise _Fault(_LAM_ARITY, start)
             first = tok[0]
             if first == "(":
                 if role > _TERMS:
                     raise _Fault(_MISPLACED[role], i)
                 if tok == "(":
-                    stack.append([role, i, [], _LIST_SLOTS[role]])
+                    if items is not None:
+                        stack.append((kind, start, items, roles))
+                    if (role == _TERM and i + 4 < n and tokens[i + 1] == "sym"
+                            and tokens[i + 3] == "()" and tokens[i + 4] == "()"
+                            and tokens[i + 2] in sig.symbols and tokens[i + 2][0] not in "()"):
+                        kind, start, roles = _TERM, i, _SYM_SLOTS
+                        items = ["sym", tokens[i + 2], (), ()]
+                        i += 5
+                    else:
+                        kind, start, items, roles = role, i, [], _LIST_SLOTS[role]
+                        i += 1
                     continue
                 # an empty list of type arguments or parameters
                 value = () if role >= _TYPES else _close(role, i, [], sig)
@@ -253,7 +271,7 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
                 if role == _KEYWORD:
                     if value not in _FORMS:
                         raise _Fault("unknown term keyword %s" % value, i)
-                    frame[3] = _FORMS[value][0]
+                    roles = _FORMS[value][0]
                 elif role == _SYMBOL:
                     if value not in sig.symbols:
                         raise _Fault("unknown symbol %s" % value, i)
@@ -261,7 +279,7 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
                     value = (TyVar(value[1:]) if value.startswith("'")
                              else _close(_TYPE, i, [value], sig))
                 elif role == _TYCON:
-                    frame[1] = i
+                    start = i
                 elif role == _INDEX:
                     if not value.isdecimal():
                         raise _Fault("index must be a natural number", i)
@@ -270,11 +288,12 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
                     value = Atom(value, i)
                 elif role != _VARNAME:
                     raise _Fault(_MISPLACED[role], i)
-        if not stack:
-            return value, at, i + 1
-        stack[-1][2].append(value)
-    if stack:
-        raise _Fault("unbalanced (", stack[-1][1])
+            if items is None:
+                return value, at, i + 1
+        items.append(value)
+        i += 1
+    if items is not None:
+        raise _Fault("unbalanced (", start)
     raise _Fault("expected exactly one expression, found 0", None)
 
 
@@ -286,6 +305,7 @@ def parse_term(text: str, sig: Signature) -> Preterm:
     if end < len(tokens):
         raise _Fault("expected exactly one expression, found %d"
                      % len(_sexprs(tokens)), None)
+    read = t
     try:
         try:
             tm.type_of(t, sig)
@@ -294,8 +314,31 @@ def parse_term(text: str, sig: Signature) -> Preterm:
             t = normalize(t, sig)
             tm.type_of(t, sig)
     except tm.TermError as exc:
-        raise _Fault(str(exc), at) from exc
+        raise _Fault(str(exc), _fault_token(tokens, read, exc, at)) from exc
     return t
+
+
+def _fault_token(tokens: List[str], t: Preterm, fault: tm.TermError, root: int) -> int:
+    """The token of a typing fault in the term ``t`` read from ``tokens``:
+    the first occurrence of the node that ``fault`` names, or of its named
+    child there (identical subterms fail alike); ``root`` when ``t`` holds
+    no such node, as when the fault lies in a spine that normalizing
+    repaired.  Reads the tokens again, as s-expressions, and walks them
+    with ``t`` in text order."""
+    if fault.node is None:
+        return root
+    stack = [(t, _read(tokens, root, None, _SEXPR)[0])]
+    while stack:
+        u, e = stack.pop()
+        items = e.items
+        if isinstance(u, Sym):
+            kids = items[3].items + items[4:]
+        else:
+            kids = items[2:] if isinstance(u, Lam) else items[3:]
+        if u is fault.node:
+            return (e if fault.child is None else kids[fault.child]).at
+        stack += reversed(list(zip(tm.children(u), kids)))
+    return root
 
 
 def parse_term_file(path: str, sig: Signature) -> Preterm:

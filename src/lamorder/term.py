@@ -35,7 +35,14 @@ ARROW = "->"
 
 
 class TermError(Exception):
-    """Ill-formed or ill-typed term input."""
+    """Ill-formed or ill-typed term input.  ``check_types`` names in ``node``
+    the node whose rule failed and, for a child of the wrong type, in
+    ``child`` that child's position in ``children(node)``."""
+
+    def __init__(self, message: str, child: Optional[int] = None):
+        super().__init__(message)
+        self.node: Optional[Preterm] = None
+        self.child = child
 
 
 class UnderApplied(TermError):
@@ -462,43 +469,49 @@ def check_types(t: Preterm, sig: Signature) -> Type:
     it passes; return the type of ``t``.  Each rule is local: a node's own
     types, index and head (``spine_rule``) on its first visit, its children's
     types on the second, where a lambda reads its body's ``index_types``.
-    Raises TermError at the first fault, UnderApplied on an arrow-typed spine."""
+    Raises TermError at the first fault, UnderApplied on an arrow-typed spine,
+    naming the node whose rule failed."""
     types, index_types = sig.types, sig.index_types
     stack: list = [t]
-    while stack:
-        u = stack.pop()
-        if type(u) is not tuple:
-            if u not in types:
-                for ty in node_types(u):
-                    check_type(ty, sig)
-                if isinstance(u, Db) and u.index < 0:
-                    raise TermError("index must be a natural number")
-                stack.append((u, *(((), None) if isinstance(u, Lam) else spine_rule(u, sig))))
-                stack += reversed(children(u))
-            continue
-        u, wants, ty = u            # the second visit: the children are typed
-        kids = children(u)
-        if isinstance(u, Lam):
-            ty = arrow(u.arg_ty, types[u.body])
-            layers, offset = index_types.get(u.body, ((), 0))
-            for got, n in (pair for layer in layers for pair in layer.get(offset, ())):
-                if got is not u.arg_ty:
-                    raise TermError("bound index #%d annotated %r but binder has %r"
-                                    % (n, got, u.arg_ty))
-        else:
-            np = len(kids) - len(u.args)
-            for i, want in enumerate(wants):
-                got = types[kids[i]]
-                if got is not want:
-                    at = ("parameter of %s" % u.name if i < np
-                          else "argument %d of %r" % (i - np + 1, u))
-                    raise TermError("%s has type %r, expected %r" % (at, got, want))
-            if is_arrow(ty):
-                raise UnderApplied("not a normalized term (normalize it first): "
-                                   "a spine has arrow type %r" % (ty,))
-        if u.loose:
-            index_types[u] = _index_types(u, kids, index_types)
-        types[u] = ty
+    try:
+        while stack:
+            u = stack.pop()
+            if type(u) is not tuple:
+                if u not in types:
+                    for ty in node_types(u):
+                        check_type(ty, sig)
+                    if isinstance(u, Db) and u.index < 0:
+                        raise TermError("index must be a natural number")
+                    rule = ((), None) if isinstance(u, Lam) else spine_rule(u, sig)
+                    stack.append((u, *rule))
+                    stack += reversed(children(u))
+                continue
+            u, wants, ty = u            # the second visit: the children are typed
+            kids = children(u)
+            if isinstance(u, Lam):
+                ty = arrow(u.arg_ty, types[u.body])
+                layers, offset = index_types.get(u.body, ((), 0))
+                for got, n in (pair for layer in layers for pair in layer.get(offset, ())):
+                    if got is not u.arg_ty:
+                        raise TermError("bound index #%d annotated %r but binder has %r"
+                                        % (n, got, u.arg_ty))
+            else:
+                np = len(kids) - len(u.args)
+                for i, want in enumerate(wants):
+                    got = types[kids[i]]
+                    if got is not want:
+                        at = ("parameter of %s" % u.name if i < np
+                              else "argument %d of %r" % (i - np + 1, u))
+                        raise TermError("%s has type %r, expected %r" % (at, got, want), i)
+                if is_arrow(ty):
+                    raise UnderApplied("not a normalized term (normalize it first): "
+                                       "a spine has arrow type %r" % (ty,))
+            if u.loose:
+                index_types[u] = _index_types(u, kids, index_types)
+            types[u] = ty
+    except TermError as exc:
+        exc.node = u
+        raise
     return types[t]
 
 

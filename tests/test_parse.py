@@ -252,15 +252,15 @@ def test_ordinal_weights_are_opt_in():
     ("(lam @zzz (db 0 zzz))", "unknown type constructor zzz"),
     ("(lam (@k k) (db 0 k))", "type constructor k expects 0 arguments, got 1"),
     ("(lam (@-> k) (db 0 k))", "type constructor -> expects 2 arguments, got 1"),
-    ("\n  @(sym f () () (sym top () ()))",
+    ("\n  (sym f () () @(sym top () ()))",
      "argument 1 of (f top) has type o, expected k"),
-    ("; comment\n@(sym f () () (var y 'A))",
+    ("; comment\n(sym f () () @(var y 'A))",
      "argument 1 of (f y) has type 'A, expected k"),
     ("@(sym f () () (sym a () ()) (sym a () ()))",
      "type mismatch at argument 2 of (f a a)"),
     ("@(sym diff () () (sym a () ()))", "expected 2 type arguments, got 0"),
     ("@(sym a () ((sym a () ())))", "symbol a expects 0 parameters, got 1"),
-    ("@(sym diff (k k) ((sym a () ()) (lam k (sym f () () (db 0 k)))))",
+    ("(sym diff (k k) (@(sym a () ()) (lam k (sym f () () (db 0 k)))))",
      "parameter of diff has type k, expected (-> k k)"),
     ("\n @(lam k (lam o (db 1 o)))", "bound index #1 annotated o but binder has k"),
     ("; (sym\n(sym f () () @x)", "expected a term"),
@@ -302,20 +302,46 @@ def test_first_fault_is_named_unless_a_spine_is_under_applied(sig_params):
     again; any other fault is reported as the first check finds it, even
     when the term also has an under-applied spine.  The check finishes a
     node after its children, so an argument's type is checked before the
-    binder of an index in it."""
+    binder of an index in it.  A fault points at the argument of the wrong
+    type, or at the node whose rule failed; one in a spine that
+    normalizing repaired points at the root."""
     sig, _ = sig_params
     cases = {
-        "(sym g () () (sym top () ()))": "argument 1 of (g top) has type o, expected k",
-        "(lam k (sym g () () (db 0 o)))": "argument 1 of (g #0) has type o, expected k",
+        "(sym g () () (sym top () ()))": "1:14: argument 1 of (g top) has type o, expected k",
+        "(lam k (sym g () () (db 0 o)))": "1:21: argument 1 of (g #0) has type o, expected k",
         "(sym f () () (sym a () ()) (sym g () () (sym a () ())))":
-            "type mismatch at argument 2 of (f a (g a))",
+            "1:1: type mismatch at argument 2 of (f a (g a))",
         "(sym f () () (sym g () () (sym a () ())))":
-            "argument 1 of (f (\\k. (g a #0))) has type (-> k k), expected k",
+            "1:1: argument 1 of (f (\\k. (g a #0))) has type (-> k k), expected k",
     }
     for text, message in cases.items():
         with pytest.raises(ParseError) as err:
             parse_term(text, sig)
-        assert str(err.value) == "1:1: " + message, text
+        assert str(err.value) == message, text
+
+
+def test_typing_faults_point_at_the_first_occurrence_of_the_failing_node(sig_params):
+    """A typing fault is found after the whole term is read, so the reader
+    reads its tokens again to find the node the fault names, at its first
+    occurrence in the text (identical subterms fail alike), and points at
+    the argument of the wrong type there, or at the node itself."""
+    sig, _ = sig_params
+    text = "(sym f () ()\n  (sym f () ()\n    (sym f () () (sym top () ()))))"
+    with pytest.raises(ParseError) as err:
+        parse_term(text, sig)
+    assert str(err.value) == "3:18: argument 1 of (f top) has type o, expected k"
+    top = "(sym f () () (sym top () ()))"
+    cases = {
+        "(sym g () () (sym diff (k k) ((lam k (sym f () () @(sym top () ())))"
+        " (lam k (sym a () ())))) %s)" % top: "argument 1 of (f top) has type o, expected k",
+        "(lam k\n (sym g () () (sym a () ())\n  @(sym f () () (sym a () ()) (db 0 k))))":
+            "type mismatch at argument 2 of (f a #0)",
+    }
+    for marked, message in cases.items():
+        text, line, col = _positioned(marked)
+        with pytest.raises(ParseError) as err:
+            parse_term(text, sig)
+        assert str(err.value) == "%d:%d: %s" % (line, col, message)
 
 
 def test_deep_term_over_applied_at_its_root_is_positioned(sig_params):

@@ -618,6 +618,18 @@ def test_compare_types_names_an_unranked_constructor():
 ALL_ALGOS = (compare_kbo_naive, compare_kbo_opt, compare_lpo_naive, compare_lpo_opt)
 
 
+def test_equal_heads_name_an_unranked_symbol():
+    """Two equal symbol heads are E after one precedence lookup, which still
+    names a symbol declared after the parameters were made."""
+    from lamorder.checks import bench_signature
+    sig, kbo, lpo = bench_signature()
+    sig.add_symbol("late", TypeDecl((), (), arrow(TyCon("kappa"), TyCon("kappa"))))
+    t, s = Sym("late", (), (), (Sym("a"),)), Sym("late", (), (), (Sym("b"),))
+    for algo in ALL_ALGOS:
+        with pytest.raises(OrderError, match="symbol late has no precedence rank"):
+            algo(t, s, kbo if algo in KBO_ALGOS else lpo)
+
+
 def _params_for(algo, kbo, lpo):
     return kbo if algo in KBO_ALGOS else lpo
 
@@ -895,6 +907,57 @@ def test_identical_arguments_cost_no_descent():
     assert KboSpy(kbo).compare(t, s) is G
     assert LpoSpy(lpo).compare(t, s) is G
     assert (processed[0], compared[0]) == (2, 2)
+
+
+def test_equal_heads_cost_no_extension_product_or_polynomial(monkeypatch):
+    """Both optimized orders decide two equal symbol heads by one rank
+    lookup, without ``lex_ext`` over their empty type arguments, and the
+    optimized KBO reads a head's argument scales from a table, negates the
+    weights of a minus side instead of multiplying them by -1, and builds
+    no ``Poly`` for a level whose weight difference is empty: under
+    ``bench_signature()``, where a and b weigh alike, every level of the
+    depth-200 chain and nest is one.  That takes no naive call and no
+    weighed node: the recursive calls and ``weight_calls()`` are pinned at
+    their counts before the equal-head step, both directions alike."""
+    import lamorder
+    from lamorder import cmp, ordinal, poly
+    from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair
+    ran = {"ord_mul": 0, "lex_ext": 0, "Poly": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            ran[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, fn in (("ord_mul", ordinal.ord_mul), ("lex_ext", cmp.lex_ext)):
+        for mod in [m for n, m in sys.modules.items() if n.startswith("lamorder.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting(name, fn))
+    monkeypatch.setattr(poly.Poly, "__init__", counting("Poly", poly.Poly.__init__))
+
+    processed = [0]
+
+    class KboSpy(_KboOpt):
+        def process(self, t, s, depth):
+            processed[0] += 1
+            return _KboOpt.process(self, t, s, depth)
+
+    LpoSpy, compared = _counting_lpo(_LpoOpt)
+    _, kbo, lpo = bench_signature()
+    counts = []
+    for make in (deep_chain_pair, adversarial_lpo_pair):
+        t, s = make(200)
+        for a, b, verdict in ((t, s, L), (s, t, G)):
+            processed[0] = compared[0] = 0
+            reset_weight_calls()
+            assert KboSpy(kbo).compare(a, b) is verdict
+            assert LpoSpy(lpo).compare(a, b) is verdict
+            counts.append((processed[0], weight_calls(), compared[0]))
+    assert counts == [(201, 2, 201)] * 2 + [(201, 402, 400)] * 2
+    assert ran == {"ord_mul": 0, "lex_ext": 0, "Poly": 0}
+    assert lamorder.lambda_order.lex_ext is not cmp.lex_ext   # the count saw every caller
 
 
 def test_variable_condition_prunes_subterm_checks():

@@ -1,6 +1,7 @@
 """Textual formats: terms, types, signature files and their error reporting."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -366,6 +367,33 @@ def test_rendered_generated_terms_parse_back(polymorphic):
     for _ in range(300):
         t = g.gen(rng.choice(tys), 12, ground=False)
         assert parse_term(render_term(t), sig) is normalize(t, sig), render_term(t)
+
+
+@pytest.mark.parametrize("polymorphic", [False, True])
+def test_every_node_reads_back_by_either_path(polymorphic):
+    """A declared ``(sym NAME () ()`` is read in one step; blanks inside
+    ``( )``, a quoted name or a comment between tokens send the same text
+    token by token through the reader.  Every node of a generated pool,
+    rendered alone or in these variants, reads back as the same object,
+    type arguments and parameters among them."""
+    cfg = GenConfig(seed=5, polymorphic=polymorphic)
+    sig, _, _ = gen_signature(cfg)
+    rng = random.Random(5)
+    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=polymorphic),
+                poly_ty_vars=("a0",) if polymorphic else ())
+    iota, kappa = TyCon("iota"), TyCon("kappa")
+    tys = [iota, kappa, arrow(iota, kappa), arrow(arrow(kappa, iota), kappa)]
+    pool = {u for _ in range(100)
+            for u, _ in term.nodes(normalize(g.gen(rng.choice(tys), 12, ground=False), sig))}
+    for u in pool:
+        text = render_term(u)
+        variants = (text, text.replace("()", "( )"), text.replace(" ", " ; c\n"),
+                    re.sub(r"\(sym (\S+)", r'(sym "\1"', text))
+        for v in variants:
+            assert parse_term(v, sig) is u, v
+    syms = [u for u in pool if isinstance(u, Sym)]
+    assert any(u.params for u in syms)
+    assert any(u.ty_args for u in syms)
 
 
 def test_mutated_terms_read_or_fail_at_a_token():

@@ -569,6 +569,8 @@ class _KboOpt(_Kbo):
             if c is G or c is L or c is U:
                 rest = i + 1
                 break
+        # the tail after the deciding position: none after a full scan,
+        # unless the lengths differ, which the strict zip rejects
         if rest < n or len(ss) != n:
             for a, b, (k, m) in zip(ts[rest:], ss[rest:], scales[rest:], strict=True):
                 if a is not b and not k.is_zero():

@@ -916,9 +916,9 @@ def test_equal_heads_cost_no_extension_product_or_polynomial(monkeypatch):
     weights of a minus side instead of multiplying them by -1, and builds
     no ``Poly`` for a level whose weight difference is empty: under
     ``bench_signature()``, where a and b weigh alike, every level of the
-    depth-200 chain and nest is one.  That takes no naive call and no
-    weighed node: the recursive calls and ``weight_calls()`` are pinned at
-    their counts before the equal-head step, both directions alike."""
+    depth-200 chain and nest is one.  The step changes no count: the
+    recursive calls and ``weight_calls()`` are pinned at their counts
+    before it, both directions alike."""
     import lamorder
     from lamorder import cmp, ordinal, poly
     from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair

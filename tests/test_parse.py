@@ -264,6 +264,15 @@ def test_ordinal_weights_are_opt_in():
     ("(sym diff (k k) (@(sym a () ()) (lam k (sym f () () (db 0 k)))))",
      "parameter of diff has type k, expected (-> k k)"),
     ("\n @(lam k (lam o (db 1 o)))", "bound index #1 annotated o but binder has k"),
+    # a typing fault is found after the whole term is read: it points at the
+    # first occurrence of the failing node, or of its child of the wrong type
+    ("(sym f () ()\n  (sym f () ()\n    (sym f () () @(sym top () ()))))",
+     "argument 1 of (f top) has type o, expected k"),
+    ("(sym g () () (sym diff (k k) ((lam k (sym f () () @(sym top () ())))"
+     " (lam k (sym a () ())))) (sym f () () (sym top () ())))",
+     "argument 1 of (f top) has type o, expected k"),
+    ("(lam k\n (sym g () () (sym a () ())\n  @(sym f () () (sym a () ()) (db 0 k))))",
+     "type mismatch at argument 2 of (f a #0)"),
     ("; (sym\n(sym f () () @x)", "expected a term"),
     ("(sym f () () ; ) )\n @x)", "expected a term"),
     ('; "\n(sym @nosuch () ())', "unknown symbol nosuch"),
@@ -321,30 +330,6 @@ def test_first_fault_is_named_unless_a_spine_is_under_applied(sig_params):
         assert str(err.value) == message, text
 
 
-def test_typing_faults_point_at_the_first_occurrence_of_the_failing_node(sig_params):
-    """A typing fault is found after the whole term is read, so the reader
-    reads its tokens again to find the node the fault names, at its first
-    occurrence in the text (identical subterms fail alike), and points at
-    the argument of the wrong type there, or at the node itself."""
-    sig, _ = sig_params
-    text = "(sym f () ()\n  (sym f () ()\n    (sym f () () (sym top () ()))))"
-    with pytest.raises(ParseError) as err:
-        parse_term(text, sig)
-    assert str(err.value) == "3:18: argument 1 of (f top) has type o, expected k"
-    top = "(sym f () () (sym top () ()))"
-    cases = {
-        "(sym g () () (sym diff (k k) ((lam k (sym f () () @(sym top () ())))"
-        " (lam k (sym a () ())))) %s)" % top: "argument 1 of (f top) has type o, expected k",
-        "(lam k\n (sym g () () (sym a () ())\n  @(sym f () () (sym a () ()) (db 0 k))))":
-            "type mismatch at argument 2 of (f a #0)",
-    }
-    for marked, message in cases.items():
-        text, line, col = _positioned(marked)
-        with pytest.raises(ParseError) as err:
-            parse_term(text, sig)
-        assert str(err.value) == "%d:%d: %s" % (line, col, message)
-
-
 def test_deep_term_over_applied_at_its_root_is_positioned(sig_params):
     sig, _ = sig_params
     depth = 2000
@@ -357,6 +342,11 @@ def test_deep_term_over_applied_at_its_root_is_positioned(sig_params):
 
 @pytest.mark.parametrize("polymorphic", [False, True])
 def test_rendered_generated_terms_parse_back(polymorphic):
+    """Every node of the generated terms, rendered alone, reads back as the
+    same object.  So does each variant of its text that sends the reader
+    token by token where it would enter a declared ``(sym NAME () ()`` in
+    one step: blanks inside ``( )``, a comment between tokens, a quoted
+    name.  Type arguments and parameters occur among the nodes."""
     cfg = GenConfig(seed=21, polymorphic=polymorphic)
     sig, _, _ = gen_signature(cfg)
     rng = random.Random(21)
@@ -364,36 +354,18 @@ def test_rendered_generated_terms_parse_back(polymorphic):
                 poly_ty_vars=("a0",) if polymorphic else ())
     iota, kappa = TyCon("iota"), TyCon("kappa")
     tys = [iota, kappa, arrow(iota, kappa), arrow(arrow(kappa, iota), kappa)]
+    pool = set()
     for _ in range(300):
         t = g.gen(rng.choice(tys), 12, ground=False)
         assert parse_term(render_term(t), sig) is normalize(t, sig), render_term(t)
-
-
-@pytest.mark.parametrize("polymorphic", [False, True])
-def test_every_node_reads_back_by_either_path(polymorphic):
-    """A declared ``(sym NAME () ()`` is read in one step; blanks inside
-    ``( )``, a quoted name or a comment between tokens send the same text
-    token by token through the reader.  Every node of a generated pool,
-    rendered alone or in these variants, reads back as the same object,
-    type arguments and parameters among them."""
-    cfg = GenConfig(seed=5, polymorphic=polymorphic)
-    sig, _, _ = gen_signature(cfg)
-    rng = random.Random(5)
-    g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=polymorphic),
-                poly_ty_vars=("a0",) if polymorphic else ())
-    iota, kappa = TyCon("iota"), TyCon("kappa")
-    tys = [iota, kappa, arrow(iota, kappa), arrow(arrow(kappa, iota), kappa)]
-    pool = {u for _ in range(100)
-            for u, _ in term.nodes(normalize(g.gen(rng.choice(tys), 12, ground=False), sig))}
+        pool.update(u for u, _ in term.nodes(normalize(t, sig)))
     for u in pool:
         text = render_term(u)
-        variants = (text, text.replace("()", "( )"), text.replace(" ", " ; c\n"),
-                    re.sub(r"\(sym (\S+)", r'(sym "\1"', text))
-        for v in variants:
+        for v in (text, text.replace("()", "( )"), text.replace(" ", " ; c\n"),
+                  re.sub(r"\(sym (\S+)", r'(sym "\1"', text)):
             assert parse_term(v, sig) is u, v
     syms = [u for u in pool if isinstance(u, Sym)]
-    assert any(u.params for u in syms)
-    assert any(u.ty_args for u in syms)
+    assert any(u.params for u in syms) and any(u.ty_args for u in syms)
 
 
 def test_mutated_terms_read_or_fail_at_a_token():

@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from . import checks
-from .lambda_order import DepthError, LeakTypeMismatch, OrderError, compare
+from .lambda_order import DepthError, LeakTypeMismatch, OrderError, check_leak_types, compare
 from .parse import ParseError, parse_signature_file, parse_term_file
 from .term import TermError
 
@@ -26,8 +26,7 @@ EXIT_BROKEN_PIPE = 141
 
 def _cmd_compare(args) -> int:
     try:
-        sig, params = parse_signature_file(args.sig, args.order,
-                                           strict_leaks=args.strict)
+        sig, params = parse_signature_file(args.sig, args.order)
         t = parse_term_file(args.terms[0], sig)
         s = parse_term_file(args.terms[1], sig)
     except (ParseError, TermError, OrderError, OSError) as exc:
@@ -37,6 +36,8 @@ def _cmd_compare(args) -> int:
         print("error: term nested too deeply to parse", file=sys.stderr)
         return 1
     try:
+        if args.strict:
+            check_leak_types(t, s)
         if args.algo == "both":
             a = compare(t, s, params, algo="naive")
             b = compare(t, s, params, algo="optimized")

@@ -114,7 +114,7 @@ def gen_signature(cfg: GenConfig) -> Tuple[Signature, OrderParams, OrderParams]:
 
     common = dict(weights=weights, w_lam=w_lam, w_db=w_db, coeffs=coeffs,
                   prec=prec, ty_weights=ty_weights, ty_prec=ty_prec,
-                  watershed=watershed, ordinal_weights=cfg.ordinal_weights)
+                  watershed=watershed)
     return sig, OrderParams(sig, KBO, **common), OrderParams(sig, LPO, **common)
 
 

@@ -76,9 +76,7 @@ class OrderParams:
                  prec: Optional[Sequence[str]] = None,
                  ty_weights: Optional[Dict[str, Ord]] = None,
                  ty_prec: Optional[Sequence[str]] = None,
-                 watershed: Optional[str] = None,
-                 strict_leaks: bool = False,
-                 ordinal_weights: bool = False):
+                 watershed: Optional[str] = None):
         if kind not in (KBO, LPO):
             raise OrderError("unknown order kind %r" % kind)
         _check_declared("weight of undeclared symbol", sig.symbols, weights or {})
@@ -94,8 +92,6 @@ class OrderParams:
         self.coeffs = dict(coeffs or {})
         self.ty_weights = dict(ty_weights or {})
         self.watershed = watershed
-        self.strict_leaks = strict_leaks
-        self.ordinal_weights = ordinal_weights
         self.prec_ranks = _ranks("precedence", sig.symbols,
                                  sorted(sig.symbols) if prec is None else prec)
         self.ty_prec_ranks = _ranks("type precedence", sig.type_constructors,
@@ -184,10 +180,6 @@ class OrderParams:
         for what, v in values:
             if v.is_zero() or not v.is_ordinal():
                 raise OrderError("%s = %s must be a positive ordinal" % (what, v))
-            # infinite weights are opt-in; the common configuration is finite
-            if not self.ordinal_weights and not v.is_natural():
-                raise OrderError("%s = %s is transfinite; enable ordinal weights "
-                                 "to use it" % (what, v))
         missing = set(self.sig.symbols) - set(self.prec_ranks)
         if missing:
             raise OrderError("precedence does not rank symbols %s" % sorted(missing))
@@ -844,10 +836,13 @@ class _LpoOpt(_Lpo):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _check_leak_types(t: Preterm, s: Preterm) -> None:
+def check_leak_types(t: Preterm, s: Preterm) -> None:
     """Strict mode: raise LeakTypeMismatch when an index number that leaks
     somewhere in ``t`` or ``s`` carries two annotated types among its
-    occurrences in them."""
+    occurrences in them.  Only a loose index can leak, so a closed pair is
+    not walked."""
+    if not (t.loose or s.loose):
+        return
     types: Dict[int, set] = {}
     leaking = set()
     for u in (t, s):
@@ -863,14 +858,11 @@ def _check_leak_types(t: Preterm, s: Preterm) -> None:
 
 
 def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    """Type both inputs by the checked pass (a TermError names a fault), in
-    strict mode check that no leaking index carries two types (a closed pair
-    has none), then compare them; a comparison that overflows the stack
-    raises ``DepthError``."""
+    """Type both inputs by the checked pass (a TermError names a fault),
+    then compare them; a comparison that overflows the stack raises
+    ``DepthError``."""
     for u in (t, s):
         type_of(u, p.sig)
-    if p.strict_leaks and (t.loose or s.loose):
-        _check_leak_types(t, s)
     if t is s:
         return E
     try:

@@ -215,8 +215,18 @@ def _tokenize_ord(text: str):
     return out
 
 
+# the deepest nesting of parenthesized exponents that parse_ord reads: each
+# level takes a few interpreter frames, here and in operations on the value
+MAX_NESTING = 256
+
+
 def parse_ord(text: str) -> Ord:
     toks = _tokenize_ord(text)
+    depth = 0
+    for tok in toks:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise ValueError("ordinal literal nested more than %d deep" % MAX_NESTING)
     value, rest = _parse_sum(toks)
     if rest:
         raise ValueError("trailing tokens in ordinal literal %r" % text)

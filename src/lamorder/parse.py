@@ -349,11 +349,15 @@ def parse_term_file(path: str, sig: Signature) -> Preterm:
 # Signature files
 # ---------------------------------------------------------------------------
 
-def _parse_ord_atom(e: SExpr) -> Ord:
+def _parse_ord_atom(e: SExpr, transfinite: bool) -> Ord:
     try:
-        return parse_ord(_expect_atom(e, "an ordinal literal"))
+        v = parse_ord(_expect_atom(e, "an ordinal literal"))
     except ValueError as exc:
         raise _Fault(str(exc), e.at) from exc
+    # transfinite values are opt-in; the common configuration is finite
+    if not (transfinite or v.is_natural()) and v.is_ordinal():
+        raise _Fault("%s is transfinite; add (ordinal-weights) to use it" % e.text, e.at)
+    return v
 
 
 _SECTIONS = ("types", "symbols", "weights", "tyweights", "coeffs", "wlam", "wdb",
@@ -361,14 +365,15 @@ _SECTIONS = ("types", "symbols", "weights", "tyweights", "coeffs", "wlam", "wdb"
 
 
 @_positioned
-def parse_signature(text: str, kind: str,
-                    strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
+def parse_signature(text: str, kind: str) -> Tuple[Signature, OrderParams]:
     """Parse the signature plus order-parameter file and validate every
     constraint the orders rely on.  Violations are reported by name."""
     tokens = _tokens(text)
     exprs = _sexprs(tokens)
     if len(exprs) != 1:
-        raise _Fault("expected exactly one expression, found %d" % len(exprs), None)
+        # at the first expression too many, or at the start of an empty text
+        raise _Fault("expected exactly one expression, found %d" % len(exprs),
+                     exprs[1].at if exprs else None)
     root = exprs[0]
     entries = _expect_list(root, "(signature ...)")
     if not entries or not isinstance(entries[0], Atom) or entries[0].text != "signature":
@@ -420,6 +425,8 @@ def parse_signature(text: str, kind: str,
         except tm.TermError as exc:
             raise _Fault(str(exc), item.at) from exc
 
+    transfinite = "ordinal-weights" in sections
+
     def table(name: str, what: str, read_key) -> dict:
         out = {}
         for item in section(name):
@@ -427,7 +434,7 @@ def parse_signature(text: str, kind: str,
             key = read_key(key)
             if key in out:
                 raise _Fault("repeated entry in (%s ...)" % name, item.at)
-            out[key] = _parse_ord_atom(value)
+            out[key] = _parse_ord_atom(value, transfinite)
         return out
 
     def coeff_key(e: SExpr) -> Tuple[str, int]:
@@ -452,14 +459,13 @@ def parse_signature(text: str, kind: str,
     extra = section("ordinal-weights")
     if extra:
         raise _Fault("(ordinal-weights) takes no arguments", extra[0].at)
-    ordinal_weights = "ordinal-weights" in sections
 
     kwargs = dict(weights=weights, coeffs=coeffs, prec=prec,
-                  ty_weights=ty_weights, ty_prec=ty_prec, watershed=watershed,
-                  strict_leaks=strict_leaks, ordinal_weights=ordinal_weights)
+                  ty_weights=ty_weights, ty_prec=ty_prec, watershed=watershed)
     for key, arg in (("wlam", "w_lam"), ("wdb", "w_db")):
         if key in sections:
-            kwargs[arg] = _parse_ord_atom(_expect_pair(sections[key], "(%s ORD)" % key)[1])
+            kwargs[arg] = _parse_ord_atom(_expect_pair(sections[key], "(%s ORD)" % key)[1],
+                                          transfinite)
     try:
         params = OrderParams(sig, kind, **kwargs)
     except OrderError as exc:
@@ -467,9 +473,8 @@ def parse_signature(text: str, kind: str,
     return sig, params
 
 
-def parse_signature_file(path: str, kind: str,
-                         strict_leaks: bool = False) -> Tuple[Signature, OrderParams]:
-    return parse_signature(_read_file(path), kind, strict_leaks)
+def parse_signature_file(path: str, kind: str) -> Tuple[Signature, OrderParams]:
+    return parse_signature(_read_file(path), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,8 @@ class Signature:
         if name in self.symbols:
             # ``types`` holds types derived from it, so a declaration is final
             raise TermError("symbol %s redeclared" % name)
+        for ty in decl.param_types + (decl.body,):
+            check_type(ty, self)
         self.symbols[name] = decl
 
     def base_types(self) -> List[Type]:

@@ -6,9 +6,11 @@ corpus.
 reads each mutated text with the ``lamorder`` under the source directory SRC
 and prints one line per text: the term it reads as, rendered, or its
 ParseError.  Two source trees that print the same lines read the corpus
-alike.
+alike.  ``signature_mutants`` mutates the fixture signature files alike.
 """
 
+import glob
+import os
 import random
 import re
 import sys
@@ -58,6 +60,36 @@ def mutants(seed: int, count: int = 2000):
         text = render_term(g.gen(rng.choice(tys), 12, ground=False))
         for _ in range(min(10, count - n)):
             yield _mutate(rng, text, pieces), sig
+
+
+# what a signature mutation inserts: syntax, section names and ordinal literals
+SIG_PIECES = ("(", ")", "()", '"', ";", "\n", " ", "types", "symbols", "weights",
+              "tyweights", "coeffs", "wlam", "wdb", "precedence", "typrecedence",
+              "watershed", "ordinal-weights", "(ordinal-weights)", "0", "1", "3", "-1",
+              "w", "w+1", "w^2*3", '"w^2 + w*2 + 1"', '"w - 1"', '"w^(w)"')
+# the lengths of the runs of ``w^(`` put into a literal: below, at and above
+# the deepest nesting that ordinal.parse_ord reads, 256
+RUNS = (1, 2, 256, 257, 400, 5000)
+
+
+def signature_mutants(seed: int, count: int = 2000):
+    """``count`` mutated texts of the fixture signature files.  A quarter of
+    them first have one number quoted under a run of ``w^(``, its
+    parentheses closed or not."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "fixtures", "*.sig")))
+    texts = []
+    for path in paths:
+        with open(path) as fh:
+            texts.append(fh.read())
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(texts)
+        if rng.random() < 0.25:
+            a, b = rng.choice([m.span() for m in re.finditer(r"\b\d+\b", text)])
+            n = rng.choice(RUNS)
+            text = '%s"%s%s%s"%s' % (text[:a], "w^(" * n, text[a:b],
+                                     ")" * rng.choice((0, n)), text[b:])
+        yield _mutate(rng, text, SIG_PIECES)
 
 
 def main(argv) -> None:

@@ -60,10 +60,12 @@ def test_mutated_oracle_is_detected():
 def test_mutated_params_keep_every_setting(seed):
     _, kbo, lpo = gen_signature(GenConfig(seed=seed, ordinal_weights=True))
     for p in (kbo, lpo):
-        p.strict_leaks = True
+        assert any(not w.is_natural() for w in p.weights.values())
         m = _mutated_params(p)
-        assert m.ordinal_weights and m.strict_leaks
-        assert m.weights == p.weights and m.prec_ranks != p.prec_ranks
+        for field in ("kind", "weights", "w_lam", "w_db", "coeffs", "ty_weights",
+                      "ty_prec_ranks", "watershed"):
+            assert getattr(m, field) == getattr(p, field), field
+        assert m.prec_ranks != p.prec_ranks
 
 
 def test_distinct_seeds_generate_distinct_environments():

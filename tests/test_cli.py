@@ -144,6 +144,38 @@ def test_compare_rejects_constraint_violation(capsys, tmp_path):
     assert "k(diff, i) = 1" in err
 
 
+def _leak_files(tmp_path, left, right):
+    """A signature and two term files, as paths."""
+    files = {"s.sig": "(signature (types (k 0)) (symbols (a () () k)) (precedence a)"
+                      " (watershed a))", "l.term": left, "r.term": right}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in files]
+
+
+@pytest.mark.parametrize("algo", ["naive", "optimized", "both"])
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+def test_compare_strict_rejects_a_mismatched_leaking_index(capsys, tmp_path, monkeypatch,
+                                                           order, algo):
+    """--strict checks the two terms once, before any algorithm: a leaking
+    index number with two types is an error under every algorithm, a
+    consistent pair prints its verdict, and without --strict the mismatched
+    pair compares."""
+    from lamorder import cli
+    checked = []
+    check = cli.check_leak_types
+    monkeypatch.setattr(cli, "check_leak_types", lambda t, s: checked.append(1) or check(t, s))
+    sig, left, right = _leak_files(tmp_path, "(db 3 (-> k k) (sym a () ()))", "(db 3 k)")
+    argv = ["compare", "--sig", sig, "--order", order, "--algo", algo]
+    assert run(capsys, *argv, "--strict", left, right) == (
+        1, "", "error: leaking index #3 carries types (-> k k), k")
+    assert checked == [1]
+    assert run(capsys, *argv, left, right) == (0, "G" if order == "kbo" else "U", "")
+    assert checked == [1]
+    sig, left, right = _leak_files(tmp_path, "(db 3 k)", "(db 2 k)")
+    assert run(capsys, *argv, "--strict", left, right) == (0, "G", "")
+
+
 def test_check_zero_iters_is_empty_success(capsys):
     code, out, _ = run(capsys, "check", "--iters", "0")
     assert code == 0

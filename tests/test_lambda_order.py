@@ -8,16 +8,18 @@ from types import SimpleNamespace
 
 import pytest
 
+import small_scope
 from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import (ALGORITHMS, KBO, LPO, DepthError, LeakTypeMismatch,
                                    OrderError, OrderParams, _KboNaive, _KboOpt, _LpoNaive,
-                                   _LpoOpt, _rigid, collect_indet_reps, compare,
+                                   _LpoOpt, _rigid, check_leak_types, collect_indet_reps,
+                                   compare,
                                    compare_kbo_naive, compare_kbo_opt,
                                    compare_lpo_naive, compare_lpo_opt, norm_key,
                                    reset_weight_calls, type_relaxed_ge, var_key,
                                    weight_calls, weight_diff, weight_poly)
-from lamorder.oracle import enum_ground_terms, oracle_compare
+from lamorder.oracle import oracle_compare
 from lamorder.ordinal import ONE, from_int, ord_add
 from lamorder.parse import ParseError, parse_signature, parse_term
 from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly
@@ -453,72 +455,67 @@ def test_strict_leak_mode():
     sig.add_type("k", 0)
     sig.add_type("i", 0)
     sig.add_symbol("u", TypeDecl((), (), K))
-    strict = OrderParams(sig, KBO, prec=["u"], strict_leaks=True)
-    lenient = OrderParams(sig, KBO, prec=["u"], strict_leaks=False)
+    kbo = OrderParams(sig, KBO, prec=["u"])
     t = Db(3, K)
     s = Db(3, TyCon("i"))
     with pytest.raises(LeakTypeMismatch):
-        compare_kbo_naive(t, s, strict)
-    assert compare_kbo_naive(t, s, lenient) is U
+        check_leak_types(t, s)
+    assert compare_kbo_naive(t, s, kbo) is U
 
 
 def test_leak_rule_precedes_index_arity():
     """Leaking indices of one number, with different types and argument
     counts: the leak rule settles them before their head ranks could, so
-    the LPO says U (or raises in strict mode) and the KBO's weights decide."""
+    the LPO says U (and strict mode rejects the pair) and the KBO's weights
+    decide."""
     sig = Signature()
     sig.add_type("k", 0)
     sig.add_symbol("a", TypeDecl((), (), K))
     t, s = Db(3, arrow(K, K), (Sym("a"),)), Db(3, K)
     lpo = OrderParams(sig, LPO, prec=["a"], watershed="a")
-    strict = OrderParams(sig, LPO, prec=["a"], watershed="a", strict_leaks=True)
     kbo = OrderParams(sig, KBO, prec=["a"])
     assert both(LPO_ALGOS, t, s, lpo) is U and both(LPO_ALGOS, s, t, lpo) is U
-    for algo in LPO_ALGOS:
-        with pytest.raises(LeakTypeMismatch):
-            algo(t, s, strict)
+    with pytest.raises(LeakTypeMismatch):
+        check_leak_types(t, s)
     assert both(KBO_ALGOS, t, s, kbo) is G and both(KBO_ALGOS, s, t, kbo) is L
 
 
 @pytest.mark.parametrize("kind", [KBO, LPO])
 def test_strict_mode_is_decided_before_any_algorithm(kind):
-    """Strict mode rejects a leaking index number with two types even where
-    the weights would settle the pair, so every algorithm raises, the naive
-    KBO that weighs first included; a consistent leak still compares."""
+    """Strict mode is a check of the inputs alone: it rejects a leaking
+    index number with two types even where the weights would settle the
+    pair, which every algorithm still compares; a consistent leak passes."""
     sig = Signature()
     sig.add_type("k", 0)
     sig.add_symbol("a", TypeDecl((), (), K))
-    strict = OrderParams(sig, kind, prec=["a"], watershed="a", strict_leaks=True)
+    p = OrderParams(sig, kind, prec=["a"], watershed="a")
     t, s = Db(3, arrow(K, K), (Sym("a"),)), Db(3, K)
+    with pytest.raises(LeakTypeMismatch, match="#3"):
+        check_leak_types(t, s)
+    # #3 under four lambdas is bound, but its number leaks in t
+    with pytest.raises(LeakTypeMismatch):
+        check_leak_types(t, Lam(K, Lam(K, Lam(K, Lam(K, Db(3, K))))))
+    check_leak_types(Db(3, K), Db(2, K))
     for algo in ALGORITHMS[kind]:
-        with pytest.raises(LeakTypeMismatch, match="#3"):
-            algo(t, s, strict)
-        # #3 under four lambdas is bound, but its number leaks in t
-        with pytest.raises(LeakTypeMismatch):
-            algo(t, Lam(K, Lam(K, Lam(K, Lam(K, Db(3, K))))), strict)
-        assert algo(Db(3, K), Db(2, K), strict) in (G, L)
+        assert algo(t, s, p) is (G if kind == KBO else U)
+        assert algo(Db(3, K), Db(2, K), p) in (G, L)
 
 
 def test_strict_mode_walks_no_closed_pair(monkeypatch):
     """Only a loose index can leak, so strict mode walks neither side of a
     closed pair, however deep; a leaking pair with two types still raises."""
     from lamorder import term
-    from lamorder.checks import adversarial_lpo_pair, bench_signature
-    sig, *params = bench_signature()
+    from lamorder.checks import adversarial_lpo_pair
     t, s = adversarial_lpo_pair(200)
     walked = []
     walk = term.nodes
     monkeypatch.setattr(term, "nodes", lambda u, *a: walked.append(u) or walk(u, *a))
-    for p in params:
-        strict = OrderParams(sig, p.kind, prec=["a", "b", "f", "g"], watershed="a",
-                             strict_leaks=True)
-        assert compare(t, s, strict) is L
-        assert not any(isinstance(u, term.Preterm) for u in walked)
-        kappa = TyCon("kappa")
-        with pytest.raises(LeakTypeMismatch, match="#3"):
-            compare(Db(3, arrow(kappa, kappa), (Sym("a"),)), Db(3, kappa), strict)
-        assert Db(3, kappa) in walked
-        walked.clear()
+    check_leak_types(t, s)
+    assert not walked
+    kappa = TyCon("kappa")
+    with pytest.raises(LeakTypeMismatch, match="#3"):
+        check_leak_types(Db(3, arrow(kappa, kappa), (Sym("a"),)), Db(3, kappa))
+    assert Db(3, kappa) in walked
 
 
 # ---------------------------------------------------------------------------
@@ -1081,44 +1078,19 @@ def test_randomized_naive_opt_agreement():
 
 
 def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
-    """Every term of type k up to size 4 over a, b : k, f : k -> k,
-    g : k -> k -> k, h : (k -> k) -> k and the variables X, Y : k,
-    Z : k -> k and W : (k -> k) -> k (222 terms; W applied to a lambda
-    makes a node that is not rigid, which the optimized orders must not
-    decide by identity), and every ordered pair of them: the naive and
-    optimized algorithms agree under the KBO and under the LPO with the
-    lowest and the highest watershed.  Each verdict is the flip of the
-    reverse pair's, and a G, GE or E one keeps the smaller side's variables
-    within the bigger side's, as the dual does for L, LE or E.  Exhaustion
-    reaches the nonstrict verdicts that random draws rarely do: 309 GE
-    pairs for the KBO and 306 for each LPO."""
-    sig = Signature()
-    sig.add_type("k", 0)
-    for name, ty in (("a", K), ("b", K), ("f", arrow(K, K)), ("g", arrows([K, K], K)),
-                     ("h", arrow(arrow(K, K), K))):
-        sig.add_symbol(name, TypeDecl((), (), ty))
-    terms = enum_ground_terms(sig, K, 4, var_pool=[("X", K), ("Y", K), ("Z", arrow(K, K)),
-                                                  ("W", arrow(arrow(K, K), K))])
+    """Every term of type k up to size 4 over the signature and variables of
+    tests/small_scope.py (222 terms), and every ordered pair of them: the
+    naive and optimized algorithms agree under the KBO and under the LPO
+    with the lowest and the highest watershed.  Each verdict is the flip of
+    the reverse pair's, and a G, GE or E one keeps the smaller side's
+    variables within the bigger side's, as the dual does for L, LE or E.
+    Exhaustion reaches the nonstrict verdicts that random draws rarely do:
+    309 GE pairs for the KBO and 306 for each LPO.  CI runs the same check
+    at size 5."""
+    sig = small_scope.signature()
+    terms = small_scope.terms(sig, 4)
     assert len(terms) == 222
-    prec = ["a", "b", "f", "g", "h"]
-    orders = [OrderParams(sig, KBO, prec=prec)]
-    orders += [OrderParams(sig, LPO, prec=prec, watershed=w) for w in ("a", "h")]
-    nonstrict = []
-    for p in orders:
-        naive, opt = ALGORITHMS[p.kind]
-        verdicts = {}
-        for t, s in itertools.product(terms, repeat=2):
-            c = verdicts[t, s] = naive(t, s, p)
-            assert opt(t, s, p) is c, (p.kind, p.watershed, t, s)
-        for (t, s), c in verdicts.items():
-            assert c is flip(verdicts[s, t]), (p.kind, p.watershed, t, s)
-            # the variable condition, on the variables outside parameters
-            if c in (G, GE, E):
-                assert s.arg_vars <= t.all_vars, (p.kind, p.watershed, c, t, s)
-            if c in (L, LE, E):
-                assert t.arg_vars <= s.all_vars, (p.kind, p.watershed, c, t, s)
-        nonstrict.append(sum(c is GE for c in verdicts.values()))
-    assert nonstrict == [309, 306, 306]
+    assert [small_scope.check(terms, p) for _, p in small_scope.orders(sig)] == [309, 306, 306]
 
 
 # ---------------------------------------------------------------------------

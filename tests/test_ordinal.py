@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamorder.ordinal import (ONE, OMEGA, ZERO, Ord, format_ord, from_int, omega_pow,
-                              ord_add, ord_compare, ord_mul, parse_ord)
+from lamorder.ordinal import (MAX_NESTING, ONE, OMEGA, ZERO, Ord, format_ord, from_int,
+                              omega_pow, ord_add, ord_compare, ord_mul, parse_ord)
 
 
 # -- reference: collect like exponents in a dict, sort, compare by subtraction
@@ -220,6 +220,21 @@ def test_parse_rejects_garbage():
     for bad in ["", "w^", "3+", "x", "w**2", "w^2*", "(w"]:
         with pytest.raises(ValueError):
             parse_ord(bad)
+
+
+def test_parse_reads_nesting_to_a_fixed_depth():
+    """Parenthesized exponents read to MAX_NESTING deep; deeper ones are a
+    ValueError, not a RecursionError, however deep."""
+    def nested(n):
+        return "w^(" * n + "1" + ")" * n
+    v = parse_ord(nested(MAX_NESTING))
+    for _ in range(MAX_NESTING):
+        (v, c), = v.terms
+        assert c == 1
+    assert v == ONE
+    for n in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ValueError, match="nested more than %d deep" % MAX_NESTING):
+            parse_ord(nested(n))
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import parse_mutants
+from lamorder.cmp import G, L
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder import term
 from lamorder.lambda_order import KBO, LPO
+from lamorder.ordinal import MAX_NESTING
 from lamorder.parse import (ParseError, parse_signature, parse_signature_file, parse_term,
                             parse_term_file, render_term)
 from lamorder.term import (Db, Lam, Sym, TyCon, TyVar, Var, arrow,
@@ -143,13 +145,14 @@ def test_signature_constraint_violations_are_named():
     ("(a () () k)", '("a;b" () () k) (a () () (@q k))'),
     ("(watershed a))", "(watershed a))@)"),
     ("(watershed a))", '(watershed @"a))'),
+    ("(watershed a))", "(watershed a))\n; a second expression\n @(watershed b)"),
 ], ids=["arity", "coeff-index", "type-entry", "weight-entry", "wlam",
         "watershed", "misspelt", "repeated", "redeclared-type",
         "symbol-type-constructor", "symbol-type-atom", "symbol-param-arity",
         "repeated-weight", "repeated-tyweight", "repeated-coeff",
         "ordinal-weights-arguments", "repeated-type-variable",
         "after-comment", "after-comment-paren", "after-string-semicolon",
-        "last-token", "last-token-string"])
+        "last-token", "last-token-string", "second-expression"])
 def test_malformed_signature_entries_are_positioned(old, new):
     """Each text is SIG_TEXT with one entry broken; @ marks where the error
     must point."""
@@ -214,14 +217,49 @@ def test_comments_and_strings():
 
 
 def test_ordinal_weights_are_opt_in():
-    transfinite = SIG_TEXT.replace("(weights (a 2) (f 1))", "(weights (a w))")
-    with pytest.raises(ParseError) as err:
-        parse_signature(transfinite, KBO)
-    assert "ordinal weights" in str(err.value)
-    enabled = transfinite.replace("(watershed a)", "(watershed a) (ordinal-weights)")
-    sig, params = parse_signature(enabled, KBO)
-    from lamorder.ordinal import OMEGA
-    assert params.w("a") == OMEGA
+    """A transfinite literal in any ordinal-valued section is an error at the
+    literal unless the file has the (ordinal-weights) section; with it, the
+    same file reads.  @ marks the literal."""
+    from lamorder.ordinal import parse_ord
+    for old, new, literal, value in [
+            ("(weights (a 2) (f 1))", "(weights (a 2) (f @%s))", "w", lambda p: p.w("f")),
+            ("(tyweights (k 1)", '(tyweights (k @"%s")', "w + 1", lambda p: p.ty_weights["k"]),
+            ("(coeffs ((g 2) 2))", "(coeffs ((g 2) @%s))", "w^2", lambda p: p.k("g", 2)),
+            ("(wlam 1)", "(wlam @%s)", "w*2", lambda p: p.w_lam),
+            ("(wdb 1)", "(wdb @%s)", "w", lambda p: p.w_db)]:
+        text, line, col = _positioned(SIG_TEXT.replace(old, new % literal))
+        with pytest.raises(ParseError, match="transfinite; add [(]ordinal-weights[)]") as err:
+            parse_signature(text, KBO)
+        assert (err.value.line, err.value.col) == (line, col), str(err.value)
+        enabled = text.replace("(watershed a)", "(watershed a) (ordinal-weights)")
+        for kind in (KBO, LPO):
+            _, params = parse_signature(enabled, kind)
+            assert value(params) == parse_ord(literal)
+
+
+@pytest.mark.parametrize("depth", [1, MAX_NESTING, MAX_NESTING + 1, 400, 5000])
+@pytest.mark.parametrize("kind", [KBO, LPO])
+def test_nested_ordinal_literals_read_or_are_positioned(kind, depth):
+    """A weight literal nested at most as deep as parse_ord reads passes the
+    parameters' validation, and a comparison of terms that weigh it
+    decides; a deeper one is a ParseError at the literal, however deep, not
+    a RecursionError."""
+    from lamorder.lambda_order import compare
+    literal = '"%s1%s"' % ("w^(" * depth, ")" * depth)
+    text, line, col = _positioned(SIG_TEXT.replace(
+        "(weights (a 2) (f 1))", "(weights (a 2) (f @%s))" % literal).replace(
+        "(watershed a)", "(watershed a) (ordinal-weights)"))
+    if depth > MAX_NESTING:
+        with pytest.raises(ParseError, match="nested more than %d deep" % MAX_NESTING) as err:
+            parse_signature(text, kind)
+        assert (err.value.line, err.value.col) == (line, col)
+        return
+    sig, params = parse_signature(text, kind)
+    fa = parse_term("(sym f () () (sym a () ()))", sig)
+    a = parse_term("(sym a () ())", sig)
+    for algo in ("naive", "optimized"):
+        assert compare(fa, a, params, algo) is G
+        assert compare(a, fa, params, algo) is L
 
 
 @pytest.mark.parametrize("marked,message", [
@@ -387,6 +425,27 @@ def test_mutated_terms_read_or_fail_at_a_token():
             assert 1 <= err.col <= len(line) and not line[err.col - 1].isspace(), \
                 (text, str(err))
     assert 0 < read < 2000
+
+
+def test_mutated_signatures_read_or_fail_at_a_character():
+    """Each of 2,000 seeded mutations of the fixture signature files, read
+    as KBO and as LPO parameters, reads or fails with a ParseError at a
+    character that is not blank, never with another exception; the runs of
+    ``w^(`` reach ordinal literals nested too deeply to read."""
+    outcomes = {"read": 0, "nested": 0}
+    for text in parse_mutants.signature_mutants(0):
+        for kind in (KBO, LPO):
+            try:
+                parse_signature(text, kind)
+                outcomes["read"] += 1
+            except ParseError as err:
+                lines = text.split("\n")
+                assert 1 <= err.line <= len(lines), (text, str(err))
+                line = lines[err.line - 1]
+                assert 1 <= err.col <= len(line) and not line[err.col - 1].isspace(), \
+                    (text, str(err))
+                outcomes["nested"] += "nested more than" in str(err)
+    assert 0 < outcomes["read"] < 4000 and outcomes["nested"] > 0, outcomes
 
 
 def test_deep_terms_parse_and_render(sig_params):

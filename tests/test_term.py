@@ -60,6 +60,20 @@ def test_add_symbol_rejects_redeclared_name(sig):
     assert type_of(Sym("a"), sig) == K
 
 
+@pytest.mark.parametrize("decl,fault", [
+    (TypeDecl((), (), TyCon("nosuch")), "unknown type constructor nosuch"),
+    (TypeDecl((), (), TyCon("k", (K,))), "type constructor k expects 0 arguments, got 1"),
+    (TypeDecl((), (TyCon("o", (K,)),), arrow(K, K)), "type constructor o expects 0"),
+    (TypeDecl(("A",), (), arrow(TyVar("A"), TyCon("nosuch"))), "unknown type constructor"),
+])
+def test_add_symbol_rejects_ill_formed_types(sig, decl, fault):
+    """A declaration's parameter and body types obey the constructor rule
+    that typing checks; a rejected declaration is not entered."""
+    with pytest.raises(TermError, match=fault):
+        sig.add_symbol("h", decl)
+    assert "h" not in sig.symbols
+
+
 def test_a_type_constructor_and_a_symbol_never_share_a_name():
     """The clash is named whichever of the two is declared first."""
     first, second = Signature(), Signature()

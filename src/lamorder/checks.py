@@ -23,7 +23,7 @@ from .cmp import E, G, GE, L, LE, U, flip
 from .gen import (GenConfig, GenError, TermGen, free_ty_vars, free_var_types,
                   gen_context, gen_grounding_subst, gen_monomorphizing_subst,
                   gen_signature, gen_var_types)
-from .lambda_order import (ALGORITHMS, KBO, LPO, OrderParams, collect_indet_reps,
+from .lambda_order import (ALGOS, KBO, LPO, OrderParams, collect_indet_reps,
                            compare, weight_diff, weight_poly)
 from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
                      oracle_weight, poly_subst_from_monomorphizing)
@@ -86,9 +86,9 @@ class _Env:
         # what a family carries from one trial to the next within a run
         self.memo: Dict = {}
 
-    def order(self, i: int) -> Tuple[str, OrderParams]:
-        """Trial i's order and parameters: KBO on even trials, LPO on odd."""
-        return (KBO, self.kbo) if i % 2 == 0 else (LPO, self.lpo)
+    def order(self, i: int) -> OrderParams:
+        """Trial i's parameters: the KBO's on even trials, the LPO's on odd."""
+        return self.kbo if i % 2 == 0 else self.lpo
 
     def random_type(self, fun_ok: bool = True):
         r = self.rng.random()
@@ -249,15 +249,15 @@ def _mutated_params(p: OrderParams) -> OrderParams:
 
 @family("oracle-equivalence")
 def _oracle_equivalence(env, rng, i, mutate=False):
-    kind, p = env.order(i)
+    p = env.order(i)
     oracle_p = _mutated_params(p) if mutate else p
     t = env.ground_term(8)
     s = env.ground_term(8)
     want = oracle_compare(t, s, oracle_p)
-    for fn in ALGORITHMS[kind]:
-        got = fn(t, s, p)
+    for algo in ALGOS:
+        got = compare(t, s, p, algo)
         if got != want:
-            return "%s %s vs oracle %s on %r / %r" % (fn.__name__, got, want, t, s)
+            return "%s %s %s vs oracle %s on %r / %r" % (p.kind, algo, got, want, t, s)
     return None
 
 
@@ -272,7 +272,7 @@ def oracle_equivalence_mutated(seed: int, iters: int) -> PropertyResult:
 
 @family("ground-total")
 def _ground_total(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     t = env.ground_term(8)
     s = env.ground_term(8)
     c = compare(t, s, p)
@@ -301,8 +301,7 @@ def _naive_opt_equal(env, rng, i):
     """Two independent draws, and the first of them that has an accessible
     non-root position against itself after one rewrite step there: a pair
     that shares every subterm off one path, as a prover's are."""
-    kind, p = env.order(i)
-    naive, opt = ALGORITHMS[kind]
+    p = env.order(i)
     t = env.open_term(8)
     s = env.open_term(8)
     pairs = [(t, s)]
@@ -312,16 +311,15 @@ def _naive_opt_equal(env, rng, i):
             pairs.append((base, u))
             break
     for x, y in pairs:
-        a = naive(x, y, p)
-        b = opt(x, y, p)
+        a, b = (compare(x, y, p, algo) for algo in ALGOS)
         if a != b:
-            return "%s naive=%s opt=%s on %r / %r" % (kind, a, b, x, y)
+            return "%s naive=%s opt=%s on %r / %r" % (p.kind, a, b, x, y)
     return None
 
 
 @family("flip-symmetric", polymorphic=True)
 def _flip_symmetric(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     t = env.open_term(8)
     s = env.open_term(8)
     if compare(t, s, p) != flip(compare(s, t, p)):
@@ -331,7 +329,7 @@ def _flip_symmetric(env, rng, i):
 
 @family("grounding-stable")
 def _grounding_stable(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     ty = env.random_type()
     t = env.gen.gen(ty, 8, ground=False)
     s = env.gen.gen(ty, 8, ground=False)
@@ -345,13 +343,13 @@ def _grounding_stable(env, rng, i):
         theta = gen_grounding_subst(rng, env.sig, fv)
         cg = compare(apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig), p)
         if cg not in want:
-            return "%s: %s became %s under grounding on %r / %r" % (kind, c, cg, t, s)
+            return "%s: %s became %s under grounding on %r / %r" % (p.kind, c, cg, t, s)
     return None
 
 
 @family("monomorphizing-stable", polymorphic=True)
 def _monomorphizing_stable(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     t = env.open_term(8)
     s = env.open_term(8)
     c = compare(t, s, p)
@@ -366,13 +364,13 @@ def _monomorphizing_stable(env, rng, i):
         cg = compare(apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig), p)
         if cg not in want:
             return "%s: %s became %s after type instantiation on %r / %r" \
-                % (kind, c, cg, t, s)
+                % (p.kind, c, cg, t, s)
     return None
 
 
 @family("transitive")
 def _transitive(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     ty = env.random_type()
     u = env.gen.gen(ty, 7, ground=False)
     t = env.gen.gen(ty, 7, ground=False)
@@ -383,16 +381,16 @@ def _transitive(env, rng, i):
         return SKIP
     cus = compare(u, s, p)
     if cus not in (G, GE, E):
-        return "%s: u>=t>=s but u vs s = %s" % (kind, cus)
+        return "%s: u>=t>=s but u vs s = %s" % (p.kind, cus)
     if (cut is G or cts is G) and cus is not G:
         # one strict premise forces a strict conclusion
-        return "%s: strict chain lost strictness (%s, %s -> %s)" % (kind, cut, cts, cus)
+        return "%s: strict chain lost strictness (%s, %s -> %s)" % (p.kind, cut, cts, cus)
     return None
 
 
 @family("context-compatible")
 def _context_compatible(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     ty = env.random_type()
     t = env.gen.gen(ty, 7, ground=True)
     s = env.gen.gen(ty, 7, ground=True)
@@ -407,13 +405,13 @@ def _context_compatible(env, rng, i):
     big = replace_at(host, path, t)
     small = replace_at(host, path, s)
     if compare(big, small, p) is not G:
-        return "%s: context broke strictness at %r" % (kind, path)
+        return "%s: context broke strictness at %r" % (p.kind, path)
     return None
 
 
 @family("subterm-property")
 def _subterm_property(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     u = env.ground_term(9)
     path, depth = gen_context(rng, u)
     sub = subterm_at(u, path)
@@ -422,13 +420,13 @@ def _subterm_property(env, rng, i):
     s = shift(sub, -depth) if depth else sub
     c = compare(u, s, p)
     if c not in (G, E):
-        return "%s: term vs its accessible subterm gave %s" % (kind, c)
+        return "%s: term vs its accessible subterm gave %s" % (p.kind, c)
     return None
 
 
 @family("diff-dominated")
 def _diff_dominated(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     fun_ty = arrow(rng.choice(env.bases), rng.choice(env.bases))
     u = env.gen.gen(fun_ty, 7, ground=True)
     s = env.gen.gen(fun_ty, 5, ground=True)
@@ -436,21 +434,21 @@ def _diff_dominated(env, rng, i):
     skolem = Sym("diff", tuple(fun_ty.args), (s, t))
     applied = normalize(app(u, skolem), env.sig)
     if compare(u, applied, p) is not G:
-        return "%s: u is not above u applied to its difference witness" % kind
+        return "%s: u is not above u applied to its difference witness" % p.kind
     return None
 
 
 @family("top-bot-minimal")
 def _top_bot_minimal(env, rng, i):
-    kind, p = env.order(i)
+    p = env.order(i)
     top, bot = (normalize(Sym(n), env.sig) for n in ("top", "bot"))
     if compare(bot, top, p) is not G:
-        return "%s: bot does not dominate top" % kind
+        return "%s: bot does not dominate top" % p.kind
     t = env.ground_term(7)
     if t in (top, bot):
         return SKIP
     if compare(t, top, p) is not G or compare(t, bot, p) is not G:
-        return "%s: %r does not dominate the truth constants" % (kind, t)
+        return "%s: %r does not dominate the truth constants" % (p.kind, t)
     return None
 
 
@@ -474,17 +472,17 @@ def _variable_guarantee(env, rng, i):
     # the variable condition, on every verdict of all four algorithms: a side
     # that is at least the other holds the other's variables outside
     # parameters among all of its own
-    for fns, p in ((ALGORITHMS[KBO], env.kbo), (ALGORITHMS[LPO], env.lpo)):
-        for fn in fns:
-            c = fn(t, s, p)
+    for p in (env.kbo, env.lpo):
+        for algo in ALGOS:
+            c = compare(t, s, p, algo)
             for big, small, at_least in ((t, s, (G, GE, E)), (s, t, (L, LE, E))):
                 missing = _variables(small, params=False) - _variables(big)
                 if c in at_least and missing:
-                    return "%s gave %s, yet the larger side lacks %s: %r / %r" \
-                        % (fn.__name__, c, sorted(missing, key=repr), t, s)
+                    return "%s %s gave %s, yet the larger side lacks %s: %r / %r" \
+                        % (p.kind, algo, c, sorted(missing, key=repr), t, s)
     # every trial has witnessed the condition by now; a strict verdict of
     # trial i's order is also checked for unguarded variables
-    kind, p = env.order(i)
+    p = env.order(i)
     if compare(t, s, p) is not G:
         return None
     # the identity substitution qualifies once every variable in both
@@ -494,7 +492,7 @@ def _variable_guarantee(env, rng, i):
             return None
     for name in free_var_types(s):
         if _outside_params(s, name) and not _outside_params(t, name):
-            return "%s: variable %s of the smaller side is unguarded" % (kind, name)
+            return "%s: variable %s of the smaller side is unguarded" % (p.kind, name)
     return None
 
 

@@ -7,6 +7,7 @@ Everything is driven by a single random.Random instance per call, so a fixed
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -141,7 +142,11 @@ class TermGen:
     Each free one is drawn from ``ty_pool`` at every use, before the budget
     filter, so a seed draws what a scan of the whole signature at each node
     would draw.  Declarations are only ever added, so a change of their
-    count drops the table: a symbol declared later is a candidate."""
+    count drops the table: a symbol declared later is a candidate.
+
+    ``every`` lists the terms these heads build up to a size bound, a free
+    type argument taking each type of a pool in turn: the exhaustive
+    corpora and the drawn terms come from one head rule."""
 
     def __init__(self, rng: random.Random, sig: Signature,
                  var_types: Optional[Dict[str, Type]] = None,
@@ -159,11 +164,14 @@ class TermGen:
         # (symbol, type arguments) -> (least budget, head)
         self._sym_heads: Dict[Tuple[str, Tuple[Type, ...]], tuple] = {}
 
-    def gen(self, ty: Type, budget: int, ground: bool) -> Preterm:
+    def _check_goal(self, ty: Type) -> None:
         try:
             tm.check_type(ty, self.sig)
         except tm.TermError as e:
             raise GenError("goal type %r: %s" % (ty, e)) from None
+
+    def gen(self, ty: Type, budget: int, ground: bool) -> Preterm:
+        self._check_goal(ty)
         return self._gen(ty, max(budget, min_size(ty)), ground, ())
 
     def _gen(self, ty: Type, budget: int, ground: bool,
@@ -187,11 +195,63 @@ class TermGen:
                        for i, pt in enumerate(param_tys))
         args = tuple(self._gen(at, shares[np + i], ground, binders)
                      for i, at in enumerate(arg_tys))
-        if kind == "db":
-            return Db(ident, head_ty, args)
-        if kind == "var":
-            return Var(ident, head_ty, args)
-        return Sym(ident, head_ty, params, args)
+        return _node(kind, ident, head_ty, params, args)
+
+    def every(self, ty: Type, max_size: int, ground: bool,
+              ty_pool: Optional[Sequence[Type]] = None) -> List[Preterm]:
+        """Every term of type ``ty`` up to ``max_size`` whose heads are the
+        ones ``gen`` draws from, each free type argument of a declaration
+        ranging over ``ty_pool`` (the generator's own by default) instead of
+        being drawn: over a monomorphic signature, with ``ground``, every
+        ground term."""
+        self._check_goal(ty)
+        pool = self.ty_pool if ty_pool is None else list(ty_pool)
+        memo: Dict[Tuple[Tuple[Type, ...], Type, int], Tuple[Preterm, ...]] = {}
+
+        def heads(ty: Type, binders: Tuple[Type, ...], budget: int):
+            for i, bty in enumerate(binders):
+                arg_tys, base, mins = self._shape(bty)
+                if base is ty and 1 + sum(mins) <= budget:
+                    yield "db", i, bty, (), arg_tys, mins
+            var_heads, decl_heads = self._entry(ty)
+            if not ground:
+                yield from (head for need, head in var_heads if need <= budget)
+            for name, decl, slots, free in decl_heads:
+                insts = itertools.product(*[pool if a is None else (a,) for a in slots])
+                for inst in insts if free else (slots,):
+                    need, head = self._sym_head(name, decl, inst)
+                    if need <= budget:
+                        yield head
+
+        def terms(ty: Type, binders: Tuple[Type, ...], budget: int) -> Tuple[Preterm, ...]:
+            key = (binders, ty, budget)
+            got = memo.get(key)
+            if got is None:
+                if is_arrow(ty):
+                    a, b = ty.args
+                    got = tuple(Lam(a, body) for body in terms(b, (a,) + binders, budget - 1))
+                else:
+                    # parameters are closed with respect to indices
+                    got = tuple(_node(kind, ident, head_ty, params, args)
+                                for kind, ident, head_ty, param_tys, arg_tys, _
+                                in heads(ty, binders, budget)
+                                for params, used in tuples(param_tys, (), budget - 1)
+                                for args, _ in tuples(arg_tys, binders, budget - 1 - used))
+                memo[key] = got
+            return got
+
+        def tuples(tys: Sequence[Type], binders: Tuple[Type, ...], budget: int):
+            """Each tuple of terms of types ``tys`` with sizes summing to at
+            most ``budget``, with that sum."""
+            if not tys:
+                yield (), 0
+                return
+            for first in terms(tys[0], binders, budget - (len(tys) - 1)):
+                n = tm.size(first)
+                for rest, m in tuples(tys[1:], binders, budget - n):
+                    yield (first,) + rest, n + m
+
+        return list(terms(ty, (), max_size))
 
     def _heads(self, ty: Type, ground: bool, binders: Tuple[Type, ...], budget: int):
         """Every head of a node of type ``ty`` that fits ``budget``, as
@@ -282,6 +342,17 @@ class TermGen:
             return False
         return all(TermGen._match_type(a, b, mapping)
                    for a, b in zip(pattern.args, target.args))
+
+
+def _node(kind: str, ident, head_ty, params: Tuple[Preterm, ...],
+          args: Tuple[Preterm, ...]) -> Preterm:
+    """The node of a head of ``TermGen._heads`` with its parameters and
+    arguments."""
+    if kind == "db":
+        return Db(ident, head_ty, args)
+    if kind == "var":
+        return Var(ident, head_ty, args)
+    return Sym(ident, head_ty, params, args)
 
 
 def gen_var_types(rng: random.Random, cfg: GenConfig, sig: Signature,

@@ -650,14 +650,6 @@ class _Lpo(_Base):
                            and p.above_watershed(hi.name) else self.consider_poly(t, s, c))
         return self.leave(t, s, dt, ds, out)
 
-    def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
-        """Whether one of ``ts`` is at least ``s``: the subterm rule."""
-        for a in ts:
-            c = self.compare(a, s, dts, ds)
-            if c is G or c is GE or c is E:
-                return True
-        return False
-
 
 class _LpoNaive(_Lpo):
     """The rule table as written: the subterm rules first, then the head
@@ -674,6 +666,14 @@ class _LpoNaive(_Lpo):
 
     def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
         return out
+
+    def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
+        """Whether one of ``ts`` is at least ``s``: the subterm rule."""
+        for a in ts:
+            c = self.compare(a, s, dts, ds)
+            if c is G or c is GE or c is E:
+                return True
+        return False
 
     def beats(self, t: Preterm, dt: int, ss: Sequence[Preterm], ds: int) -> Cmp:
         """G when t strictly beats every one of ss, U otherwise."""
@@ -750,7 +750,7 @@ class _LpoOpt(_Lpo):
     - ``scan`` passes a rigid identical position, which ``enter`` would
       answer E, as ``_KboOpt.descend`` does.
 
-    The naive LPO keeps the shared ``_Lpo.check_subs``: its call count
+    The naive LPO keeps its plain ``_LpoNaive.check_subs``: its call count
     decides which benchmark pairs fit the call budget, and the filter
     there would change them."""
 
@@ -857,44 +857,22 @@ def check_leak_types(t: Preterm, s: Preterm) -> None:
                                    % (n, ", ".join(sorted(map(repr, types[n])))))
 
 
-def _run(cls: type, t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    """Type both inputs by the checked pass (a TermError names a fault),
-    then compare them; a comparison that overflows the stack raises
-    ``DepthError``."""
+# each order's classes, in the order of ALGOS
+_CLASSES = {KBO: (_KboNaive, _KboOpt), LPO: (_LpoNaive, _LpoOpt)}
+
+
+def compare(t: Preterm, s: Preterm, p: OrderParams, algo: str = "optimized") -> Cmp:
+    """Compare ``t`` with ``s`` by ``p``'s order, ``p.kind``, with the naive
+    or the optimized algorithm.  Both inputs are typed by the checked pass
+    (a TermError names a fault); a comparison that overflows the stack
+    raises ``DepthError``."""
+    if algo not in ALGOS:
+        raise OrderError("unknown algorithm %r" % algo)
     for u in (t, s):
         type_of(u, p.sig)
     if t is s:
         return E
     try:
-        return cls(p).compare(t, s)
+        return _CLASSES[p.kind][ALGOS.index(algo)](p).compare(t, s)
     except RecursionError:
         raise DepthError("terms nested too deeply to compare") from None
-
-
-def compare_kbo_naive(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    return _run(_KboNaive, t, s, p)
-
-
-def compare_kbo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    return _run(_KboOpt, t, s, p)
-
-
-def compare_lpo_naive(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    return _run(_LpoNaive, t, s, p)
-
-
-def compare_lpo_opt(t: Preterm, s: Preterm, p: OrderParams) -> Cmp:
-    return _run(_LpoOpt, t, s, p)
-
-
-# each order's algorithms, in the order of ALGOS
-ALGORITHMS = {
-    KBO: (compare_kbo_naive, compare_kbo_opt),
-    LPO: (compare_lpo_naive, compare_lpo_opt),
-}
-
-
-def compare(t: Preterm, s: Preterm, p: OrderParams, algo: str = "optimized") -> Cmp:
-    if algo not in ALGOS:
-        raise OrderError("unknown algorithm %r" % algo)
-    return ALGORITHMS[p.kind][ALGOS.index(algo)](t, s, p)

@@ -8,13 +8,13 @@ plain first-order KBO/LPO under a derived precedence reproduces the
 lambda-term orders exactly, which makes an independent test oracle.
 
 This module also builds the indeterminate assignments and substitutions the
-weight lemmas are stated with, and a small-term exhaustive enumerator.
+weight lemmas are stated with.  The exhaustive corpora it is checked on come
+from ``gen.TermGen.every``.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .cmp import Cmp, E, G, L
 from .fo_order import FoParams, fo_kbo_weight
@@ -278,95 +278,3 @@ def poly_subst_from_monomorphizing(theta: Substitution, reps: Dict[Indet, Tuple]
             acc = acc + wlam.scale(from_int(c))
         out[ind] = acc
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration of small ground terms
-# ---------------------------------------------------------------------------
-
-def default_type_pool(sig: Signature) -> List[Type]:
-    pool = sig.base_types()
-    seen = set(pool)
-    for decl in sig.symbols.values():
-        if decl.ty_vars:
-            continue
-        for ty in (decl.body,) + decl.param_types:
-            for sub, _ in tm.nodes(ty):
-                if sub not in seen:
-                    seen.add(sub)
-                    pool.append(sub)
-    return pool
-
-
-def enum_ground_terms(sig: Signature, ty: Type, max_size: int,
-                      ty_pool: Optional[Sequence[Type]] = None,
-                      var_pool: Sequence[Tuple[str, Type]] = ()) -> List[Preterm]:
-    """All eta-long preterms of the given ground type with size at most
-    max_size whose free variables are among ``var_pool``'s ``(name, type)``
-    pairs, enumerated as extra heads: with the default empty pool, the
-    ground ones.  Complete for monomorphic signatures; polymorphic symbols
-    are instantiated from the type pool only."""
-    if not tm.type_is_ground(ty):
-        raise OracleError("enumeration target type must be ground")
-    pool = list(ty_pool) if ty_pool is not None else default_type_pool(sig)
-    memo: Dict[Tuple, Tuple[Preterm, ...]] = {}
-
-    def heads(binders: Tuple[Type, ...], target: Type):
-        for i, bty in enumerate(binders):
-            arg_tys, base = split_arrows(bty)
-            if base == target:
-                yield ("db", i, bty, (), arg_tys)
-        for name, decl in sig.symbols.items():
-            for inst in itertools.product(pool, repeat=len(decl.ty_vars)):
-                param_tys, body = decl.instantiate(inst)
-                arg_tys, base = split_arrows(body)
-                if base == target:
-                    yield ("sym", name, tuple(inst), param_tys, arg_tys)
-        for name, vty in var_pool:
-            arg_tys, base = split_arrows(vty)
-            if base == target:
-                yield ("var", name, vty, (), arg_tys)
-
-    def enum(binders: Tuple[Type, ...], target: Type, budget: int) -> Tuple[Preterm, ...]:
-        if budget <= 0:
-            return ()
-        key = (binders, target, budget)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out: List[Preterm] = []
-        if tm.is_arrow(target):
-            a, b = target.args
-            for body in enum((a,) + binders, b, budget - 1):
-                out.append(Lam(a, body))
-        else:
-            for head in heads(binders, target):
-                kind, ident, ty_or_inst, param_tys, arg_tys = head
-                # parameters are index-closed, so they enumerate in an empty
-                # binder context
-                for params, psize in arg_tuples((), param_tys, budget - 1):
-                    for args, asize in arg_tuples(binders, arg_tys,
-                                                  budget - 1 - psize):
-                        if kind == "db":
-                            out.append(Db(ident, ty_or_inst, args))
-                        elif kind == "var":
-                            out.append(Var(ident, ty_or_inst, args))
-                        else:
-                            out.append(Sym(ident, ty_or_inst, params, args))
-        result = tuple(out)
-        memo[key] = result
-        return result
-
-    def arg_tuples(binders: Tuple[Type, ...], tys: Sequence[Type], budget: int):
-        if not tys:
-            yield (), 0
-            return
-        if budget < len(tys):
-            return
-        rest_min = len(tys) - 1
-        for first in enum(binders, tys[0], budget - rest_min):
-            fsize = tm.size(first)
-            for rest, rsize in arg_tuples(binders, tys[1:], budget - fsize):
-                yield (first,) + rest, fsize + rsize
-
-    return list(enum((), ty, max_size))

@@ -303,8 +303,9 @@ def parse_term(text: str, sig: Signature) -> Preterm:
     tokens = _tokens(text)
     t, at, end = _read(tokens, 0, sig, _TERM)
     if end < len(tokens):
+        # at the first expression too many
         raise _Fault("expected exactly one expression, found %d"
-                     % len(_sexprs(tokens)), None)
+                     % len(_sexprs(tokens)), end)
     read = t
     try:
         try:

@@ -12,6 +12,7 @@ L, LE or E.  It prints one line per order and fails at the first pair that
 breaks one of these.
 """
 
+import random
 import sys
 
 PRECEDENCE = ["a", "b", "f", "g", "h"]
@@ -39,14 +40,15 @@ def variables():
     decide by identity."""
     from lamorder.term import TyCon, arrow
     k = TyCon("k")
-    return [("X", k), ("Y", k), ("Z", arrow(k, k)), ("W", arrow(arrow(k, k), k))]
+    return {"X": k, "Y": k, "Z": arrow(k, k), "W": arrow(arrow(k, k), k)}
 
 
 def terms(sig, size: int):
     """Every term of type k up to ``size`` over ``sig`` and the variables."""
-    from lamorder.oracle import enum_ground_terms
+    from lamorder.gen import TermGen
     from lamorder.term import TyCon
-    out = enum_ground_terms(sig, TyCon("k"), size, var_pool=variables())
+    out = TermGen(random.Random(0), sig, var_types=variables()).every(
+        TyCon("k"), size, ground=False)
     if size in TERM_COUNTS and len(out) != TERM_COUNTS[size]:
         raise AssertionError("%d terms up to size %d, not %d"
                              % (len(out), size, TERM_COUNTS[size]))
@@ -68,14 +70,13 @@ def check(terms, p) -> int:
     agreement, flip symmetry or the variable condition.  Each pair and its
     reverse are compared together, by each algorithm once."""
     from lamorder.cmp import E, G, GE, L, LE, flip
-    from lamorder.lambda_order import ALGORITHMS
-    naive, opt = ALGORITHMS[p.kind]
+    from lamorder.lambda_order import compare
     ge = 0
     for i, t in enumerate(terms):
         for s in terms[i:]:
-            c, d = naive(t, s, p), naive(s, t, p)
+            c, d = compare(t, s, p, "naive"), compare(s, t, p, "naive")
             for u, v, want in ((t, s, c), (s, t, d)):
-                got = opt(u, v, p)
+                got = compare(u, v, p, "optimized")
                 if got is not want:
                     raise AssertionError("naive %s, optimized %s on\n  %r\n  %r"
                                          % (want.value, got.value, u, v))

@@ -16,17 +16,15 @@ import pytest
 
 from lamorder.checks import FAMILIES
 from lamorder.cmp import E, G, L, U, flip
-from lamorder.lambda_order import (KBO, LPO, OrderParams, compare, compare_kbo_naive,
-                                   compare_kbo_opt, compare_lpo_naive, compare_lpo_opt,
+from lamorder.lambda_order import (ALGOS, KBO, LPO, OrderParams, compare,
                                    reset_weight_calls, weight_calls, weight_poly)
-from lamorder.oracle import enum_ground_terms, oracle_compare
+from lamorder.gen import TermGen
+from lamorder.oracle import oracle_compare
 from lamorder.ordinal import from_int
 from lamorder.parse import parse_signature_file, parse_term_file
 from lamorder.term import Signature, Sym, TyCon, TyVar, TypeDecl, Var, arrow, arrows
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-ALGOS = {KBO: (compare_kbo_naive, compare_kbo_opt),
-         LPO: (compare_lpo_naive, compare_lpo_opt)}
 K = TyCon("kappa")
 
 
@@ -78,9 +76,10 @@ def corpora():
     out = []
     for maker in (sig_plain, sig_special):
         sig, kbo, lpo = maker()
+        g = TermGen(random.Random(0), sig)
         terms = []
         for ty in (K, arrow(K, K)):
-            terms.extend(enum_ground_terms(sig, ty, 6, ty_pool=[K]))
+            terms.extend(g.every(ty, 6, ground=True, ty_pool=[K]))
         out.append((sig, kbo, lpo, terms))
     return out
 
@@ -92,9 +91,8 @@ def ground_tables(corpora):
     tables = []
     for sig, kbo, lpo, terms in corpora:
         per_kind = {}
-        for kind, p in ((KBO, kbo), (LPO, lpo)):
-            opt = ALGOS[kind][1]
-            per_kind[kind] = {(i, j): opt(terms[i], terms[j], p)
+        for p in (kbo, lpo):
+            per_kind[p.kind] = {(i, j): compare(terms[i], terms[j], p)
                               for i in range(len(terms))
                               for j in range(len(terms))}
         tables.append(per_kind)
@@ -113,9 +111,9 @@ def test_c01_example1():
     # the unit-parameter weight difference is the constant one
     diff = weight_poly(t, kbo) - weight_poly(s, kbo)
     assert diff.is_constant() and diff.constant == from_int(1)
-    for p, algos in ((kbo, ALGOS[KBO]), (lpo, ALGOS[LPO])):
-        for fn in algos:
-            assert fn(t, s, p) is G
+    for p in (kbo, lpo):
+        for algo in ALGOS:
+            assert compare(t, s, p, algo) is G
     best = min(_timed(lambda: compare(t, s, kbo)) for _ in range(5))
     assert best < 1e-3, "comparison took %.4fs" % best
     ok("c01-example1", "G in %.0f us" % (best * 1e6))
@@ -133,11 +131,10 @@ def test_c02_example2():
     _, lpo = parse_signature_file(fx("ex2.sig"), LPO)
     lhs = parse_term_file(fx("ex2_left.term"), sig)
     rhs = parse_term_file(fx("ex2_right.term"), sig)
-    for fn in ALGOS[KBO]:
-        assert fn(lhs, rhs, unit) is L
-        assert fn(lhs, rhs, heavy) is G
-    for fn in ALGOS[LPO]:
-        assert fn(lhs, rhs, lpo) is not G
+    for algo in ALGOS:
+        assert compare(lhs, rhs, unit, algo) is L
+        assert compare(lhs, rhs, heavy, algo) is G
+        assert compare(lhs, rhs, lpo, algo) is not G
     ok("c02-example2", "unit L, heavy G, lpo not G")
 
 
@@ -149,9 +146,9 @@ def test_c03_example3():
     # lit2 weighs a constant 4 despite the variable inside sk's parameter
     assert weight_poly(lit2, kbo).is_constant()
     assert weight_poly(lit2, kbo).constant == from_int(4)
-    for fn in ALGOS[KBO]:
-        assert fn(lit1, lit2, kbo) is G
-        assert fn(lit1, lit3, kbo) is G
+    for algo in ALGOS:
+        assert compare(lit1, lit2, kbo, algo) is G
+        assert compare(lit1, lit3, kbo, algo) is G
     # below the threshold the head weight no longer decides
     lighter = OrderParams(sig, KBO, prec=["a", "f", "sk"],
                           weights={"a": from_int(2)})
@@ -164,10 +161,10 @@ def test_c04_example4():
     _, lpo = parse_signature_file(fx("ex4.sig"), LPO)
     lhs = parse_term_file(fx("ex4_map_cons.term"), sig)
     rhs = parse_term_file(fx("ex4_cons_map.term"), sig)
-    for p, algos in ((kbo, ALGOS[KBO]), (lpo, ALGOS[LPO])):
-        for fn in algos:
-            assert fn(lhs, rhs, p) is U
-            assert fn(rhs, lhs, p) is U
+    for p in (kbo, lpo):
+        for algo in ALGOS:
+            assert compare(lhs, rhs, p, algo) is U
+            assert compare(rhs, lhs, p, algo) is U
     ok("c04-example4", "recursive map equation U both ways, both orders")
 
 
@@ -179,9 +176,8 @@ def test_c05_c06_oracle_equivalence_and_trichotomy(corpora, ground_tables):
     start = time.perf_counter()
     pairs = 0
     for (sig, kbo, lpo, terms), tables in zip(corpora, ground_tables):
-        for kind, p in ((KBO, kbo), (LPO, lpo)):
-            naive = ALGOS[kind][0]
-            table = tables[kind]
+        for p in (kbo, lpo):
+            table = tables[p.kind]
             for i, t in enumerate(terms):
                 for j, s in enumerate(terms):
                     want = oracle_compare(t, s, p)
@@ -193,7 +189,7 @@ def test_c05_c06_oracle_equivalence_and_trichotomy(corpora, ground_tables):
             # the naive algorithm agrees on a sample diagonal band
             for i in range(len(terms)):
                 j = (i * 7 + 3) % len(terms)
-                assert naive(terms[i], terms[j], p) == table[(i, j)]
+                assert compare(terms[i], terms[j], p, "naive") == table[(i, j)]
     elapsed = time.perf_counter() - start
     assert elapsed < 120, "oracle suite took %.1fs" % elapsed
     ok("c05-oracle-equivalence", "%d pairs, %.1fs" % (pairs, elapsed))
@@ -294,7 +290,7 @@ def test_c14_performance():
     sig, kbo, lpo = bench_signature()
 
     t14, s14 = adversarial_lpo_pair(14)
-    best = min(_timed(lambda: compare_lpo_opt(t14, s14, lpo)) for _ in range(3))
+    best = min(_timed(lambda: compare(t14, s14, lpo)) for _ in range(3))
     assert best < 1.0, "optimized depth 14 took %.2fs" % best
 
     # certify the naive blowup: measured growth ratio per level, projected
@@ -302,7 +298,7 @@ def test_c14_performance():
     times = {}
     for d in (4, 5, 6):
         td, sd = adversarial_lpo_pair(d)
-        times[d] = _timed(lambda: compare_lpo_naive(td, sd, lpo))
+        times[d] = _timed(lambda: compare(td, sd, lpo, "naive"))
     r1 = times[5] / times[4]
     r2 = times[6] / times[5]
     ratio = min(r1, r2)
@@ -315,10 +311,10 @@ def test_c14_performance():
     n = 120
     t, s = deep_chain_pair(n)
     reset_weight_calls()
-    compare_kbo_naive(t, s, kbo)
+    compare(t, s, kbo, "naive")
     naive_calls = weight_calls()
     reset_weight_calls()
-    compare_kbo_opt(t, s, kbo)
+    compare(t, s, kbo)
     opt_calls = weight_calls()
     size_bound = 2 * (n + 1)  # both inputs together
     assert opt_calls <= 4 * size_bound, "optimized made %d weight builds" % opt_calls
@@ -359,8 +355,8 @@ def test_c14_nonground_lpo_gate():
     best = 0.0
     for make in (_nonground_nest, _shared_var_nest):
         t14, s14 = make(14)
-        assert compare_lpo_opt(t14, s14, lpo) is U
-        took = min(_timed(lambda: compare_lpo_opt(t14, s14, lpo)) for _ in range(3))
+        assert compare(t14, s14, lpo) is U
+        took = min(_timed(lambda: compare(t14, s14, lpo)) for _ in range(3))
         assert took < 1.0, "optimized %s depth 14 took %.2fs" % (make.__name__, took)
         best = max(best, took)
 
@@ -381,6 +377,6 @@ def test_c14_nonground_lpo_gate():
                               (adversarial_lpo_pair, L)):
             fresh = bench_signature()[2]
             for p in (lpo, lpo, fresh):
-                assert compare_lpo_opt(*make(d), p) is verdict
-                assert compare_lpo_opt(*reversed(make(d)), p) is flip(verdict)
+                assert compare(*make(d), p) is verdict
+                assert compare(*reversed(make(d)), p) is flip(verdict)
     ok("c14-nonground-gate", "opt lpo nonground(14) %.4fs" % best)

@@ -11,7 +11,7 @@ from lamorder.gen import (GenConfig, GenError, TermGen, free_ty_vars, free_var_t
 from lamorder.lambda_order import compare, weight_poly
 from lamorder.ordinal import ord_compare
 from lamorder.parse import render_term
-from lamorder.term import (Signature, Sym, TyCon, TyVar, TypeDecl, apply_subst, arrow,
+from lamorder.term import (Signature, Sym, TyCon, TyVar, TypeDecl, apply_subst, arrow, arrows,
                            check_types, is_ground, normalize, size, type_is_ground,
                            type_of)
 
@@ -147,6 +147,8 @@ def test_gen_rejects_an_undeclared_goal_type_before_any_draw(ty):
     state = rng.getstate()
     with pytest.raises(GenError, match="goal type"):
         g.gen(ty, 5, ground=True)
+    with pytest.raises(GenError, match="goal type"):
+        g.every(ty, 5, ground=True)
     assert rng.getstate() == state
 
 
@@ -161,3 +163,45 @@ def test_symbol_declared_after_the_generator_is_a_candidate():
     sig.add_symbol("p", TypeDecl(("P",), (), arrow(TyVar("P"), k)))
     heads = {(t.name, t.ty_args) for t in (g.gen(k, 4, ground=True) for _ in range(200))}
     assert heads == {("a", ()), ("f", ()), ("p", (k,))}
+
+
+def _list_signature():
+    """k/0, list/1 and pair/2 with a : k, nil : list A, cons : A -> list A
+    -> list A, len : list A -> k and diag : A -> pair A A: results that
+    fix a type argument only through a compound type."""
+    k, a = TyCon("k"), TyVar("A")
+    sig = Signature()
+    sig.add_type("k", 0)
+    sig.add_type("list", 1)
+    sig.add_type("pair", 2)
+    for name, ty_vars, ty in (("a", (), k), ("nil", ("A",), TyCon("list", (a,))),
+                              ("cons", ("A",), arrows([a, TyCon("list", (a,))],
+                                                      TyCon("list", (a,)))),
+                              ("len", ("A",), arrow(TyCon("list", (a,)), k)),
+                              ("diag", ("A",), arrow(a, TyCon("pair", (a, a))))):
+        sig.add_symbol(name, TypeDecl(ty_vars, (), ty))
+    return sig
+
+
+def test_every_and_gen_fix_type_arguments_inside_compound_results():
+    """A type argument that the goal fixes inside a compound result, as
+    cons's A at list (list k), takes the goal's type, not one of the pool,
+    which here holds only k; a free one, as len's A, ranges over the pool;
+    and diag, whose result names A twice, matches pair k k only.  Every
+    drawn term is one of the enumerated ones."""
+    sig = _list_signature()
+    k = TyCon("k")
+    lk = TyCon("list", (k,))
+    g = TermGen(random.Random(5), sig)
+    counts = {k: 5, lk: 7, TyCon("list", (lk,)): 5, TyCon("pair", (k, k)): 4,
+              TyCon("pair", (k, lk)): 0}
+    assert {ty: len(g.every(ty, 6, ground=True)) for ty in counts} == counts
+    for ty in counts:
+        if not counts[ty]:
+            with pytest.raises(GenError, match="no head inhabits"):
+                g.gen(ty, 7, ground=True)
+            continue
+        every = set(g.every(ty, 7, ground=True))
+        for _ in range(300):
+            t = g.gen(ty, 7, ground=True)
+            assert type_of(t, sig) is ty and t in every, render_term(t)

@@ -11,13 +11,10 @@ import pytest
 import small_scope
 from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_merge
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
-from lamorder.lambda_order import (ALGORITHMS, KBO, LPO, DepthError, LeakTypeMismatch,
+from lamorder.lambda_order import (ALGOS, KBO, LPO, DepthError, LeakTypeMismatch,
                                    OrderError, OrderParams, _KboNaive, _KboOpt, _LpoNaive,
                                    _LpoOpt, _rigid, check_leak_types, collect_indet_reps,
-                                   compare,
-                                   compare_kbo_naive, compare_kbo_opt,
-                                   compare_lpo_naive, compare_lpo_opt, norm_key,
-                                   reset_weight_calls, type_relaxed_ge, var_key,
+                                   compare, reset_weight_calls, type_relaxed_ge, var_key,
                                    weight_calls, weight_diff, weight_poly)
 from lamorder.oracle import oracle_compare
 from lamorder.ordinal import ONE, from_int, ord_add
@@ -31,12 +28,15 @@ from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TermError,
 K = TyCon("k")
 O = TyCon("o")
 
-KBO_ALGOS = (compare_kbo_naive, compare_kbo_opt)
-LPO_ALGOS = (compare_lpo_naive, compare_lpo_opt)
+# each order, as its index in a (kbo, lpo) pair, with each algorithm
+EACH_ORDER_AND_ALGO = pytest.mark.parametrize(
+    "order, algo", [(i, algo) for i in (0, 1) for algo in ALGOS],
+    ids=["%s-%s" % (kind, algo) for kind in (KBO, LPO) for algo in ALGOS])
 
 
-def both(algos, t, s, p):
-    a, b = algos[0](t, s, p), algos[1](t, s, p)
+def both(t, s, p):
+    """The verdict of ``p``'s order, which both algorithms must reach."""
+    a, b = (compare(t, s, p, algo) for algo in ALGOS)
     assert a == b, "naive %s vs optimized %s" % (a, b)
     return a
 
@@ -69,10 +69,10 @@ def test_example1_weights(ex1):
 
 def test_example1_orders(ex1):
     sig, kbo, lpo, t, s = ex1
-    assert both(KBO_ALGOS, t, s, kbo) is G
-    assert both(LPO_ALGOS, t, s, lpo) is G
-    assert both(KBO_ALGOS, s, t, kbo) is L
-    assert both(LPO_ALGOS, s, t, lpo) is L
+    assert both(t, s, kbo) is G
+    assert both(t, s, lpo) is G
+    assert both(s, t, kbo) is L
+    assert both(s, t, lpo) is L
 
 
 @pytest.fixture
@@ -104,7 +104,7 @@ def ex2():
 def test_example2_unit_weights_orient_right_to_left(ex2):
     sig, prec, lhs, rhs = ex2
     kbo = OrderParams(sig, KBO, prec=prec)
-    assert both(KBO_ALGOS, lhs, rhs, kbo) is L
+    assert both(lhs, rhs, kbo) is L
 
 
 def test_example2_heavier_head_flips_the_orientation(ex2):
@@ -112,13 +112,13 @@ def test_example2_heavier_head_flips_the_orientation(ex2):
     kbo = OrderParams(sig, KBO, prec=prec,
                       weights={"trans": from_int(5)},
                       coeffs={("trans", 1): from_int(3)})
-    assert both(KBO_ALGOS, lhs, rhs, kbo) is G
+    assert both(lhs, rhs, kbo) is G
 
 
 def test_example2_lpo_cannot_orient_left_to_right(ex2):
     sig, prec, lhs, rhs = ex2
     lpo = OrderParams(sig, LPO, prec=prec, watershed="and")
-    assert both(LPO_ALGOS, lhs, rhs, lpo) is not G
+    assert both(lhs, rhs, lpo) is not G
 
 
 @pytest.fixture
@@ -151,8 +151,8 @@ def test_example3_heavy_head_dominates(ex3):
     sig, lit1, lit2, lit3 = ex3
     heavy = OrderParams(sig, KBO, prec=["a", "f", "sk"],
                         weights={"a": from_int(3)})
-    assert both(KBO_ALGOS, lit1, lit2, heavy) is G
-    assert both(KBO_ALGOS, lit1, lit3, heavy) is G
+    assert both(lit1, lit2, heavy) is G
+    assert both(lit1, lit3, heavy) is G
 
 
 @pytest.fixture
@@ -181,16 +181,16 @@ def ex4():
 
 def test_example4_base_equation_orients(ex4):
     kbo, lpo, lhs1, rhs1, lhs2, rhs2 = ex4
-    assert both(KBO_ALGOS, lhs1, rhs1, kbo) is G
-    assert both(LPO_ALGOS, lhs1, rhs1, lpo) is G
+    assert both(lhs1, rhs1, kbo) is G
+    assert both(lhs1, rhs1, lpo) is G
 
 
 def test_example4_recursive_equation_is_unorientable(ex4):
     kbo, lpo, lhs1, rhs1, lhs2, rhs2 = ex4
-    assert both(KBO_ALGOS, lhs2, rhs2, kbo) is U
-    assert both(KBO_ALGOS, rhs2, lhs2, kbo) is U
-    assert both(LPO_ALGOS, lhs2, rhs2, lpo) is U
-    assert both(LPO_ALGOS, rhs2, lhs2, lpo) is U
+    assert both(lhs2, rhs2, kbo) is U
+    assert both(rhs2, lhs2, kbo) is U
+    assert both(lhs2, rhs2, lpo) is U
+    assert both(rhs2, lhs2, lpo) is U
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +214,17 @@ def test_applied_variable_nonstrict(small):
     y = Var("y", arrow(K, K))
     t = normalize(app(y, Sym("b")), sig)
     s = normalize(app(y, Sym("a")), sig)
-    assert both(KBO_ALGOS, t, s, kbo) is GE
-    assert both(LPO_ALGOS, t, s, lpo) is GE
-    assert both(KBO_ALGOS, s, t, kbo) is LE
+    assert both(t, s, kbo) is GE
+    assert both(t, s, lpo) is GE
+    assert both(s, t, kbo) is LE
 
 
 def test_reflexivity_short_circuit(small):
     sig, kbo, lpo = small
     y2 = Var("y2", arrow(arrow(K, K), K))
     t = normalize(app(y2, Lam(K, Db(0, K))), sig)  # nonsteady argument
-    for algos, p in ((KBO_ALGOS, kbo), (LPO_ALGOS, lpo)):
-        assert both(algos, t, t, p) is E
+    for p in (kbo, lpo):
+        assert both(t, t, p) is E
 
 
 def test_same_variable_nonsteady_arguments_unknown(small):
@@ -232,16 +232,16 @@ def test_same_variable_nonsteady_arguments_unknown(small):
     y2 = Var("y2", arrow(arrow(K, K), K))
     t = normalize(app(y2, Lam(K, Db(0, K))), sig)
     s = normalize(app(y2, Lam(K, Sym("a"))), sig)
-    for algos, p in ((KBO_ALGOS, kbo), (LPO_ALGOS, lpo)):
-        assert both(algos, t, s, p) is U
+    for p in (kbo, lpo):
+        assert both(t, s, p) is U
 
 
 def test_distinct_variables_unknown(small):
     sig, kbo, lpo = small
     t = Var("x", K)
     s = Var("y", K)
-    assert both(KBO_ALGOS, t, s, kbo) is U
-    assert both(LPO_ALGOS, t, s, lpo) is U
+    assert both(t, s, kbo) is U
+    assert both(t, s, lpo) is U
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +269,9 @@ def test_watershed_overrides_type_guard(polysig):
     above = OrderParams(polysig, LPO, prec=["aa", "ws", "h"], watershed="ws")
     below = OrderParams(polysig, LPO, prec=["aa", "h", "ws"], watershed="ws")
     h, poly_a = Sym("h"), Sym("aa", (TyVar("alpha"),))
-    assert both(LPO_ALGOS, h, poly_a, above) is G
-    assert both(LPO_ALGOS, h, poly_a, below) is U
-    assert both(LPO_ALGOS, h, Sym("aa", (K,)), below) is G
+    assert both(h, poly_a, above) is G
+    assert both(h, poly_a, below) is U
+    assert both(h, Sym("aa", (K,)), below) is G
 
 
 def test_kbo_guard_blocks_variable_typed_comparison(polysig):
@@ -282,7 +282,7 @@ def test_kbo_guard_blocks_variable_typed_comparison(polysig):
     # weight polynomial of aa<alpha> contains the expansion slack
     w = weight_poly(poly_a, kbo)
     assert HInd("alpha") in {x for m, _ in w.items() for x in m}
-    assert both(KBO_ALGOS, h, poly_a, kbo) is U
+    assert both(h, poly_a, kbo) is U
 
 
 def _eta_dropping_pairs():
@@ -311,7 +311,7 @@ def _eta_dropping_pairs():
 def test_variable_of_type_variable_type_takes_no_eta_slack(pair):
     sig, kbo, t, s = _eta_dropping_pairs()[pair]
     t, s = normalize(t, sig), normalize(s, sig)
-    assert both(KBO_ALGOS, t, s, kbo) is not G
+    assert both(t, s, kbo) is not G
     iota = TyCon("iota")
     mono = Substitution(ty_map={"a0": arrow(iota, iota)})
     ground = Substitution(term_map={
@@ -390,14 +390,14 @@ def test_subterm_win_upgrades_nonstrict_argument_verdict(small):
     inner_t = Sym("g", (), (), (yc,))
     s = Sym("g", (), (), (yb,))
     t = Sym("g", (), (), (inner_t,))
-    assert compare_lpo_naive(inner_t, s, lpo) is GE
-    assert both(LPO_ALGOS, t, s, lpo) is G
-    assert both(LPO_ALGOS, s, t, lpo) is L
+    assert compare(inner_t, s, lpo, "naive") is GE
+    assert both(t, s, lpo) is G
+    assert both(s, t, lpo) is L
     # same-depth variant: both sides scan to GE and stay nonstrict
     inner_s = Sym("g", (), (), (yb,))
     t2 = Sym("g", (), (), (inner_t,))
     s2 = Sym("g", (), (), (inner_s,))
-    assert both(LPO_ALGOS, t2, s2, lpo) is GE
+    assert both(t2, s2, lpo) is GE
 
 
 def test_poly_guard_failure_falls_back_to_subterm_win():
@@ -413,8 +413,8 @@ def test_poly_guard_failure_falls_back_to_subterm_win():
     s = Sym("pv", (alpha,))
     t = Sym("g", (alpha,), (), (s,))
     assert not type_relaxed_ge(K, alpha)
-    assert both(LPO_ALGOS, t, s, lpo) is G
-    assert both(LPO_ALGOS, s, t, lpo) is L
+    assert both(t, s, lpo) is G
+    assert both(s, t, lpo) is L
 
 
 def test_kbo_opt_reconstructs_scaled_weights():
@@ -430,8 +430,8 @@ def test_kbo_opt_reconstructs_scaled_weights():
                       coeffs={("g", 2): from_int(2)})
     t = Sym("g", (), (), (Sym("a"), Sym("b")))  # 1 + 1 + 2*2 = 6
     s = Sym("g", (), (), (Sym("b"), Sym("a")))  # 1 + 2 + 2*1 = 5
-    assert both(KBO_ALGOS, t, s, kbo) is G
-    assert both(KBO_ALGOS, s, t, kbo) is L
+    assert both(t, s, kbo) is G
+    assert both(s, t, kbo) is L
 
 
 def test_kbo_opt_ignores_parameter_weights():
@@ -447,7 +447,7 @@ def test_kbo_opt_ignores_parameter_weights():
     s = normalize(Sym("sk", (), (Sym("a"),), (Sym("b"),)), sig)
     # weights tie (parameters weigh nothing); the parameter itself is the
     # first lexicographic position and big is above a
-    assert both(KBO_ALGOS, t, s, kbo) is G
+    assert both(t, s, kbo) is G
 
 
 def test_strict_leak_mode():
@@ -460,7 +460,7 @@ def test_strict_leak_mode():
     s = Db(3, TyCon("i"))
     with pytest.raises(LeakTypeMismatch):
         check_leak_types(t, s)
-    assert compare_kbo_naive(t, s, kbo) is U
+    assert compare(t, s, kbo, "naive") is U
 
 
 def test_leak_rule_precedes_index_arity():
@@ -474,10 +474,10 @@ def test_leak_rule_precedes_index_arity():
     t, s = Db(3, arrow(K, K), (Sym("a"),)), Db(3, K)
     lpo = OrderParams(sig, LPO, prec=["a"], watershed="a")
     kbo = OrderParams(sig, KBO, prec=["a"])
-    assert both(LPO_ALGOS, t, s, lpo) is U and both(LPO_ALGOS, s, t, lpo) is U
+    assert both(t, s, lpo) is U and both(s, t, lpo) is U
     with pytest.raises(LeakTypeMismatch):
         check_leak_types(t, s)
-    assert both(KBO_ALGOS, t, s, kbo) is G and both(KBO_ALGOS, s, t, kbo) is L
+    assert both(t, s, kbo) is G and both(s, t, kbo) is L
 
 
 @pytest.mark.parametrize("kind", [KBO, LPO])
@@ -496,9 +496,9 @@ def test_strict_mode_is_decided_before_any_algorithm(kind):
     with pytest.raises(LeakTypeMismatch):
         check_leak_types(t, Lam(K, Lam(K, Lam(K, Lam(K, Db(3, K))))))
     check_leak_types(Db(3, K), Db(2, K))
-    for algo in ALGORITHMS[kind]:
-        assert algo(t, s, p) is (G if kind == KBO else U)
-        assert algo(Db(3, K), Db(2, K), p) in (G, L)
+    for algo in ALGOS:
+        assert compare(t, s, p, algo) is (G if kind == KBO else U)
+        assert compare(Db(3, K), Db(2, K), p, algo) in (G, L)
 
 
 def test_strict_mode_walks_no_closed_pair(monkeypatch):
@@ -612,9 +612,6 @@ def test_compare_types_names_an_unranked_constructor():
     assert lpo.compare_types(TyCon("iota"), TyCon("iota")) is E
 
 
-ALL_ALGOS = (compare_kbo_naive, compare_kbo_opt, compare_lpo_naive, compare_lpo_opt)
-
-
 def test_equal_heads_name_an_unranked_symbol():
     """Two equal symbol heads are E after one precedence lookup, which still
     names a symbol declared after the parameters were made."""
@@ -622,22 +619,19 @@ def test_equal_heads_name_an_unranked_symbol():
     sig, kbo, lpo = bench_signature()
     sig.add_symbol("late", TypeDecl((), (), arrow(TyCon("kappa"), TyCon("kappa"))))
     t, s = Sym("late", (), (), (Sym("a"),)), Sym("late", (), (), (Sym("b"),))
-    for algo in ALL_ALGOS:
-        with pytest.raises(OrderError, match="symbol late has no precedence rank"):
-            algo(t, s, kbo if algo in KBO_ALGOS else lpo)
+    for p in (kbo, lpo):
+        for algo in ALGOS:
+            with pytest.raises(OrderError, match="symbol late has no precedence rank"):
+                compare(t, s, p, algo)
 
 
-def _params_for(algo, kbo, lpo):
-    return kbo if algo in KBO_ALGOS else lpo
-
-
-@pytest.mark.parametrize("algo", ALL_ALGOS)
-def test_compare_rejects_arrow_typed_spine(small, algo):
-    p = _params_for(algo, *small[1:])
+@EACH_ORDER_AND_ALGO
+def test_compare_rejects_arrow_typed_spine(small, order, algo):
+    p = small[1 + order]
     with pytest.raises(TermError, match="not a normalized term"):
-        algo(Sym("g"), Sym("a"), p)
+        compare(Sym("g"), Sym("a"), p, algo)
     with pytest.raises(TermError, match="not a normalized term"):
-        algo(Sym("a"), Sym("g", (), (), (Sym("b"),)), p)
+        compare(Sym("a"), Sym("g", (), (), (Sym("b"),)), p, algo)
 
 
 def _rejected_pairs():
@@ -671,16 +665,37 @@ def _rejected_pairs():
     ]
 
 
-@pytest.mark.parametrize("algo", ALL_ALGOS)
-def test_compare_rejects_ill_typed_input(algo):
+@EACH_ORDER_AND_ALGO
+def test_compare_rejects_ill_typed_input(order, algo):
     """compare types both inputs by the checked pass, so an input with a
     fault anywhere is a named error under every algorithm, whichever side
     it is on, and never a verdict or a bare ValueError."""
     for params, t, s, error, fault in _rejected_pairs():
-        p = _params_for(algo, *params)
         for pair in ((t, s), (s, t)):
             with pytest.raises(error, match=fault):
-                algo(*pair, p)
+                compare(*pair, params[order], algo)
+
+
+def test_compare_runs_the_order_its_parameters_name():
+    """compare picks the order from ``p.kind``, not from its caller.  Under
+    LPO parameters that no KBO accepts, w(diff) = 5 above w_db = 1, f(a)
+    against b is G, the LPO's verdict, under both algorithms, while a KBO,
+    with those weights or with w(diff) = 1, weighs b heavier: L."""
+    sig = Signature()
+    sig.add_type("k", 0)
+    for name, ty in (("a", K), ("b", K), ("f", arrow(K, K))):
+        sig.add_symbol(name, TypeDecl((), (), ty))
+    dv = arrow(TyVar("A"), TyVar("B"))
+    sig.add_symbol("diff", TypeDecl(("A", "B"), (dv, dv), TyVar("A")))
+    prec = ["diff", "a", "b", "f"]
+    weights = {"diff": from_int(5), "b": from_int(3)}
+    with pytest.raises(OrderError, match=r"w\(diff\) <= w_db is required"):
+        OrderParams(sig, KBO, weights=weights, prec=prec)
+    lpo = OrderParams(sig, LPO, weights=weights, prec=prec, watershed="f")
+    t, s = Sym("f", (), (), (Sym("a"),)), Sym("b")
+    assert both(t, s, lpo) is G and oracle_compare(t, s, lpo) is G
+    assert _KboNaive(lpo).compare(t, s) is L and _KboOpt(lpo).compare(t, s) is L
+    assert both(t, s, OrderParams(sig, KBO, weights={"b": from_int(3)}, prec=prec)) is L
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +712,8 @@ def test_optimized_lpo_deep_ground_nest_fits_default_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        assert compare_lpo_opt(t, s, lpo) is L
-        assert compare_lpo_opt(s, t, lpo) is G
+        assert compare(t, s, lpo) is L
+        assert compare(s, t, lpo) is G
     finally:
         sys.setrecursionlimit(limit)
 
@@ -715,17 +730,17 @@ def test_kbo_deep_chains_fit_default_stack():
     sys.setrecursionlimit(1000)
     try:
         for t, s in (adversarial_lpo_pair(256), deep_chain_pair(256), deep_chain_pair(400)):
-            assert compare_kbo_opt(t, s, kbo) is L
-            assert compare_kbo_opt(s, t, kbo) is G
+            assert compare(t, s, kbo) is L
+            assert compare(s, t, kbo) is G
         t, s = deep_chain_pair(240)
-        assert compare_kbo_naive(t, s, kbo) is L
-        assert compare_kbo_naive(s, t, kbo) is G
+        assert compare(t, s, kbo, "naive") is L
+        assert compare(s, t, kbo, "naive") is G
     finally:
         sys.setrecursionlimit(limit)
 
 
-@pytest.mark.parametrize("algo", ALL_ALGOS)
-def test_too_deep_comparison_raises_depth_error(algo):
+@EACH_ORDER_AND_ALGO
+def test_too_deep_comparison_raises_depth_error(order, algo):
     """Every algorithm spends at least two frames per level of a chain, so
     a depth-600 chain overflows a limit of 1,000; the overflow comes out as
     the named ``DepthError``, which is still a ``RecursionError``."""
@@ -736,21 +751,21 @@ def test_too_deep_comparison_raises_depth_error(algo):
     sys.setrecursionlimit(1000)
     try:
         with pytest.raises(DepthError, match="nested too deeply"):
-            algo(t, s, _params_for(algo, kbo, lpo))
+            compare(t, s, (kbo, lpo)[order], algo)
     finally:
         sys.setrecursionlimit(limit)
     assert issubclass(DepthError, RecursionError)
 
 
-@pytest.mark.parametrize("algo", ALL_ALGOS)
-def test_deep_equal_copies_compare_equal(algo):
+@EACH_ORDER_AND_ALGO
+def test_deep_equal_copies_compare_equal(order, algo):
     """Two constructions of one deep term are one node, so the comparison
     ends at once, far below where a structural equality would overflow."""
     from lamorder.checks import bench_signature, deep_chain_pair
     _, kbo, lpo = bench_signature()
     t, u = deep_chain_pair(10_000)[0], deep_chain_pair(10_000)[0]
     assert t is u
-    assert algo(t, u, _params_for(algo, kbo, lpo)) is E
+    assert compare(t, u, (kbo, lpo)[order], algo) is E
 
 
 def test_recursive_steps_live_in_their_own_classes():
@@ -857,8 +872,8 @@ def test_identical_flex_subterm_is_not_short_cut(small):
     assert not _rigid(flex)
     t = normalize(app(Sym("g"), flex, Sym("b")), sig)
     s = normalize(app(Sym("g"), flex, Sym("a")), sig)
-    for algo in ALL_ALGOS:
-        assert algo(t, s, _params_for(algo, kbo, lpo)) is U
+    for p in (kbo, lpo):
+        assert both(t, s, p) is U
 
 
 def _chain(n, u):
@@ -885,7 +900,7 @@ def test_identical_arguments_cost_no_descent():
     _, kbo, lpo = bench_signature()
     chain = _chain(50, Sym("a"))
     reset_weight_calls()
-    assert compare_kbo_opt(_g(Sym("b"), chain), _g(Sym("a"), chain), kbo) is G
+    assert compare(_g(Sym("b"), chain), _g(Sym("a"), chain), kbo) is G
     assert weight_calls() == 2
 
     processed = [0]
@@ -974,9 +989,8 @@ def test_variable_condition_prunes_subterm_checks():
     assert LpoSpy(lpo).compare(t, s) is U
     assert compared[0] == 2
     t, s = _g(_chain(3, Sym("a")), x), _g(x, _chain(3, Sym("b")))
-    for algo in LPO_ALGOS:
-        assert algo(t, s, lpo) is U
-        assert algo(s, t, lpo) is U
+    assert both(t, s, lpo) is U
+    assert both(s, t, lpo) is U
 
 
 def test_subterm_rule_passes_the_other_sides_rigid_own_argument(small):
@@ -1005,9 +1019,8 @@ def test_subterm_rule_passes_the_other_sides_rigid_own_argument(small):
             assert compared[0] == calls
     for p, (t, s) in ((lpo, (_g(y, _chain(3, x)), _g(_chain(3, x), Sym("b")))),
                       (small_lpo, flex_pair)):
-        for algo in LPO_ALGOS:
-            assert algo(t, s, p) is U
-            assert algo(s, t, p) is U
+        assert both(t, s, p) is U
+        assert both(s, t, p) is U
 
 
 def test_own_flex_argument_is_not_passed(small):
@@ -1021,9 +1034,8 @@ def test_own_flex_argument_is_not_passed(small):
     flex = normalize(app(y2, Lam(K, Db(0, K))), sig)
     t = normalize(app(Sym("g"), Sym("b"), flex), sig)
     s = normalize(app(Sym("g"), Sym("a"), flex), sig)
-    for algo in LPO_ALGOS:
-        assert algo(t, s, lpo) is U
-        assert algo(s, t, lpo) is U
+    assert both(t, s, lpo) is U
+    assert both(s, t, lpo) is U
 
 
 @pytest.mark.parametrize("algo", [_KboNaive, _KboOpt])
@@ -1069,9 +1081,9 @@ def test_randomized_naive_opt_agreement():
             t, s = related_pair(rng, g, sig, ty)
         else:
             t, s = g.gen(ty, 8, ground=False), g.gen(ty, 8, ground=False)
-        for p, algos in ((kbo, KBO_ALGOS), (lpo, LPO_ALGOS)):
-            c = both(algos, t, s, p)
-            assert flip(c) == both(algos, s, t, p)
+        for p in (kbo, lpo):
+            c = both(t, s, p)
+            assert flip(c) == both(s, t, p)
             if c in (GE, LE):
                 nonstrict_seen += 1
     assert nonstrict_seen > 10
@@ -1197,11 +1209,11 @@ def test_weight_literal_is_no_declared_symbol():
                    " (sym hv () ()))", sig)
     s = parse_term("(sym g () () (var x (-> (-> k k) k) (lam k (sym !wt:2 ((-> k k)) ()"
                    " (db 0 k)))) (sym lt () ()))", sig)
-    assert both(KBO_ALGOS, t, s, kbo) is U
+    assert both(t, s, kbo) is U
     hk = arrow(K, K)
     sub = Substitution(term_map={("x", arrow(hk, K)): Lam(hk, Db(0, hk, (Sym("c"),)))})
     ti, si = apply_subst(t, sub, sig), apply_subst(s, sub, sig)
-    assert both(KBO_ALGOS, ti, si, kbo) is L and oracle_compare(ti, si, kbo) is L
+    assert both(ti, si, kbo) is L and oracle_compare(ti, si, kbo) is L
 
 
 # ---------------------------------------------------------------------------
@@ -1237,5 +1249,5 @@ def test_kbo_descent_rebuilds_the_weight_difference(ordinal_weights):
         t, s = related_pair(rng, g, sig, rng.choice(tys))
         w, c = Spy(kbo).process(t, s, 0)
         assert w == weight_diff(t, s, kbo)
-        assert c == compare_kbo_opt(t, s, kbo) or t == s
+        assert c == compare(t, s, kbo) or t == s
     assert scales_seen == {"parameter", "variable", "coefficient"}

@@ -1,4 +1,5 @@
-"""Encoding oracle: faithfulness, derived precedences, assignments, enumeration."""
+"""Encoding oracle: faithfulness, derived precedences, assignments, and the
+exhaustive corpora of ``gen.TermGen.every`` it is checked on."""
 
 import itertools
 import random
@@ -9,12 +10,11 @@ import pytest
 from lamorder.checks import bench_signature, deep_chain_pair
 from lamorder.cmp import Cmp
 from lamorder.gen import GenConfig, TermGen, free_var_types, gen_grounding_subst, gen_signature
-from lamorder.lambda_order import (KBO, LPO, OrderParams, collect_indet_reps,
-                                   compare_kbo_naive, compare_kbo_opt,
-                                   compare_lpo_naive, compare_lpo_opt, weight_poly)
+from lamorder.lambda_order import (ALGOS, KBO, LPO, OrderParams, collect_indet_reps,
+                                   compare, weight_poly)
 from lamorder.oracle import (DbKey, FKey, LamKey, OracleError,
                              assignment_from_grounding, encode_ground,
-                             enum_ground_terms, make_fo_params, oracle_compare,
+                             make_fo_params, oracle_compare,
                              oracle_weight, poly_subst_from_monomorphizing)
 from lamorder.ordinal import from_int
 from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly, subst_poly
@@ -116,10 +116,15 @@ def test_oracle_basics(sig, params):
     assert oracle_compare(fa, a, kbo) is Cmp.G
 
 
+def every(sig, ty, max_size, ty_pool=None):
+    """Every ground term of type ``ty`` up to ``max_size``."""
+    return TermGen(random.Random(0), sig).every(ty, max_size, ground=True, ty_pool=ty_pool)
+
+
 def enum_corpus(sig, max_size):
     terms = []
     for ty in (K, arrow(K, K)):
-        terms.extend(enum_ground_terms(sig, ty, max_size))
+        terms.extend(every(sig, ty, max_size))
     return terms
 
 
@@ -127,14 +132,14 @@ def test_enum_examples():
     s = Signature()
     s.add_type("k", 0)
     s.add_symbol("a", TypeDecl((), (), K))
-    assert enum_ground_terms(s, K, 1) == [Sym("a")]
+    assert every(s, K, 1) == [Sym("a")]
     s.add_symbol("f", TypeDecl((), (), arrow(K, K)))
-    assert set(enum_ground_terms(s, K, 3)) == {
+    assert set(every(s, K, 3)) == {
         Sym("a"),
         Sym("f", (), (), (Sym("a"),)),
         Sym("f", (), (), (Sym("f", (), (), (Sym("a"),)),)),
     }
-    got = enum_ground_terms(s, arrow(K, K), 3)
+    got = every(s, arrow(K, K), 3)
     assert set(got) == {
         Lam(K, Sym("a")), Lam(K, Db(0, K)),
         Lam(K, Sym("f", (), (), (Db(0, K),))),
@@ -143,10 +148,10 @@ def test_enum_examples():
 
 
 def test_enum_size_bound_and_distinct(sig):
-    terms = enum_ground_terms(sig, K, 5)
+    terms = every(sig, K, 5)
     assert len(terms) == len(set(terms))
     assert all(size(t) <= 5 for t in terms)
-    smaller = set(enum_ground_terms(sig, K, 4))
+    smaller = set(every(sig, K, 4))
     assert smaller <= set(terms)
 
 
@@ -170,13 +175,12 @@ def test_weight_faithful_on_corpus(sig, params):
 def test_exhaustive_equivalence_small(sig, params):
     kbo, lpo = params
     terms = enum_corpus(sig, 4)
-    for kind, p, naive, opt in ((KBO, kbo, compare_kbo_naive, compare_kbo_opt),
-                                (LPO, lpo, compare_lpo_naive, compare_lpo_opt)):
+    for p in (kbo, lpo):
         for t, s in itertools.product(terms, terms):
             want = oracle_compare(t, s, p)
             assert want in (Cmp.G, Cmp.E, Cmp.L)
-            assert naive(t, s, p) == want
-            assert opt(t, s, p) == want
+            for algo in ALGOS:
+                assert compare(t, s, p, algo) == want
 
 
 def test_index_heads_at_function_type_instances():
@@ -190,17 +194,16 @@ def test_index_heads_at_function_type_instances():
     for name in ("a", "b", "ws"):
         sig.add_symbol(name, TypeDecl((), (), K))
     sig.add_symbol("g", TypeDecl(("X",), (), arrow(arrow(TyVar("X"), K), K)))
-    terms = enum_ground_terms(sig, K, 5, ty_pool=[K, arrow(K, K), arrows([K, K], K)])
+    terms = every(sig, K, 5, ty_pool=[K, arrow(K, K), arrows([K, K], K)])
     assert len(terms) == 61
-    orders = [(OrderParams(sig, LPO, prec=prec, watershed="ws"),
-               (compare_lpo_naive, compare_lpo_opt))
+    orders = [OrderParams(sig, LPO, prec=prec, watershed="ws")
               for prec in (["g", "a", "ws", "b"], ["a", "b", "ws", "g"])]
-    orders.append((OrderParams(sig, KBO), (compare_kbo_naive, compare_kbo_opt)))
-    for p, algos in orders:
+    orders.append(OrderParams(sig, KBO))
+    for p in orders:
         for t, s in itertools.product(terms, repeat=2):
             want = oracle_compare(t, s, p)
-            for algo in algos:
-                assert algo(t, s, p) == want, (algo.__name__, t, s)
+            for algo in ALGOS:
+                assert compare(t, s, p, algo) == want, (p.kind, algo, t, s)
 
 
 def test_assignment_examples(sig):
@@ -315,9 +318,7 @@ def test_transfinite_weights_differential():
         ty = rng.choice(bases + [arrow(bases[0], bases[1])])
         t = g.gen(ty, 8, ground=True)
         s = g.gen(ty, 8, ground=True)
-        for kind, p in ((KBO, kbo), (LPO, lpo)):
+        for p in (kbo, lpo):
             want = oracle_compare(t, s, p)
             assert want in (Cmp.G, Cmp.E, Cmp.L)
-            naive, opt = {KBO: (compare_kbo_naive, compare_kbo_opt),
-                          LPO: (compare_lpo_naive, compare_lpo_opt)}[kind]
-            assert naive(t, s, p) == opt(t, s, p) == want
+            assert compare(t, s, p, "naive") == compare(t, s, p, "optimized") == want

@@ -268,7 +268,7 @@ def test_nested_ordinal_literals_read_or_are_positioned(kind, depth):
     ("(sym a () ())@)", "unbalanced )"),
     ('(sym @"a () ())', "unterminated string"),
     ("@", "expected exactly one expression, found 0"),
-    ("@(sym a () ()) (sym a () ())", "expected exactly one expression, found 2"),
+    ("(sym a () ()) @(sym a () ())", "expected exactly one expression, found 2"),
     ("(sym f () () @())", "empty term"),
     ("@x", "expected a term"),
     ("(sym f () () @x)", "expected a term"),
@@ -409,8 +409,8 @@ def test_rendered_generated_terms_parse_back(polymorphic):
 def test_mutated_terms_read_or_fail_at_a_token():
     """Each of 2,000 seeded mutations of rendered generated terms reads as a
     term or fails with a ParseError at one of its tokens, never with another
-    exception; only a text that is not one expression fails at 1:1, which
-    may be blank."""
+    exception; only a text without an expression fails at 1:1, which may
+    be blank."""
     read = 0
     for text, sig in parse_mutants.mutants(0):
         try:
@@ -420,7 +420,7 @@ def test_mutated_terms_read_or_fail_at_a_token():
             lines = text.split("\n")
             assert 1 <= err.line <= len(lines), (text, str(err))
             line = lines[err.line - 1]
-            if str(err).startswith("1:1: expected exactly one expression"):
+            if str(err).startswith("1:1: expected exactly one expression, found 0"):
                 continue
             assert 1 <= err.col <= len(line) and not line[err.col - 1].isspace(), \
                 (text, str(err))

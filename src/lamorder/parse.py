@@ -3,12 +3,16 @@
 Type syntax:      TY ::= NAME | 'NAME | (NAME TY*) | (-> TY TY)
 Term syntax:      T  ::= (lam TY T) | (db N TY) | (sym NAME (TY*) (T*) T*)
                        | (var NAME TY T*)
-A text is split into one list of tokens by one regex, its comments dropped.
-A term is read in one pass over that list, each node built at its closing
-parenthesis on an explicit stack, then typed by ``term.type_of``, which
-checks only the nodes its signature has not typed; it is normalized only on
-an under-applied spine.  A fault names its token by number; only a
-ParseError finds that token in the text again, for its line and column.
+A text is split into one list of tokens, its comments dropped: by str
+methods when it holds no string, no comment and no blank pair ``( )``, else
+by the regex ``_TOKEN``, which defines a token either way.  A term is read
+in one pass over that list, each node built at its closing parenthesis on
+an explicit stack, a declared constant ``(sym NAME () ())`` in one step,
+then typed by ``term.type_of``, which checks only the nodes its signature
+has not typed.  It is normalized only on an under-applied spine, and once
+per signature, which keeps the eta-long form of each such term read.  A
+fault names its token by number; only a ParseError finds that token in the
+text again, for its line and column.
 
 A signature file is one s-expression:
 
@@ -39,7 +43,7 @@ from .lambda_order import OrderError, OrderParams
 from .ordinal import Ord, parse_ord
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TyCon, TyVar, Type,
-                   TypeDecl, Var, normalize)
+                   TypeDecl, Var)
 
 
 class ParseError(Exception):
@@ -97,10 +101,19 @@ def _read_file(path: str) -> str:
 _TOKEN = re.compile(r'\(\s*\)|[()]|[^\s();"]+|"[^"\n]*"?|;[^\n]*')
 
 
+# A parenthesis pair with only blanks between: one ``_TOKEN``, two words.
+_BLANK_PAIR = re.compile(r"\(\s+\)")
+
+
 def _tokens(text: str) -> List[str]:
-    """The tokens of ``text`` but its comments."""
-    tokens = _TOKEN.findall(text)
-    return [tok for tok in tokens if tok[0] != ";"] if ";" in text else tokens
+    """The tokens of ``text`` but its comments.  A text with no string, no
+    comment and no blank pair is split by str methods, which give the same
+    tokens as ``_TOKEN``: a blank is what both call whitespace, and every
+    empty list, written ``()``, is padded to ``(  )`` and joined again."""
+    if '"' in text or ";" in text or _BLANK_PAIR.search(text):
+        tokens = _TOKEN.findall(text)
+        return [tok for tok in tokens if tok[0] != ";"] if ";" in text else tokens
+    return text.replace("(", " ( ").replace(")", " ) ").replace("(  )", "()").split()
 
 
 def _token_starts(text: str) -> List[int]:
@@ -161,6 +174,7 @@ _LIST_SLOTS = {_SEXPR: (_SEXPR,) * 5, _TERM: (_KEYWORD,) + (_TERM,) * 4,
                _TERMS: (_TERM,) * 5}
 _LAM_ARITY = "(lam TY T) takes two arguments"
 _SYM_SLOTS = (_KEYWORD, _SYMBOL, _TYPES, _TERMS, _TERM)
+_ARGS = (_TERM,) * 5        # a spine entered in one step; see ``_read``
 # Each term keyword: the roles of its list's children, the fewest children
 # the list takes, the fault when it has fewer, and the preterm it builds;
 # ``_read`` builds a symbol's itself, the list it closes most often.
@@ -217,79 +231,96 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
     the token after its last.  The innermost open list is held in locals, its
     kind, token number, children and their roles; the lists around it wait
     on a stack.  A term that opens with ``(sym NAME () ()``, NAME declared
-    and written bare, is entered in one step: none of those tokens can
-    fault, and the list stands as if read token by token."""
+    and written bare, is entered in one step, and a constant ``(sym NAME ()
+    ())`` is closed in that step too: none of those tokens can fault.  A
+    spine so entered holds only its arguments, its roles are ``_ARGS`` and
+    its kind is NAME."""
     stack: list = []
     kind = start = roles = None
     items: Optional[list] = None      # the innermost open list's children
+    symbols = sig.symbols if sig is not None else {}
     n = len(tokens)
     while i < n:
         tok = tokens[i]
         if tok == ")":
             if items is None:
                 raise _Fault("unbalanced )", i)
-            if roles is _SYM_SLOTS and len(items) >= 4:  # see _FORMS
+            if roles is _ARGS:
+                value = Sym(kind, (), (), tuple(items))
+            elif roles is _SYM_SLOTS and len(items) >= 4:  # see _FORMS
                 value = Sym(items[1], items[2], items[3], tuple(items[4:]))
             else:
                 value = _close(kind, start, items, sig)
-            at = start
             if not stack:
-                return value, at, i + 1
+                return value, start, i + 1
             kind, start, items, roles = stack.pop()
-        else:
-            at = i
-            if items is not None:
-                k = len(items)
-                role = roles[k if k < _SLOTS else -1]
-                if role == _EXTRA:
-                    raise _Fault(_LAM_ARITY, start)
-            first = tok[0]
-            if first == "(":
-                if role > _TERMS:
-                    raise _Fault(_MISPLACED[role], i)
-                if tok == "(":
-                    if items is not None:
-                        stack.append((kind, start, items, roles))
-                    if (role == _TERM and i + 4 < n and tokens[i + 1] == "sym"
-                            and tokens[i + 3] == "()" and tokens[i + 4] == "()"
-                            and tokens[i + 2] in sig.symbols and tokens[i + 2][0] not in "()"):
-                        kind, start, roles = _TERM, i, _SYM_SLOTS
-                        items = ["sym", tokens[i + 2], (), ()]
-                        i += 5
-                    else:
-                        kind, start, items, roles = role, i, [], _LIST_SLOTS[role]
-                        i += 1
+            items.append(value)
+            i += 1
+            continue
+        if roles is _ARGS:
+            role = _TERM
+        elif items is not None:
+            k = len(items)
+            role = roles[k if k < _SLOTS else -1]
+            if role == _EXTRA:
+                raise _Fault(_LAM_ARITY, start)
+        if tok == "(":
+            if (role == _TERM and i + 4 < n and tokens[i + 1] == "sym"
+                    and tokens[i + 3] == "()" and tokens[i + 4] == "()"
+                    and tokens[i + 2] in symbols and tokens[i + 2][0] not in "()"):
+                if i + 5 < n and tokens[i + 5] == ")":
+                    value = Sym(tokens[i + 2], (), (), ())
+                    if items is None:
+                        return value, i, i + 6
+                    items.append(value)
+                    i += 6
                     continue
-                # an empty list of type arguments or parameters
-                value = () if role >= _TYPES else _close(role, i, [], sig)
-            else:
-                if first == '"':
-                    if len(tok) == 1 or tok[-1] != '"':
-                        raise _Fault("unterminated string", i)
-                    tok = tok[1:-1]
-                value = tok
-                if role == _KEYWORD:
-                    if value not in _FORMS:
-                        raise _Fault("unknown term keyword %s" % value, i)
-                    roles = _FORMS[value][0]
-                elif role == _SYMBOL:
-                    if value not in sig.symbols:
-                        raise _Fault("unknown symbol %s" % value, i)
-                elif role == _TYPE:
-                    value = (TyVar(value[1:]) if value.startswith("'")
-                             else _close(_TYPE, i, [value], sig))
-                elif role == _TYCON:
-                    start = i
-                elif role == _INDEX:
-                    if not value.isdecimal():
-                        raise _Fault("index must be a natural number", i)
-                    value = int(value)
-                elif role == _SEXPR:
-                    value = Atom(value, i)
-                elif role != _VARNAME:
-                    raise _Fault(_MISPLACED[role], i)
-            if items is None:
-                return value, at, i + 1
+                if items is not None:
+                    stack.append((kind, start, items, roles))
+                kind, start, items, roles = tokens[i + 2], i, [], _ARGS
+                i += 5
+                continue
+            if role > _TERMS:
+                raise _Fault(_MISPLACED[role], i)
+            if items is not None:
+                stack.append((kind, start, items, roles))
+            kind, start, items, roles = role, i, [], _LIST_SLOTS[role]
+            i += 1
+            continue
+        first = tok[0]
+        if first == "(":
+            # an empty list, of type arguments or parameters most often
+            if role > _TERMS:
+                raise _Fault(_MISPLACED[role], i)
+            value = () if role >= _TYPES else _close(role, i, [], sig)
+        else:
+            if first == '"':
+                if len(tok) == 1 or tok[-1] != '"':
+                    raise _Fault("unterminated string", i)
+                tok = tok[1:-1]
+            value = tok
+            if role == _KEYWORD:
+                if value not in _FORMS:
+                    raise _Fault("unknown term keyword %s" % value, i)
+                roles = _FORMS[value][0]
+            elif role == _SYMBOL:
+                if value not in symbols:
+                    raise _Fault("unknown symbol %s" % value, i)
+            elif role == _TYPE:
+                value = (TyVar(value[1:]) if value.startswith("'")
+                         else _close(_TYPE, i, [value], sig))
+            elif role == _TYCON:
+                start = i
+            elif role == _INDEX:
+                if not value.isdecimal():
+                    raise _Fault("index must be a natural number", i)
+                value = int(value)
+            elif role == _SEXPR:
+                value = Atom(value, i)
+            elif role != _VARNAME:
+                raise _Fault(_MISPLACED[role], i)
+        if items is None:
+            return value, i, i + 1
         items.append(value)
         i += 1
     if items is not None:
@@ -299,7 +330,8 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
 
 @_positioned
 def parse_term(text: str, sig: Signature) -> Preterm:
-    """Read and type one term; normalize it only if a spine is under-applied."""
+    """Read and type one term; normalize it only if a spine is under-applied,
+    and only the first time its signature reads it."""
     tokens = _tokens(text)
     t, at, end = _read(tokens, 0, sig, _TERM)
     if end < len(tokens):
@@ -307,13 +339,16 @@ def parse_term(text: str, sig: Signature) -> Preterm:
         raise _Fault("expected exactly one expression, found %d"
                      % len(_sexprs(tokens)), end)
     read = t
+    if t in sig.eta_long:
+        return sig.eta_long[t]
     try:
         try:
             tm.type_of(t, sig)
         except tm.UnderApplied:
             # eta-expand the under-applied spines; any other fault is the first
-            t = normalize(t, sig)
+            t = tm.normalize(t, sig)
             tm.type_of(t, sig)
+            sig.eta_long[read] = t
     except tm.TermError as exc:
         raise _Fault(str(exc), _fault_token(tokens, read, exc, at)) from exc
     return t

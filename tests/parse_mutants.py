@@ -5,8 +5,10 @@ corpus.
 
 reads each mutated text with the ``lamorder`` under the source directory SRC
 and prints one line per text: the term it reads as, rendered, or its
-ParseError.  Two source trees that print the same lines read the corpus
-alike.  ``signature_mutants`` mutates the fixture signature files alike.
+ParseError.  ``signature_mutants`` mutates the fixture signature files alike;
+each of COUNT of them is then read under the KBO and under the LPO, one line
+each: what it reads as (``signature_line``), or its ParseError.  Two source
+trees that print the same lines read both corpora alike.
 """
 
 import glob
@@ -92,14 +94,42 @@ def signature_mutants(seed: int, count: int = 2000):
         yield _mutate(rng, text, SIG_PIECES)
 
 
+def signature_line(sig, params) -> str:
+    """One line for what a signature file reads as: its declarations and
+    order parameters, in the order the file gives them."""
+    from lamorder.parse import render_term
+    decls = ("(%s (%s) (%s) %s)" % (name, " ".join(d.ty_vars),
+                                    " ".join(map(render_term, d.param_types)),
+                                    render_term(d.body))
+             for name, d in sig.symbols.items())
+    return "; ".join((
+        "types " + " ".join("%s/%d" % kv for kv in sig.type_constructors.items()),
+        "symbols " + " ".join(decls),
+        "weights " + " ".join("%s=%s" % kv for kv in params.weights.items()),
+        "wlam %s wdb %s" % (params.w_lam, params.w_db),
+        "coeffs " + " ".join("%s.%d=%s" % (f, i, c) for (f, i), c in params.coeffs.items()),
+        "tyweights " + " ".join("%s=%s" % kv for kv in params.ty_weights.items()),
+        "precedence " + " ".join(sorted(params.prec_ranks, key=params.prec_ranks.get)),
+        "typrecedence " + " ".join(sorted(params.ty_prec_ranks,
+                                          key=params.ty_prec_ranks.get)),
+        "watershed %s" % params.watershed))
+
+
 def main(argv) -> None:
     sys.path.insert(0, argv[1])
-    from lamorder.parse import ParseError, parse_term, render_term
-    for text, sig in mutants(int(argv[2]), *map(int, argv[3:4])):
+    from lamorder.parse import ParseError, parse_signature, parse_term, render_term
+    args = (int(argv[2]), *map(int, argv[3:4]))     # the seed and COUNT
+    for text, sig in mutants(*args):
         try:
             print(render_term(parse_term(text, sig)))
         except ParseError as err:
             print("ParseError %s" % err)
+    for text in signature_mutants(*args):
+        for kind in ("kbo", "lpo"):
+            try:
+                print("%s %s" % (kind, signature_line(*parse_signature(text, kind))))
+            except ParseError as err:
+                print("%s ParseError %s" % (kind, err))
 
 
 if __name__ == "__main__":

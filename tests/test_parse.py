@@ -1,5 +1,7 @@
 """Textual formats: terms, types, signature files and their error reporting."""
 
+import glob
+import os
 import random
 import re
 import sys
@@ -9,7 +11,7 @@ import pytest
 import parse_mutants
 from lamorder.cmp import G, L
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
-from lamorder import term
+from lamorder import parse, term
 from lamorder.lambda_order import KBO, LPO
 from lamorder.ordinal import MAX_NESTING
 from lamorder.parse import (ParseError, parse_signature, parse_signature_file, parse_term,
@@ -448,6 +450,49 @@ def test_mutated_signatures_read_or_fail_at_a_character():
     assert 0 < outcomes["read"] < 4000 and outcomes["nested"] > 0, outcomes
 
 
+def _deep_nest_texts():
+    """Both sides of every deep_nest pair the benchmark parses, at every
+    timed and probe depth."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import corpus
+    finally:
+        sys.path.remove(bench)
+    return [text for depths, probes, texts, _, _ in corpus.FAMILIES.values()
+            for d in depths + probes for text in texts(d)]
+
+
+def test_str_split_gives_the_regex_tokens():
+    """``_tokens`` splits a text with no string, no comment and no blank
+    pair by str methods, and any other with ``_TOKEN``: either way it gives
+    the tokens of ``_TOKEN`` but comments, as many as ``_token_starts``
+    finds.  Checked on both mutation corpora at three seeds, every fixture
+    file, the benchmark's deep_nest texts, and each character that
+    ``str.isspace`` or ``\\s`` accepts, between tokens and inside an empty
+    list."""
+    texts = []
+    for seed in (0, 1, 7):
+        texts += [text for text, _ in parse_mutants.mutants(seed)]
+        texts += parse_mutants.signature_mutants(seed)
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "fixtures", "*"))):
+        with open(path) as fh:
+            texts.append(fh.read())
+    texts += _deep_nest_texts()
+    blank = re.compile(r"\s")
+    for c in map(chr, range(sys.maxunicode + 1)):
+        if c.isspace() or blank.match(c):
+            texts += [c.join(("(sym", "f", "()", "()", "(sym a () ())", ")")) + c,
+                      "(sym a (%s) (%s%s))" % (c, c, c), c]
+    split = 0
+    for text in texts:
+        tokens = parse._tokens(text)
+        assert tokens == [tok for tok in parse._TOKEN.findall(text) if tok[0] != ";"], text
+        assert len(tokens) == len(parse._token_starts(text)), text
+        split += not ('"' in text or ";" in text or parse._BLANK_PAIR.search(text))
+    assert split > len(texts) // 2, (split, len(texts))
+
+
 def test_deep_terms_parse_and_render(sig_params):
     sig, _ = sig_params
     depth = 10000
@@ -466,20 +511,34 @@ def test_deep_terms_parse_and_render(sig_params):
 def test_reading_a_known_term_again_checks_nothing(sig_params, monkeypatch):
     """Every node of a term read before is typed in its signature, so a
     second read types it by one lookup: no head is typed again and no node
-    is added.  A term that shares nodes with it checks only the others."""
+    is added.  A term that shares nodes with it checks only the others.  A
+    text with under-applied spines is normalized on its first read, and
+    its second read is one lookup too, however deep the spines nest."""
     sig, _ = sig_params
     f = "(lam k (sym f () () (db 0 k)))"
     text = "(lam k (sym g () () (sym f () () (db 0 k)) (sym diff (k k) (%s %s))))" % (f, f)
     t = parse_term(text, sig)
     typed = len(sig.types)
-    calls = []
-    head_type = term.head_type
+    calls, normalized = [], []
+    head_type, normalize = term.head_type, term.normalize
     monkeypatch.setattr(term, "head_type", lambda u, s: calls.append(u) or head_type(u, s))
+    monkeypatch.setattr(term, "normalize", lambda u, s: normalized.append(u) or normalize(u, s))
     assert parse_term(text, sig) is t
     assert calls == [] and len(sig.types) == typed
     diff = "(sym diff (k k) (%s %s))" % (f, f)
     u = parse_term("(sym g () () %s %s)" % (diff, diff), sig)
     assert calls == [u] and len(sig.types) == typed + 1
+
+    # h : (k -> k) -> k -> k, nested 200 deep around f
+    sig, _ = parse_signature(SIG_TEXT.replace(
+        "(top () () o)", "(top () () o) (h () () (-> (-> k k) (-> k k)))").replace(
+        "(precedence top bot diff a f g)", "(precedence top bot diff a f g h)"), KBO)
+    nest = "(sym h () () " * 200 + "(sym f () ())" + ")" * 200
+    t = parse_term(nest, sig)
+    assert len(normalized) == 1 and len(calls) > 200
+    del calls[:], normalized[:]
+    assert parse_term(nest, sig) is t
+    assert calls == [] and normalized == []
 
 
 def test_deep_signature_type_parses():

@@ -9,10 +9,9 @@ by the regex ``_TOKEN``, which defines a token either way.  A term is read
 in one pass over that list, each node built at its closing parenthesis on
 an explicit stack, a declared constant ``(sym NAME () ())`` in one step,
 then typed by ``term.type_of``, which checks only the nodes its signature
-has not typed.  It is normalized only on an under-applied spine, and once
-per signature, which keeps the eta-long form of each such term read.  A
-fault names its token by number; only a ParseError finds that token in the
-text again, for its line and column.
+has not typed; it is normalized only on an under-applied spine.  A fault
+names its token by number; only a ParseError finds that token in the text
+again, for its line and column.
 
 A signature file is one s-expression:
 
@@ -43,7 +42,7 @@ from .lambda_order import OrderError, OrderParams
 from .ordinal import Ord, parse_ord
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TyCon, TyVar, Type,
-                   TypeDecl, Var)
+                   TypeDecl, Var, normalize)
 
 
 class ParseError(Exception):
@@ -330,8 +329,7 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
 
 @_positioned
 def parse_term(text: str, sig: Signature) -> Preterm:
-    """Read and type one term; normalize it only if a spine is under-applied,
-    and only the first time its signature reads it."""
+    """Read and type one term; normalize it only if a spine is under-applied."""
     tokens = _tokens(text)
     t, at, end = _read(tokens, 0, sig, _TERM)
     if end < len(tokens):
@@ -339,16 +337,13 @@ def parse_term(text: str, sig: Signature) -> Preterm:
         raise _Fault("expected exactly one expression, found %d"
                      % len(_sexprs(tokens)), end)
     read = t
-    if t in sig.eta_long:
-        return sig.eta_long[t]
     try:
         try:
             tm.type_of(t, sig)
         except tm.UnderApplied:
             # eta-expand the under-applied spines; any other fault is the first
-            t = tm.normalize(t, sig)
+            t = normalize(t, sig)
             tm.type_of(t, sig)
-            sig.eta_long[read] = t
     except tm.TermError as exc:
         raise _Fault(str(exc), _fault_token(tokens, read, exc, at)) from exc
     return t

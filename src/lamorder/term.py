@@ -209,10 +209,6 @@ class Signature:
         self.symbols: Dict[str, TypeDecl] = {}
         self.types: Dict[Preterm, Type] = {}    # each checked node's type
         self.index_types: Dict[Preterm, tuple] = {}    # see _index_types
-        # each under-applied node read from text, to the eta-long node that
-        # ``normalize`` made of it once it typed; keyed on nodes like the two
-        # maps above, so a sweep that drops nodes from TABLE must clear all three
-        self.eta_long: Dict[Preterm, Preterm] = {}
 
     def add_type(self, name: str, arity: int) -> None:
         if name in self.symbols:

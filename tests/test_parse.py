@@ -451,16 +451,15 @@ def test_mutated_signatures_read_or_fail_at_a_character():
 
 
 def _deep_nest_texts():
-    """Both sides of every deep_nest pair the benchmark parses, at every
-    timed and probe depth."""
-    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
-    sys.path.insert(0, bench)
-    try:
-        import corpus
-    finally:
-        sys.path.remove(bench)
-    return [text for depths, probes, texts, _, _ in corpus.FAMILIES.values()
-            for d in depths + probes for text in texts(d)]
+    """Nests and unary chains written as the benchmark's deep_nest family
+    writes them: ground and nonground ``g`` nests and ``f`` chains, at a
+    few depths."""
+    texts = []
+    for d in (1, 2, 8, 256, 512):
+        for inner, pad in (("(sym a () ())", "(sym b () ())"), ("(var x kappa)", "(sym a () ())")):
+            texts.append("(sym g () () " * d + inner + (" %s)" % pad) * d)
+        texts.append("(sym f () () " * d + "(sym a () ())" + ")" * d)
+    return texts
 
 
 def test_str_split_gives_the_regex_tokens():
@@ -468,9 +467,8 @@ def test_str_split_gives_the_regex_tokens():
     pair by str methods, and any other with ``_TOKEN``: either way it gives
     the tokens of ``_TOKEN`` but comments, as many as ``_token_starts``
     finds.  Checked on both mutation corpora at three seeds, every fixture
-    file, the benchmark's deep_nest texts, and each character that
-    ``str.isspace`` or ``\\s`` accepts, between tokens and inside an empty
-    list."""
+    file, deep nests and chains, and each character that ``str.isspace`` or
+    ``\\s`` accepts, between tokens and inside an empty list."""
     texts = []
     for seed in (0, 1, 7):
         texts += [text for text, _ in parse_mutants.mutants(seed)]
@@ -511,34 +509,20 @@ def test_deep_terms_parse_and_render(sig_params):
 def test_reading_a_known_term_again_checks_nothing(sig_params, monkeypatch):
     """Every node of a term read before is typed in its signature, so a
     second read types it by one lookup: no head is typed again and no node
-    is added.  A term that shares nodes with it checks only the others.  A
-    text with under-applied spines is normalized on its first read, and
-    its second read is one lookup too, however deep the spines nest."""
+    is added.  A term that shares nodes with it checks only the others."""
     sig, _ = sig_params
     f = "(lam k (sym f () () (db 0 k)))"
     text = "(lam k (sym g () () (sym f () () (db 0 k)) (sym diff (k k) (%s %s))))" % (f, f)
     t = parse_term(text, sig)
     typed = len(sig.types)
-    calls, normalized = [], []
-    head_type, normalize = term.head_type, term.normalize
+    calls = []
+    head_type = term.head_type
     monkeypatch.setattr(term, "head_type", lambda u, s: calls.append(u) or head_type(u, s))
-    monkeypatch.setattr(term, "normalize", lambda u, s: normalized.append(u) or normalize(u, s))
     assert parse_term(text, sig) is t
     assert calls == [] and len(sig.types) == typed
     diff = "(sym diff (k k) (%s %s))" % (f, f)
     u = parse_term("(sym g () () %s %s)" % (diff, diff), sig)
     assert calls == [u] and len(sig.types) == typed + 1
-
-    # h : (k -> k) -> k -> k, nested 200 deep around f
-    sig, _ = parse_signature(SIG_TEXT.replace(
-        "(top () () o)", "(top () () o) (h () () (-> (-> k k) (-> k k)))").replace(
-        "(precedence top bot diff a f g)", "(precedence top bot diff a f g h)"), KBO)
-    nest = "(sym h () () " * 200 + "(sym f () ())" + ")" * 200
-    t = parse_term(nest, sig)
-    assert len(normalized) == 1 and len(calls) > 200
-    del calls[:], normalized[:]
-    assert parse_term(nest, sig) is t
-    assert calls == [] and normalized == []
 
 
 def test_deep_signature_type_parses():

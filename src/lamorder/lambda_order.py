@@ -25,8 +25,7 @@ from .poly import (HInd, Indet, KInd, Monomial, Poly, WInd, ZERO_POLY,
                    analyze_weight_diff, mono_mul)
 from . import term as tm
 from .term import (Db, Lam, Preterm, Signature, Sym, TyVar, Type, Var,
-                   arrow_count, is_arrow, is_steady, is_steady_type, steady_split,
-                   type_of)
+                   arrow_count, is_steady, steady_split, type_of)
 
 KBO = "kbo"
 LPO = "lpo"
@@ -422,17 +421,6 @@ class _Base:
         return t.index == s.index and t.ty != s.ty and (t.index >= dt or s.index >= ds)
 
 
-def _rigid(t: Preterm) -> bool:
-    """Whether every variable of ``t`` takes steady arguments only, read off
-    the argument types in its ``all_vars``."""
-    for _, ty in t.all_vars:
-        while is_arrow(ty):
-            a, ty = ty.args
-            if not is_steady_type(a):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # KBO: one head dispatch, two algorithms
 # ---------------------------------------------------------------------------
@@ -522,7 +510,7 @@ class _KboOpt(_Kbo):
 
     Terms are hash-consed, so ``descend`` decides identical pairs by
     identity.  Their weight difference is zero, so after the deciding
-    position they are not weighed, and before it a ``_rigid`` one is E
+    position they are not weighed, and before it a ``rigid`` one is E
     without a descent: every head rule matches both of its sides alike, and
     the one rule that can end an identical pair otherwise,
     ``same_steady_var`` failing on a variable with a non-steady argument,
@@ -549,7 +537,7 @@ class _KboOpt(_Kbo):
         verdict = E
         rest = n = len(ts)
         for i, (a, b, (k, m)) in enumerate(zip(ts, ss, scales, strict=True)):
-            if a is b and _rigid(a):
+            if a is b and a.rigid:
                 continue
             w, c = self.process(a, b, depth)
             if not k.is_zero():
@@ -709,7 +697,7 @@ class _LpoOpt(_Lpo):
     the winner; a verdict coming out of a subterm observation is never
     guarded.
 
-    Terms are hash-consed, so ``enter`` decides a ``_rigid`` identical pair
+    Terms are hash-consed, so ``enter`` decides a ``rigid`` identical pair
     by identity, as E, before the memo.  Every head rule matches both of its
     sides alike, whatever the binder depths, no subterm rule fires, since
     no proper subterm of a term is at least the term, and the one rule that
@@ -761,7 +749,7 @@ class _LpoOpt(_Lpo):
         self.memo: Dict[Tuple[Preterm, Preterm, int, int], Cmp] = {}
 
     def enter(self, t: Preterm, s: Preterm, dt: int, ds: int) -> Optional[Cmp]:
-        if t is s and _rigid(t):
+        if t is s and t.rigid:
             return E
         out = self.memo.get((t, s, dt, ds))
         if out is None and not s.arg_vars <= t.all_vars and not t.arg_vars <= s.all_vars:
@@ -790,7 +778,7 @@ class _LpoOpt(_Lpo):
         vs = s.arg_vars
         for a in ts:
             if vs <= a.all_vars and not (isinstance(s, (Sym, Db)) and a in s.args
-                                         and _rigid(a)):
+                                         and a.rigid):
                 c = self.compare(a, s, dts, ds)
                 if c is G or c is GE or c is E:
                     return True
@@ -802,7 +790,7 @@ class _LpoOpt(_Lpo):
         passed: t beats it by the subterm rule."""
         own = t.args if isinstance(t, (Sym, Db)) else ()
         for i, b in enumerate(ss):
-            if b in own and _rigid(b):     # by identity, as terms compare
+            if b in own and b.rigid:     # by identity, as terms compare
                 continue
             c = self.compare(t, b, dt, ds)
             if c is G:
@@ -819,7 +807,7 @@ class _LpoOpt(_Lpo):
         after i, or all of them when i is a parameter."""
         verdict = E
         for i in range(len(ts)):
-            if ts[i] is ss[i] and _rigid(ts[i]):
+            if ts[i] is ss[i] and ts[i].rigid:
                 continue
             c = self.compare(ts[i], ss[i], dt, ds)
             if c is G:

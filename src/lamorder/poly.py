@@ -32,7 +32,7 @@ class PolyError(Exception):
 # Indeterminates
 # ---------------------------------------------------------------------------
 
-class Indet(Interned):
+class Indet(Interned, abstract=True):
     __slots__ = ()
 
 

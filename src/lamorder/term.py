@@ -18,17 +18,20 @@ lambdas; ``normalize`` establishes it by eta-expansion.  De Bruijn indices may
 Preterms and types, which are also the first-order terms of ``fo_order``,
 are hash-consed through ``Interned``, the base this module also gives the
 weight indeterminates (``poly``) and the oracle's symbol keys (``oracle``):
-its one constructor returns the one value that exists for its fields, so
-structurally equal values are the same object, and equality and hash are
-identity.  A node is shared by every signature, so it carries only facts
-that hold in all: its serial, how many binders above it its indices
-reach, and sets of the variables it holds, built from its children alone;
-a signature keeps its nodes' types, a declaration its instances.
+each class's constructor returns the one value that exists for its
+fields, so structurally equal values are the same object, and equality and
+hash are identity.  A node is shared by every signature, so it carries only
+facts that hold in all, set once from its children alone: its serial, how
+many binders above it its indices reach (``loose``), the sets of the
+variables it holds (``all_vars``, ``arg_vars``), its ``size``, and whether
+every variable in it takes steady arguments only (``rigid``); a signature
+keeps its nodes' types, a declaration its instances.
 The one table keeps every distinct value for the life of the process.
 """
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 ARROW = "->"
@@ -60,39 +63,63 @@ class UnderApplied(TermError):
 TABLE: Dict[tuple, "Interned"] = {}
 
 
+# The constructors, one per number of fields: a hit costs one key tuple and
+# one lookup.  Each class takes a copy of one, with its own defaults.
+def _new1(cls, a):
+    key = (cls, a)
+    return TABLE.get(key) or cls.intern(key)
+
+
+def _new2(cls, a, b):
+    key = (cls, a, b)
+    return TABLE.get(key) or cls.intern(key)
+
+
+def _new3(cls, a, b, c):
+    key = (cls, a, b, c)
+    return TABLE.get(key) or cls.intern(key)
+
+
+def _new4(cls, a, b, c, d):
+    key = (cls, a, b, c, d)
+    return TABLE.get(key) or cls.intern(key)
+
+
 class Interned:
     """A hash-consed value.  A subclass declares only its fields, in
     ``__slots__``, and in ``defaults`` the values of its omitted trailing
-    fields.  The constructor takes the fields positionally, in ``__slots__``
-    order, and returns the one value for the key ``(cls, *fields)``: the
-    class is the tag, so values of two classes never share a key.
-    ``serial`` is the creation number, unique since the table never drops a
-    value.  Equality and hash are the object's identity."""
+    fields.  Its constructor, a copy of the one in ``constructors`` for its
+    number of fields, takes the fields positionally, in ``__slots__`` order,
+    and returns the one value for the key ``(cls, *fields)``: the class is
+    the tag, so values of two classes never share a key.  A base declared
+    ``abstract`` (``Type``, ``Preterm``, ``Indet``) is never built, and its
+    slots, if any, are facts its subclasses share.  ``serial`` is the
+    creation number, unique since the table never drops a value.  Equality
+    and hash are the object's identity."""
 
     __slots__ = ("serial",)
     defaults: tuple = ()
+    constructors = (None, _new1, _new2, _new3, _new4)
 
-    def __new__(cls, *fields):
-        missing = len(fields) - len(cls.__slots__)
-        if missing < 0:
-            fields += cls.defaults[missing:]
-        key = (cls,) + fields
-        return TABLE.get(key) or cls.intern(key, *fields)
+    def __init_subclass__(cls, abstract: bool = False):
+        super().__init_subclass__()
+        if not abstract:
+            # a copy shares the code object, so making a class compiles nothing
+            new = Interned.constructors[len(cls.__slots__)]
+            cls.__new__ = FunctionType(new.__code__, new.__globals__, new.__name__,
+                                       cls.defaults or None)
+            cls.__new__.__qualname__ = cls.__qualname__ + ".__new__"
 
     def __reduce__(self):
         # copies and unpickled values go through the constructor, so they intern
         return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
 
     @classmethod
-    def intern(cls, key: tuple, *fields):
-        """Build and register the value for a key the table does not hold.
-        Only a miss reaches here, so only a miss checks the field count."""
-        if len(fields) != len(cls.__slots__):
-            raise TypeError("%s takes %d fields, got %d with defaults"
-                            % (cls.__name__, len(cls.__slots__), len(fields)))
+    def intern(cls, key: tuple):
+        """Build and register the value for a key the table does not hold."""
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            setattr(node, name, value)
+        for i, name in enumerate(cls.__slots__, 1):     # key[0] is the class
+            setattr(node, name, key[i])
         node.serial = len(TABLE)
         TABLE[key] = node
         return node
@@ -102,7 +129,7 @@ class Interned:
 # Types
 # ---------------------------------------------------------------------------
 
-class Type(Interned):
+class Type(Interned, abstract=True):
     __slots__ = ()
 
     def __repr__(self):
@@ -261,43 +288,68 @@ def check_type(ty: Type, sig: Signature) -> None:
 _NO_VARS: FrozenSet[Tuple[str, Type]] = frozenset()
 
 
-def _join(own: FrozenSet, sets: Sequence[FrozenSet]) -> FrozenSet:
-    """The union of ``own`` and ``sets``, as one of them when it holds the rest."""
-    out = own
-    for vs in sets:
-        if not vs <= out:
-            out = vs if out <= vs else out | vs
-    return out
-
-
-class Preterm(Interned):
+class Preterm(Interned, abstract=True):
     """``loose`` is the number of binders above the node that its indices
     reach, parameters included (0 on a closed node), so shifting or
     substituting at ``n`` or more binders above a node with ``loose <= n``
     leaves it as it is.  ``all_vars`` is the set of the ``(name, ty)`` of
     every variable in the node, ``arg_vars`` of those outside every symbol's
     parameters, the variables of ``nodes(u, params=False)``; a De Bruijn
-    index is not a variable.  All three are set once, from the children
-    alone, and ``_join`` shares a child's set that holds the whole."""
+    index is not a variable.  ``size`` is the number of nodes in
+    ``nodes(u)``.  ``rigid`` says whether every variable of the node takes
+    steady arguments only.  All five are set once, in one pass over the
+    children (over the arguments alone for ``arg_vars``), and a variable
+    set is a child's own when it holds the whole."""
 
-    __slots__ = ("loose", "all_vars", "arg_vars")
+    __slots__ = ("loose", "all_vars", "arg_vars", "size", "rigid")
 
     __repr__ = Type.__repr__
 
     @classmethod
-    def intern(cls, key: tuple, *fields):
-        node = super().intern(key, *fields)
-        kids = children(node)
-        loose = max([u.loose for u in kids], default=0)
-        if cls is Db:
-            loose = max(loose, node.index + 1)
-        elif cls is Lam:
-            loose = max(loose - 1, 0)
-        own = frozenset([(node.name, node.ty)]) if cls is Var else _NO_VARS
-        all_vars = _join(own, [u.all_vars for u in kids])
-        arg_vars = _join(own, [u.arg_vars for u in children(node, False)])
-        node.loose, node.all_vars, node.arg_vars = loose, all_vars, arg_vars
+    def intern(cls, key: tuple):
+        node = super().intern(key)
+        size, loose, rigid, all_vars = 1, 0, True, _NO_VARS
+        if cls is Lam:
+            kids = args = (node.body,)
+        else:
+            kids = args = node.args
+            if cls is Var:
+                all_vars = frozenset(((node.name, node.ty),))
+                rigid = _takes_steady_args(node.ty)
+            elif cls is Sym and node.params:
+                kids = node.params + args
+        arg_vars = all_vars
+        for u in kids:
+            size += u.size
+            if u.loose > loose:
+                loose = u.loose
+            if not u.rigid:
+                rigid = False
+            vs = u.all_vars
+            if vs and not vs <= all_vars:
+                all_vars = vs if all_vars <= vs else all_vars | vs
+        for u in args:
+            vs = u.arg_vars
+            if vs and not vs <= arg_vars:
+                arg_vars = vs if arg_vars <= vs else arg_vars | vs
+        if cls is Db and node.index >= loose:
+            loose = node.index + 1
+        elif cls is Lam and loose:
+            loose -= 1
+        node.loose, node.all_vars, node.arg_vars, node.size, node.rigid = (
+            loose, all_vars, arg_vars, size, rigid)
         return node
+
+
+def _takes_steady_args(ty: Type) -> bool:
+    """Whether every argument type of ``ty`` is steady.  An arrow with the
+    wrong number of arguments, which typing rejects, takes its last one as
+    its result."""
+    while type(ty) is TyCon and ty.name == ARROW and ty.args:
+        *arg_tys, ty = ty.args
+        if not all(map(is_steady_type, arg_tys)):
+            return False
+    return True
 
 
 class Var(Preterm):
@@ -769,7 +821,7 @@ def refers_to_outer_binders(t: Preterm, k: int) -> bool:
 
 def size(t: Preterm) -> int:
     """Head and each parameter or argument occurrence count 1; lambdas count 1."""
-    return sum(1 for _ in nodes(t))
+    return t.size
 
 
 # ---------------------------------------------------------------------------
@@ -822,27 +874,3 @@ def replace_at(t: Preterm, path: Position, s: Preterm) -> Preterm:
         kids[i - len(u.args) if step == "arg" else 0] = s
         s = remake(u, tuple(kids))
     return s
-
-
-# ---------------------------------------------------------------------------
-# Quantifier preprocessing
-# ---------------------------------------------------------------------------
-
-def preprocess_quantifiers(t: Preterm, sig: Signature) -> Preterm:
-    """Rewrite ``forall (\\x. t)`` into ``(\\x. t) = (\\x. top)`` and
-    ``exists (\\x. t)`` into ``(\\x. t) /= (\\x. bot)``, bottom-up."""
-
-    def truth_lam(arg_ty: Type, const: str) -> Preterm:
-        return Lam(arg_ty, normalize(Sym(const), sig))
-
-    def rule(u, d, kids):
-        if (isinstance(u, Sym) and u.name in ("forall", "exists") and len(u.args) == 1
-                and isinstance(kids[-1], Lam)):
-            lam = kids[-1]
-            pred_ty = arrow(lam.arg_ty, type_of(lam.body, sig))
-            if u.name == "forall":
-                return Sym("eq", (pred_ty,), (), (lam, truth_lam(lam.arg_ty, "top")))
-            return Sym("neq", (pred_ty,), (), (lam, truth_lam(lam.arg_ty, "bot")))
-        return remake(u, kids)
-
-    return rebuild(t, rule)

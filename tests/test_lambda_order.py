@@ -13,7 +13,7 @@ from lamorder.cmp import Cmp, E, G, GE, L, LE, U, cw_ext, flip, lex_ext, lex_mer
 from lamorder.gen import GenConfig, TermGen, gen_signature, gen_var_types
 from lamorder.lambda_order import (ALGOS, KBO, LPO, DepthError, LeakTypeMismatch,
                                    OrderError, OrderParams, _KboNaive, _KboOpt, _LpoNaive,
-                                   _LpoOpt, _rigid, check_leak_types, collect_indet_reps,
+                                   _LpoOpt, check_leak_types, collect_indet_reps,
                                    compare, reset_weight_calls, type_relaxed_ge, var_key,
                                    weight_calls, weight_diff, weight_poly)
 from lamorder.oracle import oracle_compare
@@ -718,6 +718,41 @@ def test_optimized_lpo_deep_ground_nest_fits_default_stack():
         sys.setrecursionlimit(limit)
 
 
+def test_optimized_lpo_is_polynomial_on_shared_subterms():
+    """``s_k = g(s_(k-1), s_(k-1))`` over ``a`` against the same over ``b``:
+    k + 1 distinct nodes a side, 2^(k+1) - 1 as a tree.  The optimized LPO
+    memoizes on nodes, so at k = 40 it decides the pair both ways in well
+    under a second, with at most 2 memo entries per pair of distinct nodes."""
+    import time
+    from lamorder.checks import bench_signature
+    _, _, lpo = bench_signature()
+
+    def shared(k, leaf):
+        u = Sym(leaf)
+        for _ in range(k):
+            u = Sym("g", (), (), (u, u))
+        return u
+
+    def distinct(u):
+        seen, todo = set(), [u]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo += v.args
+        return len(seen)
+
+    t, s = shared(40, "a"), shared(40, "b")
+    assert (distinct(t), distinct(s), t.size) == (41, 41, 2 ** 41 - 1)
+    start = time.perf_counter()
+    assert compare(t, s, lpo) is L and compare(s, t, lpo) is G
+    took = time.perf_counter() - start
+    assert took < 1.0, "%.2fs" % took
+    opt = _LpoOpt(lpo)
+    assert opt.compare(t, s) is L
+    assert len(opt.memo) <= 2 * 41 * 41, len(opt.memo)
+
+
 def test_kbo_deep_chains_fit_default_stack():
     """The optimized KBO spends two frames per nesting level (dispatch and
     descend), the naive one three (compare, dispatch, descend).  Under the
@@ -852,7 +887,7 @@ def test_rigid_identical_pairs_are_equal_under_the_naive_orders():
         t = g.gen(rng.choice(tys), 12, ground=False)
         for u, _ in nodes(t):
             if isinstance(u, (Sym, Db, Lam, Var)):
-                seen[u] = _rigid(u)
+                seen[u] = u.rigid
     for u, rigid in seen.items():
         if rigid:
             assert _KboNaive(kbo).compare(u, u) is E, u
@@ -869,7 +904,7 @@ def test_identical_flex_subterm_is_not_short_cut(small):
     sig, kbo, lpo = small
     y2 = Var("y2", arrow(arrow(K, K), K))
     flex = normalize(app(y2, Lam(K, Db(0, K))), sig)
-    assert not _rigid(flex)
+    assert not flex.rigid
     t = normalize(app(Sym("g"), flex, Sym("b")), sig)
     s = normalize(app(Sym("g"), flex, Sym("a")), sig)
     for p in (kbo, lpo):

@@ -10,10 +10,11 @@ import sys
 import pytest
 
 import lamorder
+import small_scope
 from lamorder import term
 from lamorder.checks import _outside_params
 from lamorder.gen import (GenConfig, TermGen, free_ty_vars, free_var_types, gen_grounding_subst,
-                          gen_signature)
+                          gen_signature, gen_var_types)
 from lamorder.lambda_order import KBO, OrderParams, norm_key
 from lamorder.oracle import DbKey, FKey, LamKey, _check_nonfunctional_range, encode_ground
 from lamorder.ordinal import from_int
@@ -22,11 +23,10 @@ from lamorder.poly import HInd, KInd, WInd
 from lamorder.term import (ARROW, Db, Interned, Lam, Preterm, Signature, Substitution,
                            Sym, TermError, TyCon, TyVar, TypeDecl, Var,
                            accessible_positions, app, apply_subst, arrow, arrows,
-                           check_types, db_subst, eta_expansion_count, is_closed, is_ground,
-                           is_monomorphic, is_steady, node_types, nodes, normalize,
-                           preprocess_quantifiers, rebuild, refers_to_outer_binders,
-                           remake, replace_at, shift, size, strip_lams, subterm_at,
-                           truncating_apply, type_of)
+                           check_types, children, db_subst, eta_expansion_count, is_closed,
+                           is_ground, is_monomorphic, is_steady, node_types, nodes, normalize,
+                           rebuild, refers_to_outer_binders, remake, replace_at, shift, size,
+                           strip_lams, subterm_at, truncating_apply, type_of)
 
 K = TyCon("k")
 O = TyCon("o")
@@ -151,9 +151,11 @@ def test_interned_classes_have_distinct_tags_and_identity_equality():
 
 
 def test_one_constructor_builds_every_interned_class():
-    """Every interned class declares only its fields, and ``Interned.__new__``
-    builds it: equal fields give one value, an omitted trailing field is its
-    default, and a wrong field count raises before the table grows."""
+    """Every interned class declares only its fields, and its constructor is
+    a copy of ``Interned``'s one for its number of fields: equal fields give
+    one value, an omitted trailing field is its default, and a wrong field
+    count raises before the table grows.  An abstract base gets none: the
+    slots of ``Preterm`` are facts, not fields."""
     for mod in pkgutil.iter_modules(lamorder.__path__):
         importlib.import_module("lamorder." + mod.name)
     x = Var("x", K)
@@ -164,13 +166,15 @@ def test_one_constructor_builds_every_interned_class():
     todo, leaves = list(Interned.__subclasses__()), set()
     while todo:
         cls = todo.pop()
-        assert "__new__" not in vars(cls), cls
         todo += cls.__subclasses__()
-        if not cls.__subclasses__():
+        if cls.__subclasses__():
+            assert "__new__" not in vars(cls), cls
+        else:
             leaves.add(cls)
     assert leaves == set(full)
     assert Sym("a") is Sym("a", (), (), ()) and Db(0, K) is Db(0, K, ())
     for cls, fields in full.items():
+        assert vars(cls)["__new__"].__code__ is Interned.constructors[len(fields)].__code__
         v = cls(*fields)
         assert type(v) is cls and v is cls(*fields)
         assert tuple(getattr(v, f) for f in cls.__slots__) == fields
@@ -178,9 +182,80 @@ def test_one_constructor_builds_every_interned_class():
             assert cls(*fields[:-n]) is cls(*fields[:-n], *cls.defaults[-n:])
         size = len(term.TABLE)
         for wrong in (fields + (None,), fields[:len(fields) - len(cls.defaults) - 1]):
-            with pytest.raises(TypeError, match="%s takes %d fields" % (cls.__name__, len(fields))):
+            with pytest.raises(TypeError, match=r"^%s\.__new__\(\) (takes|missing) "
+                               % cls.__name__):
                 cls(*wrong)
         assert len(term.TABLE) == size
+
+
+def _rigid_by_walk(t):
+    """The reference for ``rigid``: whether every variable of ``t`` takes
+    steady arguments only, read off the argument types in its
+    ``all_vars``."""
+    for _, ty in t.all_vars:
+        while term.is_arrow(ty):
+            a, ty = ty.args
+            if not term.is_steady_type(a):
+                return False
+    return True
+
+
+def _fact_corpora():
+    """Terms drawn over each of the 8 generated signatures the benchmark's
+    pools use, with a variable of non-steady argument added, and the
+    small-scope corpus of size 4."""
+    out = []
+    for k in range(8):
+        cfg = GenConfig(seed=k, polymorphic=True, ordinal_weights=k % 2 == 1)
+        sig = gen_signature(cfg)[0]
+        rng = random.Random(k)
+        var_types = gen_var_types(rng, cfg, sig, polymorphic=True)
+        bases = sig.base_types()
+        var_types["z"] = arrow(arrow(bases[0], bases[-1]), bases[0])
+        ty_vars = ["a%d" % i for i in range(cfg.ty_var_count)]
+        g = TermGen(rng, sig, var_types=var_types, poly_ty_vars=ty_vars)
+        tys = bases + [arrow(a, b) for a in bases for b in bases] + [TyVar(ty_vars[0])]
+        out += [g.gen(rng.choice(tys), 30, ground=False) for _ in range(1000)]
+    return out + small_scope.terms(small_scope.signature(), 4)
+
+
+def test_node_facts_match_their_definitions():
+    """Each node's facts, set in one pass at interning, equal their
+    definitions read off ``nodes``, the walk over ``children``: ``loose``
+    from the indices that reach past the node, the variable sets, ``size``
+    and ``rigid``.  A variable set of a node that adds no variable is a
+    child's set object when one holds the whole.  The corpora reach every
+    case: loose indices, variables only in parameters, and nodes that are
+    not rigid."""
+    seen = {u for t in _fact_corpora() for u, _ in nodes(t)}
+    for u in seen:
+        loose = max([0] + [v.index + 1 - d for v, d in nodes(u) if isinstance(v, Db)])
+        all_vars = {(v.name, v.ty) for v, _ in nodes(u) if isinstance(v, Var)}
+        arg_vars = {(v.name, v.ty) for v, _ in nodes(u, params=False) if isinstance(v, Var)}
+        assert (u.loose, u.all_vars, u.arg_vars, u.size, u.rigid) == (
+            loose, all_vars, arg_vars, sum(1 for _ in nodes(u)), _rigid_by_walk(u)), u
+        kids = children(u)
+        if not isinstance(u, Var) and any(k.all_vars == u.all_vars for k in kids):
+            assert any(k.all_vars is u.all_vars for k in kids), u
+        if not u.all_vars:
+            assert u.all_vars is u.arg_vars is term._NO_VARS
+    assert len(seen) > 5000
+    assert sum(u.loose > 0 for u in seen) > 300
+    assert sum(u.arg_vars != u.all_vars for u in seen) > 1000
+    assert sum(not u.rigid for u in seen) > 500
+
+
+def test_a_malformed_arrow_interns_and_typing_rejects_it(sig):
+    """A variable whose type is an arrow with one argument or none interns
+    like any other: setting its facts does not fail on the type's shape.
+    Typing then rejects it with the constructor rule's message."""
+    for ty in (TyCon("->", (K,)), TyCon("->")):
+        y = Var("y", ty)
+        assert y is Var("y", ty) and y.all_vars == {("y", ty)} and y.size == 1
+        t = Sym("sk", (), (y,), (Sym("a"),))
+        with pytest.raises(TermError, match="type constructor -> expects 2 arguments, got %d"
+                           % len(ty.args)):
+            check_types(t, sig)
 
 
 def test_normalize_returns_a_normal_term_itself(sig):
@@ -598,8 +673,8 @@ def test_folds_and_writers_take_deep_terms(sig):
 
 
 def test_rebuilding_maps_take_deep_terms(sig):
-    """Shifting, substitution, application, normalization, norm keys,
-    quantifier preprocessing and the ground encoding map terms through
+    """Shifting, substitution, application, normalization, norm keys and
+    the ground encoding map terms through
     ``rebuild``, and ``type_of`` peels lambdas in a loop, so a depth-10,000
     chain, lambda tower and eta nest fit the default recursion limit.  The
     nest ``h (h (... (h f)))``, with ``h : (k -> k) -> k -> k``, has an
@@ -634,8 +709,6 @@ def test_rebuilding_maps_take_deep_terms(sig):
         assert parse_term(render_term(under), sig) is normalize(under, sig)
         assert norm_key(on_var, p) is on_var
         assert strip_lams(norm_key(tower, p)) is norm_key(Db(depth, K), p)
-        assert preprocess_quantifiers(chain, sig) is chain
-        assert preprocess_quantifiers(tower, sig) is tower
         encoded = TyCon(FKey("a", (), ()))
         for _ in range(depth):
             encoded = TyCon(FKey("f", (), ()), (encoded,))
@@ -804,30 +877,3 @@ def test_subst_composition_randomized():
                           Substitution(term_map=rest), sig2)
         assert one == two
 
-
-def test_quantifier_preprocessing():
-    s = Signature()
-    s.add_type("i", 0)
-    s.add_type("o", 0)
-    i, o = TyCon("i"), TyCon("o")
-    s.add_symbol("top", TypeDecl((), (), o))
-    s.add_symbol("bot", TypeDecl((), (), o))
-    s.add_symbol("p", TypeDecl((), (), arrow(i, o)))
-    s.add_symbol("forall", TypeDecl(("A",), (), arrow(arrow(TyVar("A"), o), o)))
-    s.add_symbol("exists", TypeDecl(("A",), (), arrow(arrow(TyVar("A"), o), o)))
-    s.add_symbol("eq", TypeDecl(("A",), (), arrows([TyVar("A"), TyVar("A")], o)))
-    s.add_symbol("neq", TypeDecl(("A",), (), arrows([TyVar("A"), TyVar("A")], o)))
-
-    body = Lam(i, Sym("p", (), (), (Db(0, i),)))
-    t = normalize(Sym("forall", (i,), (), (body,)), s)
-    got = preprocess_quantifiers(t, s)
-    want = Sym("eq", (arrow(i, o),), (), (body, Lam(i, Sym("top"))))
-    assert got == want
-
-    t2 = normalize(Sym("exists", (i,), (), (body,)), s)
-    got2 = preprocess_quantifiers(t2, s)
-    want2 = Sym("neq", (arrow(i, o),), (), (body, Lam(i, Sym("bot"))))
-    assert got2 == want2
-
-    plain = normalize(Sym("p", (), (), (Var("z", i),)), s)
-    assert preprocess_quantifiers(plain, s) == plain

@@ -6,7 +6,8 @@ the family's check is a witness: it returns None when the check holds and
 a counterexample when it fails.  A trial whose draw reaches no check
 returns SKIP.  FAMILIES maps each name to a runner (seed, iters) ->
 PropertyResult that builds the family's environment and trial generator
-from the seed, runs the trials and counts the witnesses.  The CLI's check
+from the seed, runs the trials and counts the witnesses, and the instances
+within witnesses that a family's check skipped.  The CLI's check
 command runs all of them and reports one line per family; the acceptance
 criteria run them with their own seeds and trial counts, and assert a
 witness floor.
@@ -23,8 +24,9 @@ from .cmp import E, G, GE, L, LE, U, flip
 from .gen import (GenConfig, GenError, TermGen, free_ty_vars, free_var_types,
                   gen_context, gen_grounding_subst, gen_monomorphizing_subst,
                   gen_signature, gen_var_types)
-from .lambda_order import (ALGOS, KBO, LPO, OrderParams, collect_indet_reps,
-                           compare, weight_diff, weight_poly)
+from .lambda_order import (ALGOS, KBO, LPO, LeakTypeMismatch, OrderParams,
+                           check_leak_types, collect_indet_reps, compare,
+                           weight_diff, weight_poly)
 from .oracle import (assignment_from_grounding, encode_ground, oracle_compare,
                      oracle_weight, poly_subst_from_monomorphizing)
 from .ordinal import from_int
@@ -32,7 +34,7 @@ from .poly import Poly, analyze_weight_diff, eval_poly, subst_poly
 from . import term as tm
 from .term import (Preterm, Sym, TyCon, Var, accessible_positions, app,
                    apply_subst, arrow, normalize, replace_at, shift,
-                   subterm_at, type_of)
+                   subterm_at, truncating_apply, type_of)
 
 
 SKIP = object()
@@ -44,12 +46,13 @@ GROUNDINGS = 10
 
 class PropertyResult:
     def __init__(self, name: str, trials: int, witnesses: int, failures: int,
-                 counterexample: Optional[str] = None):
+                 counterexample: Optional[str] = None, skipped: int = 0):
         self.name = name
         self.trials = trials
         self.witnesses = witnesses
         self.failures = failures
         self.counterexample = counterexample
+        self.skipped = skipped
 
     @property
     def ok(self) -> bool:
@@ -58,6 +61,8 @@ class PropertyResult:
     def line(self) -> str:
         out = "PROP %-28s trials=%-6d witnesses=%-6d failures=%d" \
             % (self.name, self.trials, self.witnesses, self.failures)
+        if self.skipped:
+            out += " skipped=%d" % self.skipped
         if self.counterexample:
             out += "  ce=%s" % self.counterexample
         return out
@@ -85,6 +90,8 @@ class _Env:
         self.bases = self.sig.base_types()
         # what a family carries from one trial to the next within a run
         self.memo: Dict = {}
+        # instances a family's check skipped, reported with its result
+        self.skipped = 0
 
     def order(self, i: int) -> OrderParams:
         """Trial i's parameters: the KBO's on even trials, the LPO's on odd."""
@@ -113,13 +120,15 @@ FAMILIES: Dict[str, Callable[[int, int], PropertyResult]] = {}
 def _trials(name: str, body: Trial, polymorphic: bool, seed: int,
             iters: int) -> PropertyResult:
     """Run body on trials 0 .. iters-1 of a fresh environment and report the
-    number of witnesses, the number of counterexamples and the first one."""
+    number of witnesses, the number of counterexamples and the first one,
+    and the number of instances the body skipped."""
     env = _Env(seed, polymorphic)
     rng = random.Random(seed)
     outcomes = [body(env, rng, i) for i in range(iters)]
     witnesses = [o for o in outcomes if o is not SKIP]
     ces = [o for o in witnesses if o is not None]
-    return PropertyResult(name, iters, len(witnesses), len(ces), ces[0] if ces else None)
+    return PropertyResult(name, iters, len(witnesses), len(ces), ces[0] if ces else None,
+                          env.skipped)
 
 
 def family(name: str, polymorphic: bool = False) -> Callable[[Trial], Trial]:
@@ -347,8 +356,12 @@ def _grounding_stable(env, rng, i):
     return None
 
 
-@family("monomorphizing-stable", polymorphic=True)
-def _monomorphizing_stable(env, rng, i):
+def _instances_stable(apply, what: str, env, rng, i):
+    """A G, GE, LE or L verdict survives type instantiation by ``apply``.
+    truncating_apply keeps the indices that eta expansion adds at a side's
+    head and drops their lambdas; an instance whose leaking indices carry
+    two types, which check_leak_types rejects, is skipped and counted.
+    apply_subst leaves no index loose, so it skips none."""
     p = env.order(i)
     t = env.open_term(8)
     s = env.open_term(8)
@@ -359,13 +372,26 @@ def _monomorphizing_stable(env, rng, i):
     if not tyvars:
         return SKIP
     want = {G: (G,), GE: (G, GE, E), LE: (L, LE, E), L: (L,)}[c]
+    checked = 0
     for _ in range(GROUNDINGS):
         theta = gen_monomorphizing_subst(rng, env.sig, tyvars)
-        cg = compare(apply_subst(t, theta, env.sig), apply_subst(s, theta, env.sig), p)
+        ti, si = apply(t, theta, env.sig), apply(s, theta, env.sig)
+        try:
+            check_leak_types(ti, si)
+        except LeakTypeMismatch:
+            env.skipped += 1
+            continue
+        checked += 1
+        cg = compare(ti, si, p)
         if cg not in want:
-            return "%s: %s became %s after type instantiation on %r / %r" \
-                % (p.kind, c, cg, t, s)
-    return None
+            return "%s: %s became %s after %s on %r / %r" % (p.kind, c, cg, what, t, s)
+    return None if checked else SKIP
+
+
+family("monomorphizing-stable", polymorphic=True)(
+    functools.partial(_instances_stable, apply_subst, "type instantiation"))
+family("truncating-stable", polymorphic=True)(
+    functools.partial(_instances_stable, truncating_apply, "truncating type instantiation"))
 
 
 @family("transitive")

@@ -274,14 +274,10 @@ def var_key(name: str, ty: Type, prefix: Tuple[Preterm, ...], p: OrderParams) ->
 MINUS_ONE = -ONE
 
 
-def _neg(k: Ord) -> Ord:
-    return MINUS_ONE if k is ONE else -k
-
-
 def _add_term(acc: Dict[Monomial, Ord], m: Monomial, coeff: Ord, c: Ord) -> None:
     """acc[m] += coeff * c; a sum that cancels drops the entry"""
     if coeff is not ONE:
-        c = _neg(c) if coeff is MINUS_ONE else ord_mul(coeff, c)
+        c = -c if coeff is MINUS_ONE else ord_mul(coeff, c)
     old = acc.get(m)
     if old is None:
         acc[m] = c
@@ -293,7 +289,7 @@ def _add_term(acc: Dict[Monomial, Ord], m: Monomial, coeff: Ord, c: Ord) -> None
             del acc[m]
 
 
-def weight_poly(t: Preterm, p: OrderParams, *,
+def weight_poly(t: Preterm, p: OrderParams,
                 acc: Optional[Dict[Monomial, Ord]] = None, coeff: Ord = ONE,
                 mono: Monomial = ()) -> Optional[Poly]:
     """Symbolic weight of a preterm.
@@ -301,7 +297,8 @@ def weight_poly(t: Preterm, p: OrderParams, *,
     Without ``acc`` the weight is returned as a Poly.  With it, nothing is
     returned: ``coeff * mono * weight(t)`` is added into ``acc`` (monomial ->
     nonzero coefficient), in the one pass that also visits the arguments, so
-    no polynomial is built per node.
+    no polynomial is built per node.  A symbol's argument coefficients are
+    read from ``p.arg_scales``, one lookup per node.
     """
     global _weight_calls
     _weight_calls += 1
@@ -310,18 +307,18 @@ def weight_poly(t: Preterm, p: OrderParams, *,
         acc = {}
     if isinstance(t, Lam):
         _add_term(acc, mono, coeff, p.w_lam)
-        weight_poly(t.body, p, acc=acc, coeff=coeff, mono=mono)
+        weight_poly(t.body, p, acc, coeff, mono)
     elif isinstance(t, Sym):
         _add_term(acc, mono, coeff, p.w(t.name))
-        for i, a in enumerate(t.args):
-            k = p.k(t.name, i + 1)
-            # a unit coefficient keeps coeff identical to ONE, which _add_term skips
-            weight_poly(a, p, acc=acc, coeff=coeff if k is ONE else ord_mul(coeff, k),
-                        mono=mono)
+        if t.args:
+            # the scales of the parameters come first, and weigh nothing
+            for a, (k, _) in zip(t.args, p.arg_scales(t)[len(t.params):]):
+                # a unit coefficient keeps coeff identical to ONE, which _add_term skips
+                weight_poly(a, p, acc, coeff if k is ONE else ord_mul(coeff, k), mono)
     elif isinstance(t, Db):
         _add_term(acc, mono, coeff, p.w_db)
         for a in t.args:
-            weight_poly(a, p, acc=acc, coeff=coeff, mono=mono)
+            weight_poly(a, p, acc, coeff, mono)
     else:
         assert isinstance(t, Var)
         prefix, suffix = steady_split(t.args, p.sig)
@@ -332,7 +329,7 @@ def weight_poly(t: Preterm, p: OrderParams, *,
         minus_db = -p.w_db
         for i, a in enumerate(suffix):
             m = mono_mul(mono, (KInd(key, i + 1),))
-            weight_poly(a, p, acc=acc, coeff=coeff, mono=m)
+            weight_poly(a, p, acc, coeff, m)
             _add_term(acc, m, coeff, minus_db)
     if isinstance(t, (Sym, Db)):
         # slack for eta-expansion: a lambda and an index each.  A variable
@@ -348,8 +345,8 @@ def weight_poly(t: Preterm, p: OrderParams, *,
 def weight_diff(t: Preterm, s: Preterm, p: OrderParams) -> Poly:
     """weight(t) - weight(s), accumulated by one signed pass over each side."""
     acc: Dict[Monomial, Ord] = {}
-    weight_poly(t, p, acc=acc)
-    weight_poly(s, p, acc=acc, coeff=MINUS_ONE)
+    weight_poly(t, p, acc)
+    weight_poly(s, p, acc, MINUS_ONE)
     return Poly(acc) if acc else ZERO_POLY
 
 
@@ -554,8 +551,8 @@ class _KboOpt(_Kbo):
         if rest < n or len(ss) != n:
             for a, b, (k, m) in zip(ts[rest:], ss[rest:], scales[rest:], strict=True):
                 if a is not b and not k.is_zero():
-                    weight_poly(a, self.p, acc=acc, coeff=k, mono=m)
-                    weight_poly(b, self.p, acc=acc, coeff=_neg(k), mono=m)
+                    weight_poly(a, self.p, acc, k, m)
+                    weight_poly(b, self.p, acc, -k, m)
         if not acc:
             return ZERO_POLY, verdict
         w = Poly(acc)

@@ -14,25 +14,39 @@ Every operation works on term lists already in this canonical order: a sum
 is one merge of the two lists by exponent, a product merges one row per
 term of the shorter factor, and a comparison walks both lists to the first
 term where they differ, without building the difference.
+
+Most values a weight pass meets are finite, so each value carries its
+integer in ``fin`` when it has one.  Two finite operands take the integer
+path: the operations add, multiply, negate or compare the integers and
+return the result through ``from_int``, which shares one value per small
+integer.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Tuple
+from typing import Optional, Tuple
 
 
 class Ord:
     """Signed Cantor normal form; immutable and hashable."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "fin", "_hash")
 
     terms: Tuple[Tuple["Ord", int], ...]
+    fin: Optional[int]
 
     def __init__(self, terms: Tuple[Tuple["Ord", int], ...] = ()):
         # terms must already be canonical: exponents strictly decreasing,
         # coefficients nonzero.  Use the module helpers to build values.
         self.terms = terms
+        # the value as an int when it is finite (a signed integer), else None
+        if not terms:
+            self.fin = 0
+        elif len(terms) == 1 and not terms[0][0].terms:
+            self.fin = terms[0][1]
+        else:
+            self.fin = None
         self._hash = None
 
     def __hash__(self) -> int:
@@ -63,18 +77,13 @@ class Ord:
 
     def is_natural(self) -> bool:
         """True iff the value is a natural number (possibly 0)."""
-        if not self.terms:
-            return True
-        return len(self.terms) == 1 and self.terms[0][0].is_zero() and self.terms[0][1] > 0
+        return self.fin is not None and self.fin >= 0
 
     def to_int(self) -> int:
         """The value as an int; only valid when is_natural() or negated."""
-        if not self.terms:
-            return 0
-        (e, c), = self.terms
-        if not e.is_zero():
+        if self.fin is None:
             raise ValueError("not a finite ordinal: %s" % self)
-        return c
+        return self.fin
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -82,6 +91,8 @@ class Ord:
         return ord_add(self, other)
 
     def __neg__(self) -> "Ord":
+        if self.fin is not None:
+            return from_int(-self.fin)
         return Ord(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: "Ord") -> "Ord":
@@ -98,14 +109,23 @@ class Ord:
 
 
 ZERO = Ord()
-ONE = Ord(((ZERO, 1),))
+
+# the integers from_int shares one value for: weights, coefficients and the
+# sums and products a weight pass forms from them mostly fall in this range
+SHARED_RANGE = 512
+_SHARED = {0: ZERO}
+_SHARED.update((n, Ord(((ZERO, n),)))
+               for n in range(-SHARED_RANGE, SHARED_RANGE + 1) if n)
+
+ONE = _SHARED[1]
 OMEGA = Ord(((ONE, 1),))
 
 
 def from_int(n: int) -> Ord:
-    if n == 0:
-        return ZERO
-    return Ord(((ZERO, n),))
+    """The finite value n: one shared value for each n in the shared range,
+    a fresh one outside it."""
+    v = _SHARED.get(n)
+    return Ord(((ZERO, n),)) if v is None else v
 
 
 def omega_pow(e: Ord, coeff: int = 1) -> Ord:
@@ -117,6 +137,11 @@ def omega_pow(e: Ord, coeff: int = 1) -> Ord:
 def ord_add(a: Ord, b: Ord) -> Ord:
     """Hessenberg sum: one merge of the two term lists by exponent, like
     terms summed and zero sums dropped."""
+    fa = a.fin
+    if fa is not None:
+        fb = b.fin
+        if fb is not None:
+            return from_int(fa + fb)
     ta, tb = a.terms, b.terms
     if not ta:
         return b
@@ -155,6 +180,11 @@ def ord_mul(a: Ord, b: Ord) -> Ord:
     term of the shorter factor scales the longer one into a row that keeps
     its order, since the natural sum is strictly monotone; the rows are
     merged by ``ord_add``."""
+    fa = a.fin
+    if fa is not None:
+        fb = b.fin
+        if fb is not None:
+            return from_int(fa * fb)
     ta, tb = a.terms, b.terms
     if not ta or not tb:
         return ZERO
@@ -176,6 +206,11 @@ def ord_compare(a: Ord, b: Ord) -> int:
     values."""
     if a is b:
         return 0
+    fa = a.fin
+    if fa is not None:
+        fb = b.fin
+        if fb is not None:
+            return (fa > fb) - (fa < fb)
     ta, tb = a.terms, b.terms
     for (ea, ca), (eb, cb) in zip(ta, tb):
         c = 0 if ea is eb else ord_compare(ea, eb)

@@ -11,8 +11,8 @@ NAMES = [
     "normalize-idempotent", "subst-compose", "context-round-trip",
     "surely-nonneg-sound", "analyze-consistent", "oracle-equivalence",
     "ground-total", "naive-opt-equal", "flip-symmetric", "grounding-stable",
-    "monomorphizing-stable", "transitive", "context-compatible",
-    "subterm-property", "diff-dominated", "top-bot-minimal",
+    "monomorphizing-stable", "truncating-stable", "transitive",
+    "context-compatible", "subterm-property", "diff-dominated", "top-bot-minimal",
     "variable-guarantee", "weight-grounding-lemma",
     "weight-monomorphizing-lemma", "encode-faithful",
 ]
@@ -38,6 +38,17 @@ def test_skipped_trials_are_not_witnesses():
     assert (res.trials, res.witnesses, res.failures) == (6, 4, 2)
     assert res.counterexample == "first"
     assert "witnesses=4 " in res.line()
+
+
+def test_truncating_stable_counts_the_instances_it_skips():
+    """An instance whose leaking indices carry two types is skipped and
+    counted on the family's line; a family that skips none prints no
+    count."""
+    res = FAMILIES["truncating-stable"](0, 200)
+    assert res.ok, res.counterexample
+    assert res.witnesses > 0 and res.skipped > 0
+    assert res.line().endswith(" skipped=%d" % res.skipped)
+    assert "skipped" not in FAMILIES["monomorphizing-stable"](0, 200).line()
 
 
 def test_run_families_filter():

@@ -19,7 +19,7 @@ from lamorder.lambda_order import (ALGOS, KBO, LPO, DepthError, LeakTypeMismatch
 from lamorder.oracle import oracle_compare
 from lamorder.ordinal import ONE, from_int, ord_add
 from lamorder.parse import ParseError, parse_signature, parse_term
-from lamorder.poly import HInd, KInd, WInd, const_poly, indet_poly
+from lamorder.poly import HInd, KInd, Poly, WInd, const_poly, indet_poly
 from lamorder.term import (Db, Lam, Signature, Substitution, Sym, TermError,
                            TyCon, TyVar, TypeDecl, UnderApplied, Var, accessible_positions,
                            app, apply_subst, arrow, arrows, nodes, normalize, replace_at,
@@ -1190,6 +1190,7 @@ def test_weight_accumulator_matches_per_node_definition(ordinal_weights):
     bases = [TyCon("iota"), TyCon("kappa")]
     tys = bases + [arrow(bases[0], bases[1]), TyVar("a0")]
     transfinite = False
+    coeff, scale = from_int(-2), HInd("a0")
     for _ in range(300):
         ty = rng.choice(tys)
         t, s = g.gen(ty, 10, ground=False), g.gen(ty, 10, ground=False)
@@ -1202,6 +1203,13 @@ def test_weight_accumulator_matches_per_node_definition(ordinal_weights):
         # relies on this
         assert weight_calls() == visited[0]
         assert collect_indet_reps(t, kbo) == ref_reps
+        # a keyword caller fills its accumulator as a positional one does:
+        # with coeff * mono * weight(t)
+        by_name, by_place = {}, {}
+        weight_poly(t, kbo, acc=by_name, coeff=coeff, mono=(scale,))
+        weight_poly(t, kbo, by_place, coeff, (scale,))
+        assert by_name == by_place
+        assert Poly(by_name) == ref.scale(coeff) * indet_poly(scale)
         assert weight_diff(t, s, kbo) == w - weight_poly(s, kbo)
         assert weight_diff(t, t, kbo).is_zero()
         transfinite |= any(not c.is_natural() and not (-c).is_natural()

@@ -1,5 +1,6 @@
 """Ordinal arithmetic: fixture table, ring laws on a finite domain, order laws,
-and the merges against a dict-and-sort reference."""
+the merges against a dict-and-sort reference, and the integer path of
+finite values against exact integer arithmetic."""
 
 import itertools
 from functools import cmp_to_key
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamorder.ordinal import (MAX_NESTING, ONE, OMEGA, ZERO, Ord, format_ord, from_int,
-                              omega_pow, ord_add, ord_compare, ord_mul, parse_ord)
+from lamorder.ordinal import (MAX_NESTING, ONE, OMEGA, SHARED_RANGE, ZERO, Ord, format_ord,
+                              from_int, omega_pow, ord_add, ord_compare, ord_mul, parse_ord)
 
 
 # -- reference: collect like exponents in a dict, sort, compare by subtraction
@@ -308,3 +309,88 @@ def test_single_term_fast_paths_agree_with_reference():
     assert ord_add(omega_pow(OMEGA, 2), omega_pow(OMEGA, -5)) == omega_pow(OMEGA, -3)
     assert ord_mul(from_int(-3), from_int(4)) == from_int(-12)
     assert ord_mul(w(2), w(-3)) == w2(-6)
+
+
+# -- the integer path: finite values carry their integer in ``fin``
+
+def signed_values():
+    """Signed values, finite and transfinite, built each way a value is
+    made: by from_int (inside its shared range and far outside it),
+    omega_pow, parse_ord and the raw constructor."""
+    n = st.integers(-2 * SHARED_RANGE, 2 * SHARED_RANGE) | st.integers(-2 ** 80, 2 ** 80)
+    nonzero = n.filter(bool)
+    small = st.integers(min_value=1, max_value=9)
+    exps = st.sampled_from([ONE, from_int(2), OMEGA, OMEGA + ONE])
+    return st.one_of(
+        st.builds(from_int, n),
+        st.builds(omega_pow, exps, nonzero),
+        st.builds(lambda k: parse_ord(str(k)), n),
+        st.builds(lambda c, d, sign: parse_ord("w*%d %s %d" % (c, sign, d)),
+                  small, small, st.sampled_from("+-")),
+        st.builds(lambda c: Ord(((ZERO, c),)), nonzero),
+        st.builds(lambda e, c, d: Ord(((e, c), (ZERO, d))), exps, nonzero, nonzero))
+
+
+def assert_fin_matches_terms(a):
+    """fin is the value's integer exactly when it has one, and agrees with
+    is_natural and to_int, for negative values too."""
+    finite = len(a.terms) <= 1 and all(e.is_zero() for e, _ in a.terms)
+    assert (a.fin is not None) == finite
+    if finite:
+        assert a.fin == (a.terms[0][1] if a.terms else 0)
+        assert a.is_natural() == (a.fin >= 0)
+        assert a.to_int() == a.fin
+        assert (-a).to_int() == -a.fin
+    else:
+        assert not a.is_natural()
+        with pytest.raises(ValueError):
+            a.to_int()
+
+
+@settings(max_examples=600, deadline=None)
+@given(signed_values(), signed_values())
+def test_integer_path_agrees_with_integers_and_with_the_merge(a, b):
+    for v in (a, b):
+        assert_fin_matches_terms(v)
+    for v in (ord_add(a, b), ord_mul(a, b), -a):
+        assert_fin_matches_terms(v)
+    if a.fin is not None and b.fin is not None:
+        assert ord_add(a, b).fin == a.fin + b.fin
+        assert ord_mul(a, b).fin == a.fin * b.fin
+        assert (-a).fin == -a.fin
+        assert ord_compare(a, b) == (a.fin > b.fin) - (a.fin < b.fin)
+    # every pair, one finite and one transfinite operand included, against
+    # the reference, which never reads fin
+    check_against_reference(a, b)
+    assert -a == ref_neg(a)
+    assert_canonical(-a)
+
+
+def test_from_int_shares_one_value_per_integer_in_its_range():
+    for n in range(-SHARED_RANGE, SHARED_RANGE + 1):
+        assert from_int(n) is from_int(n)
+        assert from_int(n).fin == n
+    assert from_int(0) is ZERO and from_int(1) is ONE and -ONE is from_int(-1)
+    # a finite result inside the range is the shared value, however reached
+    assert ord_add(from_int(700), from_int(-699)) is ONE
+    assert ord_mul(from_int(-4), from_int(5)) is from_int(-20)
+    assert -from_int(SHARED_RANGE) is from_int(-SHARED_RANGE)
+    assert ord_add(Ord(((ZERO, 3),)), Ord(((ZERO, -3),))) is ZERO
+    # outside it each value is fresh, yet equal and finite
+    n = SHARED_RANGE + 1
+    assert from_int(n) is not from_int(n) and from_int(n) == from_int(n)
+    assert from_int(n).fin == n and from_int(-n).fin == -n
+
+
+def test_big_finite_values_stay_exact():
+    big = from_int(2 ** 80)
+    assert big.fin == 2 ** 80 and big.is_natural()
+    assert ord_add(big, ONE).fin == 2 ** 80 + 1
+    assert ord_add(big, -big) is ZERO
+    assert ord_mul(big, big).fin == 2 ** 160
+    assert ord_mul(big, from_int(-3)).fin == -3 * 2 ** 80
+    assert ord_compare(big, from_int(2 ** 80 - 1)) == 1
+    assert ord_compare(-big, from_int(-(2 ** 80) + 1)) == -1
+    assert ord_add(big, OMEGA) == Ord(((ONE, 1), (ZERO, 2 ** 80)))
+    assert ord_mul(big, OMEGA) == omega_pow(ONE, 2 ** 80)
+    assert format_ord(big) == str(2 ** 80) and parse_ord(str(2 ** 80)) == big

@@ -106,6 +106,8 @@ class OrderParams:
         self._scales: Dict[Tuple[str, int, int], Tuple[Tuple[Ord, Monomial], ...]] = {}
         # the symbols with a coefficient other than 1, for unit_coeffs
         self._nonunit = {f for (f, _), c in self.coeffs.items() if c != ONE}
+        # the LPO's reach of each node, filled by lpo_reach
+        self._reaches: Dict[Preterm, int] = {}
         self.validate()
 
     # -- providers ----------------------------------------------------------
@@ -152,6 +154,44 @@ class OrderParams:
         if self.watershed is None:
             raise OrderError("LPO comparison requires a watershed symbol")
         return self.sym_rank(name) > self.sym_rank(self.watershed)
+
+    def lpo_key(self, t: Preterm, unranked: int = -1) -> int:
+        """The LPO's key of ``t``'s head, with n symbols ranked: a symbol at
+        or below the watershed its rank, a lambda n + 1, any index n + 2, a
+        symbol above the watershed n + 3 + its rank, a variable -1, and a
+        symbol with no rank ``unranked``.  A head that ties or beats another
+        by ``head_cmp`` or ``_lpo_rank`` has a key at least as large."""
+        n = len(self.prec_ranks)
+        if isinstance(t, Sym):
+            rank = self.prec_ranks.get(t.name)
+            if rank is None:
+                return unranked
+            return rank if rank <= self.prec_ranks[self.watershed] else n + 3 + rank
+        if isinstance(t, Lam):
+            return n + 1
+        return n + 2 if isinstance(t, Db) else -1
+
+    def lpo_reach(self, t: Preterm) -> int:
+        """The largest ``lpo_key`` among the subterms the LPO's subterm rule
+        can reach from ``t``: ``t`` itself, a lambda's body, and a symbol's
+        or an index's arguments, recursively.  A symbol with no rank reaches
+        above every key.  Worked out once per node, on an explicit stack."""
+        reaches = self._reaches
+        r = reaches.get(t)
+        if r is None:
+            top = 2 * len(self.prec_ranks) + 3
+            stack = [t]
+            while stack:
+                u = stack[-1]
+                subs = _subterms(u, 0)[0]
+                todo = [a for a in subs if a not in reaches]
+                if todo:
+                    stack += todo
+                    continue
+                stack.pop()
+                reaches[u] = max([self.lpo_key(u, top)] + [reaches[a] for a in subs])
+            r = reaches[t]
+        return r
 
     def fo_compare(self, t: Type, s: Type, fop: FoParams) -> Cmp:
         """The first-order order of this kind: the type orders, and the
@@ -592,7 +632,8 @@ class _Lpo(_Base):
     types, a winner by precedence, types or ``_lpo_rank`` that must still
     beat the loser's arguments, or ``scan(t, dt, ts, s, ds, ss, np)``, a
     lexicographic scan of equal heads' parameters (the first ``np``
-    positions) and arguments.  ``leave`` may revise the verdict.  Each
+    positions) and arguments.  ``leave(t, s, dt, ds, out, lo)`` may revise
+    the verdict, where ``lo`` is the side whose head lost, if one did.  Each
     algorithm checks a winner against the loser's arguments in its own
     ``beats(winner, dw, loser_args, dl)``: G when the winner strictly beats
     all of them, L when one of them dominates it, U otherwise."""
@@ -602,7 +643,7 @@ class _Lpo(_Base):
         if out is not None:
             return out
         p = self.p
-        c = U
+        c, lo = U, None
         if isinstance(t, Var) or isinstance(s, Var):
             if self.same_steady_var(t, s):
                 out = cw_ext(lambda a, b: self.compare(a, b, dt, ds), t.args, s.args)
@@ -633,7 +674,7 @@ class _Lpo(_Base):
                 elif r is G:    # type-guarded, unless eta-expanding the loser cannot undo it
                     out = (c if isinstance(lo, Lam) or isinstance(hi, Sym)
                            and p.above_watershed(hi.name) else self.consider_poly(t, s, c))
-        return self.leave(t, s, dt, ds, out)
+        return self.leave(t, s, dt, ds, out, lo)
 
 
 class _LpoNaive(_Lpo):
@@ -649,7 +690,8 @@ class _LpoNaive(_Lpo):
             return L
         return None
 
-    def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
+    def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp,
+              lo: Optional[Preterm]) -> Cmp:
         return out
 
     def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
@@ -717,7 +759,7 @@ class _LpoOpt(_Lpo):
     returns U when the condition fails both ways, and ``leave`` skips the
     subterm rule of a side that fails it.
 
-    Four short cuts skip a call whose answer is known:
+    Six short cuts skip a call whose answer is known:
 
     - ``check_subs`` passes a subterm ``a`` unless ``s.arg_vars <=
       a.all_vars``: by the condition above, ``compare(a, s)`` is then L,
@@ -734,6 +776,21 @@ class _LpoOpt(_Lpo):
       short cut.
     - ``scan`` passes a rigid identical position, which ``enter`` would
       answer E, as ``_KboOpt.descend`` does.
+    - ``leave`` skips the subterm rule of ``lo``, the side whose head
+      lost (``dispatch`` passes ``None`` when no head won).  ``beats`` has
+      compared the winner with each immediate subterm of ``lo``, and
+      unless it answered L each was beaten, passed as a rigid own argument
+      of the winner, answered GE or U (LE or U from the subterm's side,
+      by flip symmetry) or failed ``check_subs`` there: none is at least
+      the winner.
+    - ``check_subs`` passes a subterm ``a`` with ``p.lpo_reach(a) <
+      p.lpo_key(s)``.  A head that ties or beats another by a head rule
+      has a key at least as large, a variable's key is -1, and every
+      subterm the rule reaches from ``a`` has a key at most ``a``'s reach,
+      so, by induction over ``dispatch``'s rules, none derives ``a`` at
+      least ``s``.  A symbol with no rank reaches above every key and
+      keys ``s`` at -1, so the bound never skips a comparison that would
+      raise.
 
     The naive LPO keeps its plain ``_LpoNaive.check_subs``: its call count
     decides which benchmark pairs fit the call budget, and the filter
@@ -753,29 +810,35 @@ class _LpoOpt(_Lpo):
             return U
         return out
 
-    def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp) -> Cmp:
+    def leave(self, t: Preterm, s: Preterm, dt: int, ds: int, out: Cmp,
+              lo: Optional[Preterm]) -> Cmp:
         """Run the subterm rules the naive algorithm front-loads, on each
-        side that holds the other's variables, then store the verdict.
-        Inconclusive and nonstrict verdicts can still be beaten by a subterm
-        win; strict verdicts cannot, since the relations they claim are
-        orders."""
+        side that holds the other's variables and is not ``lo``, the loser
+        by heads whose subterms ``beats`` already found below the winner,
+        then store the verdict.  Inconclusive and nonstrict verdicts can
+        still be beaten by a subterm win; strict verdicts cannot, since the
+        relations they claim are orders."""
+        # the arguments of check_subs are joined as one tuple, which takes
+        # one evaluation-stack slot less than ``*subs, s, ds``: every frame
+        # slot costs a deep comparison page faults (tests/stack_cost.py)
         if out is not G and out is not E and out is not L:
-            if (out is not LE and s.arg_vars <= t.all_vars
-                    and self.check_subs(*_subterms(t, dt), s, ds)):
+            if (out is not LE and t is not lo and s.arg_vars <= t.all_vars
+                    and self.check_subs(*_subterms(t, dt) + (s, ds))):
                 out = G
-            elif (out is not GE and t.arg_vars <= s.all_vars
-                    and self.check_subs(*_subterms(s, ds), t, dt)):
+            elif (out is not GE and s is not lo and t.arg_vars <= s.all_vars
+                    and self.check_subs(*_subterms(s, ds) + (t, dt))):
                 out = L
         self.memo[t, s, dt, ds] = out
         return out
 
     def check_subs(self, ts: Sequence[Preterm], dts: int, s: Preterm, ds: int) -> bool:
         """The subterm rule, past each of ``ts`` that fails the variable
-        condition against ``s`` or is a rigid one of ``s``'s own arguments."""
-        vs = s.arg_vars
+        condition against ``s``, reaches no head as large as ``s``'s or is a
+        rigid one of ``s``'s own arguments."""
+        vs, key, reach = s.arg_vars, self.p.lpo_key(s), self.p.lpo_reach
         for a in ts:
-            if vs <= a.all_vars and not (isinstance(s, (Sym, Db)) and a in s.args
-                                         and a.rigid):
+            if vs <= a.all_vars and reach(a) >= key and not (
+                    isinstance(s, (Sym, Db)) and a in s.args and a.rigid):
                 c = self.compare(a, s, dts, ds)
                 if c is G or c is GE or c is E:
                     return True

@@ -8,8 +8,12 @@ pair of the terms up to SIZE under the KBO and under the LPO at the lowest
 and the highest watershed: the naive and optimized algorithms agree, each
 verdict is the flip of the reverse pair's, and a G, GE or E verdict keeps
 the smaller side's variables within the bigger side's, as the dual does for
-L, LE or E.  It prints one line per order and fails at the first pair that
-breaks one of these.
+L, LE or E.  Under the LPO it also checks the two bounds by which the
+optimized LPO skips a subterm check: a term whose reach is below the other
+side's head key is not at least that side, and when the optimized
+``beats`` of one term over the immediate subterms of another is not L, none
+of those subterms is at least the first term.  It prints one line per order
+and fails at the first pair that breaks one of these.
 """
 
 import random
@@ -67,14 +71,19 @@ def orders(sig):
 def check(terms, p) -> int:
     """The number of GE verdicts on the ordered pairs of ``terms`` under
     ``p``; an AssertionError names the first pair whose verdicts break
-    agreement, flip symmetry or the variable condition.  Each pair and its
-    reverse are compared together, by each algorithm once."""
+    agreement, flip symmetry, the variable condition or, under the LPO, one
+    of the optimized LPO's two bounds.  Each pair and its reverse are
+    compared together, by each algorithm once, and the bounds read these
+    naive verdicts."""
     from lamorder.cmp import E, G, GE, L, LE, flip
-    from lamorder.lambda_order import compare
+    from lamorder.lambda_order import LPO, compare
+    # naive[i][j] is the naive verdict of terms[i] against terms[j]
+    naive = [[None] * len(terms) for _ in terms]
     ge = 0
     for i, t in enumerate(terms):
-        for s in terms[i:]:
+        for j, s in enumerate(terms[i:], i):
             c, d = compare(t, s, p, "naive"), compare(s, t, p, "naive")
+            naive[i][j], naive[j][i] = c, d
             for u, v, want in ((t, s, c), (s, t, d)):
                 got = compare(u, v, p, "optimized")
                 if got is not want:
@@ -89,7 +98,48 @@ def check(terms, p) -> int:
                 raise AssertionError("%s breaks the variable condition on\n  %r\n  %r"
                                      % (c.value, t, s))
             ge += (c is GE) + (d is GE and s is not t)
+    if p.kind == LPO:
+        check_reach_bound(terms, p, naive)
+        check_beaten_subterms(terms, p, naive)
     return ge
+
+
+def check_reach_bound(terms, p, naive) -> None:
+    """A term whose ``lpo_reach`` is below the ``lpo_key`` of another's head
+    is not at least it by the naive LPO: ``check_subs`` skips it."""
+    from lamorder.cmp import E, G, GE
+    for t, row in zip(terms, naive):
+        reach = p.lpo_reach(t)
+        for s, c in zip(terms, row):
+            if reach < p.lpo_key(s) and c in (G, GE, E):
+                raise AssertionError("reach %d below key %d, but naive %s on\n  %r\n  %r"
+                                     % (reach, p.lpo_key(s), c.value, t, s))
+
+
+def check_beaten_subterms(terms, p, naive) -> None:
+    """When the optimized ``beats`` of ``hi`` over the immediate subterms of
+    ``lo`` is not L, none of them is at least ``hi`` by the naive LPO: the
+    optimized ``leave`` skips that subterm rule of a loser by heads.  A
+    subterm outside ``terms``, a lambda, is compared apart, and so is
+    ``hi`` itself, which ``compare`` answers E by identity although below
+    the root a non-rigid one is U."""
+    from lamorder.cmp import E, G, GE, L
+    from lamorder.lambda_order import _LpoNaive, _LpoOpt, _subterms
+    index = {t: i for i, t in enumerate(terms)}
+    for lo in terms:
+        subs, d = _subterms(lo, 0)
+        if not subs:
+            continue
+        for j, hi in enumerate(terms):
+            if _LpoOpt(p).beats(hi, 0, subs, d) is L:
+                continue
+            for b in subs:
+                c = (naive[index[b]][j] if b in index and b is not hi
+                     else _LpoNaive(p).compare(b, hi, d, 0))
+                if c in (G, GE, E):
+                    raise AssertionError("beats %r over the subterms of %r is not L, "
+                                         "but naive %s on\n  %r\n  %r"
+                                         % (hi, lo, c.value, b, hi))
 
 
 def main(argv) -> None:

@@ -829,9 +829,11 @@ def test_naive_lpo_call_counts_are_pinned():
     summed.  On the generated nonground pairs pin the optimized LPO's calls
     too, which the variable condition cuts: without it, 1,816.  Before
     its ``check_subs``, ``beats`` and ``scan`` passed the subterms, own
-    arguments and identical positions whose answer is known, 666, and
-    before ``check_subs`` passed the other side's rigid own arguments,
-    644."""
+    arguments and identical positions whose answer is known, 666, before
+    ``check_subs`` passed the other side's rigid own arguments, 644, and
+    before ``leave`` skipped the subterm rule of a loser by heads and
+    ``check_subs`` passed a subterm that reaches no head as large as the
+    other side's, 643."""
     from lamorder.checks import adversarial_lpo_pair, bench_signature
     Spy, calls = _counting_lpo()
     OptSpy, opt_calls = _counting_lpo(_LpoOpt)
@@ -857,7 +859,7 @@ def test_naive_lpo_call_counts_are_pinned():
         if t != s:
             compares += 1
             assert Spy(glpo).compare(t, s) is OptSpy(glpo).compare(t, s)
-    assert (calls[0], opt_calls[0], compares) == (5507, 643, 286)
+    assert (calls[0], opt_calls[0], compares) == (5507, 513, 286)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,20 +1036,23 @@ def test_subterm_rule_passes_the_other_sides_rigid_own_argument(small):
     subterm rule.  Against g(y, T) and g(T, b), with T the chain f^50(x),
     T holds every variable of g(T, b), so only this rule passes it: the
     pair costs 2 calls each way (104 when T was compared with g(T, b),
-    the chain walked against it).  A flex argument, y2(λ#0), is compared
-    (4 calls each way), as ``beats`` compares one.  The verdicts are U
-    under both algorithms, on a chain short enough for the naive one."""
+    the chain walked against it).  A flex argument, g(y2(λ#0), a), is
+    compared (7 calls each way, 2 if it were passed), as ``beats`` compares
+    one; it is symbol-headed, since ``check_subs`` passes a variable-headed
+    one by its reach.  The verdicts are U under both algorithms, on a chain
+    short enough for the naive one."""
     from lamorder.checks import bench_signature
     _, _, lpo = bench_signature()
     x, y = Var("x", TyCon("kappa")), Var("y", TyCon("kappa"))
     sig, _, small_lpo = small
-    flex = normalize(app(Var("y2", arrow(arrow(K, K), K)), Lam(K, Db(0, K))), sig)
+    flex = normalize(app(Sym("g"), app(Var("y2", arrow(arrow(K, K), K)), Lam(K, Db(0, K))),
+                         Sym("a")), sig)
     flex_pair = (normalize(app(Sym("g"), Var("y", K), flex), sig),
                  normalize(app(Sym("g"), flex, Sym("b")), sig))
 
     LpoSpy, compared = _counting_lpo(_LpoOpt)
     for p, (t, s), calls in ((lpo, (_g(y, _chain(50, x)), _g(_chain(50, x), Sym("b"))), 2),
-                             (small_lpo, flex_pair, 4)):
+                             (small_lpo, flex_pair, 7)):
         for u, v in ((t, s), (s, t)):
             compared[0] = 0
             assert LpoSpy(p).compare(u, v) is U
@@ -1131,13 +1136,47 @@ def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
     with the lowest and the highest watershed.  Each verdict is the flip of
     the reverse pair's, and a G, GE or E one keeps the smaller side's
     variables within the bigger side's, as the dual does for L, LE or E.
-    Exhaustion reaches the nonstrict verdicts that random draws rarely do:
+    Under the LPO, no pair breaks the bounds by which the optimized LPO
+    skips a subterm check (``small_scope.check``).  Exhaustion reaches the
+    nonstrict verdicts that random draws rarely do:
     309 GE pairs for the KBO and 306 for each LPO.  CI runs the same check
     at size 5."""
     sig = small_scope.signature()
     terms = small_scope.terms(sig, 4)
     assert len(terms) == 222
     assert [small_scope.check(terms, p) for _, p in small_scope.orders(sig)] == [309, 306, 306]
+
+
+def test_reach_bound_on_generated_terms():
+    """The optimized LPO's ``check_subs`` passes a subterm whose
+    ``lpo_reach`` is below the ``lpo_key`` of the other side's head.  The
+    small-scope corpus checks the bound on closed terms of one base type;
+    here it is checked on every pair of nodes of two generated terms, at
+    their binder depths, so that lambdas and indices head either side,
+    under the LPO of each of the 8 gen signatures: where the bound holds,
+    the naive verdict is never G, GE or E.  It holds on 11,663 ordered
+    pairs, 4,739 of them with a lambda's or an index's key on one side."""
+    bounded = by_binders = 0
+    for seed in range(8):
+        cfg = GenConfig(seed=seed, polymorphic=True, ordinal_weights=seed % 2 == 1)
+        sig, _, lpo = gen_signature(cfg)
+        rng = random.Random(seed)
+        g = TermGen(rng, sig, var_types=gen_var_types(rng, cfg, sig, polymorphic=True))
+        binder_keys = {len(lpo.prec_ranks) + 1, len(lpo.prec_ranks) + 2}
+        bases = [TyCon("iota"), TyCon("kappa")]
+        for _ in range(300):
+            ty = rng.choice(bases + [arrow(bases[0], bases[1])])
+            t, s = g.gen(ty, 9, ground=False), g.gen(ty, 9, ground=False)
+            for a, da in nodes(t, params=False):
+                for b, db in nodes(s, params=False):
+                    for u, du, v, dv in ((a, da, b, db), (b, db, a, da)):
+                        reach, key = lpo.lpo_reach(u), lpo.lpo_key(v)
+                        if reach < key:
+                            bounded += 1
+                            by_binders += reach in binder_keys or key in binder_keys
+                            c = _LpoNaive(lpo).compare(u, v, du, dv)
+                            assert c not in (G, GE, E), (reach, key, c, u, v)
+    assert (bounded, by_binders) == (11663, 4739)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ def _cmd_compare(args) -> int:
     except (ParseError, TermError, OrderError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: term nested too deeply to parse", file=sys.stderr)
-        return 1
     try:
         if args.strict:
             check_leak_types(t, s)

@@ -151,8 +151,6 @@ class OrderParams:
         return scales
 
     def above_watershed(self, name: str) -> bool:
-        if self.watershed is None:
-            raise OrderError("LPO comparison requires a watershed symbol")
         return self.sym_rank(name) > self.sym_rank(self.watershed)
 
     def lpo_key(self, t: Preterm, unranked: int = -1) -> int:
@@ -225,11 +223,10 @@ class OrderParams:
         missing_ty = set(self.sig.type_constructors) - set(self.ty_prec_ranks)
         if missing_ty:
             raise OrderError("type precedence does not rank %s" % sorted(missing_ty))
-        if self.kind == LPO:
-            if self.watershed is None:
-                raise OrderError("a watershed symbol is required in LPO mode")
-            if self.watershed not in self.prec_ranks:
-                raise OrderError("watershed %s is not a ranked symbol" % self.watershed)
+        if self.kind == LPO and self.watershed is None:
+            raise OrderError("a watershed symbol is required in LPO mode")
+        if self.watershed is not None and self.watershed not in self.prec_ranks:
+            raise OrderError("watershed %s is not a ranked symbol" % self.watershed)
         if "diff" in self.sig.symbols:
             if self.kind == KBO:
                 if ord_compare(self.w("diff"), self.w_db) > 0:
@@ -258,7 +255,7 @@ class OrderParams:
         if "top" in self.sig.symbols and "bot" in self.sig.symbols:
             if self.sym_rank("top") > self.sym_rank("bot"):
                 raise OrderError("top must precede bot")
-        if self.kind == LPO and "bot" in self.sig.symbols and self.watershed is not None:
+        if self.kind == LPO and "bot" in self.sig.symbols:
             if self.sym_rank("bot") > self.sym_rank(self.watershed):
                 raise OrderError("bot must not exceed the watershed")
 
@@ -820,7 +817,7 @@ class _LpoOpt(_Lpo):
         relations they claim are orders."""
         # the arguments of check_subs are joined as one tuple, which takes
         # one evaluation-stack slot less than ``*subs, s, ds``: every frame
-        # slot costs a deep comparison page faults (tests/stack_cost.py)
+        # slot costs a deep comparison page faults (tests/cost.py)
         if out is not G and out is not E and out is not L:
             if (out is not LE and t is not lo and s.arg_vars <= t.all_vars
                     and self.check_subs(*_subterms(t, dt) + (s, ds))):

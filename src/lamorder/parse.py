@@ -24,7 +24,7 @@ A signature file is one s-expression:
       (precedence NAME ...)                         ; increasing
       (tyweights (NAME ORD) ...)
       (typrecedence NAME ...)                       ; increasing
-      (watershed NAME)                              ; LPO only
+      (watershed NAME)                              ; required for LPO
       (ordinal-weights))                            ; opt in to transfinite weights
 
 Ordinal literals follow ordinal.parse_ord: ``3``, ``w``, ``w^2*3+w+1``; forms

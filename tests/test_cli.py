@@ -1,6 +1,7 @@
-"""Command-line interface: golden outputs on fixtures, exit codes, check mode."""
+"""Command lines: golden outputs on fixtures, exit codes, check mode, tests/cost.py."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -117,16 +118,20 @@ def test_compare_deep_identical_files(capsys, tmp_path):
 
 
 def test_compare_term_with_a_deep_argument_type(capsys, tmp_path):
-    # the bare h eta-expands into one lambda per level of its argument type
+    # the bare h, and a variable of h's argument type T, eta-expand into one
+    # lambda per level of T
     ty = "k"
     for _ in range(3000):
         ty = "(-> %s k)" % ty
     sig = tmp_path / "deep.sig"
     sig.write_text("(signature (types (k 0)) (symbols (h () () (-> %s k))) (precedence h))" % ty)
-    h = tmp_path / "h.term"
-    h.write_text("(sym h () ())")
-    code, out, err = run(capsys, "compare", "--sig", str(sig), "--order", "kbo", str(h), str(h))
-    assert (code, out) == (0, "E"), err
+    left, right = tmp_path / "l.term", tmp_path / "r.term"
+    for t, s, want in (("(sym h () ())", "(sym h () ())", "E"), ("(var x T)", "(var y T)", "U")):
+        left.write_text(t.replace("T", ty))
+        right.write_text(s.replace("T", ty))
+        code, out, err = run(capsys, "compare", "--sig", str(sig), "--order", "kbo",
+                             str(left), str(right))
+        assert (code, out) == (0, want), err
 
 
 def test_compare_rejects_constraint_violation(capsys, tmp_path):
@@ -254,3 +259,17 @@ def test_check_into_a_closed_pipe_exits_quietly(unbuffered):
     proc.stderr.close()
     assert proc.wait() == EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_cost_probes_run():
+    """tests/cost.py prints one line per probe on this src; no timing is asserted."""
+    src = os.path.dirname(os.path.dirname(lamorder.__file__))
+    proc = subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__), "cost.py"),
+                           src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [re.fullmatch(r"(.*): [\d.]+ us, [\d.]+ minor faults per operation "
+                          r"\(best of 3 x \d+\)", line) for line in proc.stdout.splitlines()]
+    assert [m and m[1] for m in lines] == [
+        "fresh Var", "Sym hit", "finite ord_add", "finite negation", "finite ord_mul",
+        "weight_poly, 17 nodes", "kbo ground nest, depth 256", "lpo ground nest, depth 256",
+        "kbo chain, depth 256", "lpo chain, depth 256"], proc.stdout

@@ -111,6 +111,10 @@ def test_signature_constraint_violations_are_named():
         parse_signature(no_ws, LPO)
     assert "watershed" in str(err.value)
     parse_signature(no_ws, KBO)  # fine without the watershed in KBO mode
+    misspelt = SIG_TEXT.replace("(watershed a)", "(watershed nope)")
+    for order in (KBO, LPO):  # but a given one must be ranked under either order
+        with pytest.raises(ParseError, match="watershed nope is not a ranked symbol"):
+            parse_signature(misspelt, order)
 
     zero_index = SIG_TEXT.replace("(coeffs ((g 2) 2))", "(coeffs ((g 0) 2))")
     with pytest.raises(ParseError) as err:

@@ -191,6 +191,15 @@ class OrderParams:
             r = reaches[t]
         return r
 
+    def lpo_outranks(self, t: Preterm, b: Preterm) -> bool:
+        """Whether the LPO's head rules alone put ``t`` above ``b``: ``t`` is
+        a symbol above the watershed, ``b`` has no variable outside
+        parameters, and ``b`` reaches no key as large as ``t``'s."""
+        if b.arg_vars:
+            return False
+        key = self.lpo_key(t)
+        return key > len(self.prec_ranks) + 2 and self.lpo_reach(b) < key
+
     def fo_compare(self, t: Type, s: Type, fop: FoParams) -> Cmp:
         """The first-order order of this kind: the type orders, and the
         oracle's order on encodings."""
@@ -756,7 +765,7 @@ class _LpoOpt(_Lpo):
     returns U when the condition fails both ways, and ``leave`` skips the
     subterm rule of a side that fails it.
 
-    Six short cuts skip a call whose answer is known:
+    Eight short cuts skip a call whose answer is known:
 
     - ``check_subs`` passes a subterm ``a`` unless ``s.arg_vars <=
       a.all_vars``: by the condition above, ``compare(a, s)`` is then L,
@@ -788,6 +797,16 @@ class _LpoOpt(_Lpo):
       least ``s``.  A symbol with no rank reaches above every key and
       keys ``s`` at -1, so the bound never skips a comparison that would
       raise.
+    - ``beats`` passes a loser argument ``b`` when ``p.lpo_outranks(t,
+      b)``: ``t`` is a symbol above the watershed, ``b`` has no variable
+      outside parameters and ``p.lpo_reach(b) < p.lpo_key(t)``.  Every
+      head the subterm rule reaches from ``b`` loses to ``t``'s by a head
+      rule, the variable condition holds, and a winner above the
+      watershed takes no type guard, so ``compare(t, b)`` is G by
+      induction over ``b``.
+    - ``scan`` calls no ``beats`` after a strict win at the last
+      position: no loser argument follows it, since ``np`` is at most the
+      number of positions, and ``beats`` over none is G.
 
     The naive LPO keeps its plain ``_LpoNaive.check_subs``: its call count
     decides which benchmark pairs fit the call budget, and the filter
@@ -844,10 +863,13 @@ class _LpoOpt(_Lpo):
     def beats(self, t: Preterm, dt: int, ss: Sequence[Preterm], ds: int) -> Cmp:
         """One scan of ss: G when t strictly beats all of them, L when one of
         them dominates t, U otherwise.  A rigid one of t's own arguments is
-        passed: t beats it by the subterm rule."""
+        passed: t beats it by the subterm rule; so is one that t outranks by
+        head rules alone."""
         own = t.args if isinstance(t, (Sym, Db)) else ()
         for i, b in enumerate(ss):
             if b in own and b.rigid:     # by identity, as terms compare
+                continue
+            if self.p.lpo_outranks(t, b):
                 continue
             c = self.compare(t, b, dt, ds)
             if c is G:
@@ -867,9 +889,10 @@ class _LpoOpt(_Lpo):
             if ts[i] is ss[i] and ts[i].rigid:
                 continue
             c = self.compare(ts[i], ss[i], dt, ds)
-            if c is G:
+            # past the last position nothing follows, and beats over none is G
+            if c is G and i + 1 < len(ts):
                 c = self.beats(t, dt, ss[max(i + 1, np):], ds)
-            elif c is L:
+            elif c is L and i + 1 < len(ts):
                 c = flip(self.beats(s, ds, ts[max(i + 1, np):], dt))
             verdict = lex_merge(verdict, c)
             if c is G or c is L or c is U:

@@ -32,7 +32,7 @@ The one table keeps every distinct value for the life of the process.
 from __future__ import annotations
 
 from types import FunctionType
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 ARROW = "->"
 
@@ -236,6 +236,7 @@ class Signature:
         self.symbols: Dict[str, TypeDecl] = {}
         self.types: Dict[Preterm, Type] = {}    # each checked node's type
         self.index_types: Dict[Preterm, tuple] = {}    # see _index_types
+        self.checked_types: Set[Type] = set()    # each type check_type passed
 
     def add_type(self, name: str, arity: int) -> None:
         if name in self.symbols:
@@ -267,10 +268,17 @@ class Signature:
 
 def check_type(ty: Type, sig: Signature) -> None:
     """Raise TermError unless every constructor in ``ty`` is declared in
-    ``sig`` with as many arguments as ``ty`` gives it."""
+    ``sig`` with as many arguments as ``ty`` gives it.  Types are interned,
+    so each subtype ``sig`` has checked, ``ty`` itself included, is passed
+    at once, and so is a repeat within ``ty``; the subtypes visited join
+    ``sig.checked_types`` only once all of ``ty`` passes."""
+    checked, seen = sig.checked_types, set()
     stack = [ty]
     while stack:
         u = stack.pop()
+        if u in checked or u in seen:
+            continue
+        seen.add(u)
         if isinstance(u, TyCon):
             arity = sig.type_constructors.get(u.name)
             if arity is None:
@@ -279,6 +287,7 @@ def check_type(ty: Type, sig: Signature) -> None:
                 raise TermError("type constructor %s expects %d arguments, got %d"
                                 % (u.name, arity, len(u.args)))
             stack += u.args
+    checked |= seen
 
 
 # ---------------------------------------------------------------------------

@@ -753,6 +753,51 @@ def test_optimized_lpo_is_polynomial_on_shared_subterms():
     assert len(opt.memo) <= 2 * 41 * 41, len(opt.memo)
 
 
+def test_optimized_lpo_is_linear_on_padded_nests():
+    """The adversarial nest with each level's second argument padded to
+    f^50(b) on one side and f^50(a) on the other.  The optimized LPO's
+    ``beats`` passes a variable-free loser argument that reaches only keys
+    below the winner's, a symbol above the watershed, and ``scan`` calls no
+    ``beats`` after the last position: depth + 1 calls either way, one per
+    level and the leaves (depth x (50 + 2) when ``beats`` walked each
+    padding)."""
+    from lamorder.checks import bench_signature
+    _, _, lpo = bench_signature()
+    LpoSpy, compared = _counting_lpo(_LpoOpt)
+    for depth in (100, 200):
+        t, s = Sym("a"), Sym("b")
+        for _ in range(depth):
+            t, s = _g(t, _chain(50, Sym("b"))), _g(s, _chain(50, Sym("a")))
+        for u, v, verdict in ((t, s, L), (s, t, G)):
+            compared[0] = 0
+            assert LpoSpy(lpo).compare(u, v) is verdict
+            assert compared[0] == depth + 1
+
+
+def test_outranking_needs_a_winner_above_the_watershed():
+    """``beats`` passes a variable-free loser argument by head keys alone
+    only for a winner above the watershed, which takes no type guard.  Here
+    the loser pp<alpha>(aa<alpha>) : k holds aa<alpha>, typed by a type
+    variable: a lambda winner and a symbol winner at or below the watershed
+    beat pp by heads, but each is guarded against aa<alpha>, which an
+    instance may eta-expand, so the verdict is U; above the watershed it is
+    G."""
+    sig = Signature()
+    sig.add_type("k", 0)
+    alpha = TyVar("alpha")
+    sig.add_symbol("aa", TypeDecl(("A",), (), TyVar("A")))
+    sig.add_symbol("pp", TypeDecl(("A",), (), arrow(TyVar("A"), K)))
+    sig.add_symbol("h", TypeDecl((), (), K))
+    sig.add_symbol("ws", TypeDecl((), (), K))
+    loser = Sym("pp", (alpha,), (), (Sym("aa", (alpha,)),))
+    below = OrderParams(sig, LPO, prec=["aa", "pp", "h", "ws"], watershed="ws")
+    above = OrderParams(sig, LPO, prec=["aa", "pp", "ws", "h"], watershed="ws")
+    for winner, p, verdict in ((Lam(K, Db(0, K)), below, U), (Sym("h"), below, U),
+                               (Sym("h"), above, G)):
+        assert both(winner, loser, p) is verdict
+        assert both(loser, winner, p) is flip(verdict)
+
+
 def test_kbo_deep_chains_fit_default_stack():
     """The optimized KBO spends two frames per nesting level (dispatch and
     descend), the naive one three (compare, dispatch, descend).  Under the
@@ -967,7 +1012,10 @@ def test_equal_heads_cost_no_extension_product_or_polynomial(monkeypatch):
     ``bench_signature()``, where a and b weigh alike, every level of the
     depth-200 chain and nest is one.  The step changes no count: the
     recursive calls and ``weight_calls()`` are pinned at their counts
-    before it, both directions alike."""
+    before it, both directions alike, except the LPO's calls on the nest:
+    201, one per level and the leaves, since ``beats`` passes each level's
+    ground second argument, which g outranks (400 when it compared g's term
+    with it)."""
     import lamorder
     from lamorder import cmp, ordinal, poly
     from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair
@@ -1004,7 +1052,7 @@ def test_equal_heads_cost_no_extension_product_or_polynomial(monkeypatch):
             assert KboSpy(kbo).compare(a, b) is verdict
             assert LpoSpy(lpo).compare(a, b) is verdict
             counts.append((processed[0], weight_calls(), compared[0]))
-    assert counts == [(201, 2, 201)] * 2 + [(201, 402, 400)] * 2
+    assert counts == [(201, 2, 201)] * 2 + [(201, 402, 201)] * 2
     assert ran == {"ord_mul": 0, "lex_ext": 0, "Poly": 0}
     assert lamorder.lambda_order.lex_ext is not cmp.lex_ext   # the count saw every caller
 
@@ -1138,13 +1186,19 @@ def test_exhaustive_naive_opt_agreement_on_small_nonground_terms():
     variables within the bigger side's, as the dual does for L, LE or E.
     Under the LPO, no pair breaks the bounds by which the optimized LPO
     skips a subterm check (``small_scope.check``).  Exhaustion reaches the
-    nonstrict verdicts that random draws rarely do:
-    309 GE pairs for the KBO and 306 for each LPO.  CI runs the same check
-    at size 5."""
+    nonstrict verdicts that random draws rarely do: 309 GE pairs for the
+    KBO and 306 for each LPO.  Every verdict is pinned, as a histogram and
+    a digest of the verdict matrix, since a slip in a rule both algorithms
+    share moves both alike.  CI runs the same check at size 5."""
     sig = small_scope.signature()
     terms = small_scope.terms(sig, 4)
     assert len(terms) == 222
-    assert [small_scope.check(terms, p) for _, p in small_scope.orders(sig)] == [309, 306, 306]
+    got = {name: small_scope.check(terms, p) for name, p in small_scope.orders(sig)}
+    assert got == small_scope.PINNED[4]
+    assert [histogram for histogram, _ in got.values()] == [
+        (3054, 309, 222, 309, 3054, 42336),
+        (2653, 306, 222, 306, 2653, 43144),
+        (2668, 306, 222, 306, 2668, 43114)]
 
 
 def test_reach_bound_on_generated_terms():

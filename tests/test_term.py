@@ -458,6 +458,42 @@ def test_deep_terms_type_once_per_node(sig, monkeypatch):
         sys.setrecursionlimit(limit)
 
 
+def test_each_type_is_checked_once_per_signature():
+    """Eta expansion gives a variable of type T = (-> (-> ... k) k) one
+    lambda and one index per level of T, each typed with a subtree of T.
+    ``check_type`` passes a type its signature has checked, so reading
+    ``(var x T)`` visits 4 x depth + 2 type nodes, not the depth^2 of a walk
+    of each node's whole type (2,004,002 at depth 1,000).  A failed check
+    marks nothing: once the constructor it lacked is declared, the same
+    type passes."""
+    class Counting(set):
+        def __contains__(self, u):
+            visits[0] += 1
+            return set.__contains__(self, u)
+
+    text = "(signature (types (k 0)) (symbols (a () () k)) (precedence a))"
+    for depth in (1000, 2000):
+        ty = "k"
+        for _ in range(depth):
+            ty = "(-> %s k)" % ty
+        deep = parse_signature(text, "kbo")[0]
+        deep.checked_types = Counting(deep.checked_types)
+        visits = [0]
+        parse_term("(var x %s)" % ty, deep)
+        assert visits[0] == 4 * depth + 2
+        assert len(deep.checked_types) == depth + 1
+
+    fresh = Signature()
+    fresh.add_type("k", 0)
+    bad = arrow(K, TyCon("later"))
+    with pytest.raises(TermError, match="unknown type constructor later"):
+        term.check_type(bad, fresh)
+    assert not fresh.checked_types
+    fresh.add_type("later", 0)
+    term.check_type(bad, fresh)
+    assert fresh.checked_types == {bad, K, TyCon("later")}
+
+
 def test_normalize_eta_expands_bare_symbol(sig):
     assert normalize(Sym("f"), sig) == Lam(K, Sym("f", (), (), (Db(0, K),)))
 

@@ -129,12 +129,11 @@ class OrderParams:
 
     def head_cmp(self, t: Sym, s: Sym) -> Cmp:
         """Two symbol heads by precedence, then by type arguments.  Equal
-        names are E after one rank lookup, which still raises for a symbol
-        declared after these parameters, and two empty type-argument tuples
-        are E at once; distinct names have distinct ranks."""
+        names with two empty type-argument tuples are E with no lookup:
+        ``compare`` has checked that every symbol is ranked; distinct names
+        have distinct ranks."""
         if t.name != s.name:
             return G if self.sym_rank(t.name) > self.sym_rank(s.name) else L
-        self.sym_rank(t.name)
         if not t.ty_args and not s.ty_args:
             return E
         return lex_ext(self.compare_types, t.ty_args, s.ty_args)
@@ -153,17 +152,15 @@ class OrderParams:
     def above_watershed(self, name: str) -> bool:
         return self.sym_rank(name) > self.sym_rank(self.watershed)
 
-    def lpo_key(self, t: Preterm, unranked: int = -1) -> int:
+    def lpo_key(self, t: Preterm) -> int:
         """The LPO's key of ``t``'s head, with n symbols ranked: a symbol at
         or below the watershed its rank, a lambda n + 1, any index n + 2, a
-        symbol above the watershed n + 3 + its rank, a variable -1, and a
-        symbol with no rank ``unranked``.  A head that ties or beats another
-        by ``head_cmp`` or ``_lpo_rank`` has a key at least as large."""
+        symbol above the watershed n + 3 + its rank, and a variable -1.  A
+        head that ties or beats another by ``head_cmp`` or ``_lpo_rank`` has
+        a key at least as large."""
         n = len(self.prec_ranks)
         if isinstance(t, Sym):
-            rank = self.prec_ranks.get(t.name)
-            if rank is None:
-                return unranked
+            rank = self.prec_ranks[t.name]
             return rank if rank <= self.prec_ranks[self.watershed] else n + 3 + rank
         if isinstance(t, Lam):
             return n + 1
@@ -172,12 +169,11 @@ class OrderParams:
     def lpo_reach(self, t: Preterm) -> int:
         """The largest ``lpo_key`` among the subterms the LPO's subterm rule
         can reach from ``t``: ``t`` itself, a lambda's body, and a symbol's
-        or an index's arguments, recursively.  A symbol with no rank reaches
-        above every key.  Worked out once per node, on an explicit stack."""
+        or an index's arguments, recursively.  Worked out once per node, on
+        an explicit stack."""
         reaches = self._reaches
         r = reaches.get(t)
         if r is None:
-            top = 2 * len(self.prec_ranks) + 3
             stack = [t]
             while stack:
                 u = stack[-1]
@@ -187,7 +183,7 @@ class OrderParams:
                     stack += todo
                     continue
                 stack.pop()
-                reaches[u] = max([self.lpo_key(u, top)] + [reaches[a] for a in subs])
+                reaches[u] = max([self.lpo_key(u)] + [reaches[a] for a in subs])
             r = reaches[t]
         return r
 
@@ -470,7 +466,11 @@ class _Base:
 
 def _kbo_rank(t: Preterm) -> Tuple[int, ...]:
     """Lambdas rank highest, then indices, by number and argument count (the
-    oracle's ``DbKey``), then symbols."""
+    oracle's ``DbKey``), then symbols.  The count never decides: two indices
+    that meet here share one depth and the binder types above it, since both
+    sides descend together and enter lambdas only of equal binder types, so
+    equal numbers carry equal types, and so equal counts, unless
+    ``leak_mismatch`` has answered first."""
     if isinstance(t, Db):
         return 1, t.index, len(t.args)
     return (2,) if isinstance(t, Lam) else (0,)
@@ -794,9 +794,7 @@ class _LpoOpt(_Lpo):
       has a key at least as large, a variable's key is -1, and every
       subterm the rule reaches from ``a`` has a key at most ``a``'s reach,
       so, by induction over ``dispatch``'s rules, none derives ``a`` at
-      least ``s``.  A symbol with no rank reaches above every key and
-      keys ``s`` at -1, so the bound never skips a comparison that would
-      raise.
+      least ``s``.
     - ``beats`` passes a loser argument ``b`` when ``p.lpo_outranks(t,
       b)``: ``t`` is a symbol above the watershed, ``b`` has no variable
       outside parameters and ``p.lpo_reach(b) < p.lpo_key(t)``.  Every
@@ -932,12 +930,16 @@ _CLASSES = {KBO: (_KboNaive, _KboOpt), LPO: (_LpoNaive, _LpoOpt)}
 def compare(t: Preterm, s: Preterm, p: OrderParams, algo: str = "optimized") -> Cmp:
     """Compare ``t`` with ``s`` by ``p``'s order, ``p.kind``, with the naive
     or the optimized algorithm.  Both inputs are typed by the checked pass
-    (a TermError names a fault); a comparison that overflows the stack
-    raises ``DepthError``."""
+    (a TermError names a fault); parameters made before a symbol was
+    declared raise an ``OrderError`` naming it, so the algorithms take every
+    symbol as ranked; a comparison that overflows the stack raises
+    ``DepthError``."""
     if algo not in ALGOS:
         raise OrderError("unknown algorithm %r" % algo)
     for u in (t, s):
         type_of(u, p.sig)
+    if len(p.prec_ranks) != len(p.sig.symbols):
+        p.validate()
     if t is s:
         return E
     try:

@@ -148,12 +148,6 @@ def ord_add(a: Ord, b: Ord) -> Ord:
     if not tb:
         return a
     na, nb = len(ta), len(tb)
-    if na == 1 and nb == 1:
-        (ea, ca), = ta
-        (eb, cb), = tb
-        if ea is eb or ea == eb:
-            c = ca + cb
-            return Ord(((ea, c),)) if c else ZERO
     out = []
     i = j = 0
     while i < na and j < nb:
@@ -188,10 +182,6 @@ def ord_mul(a: Ord, b: Ord) -> Ord:
     ta, tb = a.terms, b.terms
     if not ta or not tb:
         return ZERO
-    if len(ta) == 1 and len(tb) == 1:
-        (ea, ca), = ta
-        (eb, cb), = tb
-        return Ord(((ord_add(ea, eb), ca * cb),))
     if len(ta) > len(tb):
         ta, tb = tb, ta
     out = ZERO
@@ -204,8 +194,6 @@ def ord_compare(a: Ord, b: Ord) -> int:
     """-1, 0 or 1: the sign of ``a - b``, read off the first term where the
     two lists differ.  Total; agrees with ordinal order on nonnegative
     values."""
-    if a is b:
-        return 0
     fa = a.fin
     if fa is not None:
         fb = b.fin

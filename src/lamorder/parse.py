@@ -172,11 +172,9 @@ _LIST_SLOTS = {_SEXPR: (_SEXPR,) * 5, _TERM: (_KEYWORD,) + (_TERM,) * 4,
                _TYPE: (_TYCON,) + (_TYPE,) * 4, _TYPES: (_TYPE,) * 5,
                _TERMS: (_TERM,) * 5}
 _LAM_ARITY = "(lam TY T) takes two arguments"
-_SYM_SLOTS = (_KEYWORD, _SYMBOL, _TYPES, _TERMS, _TERM)
 _ARGS = (_TERM,) * 5        # a spine entered in one step; see ``_read``
 # Each term keyword: the roles of its list's children, the fewest children
-# the list takes, the fault when it has fewer, and the preterm it builds;
-# ``_read`` builds a symbol's itself, the list it closes most often.
+# the list takes, the fault when it has fewer, and the preterm it builds.
 _FORMS = {
     "lam": ((_KEYWORD, _TYPE, _TERM, _EXTRA, _EXTRA), 3, _LAM_ARITY,
             lambda x: Lam(x[1], x[2])),
@@ -186,8 +184,9 @@ _FORMS = {
     "var": ((_KEYWORD, _VARNAME, _TYPE, _TERM, _TERM), 3,
             "(var NAME TY T*) needs a name and a type",
             lambda x: Var(x[1], x[2], tuple(x[3:]))),
-    "sym": (_SYM_SLOTS, 4,
-            "(sym NAME (TY*) (T*) T*) needs name, type and parameter lists", None),
+    "sym": ((_KEYWORD, _SYMBOL, _TYPES, _TERMS, _TERM), 4,
+            "(sym NAME (TY*) (T*) T*) needs name, type and parameter lists",
+            lambda x: Sym(x[1], x[2], x[3], tuple(x[4:]))),
 }
 # the fault of an atom in a role lists fill, or of a list in one atoms fill
 _MISPLACED = {_TERM: "expected a term", _TYPES: "expected type arguments",
@@ -246,8 +245,6 @@ def _read(tokens: List[str], i: int, sig: Optional[Signature], role: int):
                 raise _Fault("unbalanced )", i)
             if roles is _ARGS:
                 value = Sym(kind, (), (), tuple(items))
-            elif roles is _SYM_SLOTS and len(items) >= 4:  # see _FORMS
-                value = Sym(items[1], items[2], items[3], tuple(items[4:]))
             else:
                 value = _close(kind, start, items, sig)
             if not stack:

@@ -612,17 +612,27 @@ def test_compare_types_names_an_unranked_constructor():
     assert lpo.compare_types(TyCon("iota"), TyCon("iota")) is E
 
 
-def test_equal_heads_name_an_unranked_symbol():
-    """Two equal symbol heads are E after one precedence lookup, which still
-    names a symbol declared after the parameters were made."""
-    from lamorder.checks import bench_signature
+def test_compare_names_a_symbol_declared_after_the_parameters():
+    """Parameters made before a symbol was declared fail every compare at
+    its entry, naming the symbol, also on a pair that does not hold it; the
+    algorithms then take every symbol as ranked.  Parameters made over the
+    grown signature compare both pairs."""
+    from lamorder.checks import bench_signature, deep_chain_pair
     sig, kbo, lpo = bench_signature()
     sig.add_symbol("late", TypeDecl((), (), arrow(TyCon("kappa"), TyCon("kappa"))))
-    t, s = Sym("late", (), (), (Sym("a"),)), Sym("late", (), (), (Sym("b"),))
+    late = Sym("late", (), (), (Sym("a"),)), Sym("late", (), (), (Sym("b"),))
+    pairs = (late, deep_chain_pair(3))
     for p in (kbo, lpo):
         for algo in ALGOS:
-            with pytest.raises(OrderError, match="symbol late has no precedence rank"):
-                compare(t, s, p, algo)
+            for t, s in pairs:
+                with pytest.raises(OrderError,
+                                   match=r"precedence does not rank symbols \['late'\]"):
+                    compare(t, s, p, algo)
+    prec = ["a", "b", "f", "g", "late"]
+    for kind in (KBO, LPO):
+        p = OrderParams(sig, kind, prec=prec, watershed="a")
+        for algo in ALGOS:
+            assert [compare(t, s, p, algo) for t, s in pairs] == [L, L]
 
 
 @EACH_ORDER_AND_ALGO
@@ -1004,18 +1014,21 @@ def test_identical_arguments_cost_no_descent():
 
 
 def test_equal_heads_cost_no_extension_product_or_polynomial(monkeypatch):
-    """Both optimized orders decide two equal symbol heads by one rank
+    """Both optimized orders decide two equal symbol heads with no rank
     lookup, without ``lex_ext`` over their empty type arguments, and the
     optimized KBO reads a head's argument scales from a table, negates the
     weights of a minus side instead of multiplying them by -1, and builds
     no ``Poly`` for a level whose weight difference is empty: under
     ``bench_signature()``, where a and b weigh alike, every level of the
-    depth-200 chain and nest is one.  The step changes no count: the
+    depth-100 and depth-200 chain and nest is one.  Over both directions,
+    ``sym_rank`` runs 4 times under the KBO, at the two leaves, and 8 under
+    the LPO, which also checks the winning leaf against the watershed, at
+    any depth.  The step changes no count: the
     recursive calls and ``weight_calls()`` are pinned at their counts
     before it, both directions alike, except the LPO's calls on the nest:
-    201, one per level and the leaves, since ``beats`` passes each level's
-    ground second argument, which g outranks (400 when it compared g's term
-    with it)."""
+    depth + 1, one per level and the leaves, since ``beats`` passes each
+    level's ground second argument, which g outranks (2 * depth when it
+    compared g's term with it)."""
     import lamorder
     from lamorder import cmp, ordinal, poly
     from lamorder.checks import adversarial_lpo_pair, bench_signature, deep_chain_pair
@@ -1042,17 +1055,29 @@ def test_equal_heads_cost_no_extension_product_or_polynomial(monkeypatch):
             return _KboOpt.process(self, t, s, depth)
 
     LpoSpy, compared = _counting_lpo(_LpoOpt)
+    lookups = {KBO: 0, LPO: 0}
+    sym_rank = OrderParams.sym_rank
+
+    def counted_rank(self, name):
+        lookups[self.kind] += 1
+        return sym_rank(self, name)
+
+    monkeypatch.setattr(OrderParams, "sym_rank", counted_rank)
     _, kbo, lpo = bench_signature()
-    counts = []
-    for make in (deep_chain_pair, adversarial_lpo_pair):
-        t, s = make(200)
-        for a, b, verdict in ((t, s, L), (s, t, G)):
-            processed[0] = compared[0] = 0
-            reset_weight_calls()
-            assert KboSpy(kbo).compare(a, b) is verdict
-            assert LpoSpy(lpo).compare(a, b) is verdict
-            counts.append((processed[0], weight_calls(), compared[0]))
-    assert counts == [(201, 2, 201)] * 2 + [(201, 402, 201)] * 2
+    for depth in (100, 200):
+        counts = []
+        for make in (deep_chain_pair, adversarial_lpo_pair):
+            t, s = make(depth)
+            lookups.update({KBO: 0, LPO: 0})
+            for a, b, verdict in ((t, s, L), (s, t, G)):
+                processed[0] = compared[0] = 0
+                reset_weight_calls()
+                assert KboSpy(kbo).compare(a, b) is verdict
+                assert LpoSpy(lpo).compare(a, b) is verdict
+                counts.append((processed[0], weight_calls(), compared[0]))
+            assert lookups == {KBO: 4, LPO: 8}
+        n = depth + 1
+        assert counts == [(n, 2, n)] * 2 + [(n, 2 * n, n)] * 2
     assert ran == {"ord_mul": 0, "lex_ext": 0, "Poly": 0}
     assert lamorder.lambda_order.lex_ext is not cmp.lex_ext   # the count saw every caller
 

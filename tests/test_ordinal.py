@@ -296,7 +296,7 @@ def test_merges_agree_with_reference_on_nested_exponents():
         check_against_reference(a, b)
 
 
-def test_single_term_fast_paths_agree_with_reference():
+def test_single_term_operands_through_the_merge_agree_with_reference():
     exps = [ZERO, ONE, from_int(2), OMEGA, OMEGA + ONE]
     singles = [omega_pow(e, c) for e in exps for c in (-3, -1, 1, 2)]
     for a, b in itertools.product(singles, repeat=2):

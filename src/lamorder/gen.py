@@ -138,15 +138,17 @@ class TermGen:
     in that order, among those whose arguments fit the budget.  ``_table``
     keeps, for each goal type from its first use, the matching variables
     and, in declaration order, each matching declaration with its type
-    arguments as far as the match fixes them (``None`` where one is free).
-    Each free one is drawn from ``ty_pool`` at every use, before the budget
-    filter, so a seed draws what a scan of the whole signature at each node
-    would draw.  Declarations are only ever added, so a change of their
-    count drops the table: a symbol declared later is a candidate.
+    arguments as far as the match fixes them (``None`` where one is free),
+    and its head when none is.  ``_heads`` takes the instances of the free
+    ones from its ``insts`` hook: ``gen`` draws one from ``ty_pool`` at
+    every use, before the budget filter, so a seed draws what a scan of the
+    whole signature at each node would draw; from an empty pool it draws
+    none, and makes no draw.  Declarations are only ever added, so a change
+    of their count drops the table: a symbol declared later is a candidate.
 
-    ``every`` lists the terms these heads build up to a size bound, a free
-    type argument taking each type of a pool in turn: the exhaustive
-    corpora and the drawn terms come from one head rule."""
+    ``every`` lists the terms these heads build up to a size bound, its
+    ``insts`` taking each tuple of types of a pool: the exhaustive corpora
+    and the drawn terms come from one head rule."""
 
     def __init__(self, rng: random.Random, sig: Signature,
                  var_types: Optional[Dict[str, Type]] = None,
@@ -179,7 +181,7 @@ class TermGen:
         if is_arrow(ty):
             a, b = ty.args
             return Lam(a, self._gen(b, budget - 1, ground, (a,) + binders))
-        candidates = self._heads(ty, ground, binders, budget)
+        candidates = self._heads(ty, ground, binders, budget, self._draw)
         if not candidates:
             raise GenError("no head inhabits %r within budget %d" % (ty, budget))
         kind, ident, head_ty, param_tys, arg_tys, mins = self.rng.choice(candidates)
@@ -208,20 +210,8 @@ class TermGen:
         pool = self.ty_pool if ty_pool is None else list(ty_pool)
         memo: Dict[Tuple[Tuple[Type, ...], Type, int], Tuple[Preterm, ...]] = {}
 
-        def heads(ty: Type, binders: Tuple[Type, ...], budget: int):
-            for i, bty in enumerate(binders):
-                arg_tys, base, mins = self._shape(bty)
-                if base is ty and 1 + sum(mins) <= budget:
-                    yield "db", i, bty, (), arg_tys, mins
-            var_heads, decl_heads = self._entry(ty)
-            if not ground:
-                yield from (head for need, head in var_heads if need <= budget)
-            for name, decl, slots, free in decl_heads:
-                insts = itertools.product(*[pool if a is None else (a,) for a in slots])
-                for inst in insts if free else (slots,):
-                    need, head = self._sym_head(name, decl, inst)
-                    if need <= budget:
-                        yield head
+        def insts(slots: Tuple[Optional[Type], ...]):
+            return itertools.product(*[pool if a is None else (a,) for a in slots])
 
         def terms(ty: Type, binders: Tuple[Type, ...], budget: int) -> Tuple[Preterm, ...]:
             key = (binders, ty, budget)
@@ -234,7 +224,7 @@ class TermGen:
                     # parameters are closed with respect to indices
                     got = tuple(_node(kind, ident, head_ty, params, args)
                                 for kind, ident, head_ty, param_tys, arg_tys, _
-                                in heads(ty, binders, budget)
+                                in self._heads(ty, ground, binders, budget, insts)
                                 for params, used in tuples(param_tys, (), budget - 1)
                                 for args, _ in tuples(arg_tys, binders, budget - 1 - used))
                 memo[key] = got
@@ -253,10 +243,12 @@ class TermGen:
 
         return list(terms(ty, (), max_size))
 
-    def _heads(self, ty: Type, ground: bool, binders: Tuple[Type, ...], budget: int):
+    def _heads(self, ty: Type, ground: bool, binders: Tuple[Type, ...], budget: int,
+               insts) -> list:
         """Every head of a node of type ``ty`` that fits ``budget``, as
         ``(kind, ident, head type, parameter types, argument types, their
-        minimum sizes)``."""
+        minimum sizes)``, a declaration with a free type argument at each
+        instance ``insts(slots)`` yields."""
         out = []
         for i, bty in enumerate(binders):
             arg_tys, base, mins = self._shape(bty)
@@ -265,14 +257,21 @@ class TermGen:
         var_heads, decl_heads = self._entry(ty)
         if not ground:
             out += [head for need, head in var_heads if need <= budget]
-        pool, choice = self.ty_pool, self.rng.choice
-        for name, decl, slots, free in decl_heads:
-            if free:
-                slots = tuple([choice(pool) if a is None else a for a in slots])
-            need, head = self._sym_head(name, decl, slots)
-            if need <= budget:
-                out.append(head)
+        for name, decl, slots, fixed in decl_heads:
+            if fixed is None:
+                for inst in insts(slots):
+                    need, head = self._sym_head(name, decl, inst)
+                    if need <= budget:
+                        out.append(head)
+            elif fixed[0] <= budget:
+                out.append(fixed[1])
         return out
+
+    def _draw(self, slots: Tuple[Optional[Type], ...]) -> tuple:
+        """``gen``'s instance of a declaration's type arguments, each free one
+        drawn from the pool in order; none from an empty pool."""
+        pool, choice = self.ty_pool, self.rng.choice
+        return (tuple([choice(pool) if a is None else a for a in slots]),) if pool else ()
 
     def _entry(self, ty: Type) -> tuple:
         """The table's heads for goal type ``ty``, filled on first use."""
@@ -290,7 +289,8 @@ class TermGen:
             for name, decl in self.sig.symbols.items():
                 slots = self._match_decl(decl, ty)
                 if slots is not None:
-                    decl_heads.append((name, decl, slots, None in slots))
+                    fixed = None if None in slots else self._sym_head(name, decl, slots)
+                    decl_heads.append((name, decl, slots, fixed))
             got = self._table[ty] = (var_heads, decl_heads)
         return got
 
@@ -315,19 +315,16 @@ class TermGen:
     def _match_decl(self, decl: TypeDecl, ty: Type) -> Optional[Tuple[Optional[Type], ...]]:
         """The type arguments making the declaration's result equal ty, with
         None for each that the match leaves free; None if the result cannot
-        equal ty, or if a type argument is free and the pool is empty."""
+        equal ty."""
         _, base = split_arrows(decl.body)
         mapping: Dict[str, Type] = {}
         if isinstance(base, TyVar):
             mapping[base.name] = ty
         elif not self._match_type(base, ty, mapping):
             return None
-        slots = tuple(mapping.get(v) for v in decl.ty_vars)
-        if None in slots and not self.ty_pool:
-            return None
         # argument types may still mention the variables filled from the
         # pool; the instantiation is checked by construction elsewhere
-        return slots
+        return tuple(mapping.get(v) for v in decl.ty_vars)
 
     @staticmethod
     def _match_type(pattern: Type, target: Type, mapping: Dict[str, Type]) -> bool:

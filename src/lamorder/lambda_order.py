@@ -156,8 +156,10 @@ class OrderParams:
         """The LPO's key of ``t``'s head, with n symbols ranked: a symbol at
         or below the watershed its rank, a lambda n + 1, any index n + 2, a
         symbol above the watershed n + 3 + its rank, and a variable -1.  A
-        head that ties or beats another by ``head_cmp`` or ``_lpo_rank`` has
-        a key at least as large."""
+        head that ties or beats another has a key at least as large: two
+        symbols go by ``head_cmp``'s precedence, in which the key grows, and
+        ``_Lpo.dispatch`` orders every other pair of heads by this key, two
+        indices tying on it."""
         n = len(self.prec_ranks)
         if isinstance(t, Sym):
             rank = self.prec_ranks[t.name]
@@ -620,29 +622,19 @@ def _subterms(t: Preterm, dt: int) -> Tuple[Sequence[Preterm], int]:
     return t.args, dt
 
 
-def _lpo_rank(t: Preterm, p: OrderParams) -> Tuple[int, ...]:
-    """Symbols above the watershed rank highest, then indices, by number and
-    argument count (the oracle's ``DbKey``), then lambdas, then symbols
-    below the watershed."""
-    if isinstance(t, Db):
-        return 2, t.index, len(t.args)
-    if isinstance(t, Lam):
-        return (1,)
-    return (3,) if p.above_watershed(t.name) else (0,)
-
-
 class _Lpo(_Base):
     """The rule table both LPO algorithms share.  ``dispatch`` lets ``enter``
     settle a pair first, then ends it by its heads: ``U``, the componentwise
     extension over one steady variable, a descent into lambda bodies of equal
-    types, a winner by precedence, types or ``_lpo_rank`` that must still
-    beat the loser's arguments, or ``scan(t, dt, ts, s, ds, ss, np)``, a
-    lexicographic scan of equal heads' parameters (the first ``np``
-    positions) and arguments.  ``leave(t, s, dt, ds, out, lo)`` may revise
-    the verdict, where ``lo`` is the side whose head lost, if one did.  Each
-    algorithm checks a winner against the loser's arguments in its own
-    ``beats(winner, dw, loser_args, dl)``: G when the winner strictly beats
-    all of them, L when one of them dominates it, U otherwise."""
+    types, a winner by precedence, types or ``p.lpo_key`` (two indices by
+    number, then argument count) that must still beat the loser's
+    arguments, or ``scan(t, dt, ts, s, ds, ss, np)``, a lexicographic scan
+    of equal heads' parameters (the first ``np`` positions) and arguments.
+    ``leave(t, s, dt, ds, out, lo)`` may revise the verdict, where ``lo`` is
+    the side whose head lost, if one did.  Each algorithm checks a winner
+    against the loser's arguments in its own ``beats(winner, dw,
+    loser_args, dl)``: G when the winner strictly beats all of them, L when
+    one of them dominates it, U otherwise."""
 
     def dispatch(self, t: Preterm, s: Preterm, dt: int = 0, ds: int = 0) -> Cmp:
         out = self.enter(t, s, dt, ds)
@@ -665,7 +657,9 @@ class _Lpo(_Base):
         elif isinstance(t, Db) and isinstance(s, Db) and self.leak_mismatch(t, s, dt, ds):
             out = U
         else:
-            rt, rs = _lpo_rank(t, p), _lpo_rank(s, p)
+            rt, rs = p.lpo_key(t), p.lpo_key(s)
+            if rt == rs:    # two indices: by number and argument count, the oracle's DbKey
+                rt, rs = (t.index, len(t.args)), (s.index, len(s.args))
             if rt == rs:
                 out = self.scan(t, dt, t.args, s, ds, s.args, 0)
             else:

@@ -205,3 +205,25 @@ def test_every_and_gen_fix_type_arguments_inside_compound_results():
         for _ in range(300):
             t = g.gen(ty, 7, ground=True)
             assert type_of(t, sig) is ty and t in every, render_term(t)
+
+
+def test_every_ranges_free_type_arguments_over_its_pool_when_the_generator_has_none():
+    """Without a type constructor the generator's own pool is empty, so
+    ``gen`` draws no instance of pick : ∀A B. B → A, whose match leaves B
+    free, and makes no draw for it: it draws what it draws without pick.
+    ``every`` given a pool ranges B over that pool."""
+    a = TyVar("a")
+    pany = TypeDecl(("P",), (), TyVar("P"))
+    pick = TypeDecl(("A", "B"), (), arrow(TyVar("B"), TyVar("A")))
+    sig, alone = Signature(), Signature()
+    for s in (sig, alone):
+        s.add_symbol("pany", pany)
+    sig.add_symbol("pick", pick)
+    rngs = random.Random(2), random.Random(2)
+    gens = TermGen(rngs[0], sig, var_types={"x": a}), TermGen(rngs[1], alone, var_types={"x": a})
+    drawn = [[g.gen(a, 4, ground) for ground in (True, False) for _ in range(20)]
+             for g in gens]
+    assert drawn[0] == drawn[1] and rngs[0].getstate() == rngs[1].getstate()
+    p = Sym("pany", (a,))
+    listed = TermGen(random.Random(0), sig).every(a, 2, ground=True, ty_pool=[a])
+    assert listed == [p, Sym("pick", (a, a), (), (p,))]

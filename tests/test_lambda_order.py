@@ -3,6 +3,7 @@ pointwise agreement of the naive and optimized algorithms."""
 
 import itertools
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -569,6 +570,38 @@ def test_type_weights_reject_undeclared_constructor(small):
         OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"nope": from_int(2)})
     # the arrow is a declared constructor and may carry a weight
     OrderParams(sig, KBO, prec=["a", "b", "g"], ty_weights={"->": from_int(2)})
+
+
+@pytest.mark.parametrize("with_diff, kind, params, message", [
+    (True, LPO, dict(prec=["top", "bot", "a", "diff", "f"], watershed="a"),
+     "diff must not exceed the watershed"),
+    (True, KBO, dict(coeffs={("f", 2): from_int(2)}),
+     "k(f, 2) = 1 is required beyond the declared argument positions"),
+    (True, KBO, dict(prec=["a", "top", "bot", "diff", "f"]),
+     "top must precede every other symbol"),
+    (True, KBO, dict(weights={"top": from_int(2)}), "w(top) = 1 is required"),
+    # with diff declared, diff's own rule fires first
+    (False, LPO, dict(prec=["top", "bot", "a", "f"], watershed="top"),
+     "bot must not exceed the watershed"),
+], ids=["lpo-diff-watershed", "coeff-beyond-arity", "top-first", "kbo-top-weight",
+        "lpo-bot-watershed"])
+def test_parameters_break_a_side_condition(with_diff, kind, params, message):
+    """Each side condition of the special symbols and coefficients is an
+    OrderError naming it, on parameters that differ from accepted ones only
+    where they break it."""
+    sig = Signature()
+    sig.add_type("k", 0)
+    for name, ty in (("top", K), ("bot", K), ("a", K), ("f", arrow(K, K))):
+        sig.add_symbol(name, TypeDecl((), (), ty))
+    prec = ["top", "bot", "a", "f"]
+    if with_diff:
+        dv = arrow(TyVar("A"), TyVar("B"))
+        sig.add_symbol("diff", TypeDecl(("A", "B"), (dv, dv), TyVar("A")))
+        prec.insert(2, "diff")
+    accepted = dict(prec=prec, watershed="f")
+    OrderParams(sig, kind, **accepted)
+    with pytest.raises(OrderError, match="^%s$" % re.escape(message)):
+        OrderParams(sig, kind, **{**accepted, **params})
 
 
 @pytest.mark.parametrize("section", [
